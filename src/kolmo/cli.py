@@ -24,6 +24,8 @@ from .errors import (
 )
 from .group import (
     Point,
+    compose,
+    dilate,
     hormander_check,
     kdist,
     knorm,
@@ -39,13 +41,15 @@ from .kernel import (
     kernel_mass,
 )
 from .modulus import (
+    DEFAULT_RADII,
     counterexample_certificate,
+    counterexample_f,
     dini_integral,
     empirical_modulus,
-    power_table,
-    ModulusTable,
+    modulus_from_pairs,
+    schauder_functional,
 )
-from .taylor import connect, remainder_profile, taylor2, verify_plan
+from .taylor import connect, remainder_profile, verify_plan
 from .verify import (
     _FAMILIES,
     manufacture,
@@ -63,18 +67,37 @@ EXIT_USAGE = 3
 EXIT_ACCURACY = 4
 
 
+def _parse_floats(text, what):
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:
+        raise UsageError(
+            f"{what} needs comma-separated numbers, got {text!r}") from None
+
+
 def _parse_point(text, N):
-    parts = [float(p) for p in text.split(",")]
+    parts = _parse_floats(text, "a point")
     if len(parts) != N + 1:
         raise UsageError(f"point needs {N + 1} comma-separated values, got {len(parts)}")
     return Point(parts[:-1], parts[-1])
 
 
+def _int_from(lo):
+    def integer(text):  # argparse type: an integer no smaller than lo
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"needs an integer >= {lo}, got {text}")
+        return int(text)
+    return integer
+
+
 def _emit(report, out_path):
     body = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(body + "\n")
+        except OSError as err:
+            raise UsageError(f"cannot write the report: {err}") from None
     print(body)
 
 
@@ -90,7 +113,7 @@ def _build_parser():
     def common(p, spec_required=True):
         p.add_argument("--spec", required=spec_required, help="operator spec JSON")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_from(0), default=0)
 
     p = sub.add_parser("check", help="validate a spec and run the rank test")
     common(p)
@@ -124,7 +147,7 @@ def _build_parser():
     p.add_argument("--input-csv", default=None,
                    help="sampled CSV x1,..,xN,t,f instead of a built-in")
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--pairs", type=int, default=4000)
+    p.add_argument("--pairs", type=_int_from(1), default=4000)
     p.add_argument("--schauder-d", type=float, default=None)
 
     p = sub.add_parser("verify", help="run one estimate verification")
@@ -137,16 +160,16 @@ def _build_parser():
     p.add_argument("--varcoeff", default=None, choices=["sin1", "sin1x2"])
     p.add_argument("--R-list", default=None,
                    help="comma-separated radii, e.g. 1,0.5,0.25")
-    p.add_argument("--pairs", type=int, default=500)
-    p.add_argument("--poles", type=int, default=12)
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--pairs", type=_int_from(1), default=500)
+    p.add_argument("--poles", type=_int_from(1), default=12)
+    p.add_argument("--samples", type=_int_from(1), default=40)
 
     p = sub.add_parser("demo-counterexample",
                        help="non-Dini certificate for the planar example")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--pairs", type=int, default=4000)
+    p.add_argument("--pairs", type=_int_from(1), default=4000)
     return top
 
 
@@ -226,8 +249,6 @@ def _cmd_taylor(args):
     rng = np.random.default_rng(args.seed)
     direction = Point(rng.uniform(-1.0, 1.0, size=spec.N), rng.uniform(-1.0, 1.0))
 
-    from .group import compose, dilate
-
     def path(rho):
         return compose(z, dilate(rho, direction, exps), spec)
 
@@ -253,37 +274,27 @@ def _builtin_function(name, spec, alpha):
     if name == "sqrt-knorm":
         return lambda z: math.sqrt(knorm(z, exps))
     if name == "counterexample-f":
-        from .modulus import counterexample_f
-
         return lambda z: counterexample_f(alpha, z.x[0], z.x[1])
     raise UsageError(f"unknown built-in function {name!r}")
 
 
 def _modulus_from_csv(path, spec):
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as err:
+        raise UsageError(f"cannot read CSV {path}: {err}") from None
     if rows.shape[1] != spec.N + 2:
         raise UsageError(
             f"CSV rows need {spec.N + 2} columns (x1..xN, t, f)"
         )
     pts = [Point(r[: spec.N], r[spec.N]) for r in rows]
     vals = rows[:, -1]
-    from .modulus import DEFAULT_RADII
-
     dists, jumps = [], []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             dists.append(kdist(pts[i], pts[j], spec))
             jumps.append(abs(vals[i] - vals[j]))
-    order = np.argsort(dists)
-    dists = np.asarray(dists)[order]
-    jumps = np.maximum.accumulate(np.asarray(jumps)[order])
-    omega = np.zeros(DEFAULT_RADII.size)
-    for i, r in enumerate(DEFAULT_RADII):
-        k = np.searchsorted(dists, r)
-        omega[i] = jumps[k - 1] if k > 0 else 0.0
-    return ModulusTable(radii=DEFAULT_RADII,
-                        omega=np.maximum.accumulate(omega),
-                        provenance="empirical")
+    return modulus_from_pairs(dists, jumps, DEFAULT_RADII)
 
 
 def _cmd_modulus(args):
@@ -312,8 +323,6 @@ def _cmd_modulus(args):
         "omega_csv": "\n".join(csv_lines),
     }
     if args.schauder_d is not None:
-        from .modulus import schauder_functional
-
         report["schauder_functional"] = {
             "d": args.schauder_d,
             "value": schauder_functional(table, args.schauder_d),
@@ -327,7 +336,7 @@ def _cmd_verify(args):
     spec = load_spec(args.spec)
     ctx = KernelContext(spec)
     R_list = (
-        tuple(float(r) for r in args.R_list.split(","))
+        tuple(_parse_floats(args.R_list, "--R-list"))
         if args.R_list else None
     )
     crit = args.criterion

@@ -20,8 +20,9 @@ from .errors import (
     SolveError,
     StructureError,
     SymmetryError,
+    UsageError,
 )
-from .matrixcalc import integrate_matrix, mat_exp, spd_min_eigen
+from .matrixcalc import mat_exp, spd_min_eigen
 
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
@@ -168,6 +169,21 @@ class OperatorSpec:
         """Translation matrix E(tau) = exp(-tau B)."""
         return mat_exp(-tau * self.B)
 
+    def C(self, t):
+        """Covariance C(t) = int_0^t E(s) A~ E(s)^T ds, symmetrised.
+
+        One block matrix exponential: for M = [[-B, A~], [0, B^T]] the
+        top row of exp(t M) is [E(t), G(t)] with C(t) = G(t) E(t)^T.
+        """
+        N = self.N
+        M = np.zeros((2 * N, 2 * N))
+        M[:N, :N] = -self.B
+        M[:N, N:] = embedded_A(self)
+        M[N:, N:] = self.B.T
+        Phi = mat_exp(t * M)
+        C = Phi[:N, N:] @ Phi[:N, :N].T
+        return (C + C.T) / 2.0
+
     def to_json_dict(self):
         return {
             "N": self.N,
@@ -191,9 +207,19 @@ def load_spec(path_or_dict, validate=True):
     if isinstance(path_or_dict, dict):
         data = path_or_dict
     else:
-        with open(path_or_dict) as fh:
-            data = json.load(fh)
-    spec = make_spec(data["A"], data["B"], data["blocks"], validate=validate)
+        try:
+            with open(path_or_dict) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as err:
+            raise UsageError(f"cannot read spec {path_or_dict}: {err}") from None
+    try:
+        A, B = (np.asarray(data[key], dtype=float) for key in ("A", "B"))
+        blocks = tuple(int(s) for s in data["blocks"])
+    except KeyError as err:
+        raise StructureError(f"spec has no {err} entry") from None
+    except (TypeError, ValueError) as err:
+        raise StructureError(f"malformed spec: {err}") from None
+    spec = make_spec(A, B, blocks, validate=validate)
     if "N" in data and int(data["N"]) != spec.N:
         raise StructureError(f"declared N={data['N']} but blocks sum to {spec.N}")
     if "m" in data and int(data["m"]) != spec.m:
@@ -255,14 +281,11 @@ def embedded_A(spec):
     return At
 
 
-def hormander_check(spec, t, tol=1e-10, panels=8):
+def hormander_check(spec, t, tol=1e-10):
     """Positivity of C(t) = int_0^t E(s) A~ E(s)^T ds; the Hormander test."""
     if t <= 0.0:
         raise DomainError(f"time must be positive, got {t}")
-    At = embedded_A(spec)
-    C = integrate_matrix(lambda s: spec.E(s) @ At @ spec.E(s).T, t, panels=panels)
-    C = (C + C.T) / 2.0
-    return spd_min_eigen(C, tol=tol)
+    return spd_min_eigen(spec.C(t), tol=tol)
 
 
 def compose(z, zeta, spec):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     AccuracyError,
@@ -24,8 +23,9 @@ from .errors import (
     HypoellipticityError,
     SupportError,
 )
-from .group import compose, dilate, embedded_A, inverse, knorm
-from .matrixcalc import integrate_matrix, mat_exp
+from .group import (Point, compose, dilate, embedded_A, inverse, knorm, origin,
+                    sample_ball)
+from .matrixcalc import gauss_panels, tensor_rule
 
 TIME_QUANTUM = 1e-12
 
@@ -45,39 +45,22 @@ class KernelContext:
     """An operator spec plus a covariance cache keyed by quantized time."""
 
     spec: object
-    panels: int = 8
     _cache: dict = field(default_factory=dict, repr=False)
-
-    def pole_flag(self, z, zeta):
-        """True when z sits exactly on the pole of Gamma(., zeta)."""
-        dt = z.t - zeta.t
-        return dt == 0.0 and bool(np.allclose(z.x, zeta.x, atol=0.0))
 
 
 def covariance(ctx, t):
-    """Covariance C(t), SPD under the Hormander condition.
+    """Covariance C(t) with its inverse and log-determinant, cached.
 
-    Evaluated with a single block matrix exponential: for
-    M = [[-B, A~], [0, B^T]] the top row of exp(t M) is [E(t), G(t)]
-    with C(t) = G(t) E(t)^T, which agrees with the defining quadrature
-    int_0^t E(s) A~ E(s)^T ds but costs one exponential.
+    The matrix is ``spec.C(t)``; a miss also checks that it is
+    numerically nonsingular, which the Hormander condition guarantees.
     """
-    if t <= 0.0:
-        raise DomainError(f"covariance needs t > 0, got {t}")
+    if not (t > 0.0 and math.isfinite(t / TIME_QUANTUM)):
+        raise DomainError(f"covariance needs t > 0 in the cache's range, got {t}")
     key = round(t / TIME_QUANTUM)
     hit = ctx._cache.get(key)
     if hit is not None:
         return hit
-    spec = ctx.spec
-    N = spec.N
-    At = embedded_A(spec)
-    M = np.zeros((2 * N, 2 * N))
-    M[:N, :N] = -spec.B
-    M[:N, N:] = At
-    M[N:, N:] = spec.B.T
-    Phi = mat_exp(t * M)
-    C = Phi[:N, N:] @ Phi[:N, :N].T
-    C = (C + C.T) / 2.0
+    C = ctx.spec.C(t)
     sign, logdet = np.linalg.slogdet(C)
     if sign <= 0 or np.linalg.eigvalsh(C)[0] <= 1e-300:
         raise HypoellipticityError(f"C({t}) is numerically singular")
@@ -99,7 +82,7 @@ def gamma(ctx, z, zeta=None):
     """Kernel value Gamma(z, zeta); zero on and below the pole time."""
     spec = ctx.spec
     if zeta is None:
-        zeta = _origin_like(spec)
+        zeta = origin(spec.N)
     dt = z.t - zeta.t
     if dt <= 0.0:
         return 0.0
@@ -108,12 +91,6 @@ def gamma(ctx, z, zeta=None):
     quad = float(w @ cov.Cinv @ w)
     log_pref = -0.5 * spec.N * math.log(4.0 * math.pi) - 0.5 * cov.logdet
     return math.exp(log_pref - 0.25 * quad - dt * np.trace(spec.B))
-
-
-def _origin_like(spec):
-    from .group import origin
-
-    return origin(spec.N)
 
 
 def gamma_grad(ctx, z, zeta):
@@ -180,27 +157,6 @@ def check_homogeneity(ctx, z, r):
     return gamma(ctx, dilate(r, z, exps)) * r**exps.Q / g
 
 
-def _box_rule(half_widths, nodes_per_dim, panels=2):
-    """Tensor composite Gauss-Legendre grid on a centered box."""
-    pts_1d, wts_1d = [], []
-    base_x, base_w = leggauss(nodes_per_dim)
-    for h in half_widths:
-        edges = np.linspace(-h, h, panels + 1)
-        half = np.diff(edges) / 2.0
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        pts_1d.append((mids[:, None] + half[:, None] * base_x[None, :]).ravel())
-        wts_1d.append((half[:, None] * base_w[None, :]).ravel())
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(pts.shape[0])
-    shape = [p.size for p in pts_1d]
-    for axis, wt in enumerate(wts_1d):
-        expand = np.ones(len(shape), dtype=int)
-        expand[axis] = shape[axis]
-        w = w * np.broadcast_to(wt.reshape(expand), shape).ravel()
-    return pts, w
-
-
 def kernel_mass(ctx, t, nodes_per_dim=32, tol=1e-6):
     """Quadrature of x -> Gamma(x, t); must equal exp(-t tr B).
 
@@ -210,15 +166,13 @@ def kernel_mass(ctx, t, nodes_per_dim=32, tol=1e-6):
     """
     if t <= 0.0:
         raise DomainError("mass check needs t > 0")
-    spec = ctx.spec
     cov = covariance(ctx, t)
     sigma = np.sqrt(np.diag(2.0 * cov.C))
     half_widths = 8.0 * sigma
 
     def run(n):
-        pts, w = _box_rule(half_widths, n)
-        from .group import Point
-
+        # two composite Gauss-Legendre panels per axis of the box
+        pts, w = tensor_rule([gauss_panels(-h, h, 2, n) for h in half_widths])
         vals = np.array([gamma(ctx, Point(p, t)) for p in pts])
         return float(vals @ w)
 
@@ -235,8 +189,6 @@ def check_bounds(ctx, samples=10_000, R0=1.0, seed=0):
     the corresponding product value * d_K^power over sampled pairs in
     the box Q_{R0}.
     """
-    from .group import sample_ball
-
     spec = ctx.spec
     exps = spec.exponents()
     Q = exps.Q
@@ -270,8 +222,6 @@ def check_bounds(ctx, samples=10_000, R0=1.0, seed=0):
 
 def annulus_sup(ctx, R, samples=2000, seed=0):
     """Sup of Gamma over z in Q_{R/2}, zeta in Q_R minus Q_{3R/4}."""
-    from .group import sample_ball
-
     spec = ctx.spec
     exps = spec.exponents()
     rng = np.random.default_rng(seed)

@@ -76,9 +76,11 @@ def spd_min_eigen(S, tol=1e-10):
     return SpdReport(min_eigenvalue=w_min, is_spd=w_min > tol, tolerance=tol)
 
 
-def _gauss_panels(t, panels):
-    nodes, weights = leggauss(GAUSS_ORDER)
-    edges = np.linspace(0.0, t, panels + 1)
+def gauss_panels(lo, hi, panels, order=GAUSS_ORDER):
+    """Composite Gauss-Legendre rule on [lo, hi]: points and weights of
+    ``panels`` equal panels with ``order`` nodes each."""
+    nodes, weights = leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges) / 2.0
     mids = (edges[:-1] + edges[1:]) / 2.0
     pts = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -86,8 +88,19 @@ def _gauss_panels(t, panels):
     return pts, wts
 
 
+def tensor_rule(rules):
+    """Tensor product of 1-d rules [(points, weights), ...]: the (n, d)
+    points in C order and their weights, multiplied left to right."""
+    grids = np.meshgrid(*(pts for pts, _ in rules), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    w = np.ones(())
+    for _, wts in rules:
+        w = np.multiply.outer(w, wts)
+    return pts, w.ravel()
+
+
 def _quad_matrix(M, t, panels):
-    pts, wts = _gauss_panels(t, panels)
+    pts, wts = gauss_panels(0.0, t, panels)
     acc = None
     for s, w in zip(pts, wts):
         val = w * np.asarray(M(s), dtype=float)

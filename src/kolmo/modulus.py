@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .group import compose, dilate, kdist, Point
+from .group import compose, dilate, heat_spec, kdist, Point
 
 DEFAULT_RADII = 2.0 ** np.linspace(-20.0, 0.0, 64)
 MONOTONE_TOL = 1e-12
@@ -225,15 +225,23 @@ def empirical_modulus(f, spec, radius=1.0, pair_samples=4000, radii=None,
     for z, zeta in _scaled_pairs(spec, radius, pair_samples, rng, r_grid[0], center):
         dists.append(kdist(z, zeta, spec))
         jumps.append(abs(f(z) - f(zeta)))
+    return modulus_from_pairs(dists, jumps, r_grid)
+
+
+def modulus_from_pairs(dists, jumps, radii):
+    """Modulus table from sampled pairs: omega(r) is the largest jump
+    |f(z) - f(zeta)| over the pairs with kdist(z, zeta) < r.
+
+    Sorting the pairs by distance and taking the running max of their
+    jumps makes omega nondecreasing on the increasing grid ``radii``.
+    """
     order = np.argsort(dists)
-    dists = np.asarray(dists)[order]
-    jumps = np.maximum.accumulate(np.asarray(jumps)[order])
-    omega = np.zeros(r_grid.size)
-    for i, r in enumerate(r_grid):
-        k = np.searchsorted(dists, r)
-        omega[i] = jumps[k - 1] if k > 0 else 0.0
-    omega = np.maximum.accumulate(omega)
-    return ModulusTable(radii=r_grid, omega=omega, provenance="empirical")
+    dists = np.asarray(dists, dtype=float)[order]
+    # running[k] is the largest jump among the k nearest pairs
+    running = np.concatenate(
+        [[0.0], np.maximum.accumulate(np.asarray(jumps, dtype=float)[order])])
+    omega = running[np.searchsorted(dists, radii)]
+    return ModulusTable(radii=radii, omega=omega, provenance="empirical")
 
 
 def holder_seminorm(f, spec, alpha, samples=4000, radius=1.0, seed=0,
@@ -305,8 +313,6 @@ def counterexample_certificate(alpha=0.5, decades=4, seed=0, pair_samples=4000):
     per-decade increments of the partial Dini integrals, the |f| values
     down the diagonal, and the |u_xy| values which grow without bound.
     """
-    from .group import heat_spec
-
     spec = heat_spec(2)
 
     def fval(z):

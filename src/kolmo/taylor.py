@@ -209,6 +209,8 @@ def _leading_sign_unit(w):
     """Unit vector with positive leading nonzero entry, plus the sign
     absorbed into the flow parameter."""
     norm = np.linalg.norm(w)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise NonConvergenceError(f"flow direction has norm {norm:g}")
     v = w / norm
     lead = v[np.flatnonzero(np.abs(v) > 0)[0]]
     if lead < 0:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .group import Point, compose, dilate, kdist, knorm, sample_ball
 from .kernel import covariance, gamma, gamma_grad, gamma_hess_m, gamma_Y
-from .matrixcalc import mat_exp, sqrt_spd
+from .matrixcalc import mat_exp, sqrt_spd, tensor_rule
 from .modulus import (
     dini_integral,
     empirical_modulus,
@@ -275,24 +275,27 @@ def harmonic_family(ctx, R, count, rng):
 # Kernel convolution (representation formula).
 
 
-def _inner_slice(ctx, fvec, z, tau, nodes_x):
-    """int N(w; 0, 2C(dt)) f(exp(dt B)(x - w), tau) dw by Gauss-Hermite."""
+def _hermite_slice(ctx, z, tau, nodes_x):
+    """Gauss-Hermite rule for w ~ N(0, 2C(dt)) mapped to xi = exp(dt B)(x - w).
+
+    Returns the points xi, the tensor weights (to be divided by
+    pi^{N/2}) and M = exp(dt B).
+    """
     spec = ctx.spec
     dt = z.t - tau
     cov = covariance(ctx, dt)
     S = sqrt_spd(2.0 * cov.C)
-    y, wts = hermgauss(nodes_x)
-    grids = np.meshgrid(*([y] * spec.N), indexing="ij")
-    Y = np.stack([g.ravel() for g in grids], axis=-1)
-    W = np.ones(Y.shape[0])
-    for axis in range(spec.N):
-        W = W * wts[
-            np.unravel_index(np.arange(Y.shape[0]), [nodes_x] * spec.N)[axis]
-        ]
-    Eb = mat_exp(dt * spec.B)
-    pts = (z.x[None, :] - (math.sqrt(2.0) * (Y @ S.T))) @ Eb.T
+    Y, W = tensor_rule([hermgauss(nodes_x)] * spec.N)
+    M = mat_exp(dt * spec.B)
+    pts = (z.x[None, :] - (math.sqrt(2.0) * (Y @ S.T))) @ M.T
+    return pts, W, M
+
+
+def _inner_slice(ctx, fvec, z, tau, nodes_x):
+    """int N(w; 0, 2C(dt)) f(exp(dt B)(x - w), tau) dw by Gauss-Hermite."""
+    pts, W, _ = _hermite_slice(ctx, z, tau, nodes_x)
     vals = np.array([fvec(Point(p, tau)) for p in pts])
-    return float(vals @ W) / math.pi ** (spec.N / 2.0)
+    return float(vals @ W) / math.pi ** (ctx.spec.N / 2.0)
 
 
 def convolve_solution(ctx, f, z, t_lo, nodes_t=16, nodes_x=24, check=True,
@@ -424,19 +427,7 @@ def _d2_slice(ctx, psi, z, tau, i, j, h, nodes_x):
     integrand is bounded by sup|d2 psi| with no kernel singularity.
     """
     spec = ctx.spec
-    dt = z.t - tau
-    cov = covariance(ctx, dt)
-    S = sqrt_spd(2.0 * cov.C)
-    y, wts = hermgauss(nodes_x)
-    grids = np.meshgrid(*([y] * spec.N), indexing="ij")
-    Y = np.stack([g.ravel() for g in grids], axis=-1)
-    W = np.ones(Y.shape[0])
-    for axis in range(spec.N):
-        W = W * wts[
-            np.unravel_index(np.arange(Y.shape[0]), [nodes_x] * spec.N)[axis]
-        ]
-    M = mat_exp(dt * spec.B)
-    pts = (z.x[None, :] - (math.sqrt(2.0) * (Y @ S.T))) @ M.T
+    pts, W, M = _hermite_slice(ctx, z, tau, nodes_x)
     di = h * M[:, i]
     dj = h * M[:, j]
 

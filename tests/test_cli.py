@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,18 @@ def test_connect_nonconvergence_exit_code():
     # zero tolerance on a generic drift cannot be met
     assert run(["connect", "--spec", DRIFTED, "--from", "0,2,0",
                 "--to", "0,0,0", "--tol", "0"]) == 4
+
+
+def test_connect_degenerate_direction_exit_code(tmp_path, capsys):
+    # on this three-level drift the planner meets a level-map solution
+    # whose norm overflows; that is a convergence failure, not a crash
+    spec = tmp_path / "three_level.json"
+    spec.write_text(json.dumps({"A": [[1.0]], "blocks": [1, 1, 1],
+                                "B": [[0, 0, 0], [1, 0, 0.3], [0, -2, 0]]}))
+    pair = np.random.default_rng(2).uniform(-1.0, 1.0, 8)
+    p, q = (",".join(repr(float(v)) for v in half) for half in (pair[:4], pair[4:]))
+    assert run(["connect", "--spec", str(spec), f"--from={p}", f"--to={q}"]) == 4
+    capsys.readouterr()
 
 
 def test_taylor_verb(capsys):
@@ -113,6 +128,36 @@ def test_usage_errors():
     assert run(["frobnicate"]) == 3
     assert run(["kernel", "--spec", KOLMO, "--point", "0,1"]) == 3  # short point
     assert run([]) == 3
+
+
+BAD_INPUTS = {
+    "point-not-numbers": ["kernel", "--spec", KOLMO, "--point", "a,b,c"],
+    "R-list-not-numbers": ["verify", "apriori", "--spec", KOLMO,
+                           "--R-list", "1,x"],
+    "missing-spec": ["check", "--spec", "{tmp}/missing.json"],
+    "missing-csv": ["modulus", "--spec", KOLMO, "--input-csv",
+                    "{tmp}/missing.csv"],
+    "spec-without-blocks": ["check", "--spec", "{tmp}/no_blocks.json"],
+    "spec-not-numbers": ["check", "--spec", "{tmp}/text_A.json"],
+    "time-overflow": ["kernel", "--spec", KOLMO, "--point", "0,0,1e300"],
+    "negative-seed": ["taylor", "--spec", KOLMO, "--seed", "-1"],
+    "zero-samples": ["verify", "mean-value", "--spec", KOLMO, "--samples", "0"],
+    "unwritable-out": ["check", "--spec", KOLMO, "--out", "{tmp}/no/r.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_keeps_exit_code_contract(name, tmp_path):
+    (tmp_path / "no_blocks.json").write_text(
+        json.dumps({"A": [[1.0]], "B": [[0.0, 0.0], [-1.0, 0.0]]}))
+    (tmp_path / "text_A.json").write_text(
+        json.dumps({"A": "x", "B": [[0.0, 0.0], [-1.0, 0.0]], "blocks": [1, 1]}))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in BAD_INPUTS[name]]
+    env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "kolmo.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 2, 3, 4)
+    assert "Traceback" not in proc.stderr
 
 
 def test_report_bytes_deterministic(tmp_path, capsys):

@@ -14,6 +14,8 @@ from kolmo import (
     gamma_Y,
     gamma_grad,
     gamma_hess,
+    heat_spec,
+    hormander_check,
     integrate_matrix,
     kernel_mass,
     origin,
@@ -31,14 +33,17 @@ def test_kolmogorov_covariance_closed_form(kctx):
         assert np.abs(C - want).max() < 1e-10
 
 
-def test_covariance_matches_quadrature(kctx, drifted, kappa2):
-    # the one-exponential form against the defining integral
-    for spec in (kctx.spec, drifted, kappa2):
+def test_covariance_matches_quadrature(kctx, kinetic, drifted, kappa2):
+    # the one-exponential form against the defining integral, through both
+    # of its users: the kernel's covariance and the Hormander test
+    for spec in (kctx.spec, kinetic, drifted, kappa2, heat_spec(2)):
         ctx = KernelContext(spec)
         At = embedded_A(spec)
         for t in (0.2, 1.0, 3.0):
             ref = integrate_matrix(lambda s: spec.E(s) @ At @ spec.E(s).T, t)
             assert np.abs(covariance(ctx, t).C - ref).max() < 1e-10
+            ref_min = np.linalg.eigvalsh(ref)[0]
+            assert abs(hormander_check(spec, t).min_eigenvalue - ref_min) < 1e-10
 
 
 def test_covariance_needs_positive_time(kctx):

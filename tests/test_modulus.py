@@ -19,7 +19,7 @@ from kolmo import (
     table_from_function,
 )
 from kolmo.errors import DomainError
-from kolmo.modulus import DEFAULT_RADII
+from kolmo.modulus import DEFAULT_RADII, modulus_from_pairs
 
 
 def test_table_validation():
@@ -94,6 +94,18 @@ def test_empirical_modulus_is_monotone_table(kspec):
                               seed=1)
     assert np.all(np.diff(table.omega) >= 0.0)
     assert table.provenance == "empirical"
+
+
+def test_modulus_from_pairs_hand_table():
+    # omega(r) is the largest jump over pairs strictly closer than r
+    table = modulus_from_pairs([0.5, 0.1, 0.3], [3.0, 1.0, 2.0],
+                               np.array([0.05, 0.1, 0.2, 0.4, 1.0]))
+    assert table.omega.tolist() == [0.0, 0.0, 1.0, 2.0, 3.0]
+    # a larger jump at a smaller distance dominates the farther pairs
+    table = modulus_from_pairs([0.1, 0.3], [5.0, 2.0], np.array([0.2, 1.0]))
+    assert table.omega.tolist() == [5.0, 5.0]
+    empty = modulus_from_pairs([], [], np.array([0.5, 1.0]))
+    assert empty.omega.tolist() == [0.0, 0.0]
 
 
 def test_holder_seminorm_power_function(kspec):
