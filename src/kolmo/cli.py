@@ -12,6 +12,7 @@ Exit codes: 0 pass, 2 verification criterion failed, 3 usage error,
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -65,6 +66,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 2
 EXIT_USAGE = 3
 EXIT_ACCURACY = 4
+MAX_COUNT = 10**7  # largest --pairs, --poles or --samples
+POINT_OPTIONS = ("--from", "--to", "--point", "--pole")
+NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 
 def _parse_floats(text, what):
@@ -82,12 +86,23 @@ def _parse_point(text, N):
     return Point(parts[:-1], parts[-1])
 
 
-def _int_from(lo):
-    def integer(text):  # argparse type: an integer no smaller than lo
-        if int(text) < lo:
-            raise argparse.ArgumentTypeError(f"needs an integer >= {lo}, got {text}")
+def _int_from(lo, hi=math.inf):
+    def integer(text):  # argparse type: an integer in [lo, hi]
+        if not lo <= int(text) <= hi:
+            raise argparse.ArgumentTypeError(
+                f"needs an integer in [{lo}, {hi}], got {text}")
         return int(text)
     return integer
+
+
+def _fuse_point_values(argv):
+    """Write '--from -1,1,1' as '--from=-1,1,1' for the point options:
+    argparse takes a separate value that starts with '-' for an option."""
+    out = list(argv)
+    for k in range(len(out) - 2, -1, -1):
+        if out[k] in POINT_OPTIONS and NEGATIVE_VALUE.match(out[k + 1]):
+            out[k:k + 2] = [f"{out[k]}={out[k + 1]}"]
+    return out
 
 
 def _emit(report, out_path):
@@ -147,7 +162,7 @@ def _build_parser():
     p.add_argument("--input-csv", default=None,
                    help="sampled CSV x1,..,xN,t,f instead of a built-in")
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--pairs", type=_int_from(1), default=4000)
+    p.add_argument("--pairs", type=_int_from(1, MAX_COUNT), default=4000)
     p.add_argument("--schauder-d", type=float, default=None)
 
     p = sub.add_parser("verify", help="run one estimate verification")
@@ -160,16 +175,16 @@ def _build_parser():
     p.add_argument("--varcoeff", default=None, choices=["sin1", "sin1x2"])
     p.add_argument("--R-list", default=None,
                    help="comma-separated radii, e.g. 1,0.5,0.25")
-    p.add_argument("--pairs", type=_int_from(1), default=500)
-    p.add_argument("--poles", type=_int_from(1), default=12)
-    p.add_argument("--samples", type=_int_from(1), default=40)
+    p.add_argument("--pairs", type=_int_from(1, MAX_COUNT), default=500)
+    p.add_argument("--poles", type=_int_from(1, MAX_COUNT), default=12)
+    p.add_argument("--samples", type=_int_from(1, MAX_COUNT), default=40)
 
     p = sub.add_parser("demo-counterexample",
                        help="non-Dini certificate for the planar example")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--pairs", type=_int_from(1), default=4000)
+    p.add_argument("--pairs", type=_int_from(1, MAX_COUNT), default=4000)
     return top
 
 
@@ -404,7 +419,7 @@ def run(argv):
     """Execute one command; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_fuse_point_values(argv))
         body, code = _COMMANDS[args.verb](args)
         report = {
             "verb": args.verb,

@@ -8,6 +8,7 @@ the quadrature is a fixed-order composite Gauss-Legendre rule with a
 panel-doubling self-check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ SYMMETRY_TOL = 1e-12
 GAUSS_ORDER = 10
 DEFAULT_PANELS = 8
 REFINE_TOL = 1e-10
+# Most points a tensor grid may have: kernel_mass's fine grid in two
+# dimensions has 128^2 = 16,384, and a grid held whole in memory at
+# 2^20 points of N = 4 floats takes 32 MB.
+TENSOR_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,15 @@ def gauss_panels(lo, hi, panels, order=GAUSS_ORDER):
 
 def tensor_rule(rules):
     """Tensor product of 1-d rules [(points, weights), ...]: the (n, d)
-    points in C order and their weights, multiplied left to right."""
+    points in C order and their weights, multiplied left to right.
+    A grid of more than TENSOR_BUDGET points is refused before it is
+    built (DomainError)."""
+    size = math.prod(len(pts) for pts, _ in rules)
+    if size > TENSOR_BUDGET:
+        raise DomainError(
+            f"tensor grid of {size} points exceeds the budget of "
+            f"{TENSOR_BUDGET}; use fewer nodes per axis"
+        )
     grids = np.meshgrid(*(pts for pts, _ in rules), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     w = np.ones(())

@@ -11,6 +11,7 @@ Every report carries the seed, the raw lhs/rhs ratio samples, and a
 scaling table, so a verdict can always be re-derived from the artifact.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -212,18 +213,26 @@ def cutoff_eta(R, z, exps):
     return 1.0 - _smoothstep((rho - 0.75 * R) / (0.25 * R))
 
 
-def _dilated_bump(R, z, exps):
-    """Gaussian bump at dilation scale R, exp(-sum (x_i/R^alpha_i)^2 - (t/R^2)^2).
+def _dilated_bump(R, X, t, exps):
+    """Gaussian bump at dilation scale R, exp(-sum (x_i/R^alpha_i)^2 - (t/R^2)^2),
+    at the K points of the (K, N) grid X, all at time t.
 
     Plays the cutoff role inside quadrature-based checks: it
     concentrates on the quasi-ball of radius ~R and is smooth with all
     derivative scales set by R, so tensor quadrature converges, unlike
-    the kinked max-norm cutoff.
+    the kinked max-norm cutoff.  The rows are summed in Python floats
+    with libm ``pow`` and ``math.exp``: numpy's array square (x*x) and
+    ``np.exp`` round differently and would move the reports.
     """
-    q = (z.t / R**2) ** 2
-    for xi, a in zip(z.x, exps.alpha):
-        q += (xi / R**a) ** 2
-    return math.exp(-q)
+    scales = [R**a for a in exps.alpha]
+    q0 = (float(t) / R**2) ** 2
+    out = []
+    for row in X.tolist():
+        q = q0
+        for xi, s in zip(row, scales):
+            q += (xi / s) ** 2
+        out.append(math.exp(-q))
+    return np.array(out)
 
 
 def cutoff_gradient_report(spec, R_list=(1.0, 0.5, 0.25), samples=400, seed=0):
@@ -275,6 +284,17 @@ def harmonic_family(ctx, R, count, rng):
 # Kernel convolution (representation formula).
 
 
+@functools.lru_cache(maxsize=16)
+def _hermite_grid(nodes_x, N):
+    """The N-fold tensor Gauss-Hermite rule with nodes_x nodes per axis,
+    built once per (nodes_x, N); its arrays are read-only because every
+    caller shares them."""
+    Y, W = tensor_rule([hermgauss(nodes_x)] * N)
+    Y.flags.writeable = False
+    W.flags.writeable = False
+    return Y, W
+
+
 def _hermite_slice(ctx, z, tau, nodes_x):
     """Gauss-Hermite rule for w ~ N(0, 2C(dt)) mapped to xi = exp(dt B)(x - w).
 
@@ -285,7 +305,7 @@ def _hermite_slice(ctx, z, tau, nodes_x):
     dt = z.t - tau
     cov = covariance(ctx, dt)
     S = sqrt_spd(2.0 * cov.C)
-    Y, W = tensor_rule([hermgauss(nodes_x)] * spec.N)
+    Y, W = _hermite_grid(nodes_x, spec.N)
     M = mat_exp(dt * spec.B)
     pts = (z.x[None, :] - (math.sqrt(2.0) * (Y @ S.T))) @ M.T
     return pts, W, M
@@ -425,6 +445,7 @@ def _d2_slice(ctx, psi, z, tau, i, j, h, nodes_x):
     In the de-singularized form the derivative lands on psi:
     d2_ij int N(w; 0, 2C) psi(M(x - w)) dw with M = exp(dt B), so the
     integrand is bounded by sup|d2 psi| with no kernel singularity.
+    psi maps a (K, N) grid and the time tau to its K values.
     """
     spec = ctx.spec
     pts, W, M = _hermite_slice(ctx, z, tau, nodes_x)
@@ -432,7 +453,10 @@ def _d2_slice(ctx, psi, z, tau, i, j, h, nodes_x):
     dj = h * M[:, j]
 
     def vals(offset):
-        return np.array([psi(Point(p + offset, tau)) for p in pts])
+        X = pts + offset
+        if not (np.all(np.isfinite(X)) and math.isfinite(tau)):
+            raise DomainError("quadrature grid has non-finite coordinates")
+        return psi(X, tau)
 
     if i == j:
         dd = (vals(di) - 2.0 * vals(np.zeros(spec.N)) + vals(-di)) / h**2
@@ -468,6 +492,23 @@ def _d2_convolved(ctx, psi, z, i, j, t_lo, nodes_t=12, nodes_x=12, h=1e-3):
 _G_KINDS = ("const", "g1", "g2")
 
 
+def _singular_psi(kind, R, exps):
+    """psi = (scale-R bump) * g on a (K, N) grid at one time, where g is
+    1, x_1 or x_1^2 for kind const, g1 or g2."""
+    def g(X):
+        if kind == "const":
+            return np.ones(len(X))
+        if kind == "g1":
+            return X[:, 0]
+        return np.array([x**2 for x in X[:, 0].tolist()])  # libm pow, as in the bump
+
+    def psi(X, t):
+        # smooth scale-R bump: tensor quadrature needs smoothness
+        return _dilated_bump(R, X, t, exps) * g(X)
+
+    return psi
+
+
 def verify_singular_bounds(ctx, kind, R_list=(0.5, 0.25, 0.125), samples=6,
                            seed=0, fd_rel=2e-3):
     """Second derivatives of w = int Gamma eta_R g: O(1), O(R), O(R^2).
@@ -481,20 +522,9 @@ def verify_singular_bounds(ctx, kind, R_list=(0.5, 0.25, 0.125), samples=6,
     spec = ctx.spec
     exps = spec.exponents()
     rng = np.random.default_rng(seed)
-
-    def g(zeta):
-        if kind == "const":
-            return 1.0
-        if kind == "g1":
-            return float(zeta.x[0])
-        return float(zeta.x[0]) ** 2
-
     scaling = {}
     for R in R_list:
-        def psi(zeta, R=R):
-            # smooth scale-R bump: tensor quadrature needs smoothness
-            return _dilated_bump(R, zeta, exps) * g(zeta)
-
+        psi = _singular_psi(kind, R, exps)
         h = fd_rel * R
         worst = 0.0
         for z in sample_ball(spec, R / 2.0, samples, rng):

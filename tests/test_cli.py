@@ -40,6 +40,17 @@ def test_kernel_verb(capsys):
     assert abs(rep["results"]["pde_residual"]) < 1e-8
 
 
+def test_kernel_mass_refuses_an_oversized_grid(tmp_path, capsys):
+    # N = 4: the mass quadrature's coarse grid alone has 64^4 points
+    spec = tmp_path / "kolmogorov_m2.json"
+    spec.write_text(json.dumps({"A": np.eye(2).tolist(), "blocks": [2, 2],
+                                "B": [[0, 0, 0, 0], [0, 0, 0, 0],
+                                      [-1, 0, 0, 0], [0, -1, 0, 0]]}))
+    assert run(["kernel", "--spec", str(spec), "--point", "0,0,0,0,1",
+                "--mass-time", "0.5"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_connect_verb(capsys):
     code = run(["connect", "--spec", KINETIC, "--from", "1,1,1", "--to", "0,0,0"])
     assert code == 0
@@ -47,6 +58,17 @@ def test_connect_verb(capsys):
     check = rep["results"]["verification"]
     assert check["ok"] and check["endpoint_error"] <= 1e-12
     assert check["segments"] == 6
+
+
+def test_connect_accepts_a_spaced_negative_point(tmp_path, capsys):
+    spaced, fused = tmp_path / "spaced.json", tmp_path / "fused.json"
+    assert run(["connect", "--spec", KINETIC, "--from", "-1,1,1",
+                "--to", "0,0,0", "--out", str(spaced)]) == 0
+    assert run(["connect", "--spec", KINETIC, "--from=-1,1,1",
+                "--to", "0,0,0", "--out", str(fused)]) == 0
+    same_out = spaced.read_text().replace(str(spaced), str(fused))
+    assert same_out == fused.read_text()
+    capsys.readouterr()
 
 
 def test_connect_nonconvergence_exit_code():
@@ -142,6 +164,8 @@ BAD_INPUTS = {
     "time-overflow": ["kernel", "--spec", KOLMO, "--point", "0,0,1e300"],
     "negative-seed": ["taylor", "--spec", KOLMO, "--seed", "-1"],
     "zero-samples": ["verify", "mean-value", "--spec", KOLMO, "--samples", "0"],
+    "huge-pairs": ["modulus", "--spec", KOLMO, "--function", "knorm",
+                   "--pairs", "100000000000000000000"],
     "unwritable-out": ["check", "--spec", KOLMO, "--out", "{tmp}/no/r.json"],
 }
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kolmo import AccuracyError, integrate_matrix, mat_exp, spd_min_eigen, sqrt_spd
+from kolmo.matrixcalc import TENSOR_BUDGET, tensor_rule
 from kolmo.errors import (
     DefinitenessError,
     DimensionError,
@@ -97,3 +98,11 @@ def test_integrate_matrix_domain_and_kink():
     # kink off the panel grid defeats the panel-doubling check
     with pytest.raises(AccuracyError):
         integrate_matrix(lambda s: np.array([[abs(s - 0.37)]]), 1.0)
+
+
+def test_tensor_rule_budget():
+    side = np.arange(1024.0), np.ones(1024)
+    pts, w = tensor_rule([side, side])  # 2^20 points: at the budget
+    assert pts.shape == (TENSOR_BUDGET, 2) and w.sum() == TENSOR_BUDGET
+    with pytest.raises(DomainError, match="budget"):
+        tensor_rule([side, side, (np.zeros(2), np.ones(2))])

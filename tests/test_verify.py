@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
 from kolmo import (
     KernelContext,
@@ -13,6 +14,7 @@ from kolmo import (
     cutoff_gradient_report,
     gamma,
     harmonic_family,
+    heat_spec,
     manufacture,
     verify_apriori,
     verify_invariance,
@@ -26,7 +28,14 @@ from kolmo.errors import (
     DomainError,
     EllipticityError,
 )
-from kolmo.verify import _FAMILIES
+from kolmo.kernel import covariance
+from kolmo.matrixcalc import mat_exp, sqrt_spd, tensor_rule
+from kolmo.verify import (
+    _FAMILIES,
+    _d2_slice,
+    _hermite_grid,
+    _singular_psi,
+)
 
 
 def test_apply_L_fd_on_monomial(kspec):
@@ -119,6 +128,77 @@ def test_verify_singular_bounds_const(kctx):
     assert rep.details["expected_dyadic_step"] == 1.0
     with pytest.raises(DomainError):
         verify_singular_bounds(kctx, "g3")
+
+
+def _psi_at_point(kind, R, exps):
+    """The scalar psi: the scale-R bump times g at one Point."""
+    def psi(zeta):
+        q = (zeta.t / R**2) ** 2
+        for xi, a in zip(zeta.x, exps.alpha):
+            q += (xi / R**a) ** 2
+        x0 = float(zeta.x[0])
+        return math.exp(-q) * {"const": 1.0, "g1": x0, "g2": x0**2}[kind]
+    return psi
+
+
+def _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, nodes_x):
+    """_d2_slice the per-Point way: the Hermite grid rebuilt for the slice,
+    then one Point and one scalar bump * g per node and offset."""
+    spec = ctx.spec
+    dt = z.t - tau
+    S = sqrt_spd(2.0 * covariance(ctx, dt).C)
+    Y, W = tensor_rule([hermgauss(nodes_x)] * spec.N)
+    M = mat_exp(dt * spec.B)
+    pts = (z.x[None, :] - (math.sqrt(2.0) * (Y @ S.T))) @ M.T
+    psi = _psi_at_point(kind, R, spec.exponents())
+
+    def vals(offset):
+        return np.array([psi(Point(p + offset, tau)) for p in pts])
+
+    di, dj = h * M[:, i], h * M[:, j]
+    if i == j:
+        dd = (vals(di) - 2.0 * vals(np.zeros(spec.N)) + vals(-di)) / h**2
+    else:
+        dd = (
+            vals(di + dj) - vals(di - dj) - vals(-di + dj) + vals(-di - dj)
+        ) / (4.0 * h**2)
+    return float(dd @ W) / math.pi ** (spec.N / 2.0)
+
+
+@pytest.mark.parametrize("which", ["kolmogorov", "drifted", "heat2"])
+def test_d2_slice_matches_per_point_route(which, kspec, drifted):
+    spec = {"kolmogorov": kspec, "drifted": drifted, "heat2": heat_spec(2)}[which]
+    ctx = KernelContext(spec)
+    exps = spec.exponents()
+    R, h = 0.5, 1e-3
+    z = Point(0.1 * np.arange(1, spec.N + 1), 0.1)
+    X = np.random.default_rng(0).uniform(-R, R, (3000, spec.N))
+    for kind in ("const", "g1", "g2"):
+        psi = _singular_psi(kind, R, exps)
+        one = _psi_at_point(kind, R, exps)
+        assert np.array_equal(psi(X, -0.1), [one(Point(x, -0.1)) for x in X])
+        for tau in (z.t - 0.2, z.t - 1e-3):
+            for i in range(spec.m):
+                for j in range(i, spec.m):
+                    got = _d2_slice(ctx, psi, z, tau, i, j, h, 12)
+                    want = _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, 12)
+                    assert got == want, (kind, tau, i, j)
+
+
+def test_d2_slice_rejects_non_finite_grid(kctx):
+    psi = _singular_psi("g1", 0.5, kctx.spec.exponents())
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="grid"):
+        _d2_slice(kctx, psi, Point([0.1, 0.2], 0.1), 0.0, 0, 0, math.inf, 12)
+
+
+def test_hermite_grid_is_cached_and_read_only():
+    Y, W = _hermite_grid(12, 2)
+    assert _hermite_grid(12, 2)[0] is Y
+    assert Y.shape == (144, 2) and W.shape == (144,)
+    with pytest.raises(ValueError):
+        Y[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        W[0] = 1.0
 
 
 def test_schauder_const_report(kctx):
