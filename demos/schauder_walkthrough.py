@@ -11,8 +11,7 @@ from kolmo import (
     counterexample_certificate,
     kolmogorov_spec,
     manufacture,
-    verify_schauder_const,
-    verify_schauder_var,
+    verify_schauder,
 )
 
 
@@ -24,13 +23,13 @@ def main():
     print(f"manufactured family 'gaussian', operator-vs-FD defect "
           f"{prob.details['fd_validation_worst']:.2e}")
 
-    rep = verify_schauder_const(ctx, prob, pair_samples=800)
+    rep = verify_schauder(ctx, prob, pair_samples=800, constant=True)
     print(f"constant coefficients: fitted constant {rep.fitted_constant:.4f} "
           f"over {rep.samples} pairs "
           f"(point ratio {rep.scaling['point']:.4f})")
 
     prob_var = manufacture("gaussian", spec, varcoeff_id="sin1")
-    rep_var = verify_schauder_var(ctx, prob_var, pair_samples=800)
+    rep_var = verify_schauder(ctx, prob_var, pair_samples=800)
     print(f"Dini coefficients (a11 + 0.25 sin x1): fitted constant "
           f"{rep_var.fitted_constant:.4f}")
 

@@ -26,10 +26,12 @@ from .errors import (
 from .group import (
     Point,
     compose,
+    compose_rows,
     dilate,
+    finite_rows,
     hormander_check,
-    kdist,
-    knorm,
+    inverse_rows,
+    knorm_rows,
     load_spec,
     origin,
 )
@@ -43,11 +45,12 @@ from .kernel import (
 )
 from .modulus import (
     DEFAULT_RADII,
+    ModulusTable,
     counterexample_certificate,
-    counterexample_f,
+    counterexample_f_rows,
     dini_integral,
     empirical_modulus,
-    modulus_from_pairs,
+    pair_omega,
     schauder_functional,
 )
 from .taylor import connect, remainder_profile, verify_plan
@@ -57,8 +60,7 @@ from .verify import (
     verify_apriori,
     verify_invariance,
     verify_mean_value,
-    verify_schauder_const,
-    verify_schauder_var,
+    verify_schauder,
     verify_singular_bounds,
 )
 
@@ -67,6 +69,7 @@ EXIT_FAIL = 2
 EXIT_USAGE = 3
 EXIT_ACCURACY = 4
 MAX_COUNT = 10**7  # largest --pairs, --poles or --samples
+CSV_PAIR_CHUNK = 2**16  # most pairs that modulus --input-csv measures at once
 POINT_OPTIONS = ("--from", "--to", "--point", "--pole")
 NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
@@ -283,17 +286,36 @@ def _cmd_taylor(args):
 
 
 def _builtin_function(name, spec, alpha):
+    """The built-in function as a map from a row block to its values."""
     exps = spec.exponents()
     if name == "knorm":
-        return lambda z: knorm(z, exps)
+        return lambda Z: knorm_rows(Z, exps)
     if name == "sqrt-knorm":
-        return lambda z: math.sqrt(knorm(z, exps))
+        return lambda Z: np.sqrt(knorm_rows(Z, exps))
     if name == "counterexample-f":
-        return lambda z: counterexample_f(alpha, z.x[0], z.x[1])
+        if spec.N < 2:
+            raise UsageError("counterexample-f needs a spec with N >= 2")
+        return lambda Z: counterexample_f_rows(alpha, Z)
     raise UsageError(f"unknown built-in function {name!r}")
 
 
+def _pair_chunks(n, size):
+    """Index arrays (I, J) of the pairs i < j among n rows, in row-major
+    order, at most max(size, n - 1) pairs at a time."""
+    rows = max(1, size // n)
+    for a in range(0, n - 1, rows):
+        firsts = np.arange(a, min(a + rows, n - 1))
+        I, J = np.nonzero(np.arange(n) > firsts[:, None])
+        yield I + a, J
+
+
 def _modulus_from_csv(path, spec):
+    """Modulus table over all pairs i < j of CSV rows, with
+    d(z_i, z_j) = ||z_j^{-1} o z_i||.
+
+    z_j^{-1} and E(t_i) are made once per row, so n rows take 2n matrix
+    exponentials; the pairs are measured in chunks of CSV_PAIR_CHUNK.
+    """
     try:
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as err:
@@ -302,14 +324,16 @@ def _modulus_from_csv(path, spec):
         raise UsageError(
             f"CSV rows need {spec.N + 2} columns (x1..xN, t, f)"
         )
-    pts = [Point(r[: spec.N], r[spec.N]) for r in rows]
+    Z = finite_rows(rows[:, :-1])
     vals = rows[:, -1]
-    dists, jumps = [], []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dists.append(kdist(pts[i], pts[j], spec))
-            jumps.append(abs(vals[i] - vals[j]))
-    return modulus_from_pairs(dists, jumps, DEFAULT_RADII)
+    inv, E = inverse_rows(Z, spec), spec.E(Z[:, -1])
+    exps = spec.exponents()
+    omega = np.zeros(len(DEFAULT_RADII))
+    for I, J in _pair_chunks(len(Z), CSV_PAIR_CHUNK):
+        dists = knorm_rows(compose_rows(inv[J], Z[I], spec, E=E[I]), exps)
+        omega = np.maximum(
+            omega, pair_omega(dists, np.abs(vals[I] - vals[J]), DEFAULT_RADII))
+    return ModulusTable(DEFAULT_RADII, omega, provenance="empirical")
 
 
 def _cmd_modulus(args):
@@ -367,15 +391,12 @@ def _cmd_verify(args):
         rep = verify_singular_bounds(ctx, crit.split("-", 1)[1],
                                      R_list or (0.5, 0.25, 0.125),
                                      seed=args.seed)
-    elif crit == "schauder-const":
-        problem = manufacture(args.family, spec, seed=args.seed)
-        rep = verify_schauder_const(ctx, problem, pair_samples=args.pairs,
-                                    seed=args.seed)
-    elif crit == "schauder-var":
-        problem = manufacture(args.family, spec,
-                              varcoeff_id=args.varcoeff, seed=args.seed)
-        rep = verify_schauder_var(ctx, problem, pair_samples=args.pairs,
-                                  seed=args.seed)
+    elif crit.startswith("schauder-"):
+        constant = crit == "schauder-const"
+        problem = manufacture(args.family, spec, seed=args.seed,
+                              varcoeff_id=None if constant else args.varcoeff)
+        rep = verify_schauder(ctx, problem, pair_samples=args.pairs,
+                              seed=args.seed, constant=constant)
     else:
         rep = verify_invariance(ctx, samples=args.samples, seed=args.seed)
     report = rep.to_json_dict()

@@ -7,9 +7,17 @@ The group law is (x,t) o (xi,tau) = (xi + E(tau) x, t + tau) with
 E(tau) = exp(-tau B).  Spatial coordinate i scales as r^{alpha_i} under
 the dilation delta_r and time scales as r^2, where alpha_i = 2n+1 on
 block level n.
+
+Row blocks: K points are one (K, N+1) float array, row k holding
+(x_1, .., x_N, t) of point k.  compose_rows, inverse_rows, dilate_rows,
+knorm_rows, kdist_rows and sample_ball are the group operations on row
+blocks; compose, inverse, dilate and knorm on Points call them with
+K = 1.  Each row rounds exactly as its own K = 1 call does.
 """
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +30,7 @@ from .errors import (
     SymmetryError,
     UsageError,
 )
-from .matrixcalc import mat_exp, spd_min_eigen
+from .matrixcalc import mat_exp, matvec_rows, spd_min_eigen
 
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
@@ -84,10 +92,12 @@ class Point:
     t: float
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim == 0:
+            x = x.reshape(1)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", float(self.t))
-        if not (np.all(np.isfinite(x)) and np.isfinite(self.t)):
+        if not (np.isfinite(x).all() and math.isfinite(self.t)):
             raise DomainError("point has non-finite coordinates")
 
     @classmethod
@@ -100,6 +110,13 @@ class Point:
 
     def to_list(self):
         return [*self.x.tolist(), self.t]
+
+    def row(self):
+        """The point as a (1, N+1) row block."""
+        row = np.empty((1, self.x.size + 1))
+        row[0, :-1] = self.x
+        row[0, -1] = self.t
+        return row
 
     def __eq__(self, other):
         return (
@@ -116,6 +133,33 @@ class Point:
 
 def origin(N):
     return Point(np.zeros(N), 0.0)
+
+
+def as_points(Z):
+    """The rows of a row block as Points."""
+    return [Point(z[:-1], z[-1]) for z in Z]
+
+
+def finite_rows(Z):
+    """Z as a (K, N+1) float row block; DomainError on a non-finite entry,
+    the check that every Point makes."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] < 2:
+        raise DomainError(f"a row block needs shape (K, N+1), got {Z.shape}")
+    if not np.isfinite(Z).all():
+        raise DomainError("point has non-finite coordinates")
+    return Z
+
+
+def rowwise(fn):
+    """Let ``fn``, written for a (K, N+1) row block, also take one Point:
+    it gets the point's K = 1 row and gives back that row's result."""
+    @functools.wraps(fn)
+    def call(z):
+        if isinstance(z, Point):
+            return fn(z.row())[0]
+        return fn(z)
+    return call
 
 
 @dataclass(frozen=True)
@@ -166,8 +210,9 @@ class OperatorSpec:
         return bool(np.abs(self.B - principal_B(self)).max() <= tol)
 
     def E(self, tau):
-        """Translation matrix E(tau) = exp(-tau B)."""
-        return mat_exp(-tau * self.B)
+        """Translation matrix E(tau) = exp(-tau B); an array of times gives
+        the stack of their matrices from one mat_exp call."""
+        return mat_exp(np.multiply.outer(np.negative(tau), self.B))
 
     def C(self, t):
         """Covariance C(t) = int_0^t E(s) A~ E(s)^T ds, symmetrised.
@@ -288,35 +333,86 @@ def hormander_check(spec, t, tol=1e-10):
     return spd_min_eigen(spec.C(t), tol=tol)
 
 
+def compose_rows(Z, W, spec, E=None):
+    """Row-wise group product Z[k] o W[k] = (xi + E(tau) x, t + tau).
+
+    A (1, N+1) block on either side pairs with every row of the other.
+    ``E`` is the stack E(tau_k) for the times of W, when the caller has
+    it already.
+    """
+    if E is None:
+        E = spec.E(W[:, -1])
+    out = np.empty((max(len(Z), len(W)), Z.shape[1]))
+    out[:, :-1] = W[:, :-1] + matvec_rows(E, Z[:, :-1])
+    out[:, -1] = Z[:, -1] + W[:, -1]
+    return finite_rows(out)
+
+
+def inverse_rows(Z, spec):
+    """Row-wise group inverse (x,t)^{-1} = (-E(-t) x, -t)."""
+    out = np.empty(Z.shape)
+    out[:, :-1] = -matvec_rows(spec.E(-Z[:, -1]), Z[:, :-1])
+    out[:, -1] = -Z[:, -1]
+    return finite_rows(out)
+
+
+def dilate_rows(r, Z, exps):
+    """Row-wise dilation delta_r: x_i -> r^{alpha_i} x_i, t -> r^2 t, with
+    one r for all rows or one per row."""
+    r = np.asarray(r, dtype=float)
+    if (r <= 0.0).any():
+        raise DomainError(
+            f"dilation parameter must be positive, got {float(r.min())}")
+    scales = np.power(r[..., None], np.asarray(exps.alpha, dtype=float))
+    out = np.empty(Z.shape)
+    out[:, :-1] = scales * Z[:, :-1]
+    out[:, -1] = r * r * Z[:, -1]
+    return finite_rows(out)
+
+
+def knorm_rows(Z, exps):
+    """Row-wise homogeneous quasi-norm: max of |x_i|^{1/alpha_i} and |t|^{1/2}.
+
+    Every power is a Python float ``**`` (libm ``pow``): numpy's array
+    power rounds differently on some inputs and would move the reports.
+    """
+    powers = [1.0 / a for a in exps.alpha]
+    return np.array([max(abs(z[-1]) ** 0.5, *map(pow, map(abs, z), powers))
+                     for z in finite_rows(Z).tolist()])
+
+
+def kdist_rows(Z, W, spec):
+    """Row-wise quasi-distance d_K(Z[k], W[k]) = ||W[k]^{-1} o Z[k]||_K."""
+    return knorm_rows(compose_rows(inverse_rows(W, spec), Z, spec),
+                      spec.exponents())
+
+
+# The Point forms: K = 1 calls of the row functions.
+
+
 def compose(z, zeta, spec):
     """Group product z o zeta = (xi + E(tau) x, t + tau)."""
-    return Point(zeta.x + spec.E(zeta.t) @ z.x, z.t + zeta.t)
+    return as_points(compose_rows(z.row(), zeta.row(), spec))[0]
 
 
 def inverse(z, spec):
     """Group inverse (x,t)^{-1} = (-E(-t) x, -t)."""
-    return Point(-(spec.E(-z.t) @ z.x), -z.t)
+    return as_points(inverse_rows(z.row(), spec))[0]
 
 
 def dilate(r, z, exps):
     """Anisotropic dilation delta_r: x_i -> r^{alpha_i} x_i, t -> r^2 t."""
-    if r <= 0.0:
-        raise DomainError(f"dilation parameter must be positive, got {r}")
-    scales = np.power(r, np.asarray(exps.alpha, dtype=float))
-    return Point(scales * z.x, r * r * z.t)
+    return as_points(dilate_rows(r, z.row(), exps))[0]
 
 
 def knorm(z, exps):
     """Homogeneous quasi-norm: max of |x_i|^{1/alpha_i} and |t|^{1/2}."""
-    vals = [abs(z.t) ** 0.5]
-    for xi, a in zip(z.x, exps.alpha):
-        vals.append(abs(xi) ** (1.0 / a))
-    return max(vals)
+    return knorm_rows(z.row(), exps)[0]
 
 
 def kdist(z, zeta, spec):
     """Left-invariant quasi-distance d_K(z, zeta) = ||zeta^{-1} o z||_K."""
-    return knorm(compose(inverse(zeta, spec), z, spec), spec.exponents())
+    return kdist_rows(z.row(), zeta.row(), spec)[0]
 
 
 def principal_B(spec):
@@ -397,20 +493,19 @@ def level_map_solve(spec, n, target, residual_tol=1e-10):
 
 
 def sample_ball(spec, radius, count, rng, center=None):
-    """Uniform samples in the quasi-ball Q_radius(center).
+    """Uniform samples in the quasi-ball Q_radius(center), as a (count, N+1)
+    row block.
 
     The unit quasi-ball is exactly the unit box in (x, t), so sampling
     reduces to a box sample followed by a dilation and a translation.
+    The box is one draw of count * (N+1) numbers, the stream that count
+    draws of one point each would give.
     """
-    exps = spec.exponents()
-    pts = []
-    for _ in range(count):
-        raw = Point(rng.uniform(-1.0, 1.0, size=spec.N), rng.uniform(-1.0, 1.0))
-        z = dilate(radius, raw, exps)
-        if center is not None:
-            z = compose(z, center, spec)
-        pts.append(z)
-    return pts
+    Z = dilate_rows(radius, rng.uniform(-1.0, 1.0, size=(count, spec.N + 1)),
+                    spec.exponents())
+    if center is not None:
+        Z = compose_rows(Z, center.row(), spec)
+    return Z
 
 
 def estimate_triangle_constant(spec, radius, samples=10_000, seed=0):
@@ -422,7 +517,7 @@ def estimate_triangle_constant(spec, radius, samples=10_000, seed=0):
     rng = np.random.default_rng(seed)
     exps = spec.exponents()
     best = 1.0
-    pts = sample_ball(spec, radius, samples, rng)
+    pts = as_points(sample_ball(spec, radius, samples, rng))
     for i in range(0, samples - 1, 2):
         z, zeta = pts[i], pts[i + 1]
         nz, nzeta = knorm(z, exps), knorm(zeta, exps)

@@ -42,21 +42,24 @@ class SpdReport:
     tolerance: float
 
 
-def _as_square(M):
+def _as_square(M, stacked=False):
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or (M.ndim > 2 and not stacked) or M.shape[-2] != M.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise DomainError("matrix has non-finite entries")
     return M
 
 
 def mat_exp(M):
-    """Matrix exponential exp(M) of a small dense square matrix."""
-    M = _as_square(M)
+    """Matrix exponential exp(M) of a small dense square matrix, or of
+    each matrix of a (..., n, n) stack in one scipy call.  scipy runs the
+    same code on every slice, so each slice is bit-identical to its own
+    call."""
+    M = _as_square(M, stacked=True)
     with np.errstate(over="ignore", invalid="ignore"):
         out = expm(M)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise AccuracyError("overflow in matrix exponential")
     return out
 
@@ -79,6 +82,19 @@ def spd_min_eigen(S, tol=1e-10):
         raise SymmetryError("matrix is not symmetric beyond 1e-12")
     w_min = float(np.linalg.eigvalsh(S)[0])
     return SpdReport(min_eigenvalue=w_min, is_spd=w_min > tol, tolerance=tol)
+
+
+def matvec_rows(M, X):
+    """Row-wise M @ x for a (K, n) block X and an (n, n) matrix or a
+    (K, n, n) stack M.  numpy makes one BLAS gemv per row, the call that
+    a single M @ x makes, so each row is bit-identical to it."""
+    return np.matmul(M, X[..., None])[..., 0]
+
+
+def dot_rows(X, Y):
+    """Row-wise x @ y of two (K, n) blocks (or one (n,) vector), one BLAS
+    dot per row as in a single x @ y."""
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
 
 
 def gauss_panels(lo, hi, panels, order=GAUSS_ORDER):

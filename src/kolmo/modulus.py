@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .group import compose, dilate, heat_spec, kdist, Point
+from .group import compose_rows, dilate_rows, heat_spec, kdist_rows
 
 DEFAULT_RADII = 2.0 ** np.linspace(-20.0, 0.0, 64)
 MONOTONE_TOL = 1e-12
@@ -185,35 +185,35 @@ def holder_closed_form(M, alpha, d):
 
 
 def _scaled_pairs(spec, radius, count, rng, r_min, center):
-    """Pairs (z, zeta) stratified across log scales.
+    """Pairs (z, zeta) stratified across log scales, as a (count, 2, N+1)
+    block: pair k is the rows [k, 0] = z and [k, 1] = zeta.
 
     Both the distance of the base point from the domain center and the
     separation of the pair are drawn log-uniformly, so small-radius
     behaviour near the center (where singular moduli live) is sampled
-    as densely as the bulk.
+    as densely as the bulk.  The box coordinates of all pairs are one
+    (count, 2N+2) draw, the stream of count draws of z's and zeta's.
     """
     exps = spec.exponents()
+    N = spec.N
     base_scales = np.exp(rng.uniform(math.log(r_min), 0.0, size=count))
     sep_scales = np.exp(rng.uniform(math.log(r_min), 0.0, size=count))
-    pairs = []
-    for s0, s in zip(base_scales, sep_scales):
-        raw = Point(rng.uniform(-1.0, 1.0, size=spec.N), rng.uniform(-1.0, 1.0))
-        z = dilate(s0 * radius, raw, exps)
-        if center is not None:
-            z = compose(z, center, spec)
-        raw2 = Point(rng.uniform(-1.0, 1.0, size=spec.N), rng.uniform(-1.0, 1.0))
-        zeta = compose(z, dilate(s * radius, raw2, exps), spec)
-        pairs.append((z, zeta))
-    return pairs
+    raw = rng.uniform(-1.0, 1.0, size=(count, 2 * N + 2))
+    Z = dilate_rows(base_scales * radius, raw[:, :N + 1], exps)
+    if center is not None:
+        Z = compose_rows(Z, center.row(), spec)
+    step = dilate_rows(sep_scales * radius, raw[:, N + 1:], exps)
+    return np.stack([Z, compose_rows(Z, step, spec)], axis=1)
 
 
 def empirical_modulus(f, spec, radius=1.0, pair_samples=4000, radii=None,
                       seed=0, center=None):
     """Empirical modulus: sup |f(z) - f(zeta)| over pairs with kdist < r.
 
-    A lower bound on the true sup-modulus, which makes any Schauder
-    inequality verified against it conservative.  The result is
-    monotonized by a running max before return.
+    ``f`` maps a (K, N+1) row block to its K values.  A lower bound on
+    the true sup-modulus, which makes any Schauder inequality verified
+    against it conservative.  The result is monotonized by a running
+    max before return.
     """
     if radius <= 0.0:
         raise DomainError("domain radius must be positive")
@@ -221,42 +221,50 @@ def empirical_modulus(f, spec, radius=1.0, pair_samples=4000, radii=None,
         raise DomainError("need at least 1000 pair samples")
     r_grid = DEFAULT_RADII if radii is None else np.asarray(radii, dtype=float)
     rng = np.random.default_rng(seed)
-    dists, jumps = [], []
-    for z, zeta in _scaled_pairs(spec, radius, pair_samples, rng, r_grid[0], center):
-        dists.append(kdist(z, zeta, spec))
-        jumps.append(abs(f(z) - f(zeta)))
-    return modulus_from_pairs(dists, jumps, r_grid)
+    pairs = _scaled_pairs(spec, radius, pair_samples, rng, r_grid[0], center)
+    Z, W = pairs[:, 0], pairs[:, 1]
+    jumps = np.abs(f(Z) - f(W))
+    return modulus_from_pairs(kdist_rows(Z, W, spec), jumps, r_grid)
 
 
-def modulus_from_pairs(dists, jumps, radii):
-    """Modulus table from sampled pairs: omega(r) is the largest jump
-    |f(z) - f(zeta)| over the pairs with kdist(z, zeta) < r.
+def pair_omega(dists, jumps, radii):
+    """omega(r) on the increasing grid ``radii``: the largest jump
+    |f(z) - f(zeta)| over the pairs with kdist(z, zeta) < r, 0 if none.
 
     Sorting the pairs by distance and taking the running max of their
-    jumps makes omega nondecreasing on the increasing grid ``radii``.
+    jumps makes omega nondecreasing.  Pairs split into chunks give the
+    elementwise max of the chunks' omegas.
     """
     order = np.argsort(dists)
     dists = np.asarray(dists, dtype=float)[order]
     # running[k] is the largest jump among the k nearest pairs
     running = np.concatenate(
         [[0.0], np.maximum.accumulate(np.asarray(jumps, dtype=float)[order])])
-    omega = running[np.searchsorted(dists, radii)]
-    return ModulusTable(radii=radii, omega=omega, provenance="empirical")
+    return running[np.searchsorted(dists, radii)]
+
+
+def modulus_from_pairs(dists, jumps, radii):
+    """Modulus table from sampled pairs (see pair_omega)."""
+    return ModulusTable(radii=radii, omega=pair_omega(dists, jumps, radii),
+                        provenance="empirical")
 
 
 def holder_seminorm(f, spec, alpha, samples=4000, radius=1.0, seed=0,
                     center=None):
-    """Empirical sup of |f(z) - f(zeta)| / kdist(z, zeta)^alpha."""
+    """Empirical sup of |f(z) - f(zeta)| / kdist(z, zeta)^alpha; ``f`` maps
+    a row block to its values."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
     if samples < 100:
         raise DomainError("need at least 100 samples")
     rng = np.random.default_rng(seed)
+    pairs = _scaled_pairs(spec, radius, samples, rng, 2.0**-20, center)
+    Z, W = pairs[:, 0], pairs[:, 1]
     best = 0.0
-    for z, zeta in _scaled_pairs(spec, radius, samples, rng, 2.0**-20, center):
-        d = kdist(z, zeta, spec)
+    for d, jump in zip(kdist_rows(Z, W, spec).tolist(),
+                       np.abs(f(Z) - f(W)).tolist()):
         if d > 0.0:
-            best = max(best, abs(f(z) - f(zeta)) / d**alpha)
+            best = max(best, jump / d**alpha)
     return best
 
 
@@ -292,6 +300,12 @@ def counterexample_f(alpha, x, y):
     ) * q * L ** (alpha - 2.0)
 
 
+def counterexample_f_rows(alpha, Z):
+    """counterexample_f at (x_1, x_2) of every row of a row block."""
+    return np.array([counterexample_f(alpha, x, y)
+                     for x, y in Z[:, :2].tolist()])
+
+
 def counterexample_mixed(alpha, x, y):
     """The mixed derivative u_xy; grows like |log rho^2|^alpha at 0."""
     if not 0.0 < alpha <= 1.0:
@@ -315,8 +329,8 @@ def counterexample_certificate(alpha=0.5, decades=4, seed=0, pair_samples=4000):
     """
     spec = heat_spec(2)
 
-    def fval(z):
-        return counterexample_f(alpha, z.x[0], z.x[1])
+    def fval(Z):
+        return counterexample_f_rows(alpha, Z)
 
     # radius 0.3: base point plus separation stay inside the unit disk
     table = empirical_modulus(fval, spec, radius=0.3, pair_samples=pair_samples,

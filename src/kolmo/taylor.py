@@ -33,7 +33,9 @@ from .group import (
     level_map_solve,
     mat_exp,
     project_level,
+    rowwise,
 )
+from .matrixcalc import dot_rows, matvec_rows
 
 SEGMENT_TOL = 1e-12
 
@@ -54,8 +56,10 @@ class C2Bundle:
     """A function with its first/second derivatives in the first m
     variables and its Lie derivative along the drift.
 
-    Fields are callables on Point: u -> float, grad_m -> (m,) array,
-    hess_m -> (m, m) array, Yu -> float.
+    Fields are callables on a (K, N+1) row block: u -> (K,), grad_m ->
+    (K, m), hess_m -> (K, m, m), Yu -> (K,).  The built-in bundles wrap
+    them in ``rowwise``, so they also take one Point and return its
+    float, (m,) or (m, m) value.
     """
 
     u: object
@@ -378,20 +382,25 @@ def quadratic_bundle(spec, c0=0.0, a=None, H=None, bt=0.0):
     a = np.zeros(m) if a is None else np.asarray(a, dtype=float)
     H = np.zeros((m, m)) if H is None else np.asarray(H, dtype=float)
 
-    def u(z):
-        xm = z.x[:m]
-        return c0 + float(a @ xm) + 0.5 * float(xm @ H @ xm) + bt * z.t
+    @rowwise
+    def u(Z):
+        xm = Z[:, :m]
+        xH = np.matmul(xm[:, None, :], H)[:, 0]  # one gemv per row, as x @ H
+        return c0 + dot_rows(a, xm) + 0.5 * dot_rows(xH, xm) + bt * Z[:, -1]
 
-    def grad_m(z):
-        return a + H @ z.x[:m]
+    @rowwise
+    def grad_m(Z):
+        return a + matvec_rows(H, Z[:, :m])
 
-    def hess_m(z):
-        return H.copy()
+    @rowwise
+    def hess_m(Z):
+        return np.repeat(H[None], len(Z), axis=0)
 
-    def Yu(z):
-        Du = np.zeros(spec.N)
-        Du[:m] = a + H @ z.x[:m]
-        return float(spec.B @ z.x @ Du) - bt
+    @rowwise
+    def Yu(Z):
+        Du = np.zeros((len(Z), spec.N))
+        Du[:, :m] = grad_m(Z)
+        return dot_rows(matvec_rows(spec.B, Z[:, :-1]), Du) - bt
 
     return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu)
 
@@ -402,17 +411,21 @@ def coordinate_bundle(spec, index):
     if index < m:
         return quadratic_bundle(spec, a=np.eye(spec.m)[index])
 
-    def u(z):
-        return float(z.x[index])
+    @rowwise
+    def u(Z):
+        return Z[:, index].copy()
 
-    def grad_m(z):
-        return np.zeros(m)
+    @rowwise
+    def grad_m(Z):
+        return np.zeros((len(Z), m))
 
-    def hess_m(z):
-        return np.zeros((m, m))
+    @rowwise
+    def hess_m(Z):
+        return np.zeros((len(Z), m, m))
 
-    def Yu(z):
-        return float((spec.B @ z.x)[index])
+    @rowwise
+    def Yu(Z):
+        return matvec_rows(spec.B, Z[:, :-1])[:, index]
 
     return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu)
 
@@ -423,27 +436,34 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
     N, m = spec.N, spec.m
     c = np.zeros(N) if center_x is None else np.asarray(center_x, dtype=float)
     wx = np.broadcast_to(np.asarray(width_x, dtype=float), (N,)).copy()
+    wt2 = width_t**2
 
-    def u(z):
-        q = np.sum(((z.x - c) / wx) ** 2) + ((z.t - center_t) / width_t) ** 2
+    @rowwise
+    def u(Z):
+        # The time term squares Python floats (libm pow), as the scalar
+        # form ((t - c_t)/w_t) ** 2 does; numpy's array square is x*x,
+        # which rounds differently.  The x term was an array square.
+        qt = [((t - center_t) / width_t) ** 2 for t in Z[:, -1].tolist()]
+        q = np.sum(((Z[:, :-1] - c) / wx) ** 2, axis=1) + qt
         return amplitude * np.exp(-q)
 
-    def grad_full(z):
-        return -2.0 * (z.x - c) / wx**2 * u(z)
+    def grad_full(Z):
+        return -2.0 * (Z[:, :-1] - c) / wx**2 * u(Z)[:, None]
 
-    def grad_m(z):
-        return grad_full(z)[:m]
+    @rowwise
+    def grad_m(Z):
+        return grad_full(Z)[:, :m]
 
-    def hess_m(z):
-        val = u(z)
-        d = -2.0 * (z.x[:m] - c[:m]) / wx[:m] ** 2
-        return (np.outer(d, d) - np.diag(2.0 / wx[:m] ** 2)) * val
+    @rowwise
+    def hess_m(Z):
+        d = -2.0 * (Z[:, :m] - c[:m]) / wx[:m] ** 2
+        outer = d[:, :, None] * d[:, None, :]
+        return (outer - np.diag(2.0 / wx[:m] ** 2)) * u(Z)[:, None, None]
 
-    def dudt(z):
-        return -2.0 * (z.t - center_t) / width_t**2 * u(z)
-
-    def Yu(z):
-        return float(spec.B @ z.x @ grad_full(z)) - dudt(z)
+    @rowwise
+    def Yu(Z):
+        dudt = -2.0 * (Z[:, -1] - center_t) / wt2 * u(Z)
+        return dot_rows(matvec_rows(spec.B, Z[:, :-1]), grad_full(Z)) - dudt
 
     return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu)
 

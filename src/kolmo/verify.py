@@ -26,7 +26,8 @@ from .errors import (
     EllipticityError,
     ManufactureError,
 )
-from .group import Point, compose, dilate, kdist, knorm, sample_ball
+from .group import (Point, as_points, compose, dilate, kdist, kdist_rows, knorm,
+                    rowwise, sample_ball)
 from .kernel import covariance, gamma, gamma_grad, gamma_hess_m, gamma_Y
 from .matrixcalc import mat_exp, sqrt_spd, tensor_rule
 from .modulus import (
@@ -44,12 +45,16 @@ SEED_FACTOR = 2.0
 
 @dataclass
 class ManufacturedProblem:
-    """Analytic u with its exactly computed right-hand side f = L u."""
+    """Analytic u with its exactly computed right-hand side f = L u.
+
+    ``f`` and ``varcoeff`` take a (K, N+1) row block, as the bundle
+    fields do; the built-in ones also take one Point (``rowwise``).
+    """
 
     u: C2Bundle
-    f: object  # Point -> real
+    f: object  # rows -> (K,) values
     spec: object
-    varcoeff: object = None  # Point -> m x m SPD matrix, or None
+    varcoeff: object = None  # rows -> (K, m, m) SPD stack (or one matrix)
     omega_a: object = None  # ModulusTable for the coefficient modulus
     family_id: str = ""
     details: dict = field(default_factory=dict)
@@ -95,9 +100,10 @@ def _coeff_field(varcoeff_id, spec):
         if varcoeff_id not in ("sin1", "sin1x2"):
             raise DomainError(f"unknown coefficient family {varcoeff_id!r}")
 
-        def a(z):
-            out = np.array(spec.A, dtype=float)
-            out[0, 0] += amp * math.sin(z.x[0])
+        @rowwise
+        def a(Z):
+            out = np.repeat(spec.A[None], len(Z), axis=0)
+            out[:, 0, 0] += amp * np.sin(Z[:, 0])
             return out
 
         omega_a = table_from_function(lambda r: amp * min(2.0, r))
@@ -134,9 +140,10 @@ def manufacture(family_id, spec, varcoeff_id=None, validate_points=30, seed=0):
         raise DomainError(f"unknown solution family {family_id!r}") from None
     a_field, omega_a = _coeff_field(varcoeff_id, spec)
 
-    def f(z):
-        A = spec.A if a_field is None else a_field(z)
-        return float(np.sum(A * np.asarray(bundle.hess_m(z)))) + bundle.Yu(z)
+    @rowwise
+    def f(Z):
+        A = spec.A if a_field is None else a_field(Z)
+        return np.sum(A * bundle.hess_m(Z), axis=(1, 2)) + bundle.Yu(Z)
 
     problem = ManufacturedProblem(
         u=bundle, f=f, spec=spec, varcoeff=a_field, omega_a=omega_a,
@@ -144,7 +151,7 @@ def manufacture(family_id, spec, varcoeff_id=None, validate_points=30, seed=0):
     )
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for z in sample_ball(spec, 1.0, validate_points, rng):
+    for z in as_points(sample_ball(spec, 1.0, validate_points, rng)):
         lhs = apply_L_fd(spec, bundle.u, z, varcoeff=a_field)
         worst = max(worst, abs(lhs - f(z)))
     if worst > 1e-6:
@@ -247,7 +254,7 @@ def cutoff_gradient_report(spec, R_list=(1.0, 0.5, 0.25), samples=400, seed=0):
     for R in R_list:
         sup_first = np.zeros(spec.N)
         sup_second = 0.0
-        for z in sample_ball(spec, R, samples, rng):
+        for z in as_points(sample_ball(spec, R, samples, rng)):
             for i in range(spec.N):
                 h = 1e-5 * R ** exps.alpha[i]
                 ei = np.zeros(spec.N)
@@ -273,11 +280,8 @@ def harmonic_family(ctx, R, count, rng):
     Poles sit at times in [-3R^2, -2R^2], so u_p solves L u = 0 on every
     point of Q_R (times >= -R^2) with a safety margin of R^2.
     """
-    spec = ctx.spec
-    poles = []
-    for p in sample_ball(spec, R, count, rng):
-        poles.append(Point(p.x, -2.0 * R * R - R * R * rng.uniform(0.0, 1.0)))
-    return poles
+    return [Point(x, -2.0 * R * R - R * R * rng.uniform(0.0, 1.0))
+            for x in sample_ball(ctx.spec, R, count, rng)[:, :-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +379,12 @@ def verify_apriori(ctx, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
     per_R = {R: {g: 0.0 for g in groups} for R in R_list}
     for R in R_list:
         for p in harmonic_family(ctx, R, poles, rng):
-            sup_u = max(
-                gamma(ctx, zq, p) for zq in sample_ball(spec, R, 4 * samples, rng)
-            )
+            sup_u = max(gamma(ctx, zq, p) for zq in
+                        as_points(sample_ball(spec, R, 4 * samples, rng)))
             if sup_u <= 0.0:
                 continue
             cell = per_R[R]
-            for z in sample_ball(spec, R / 2.0, samples, rng):
+            for z in as_points(sample_ball(spec, R / 2.0, samples, rng)):
                 grad = gamma_grad(ctx, z, p)
                 H = gamma_hess_m(ctx, z, p)
                 Yv = gamma_Y(ctx, z, p)
@@ -416,13 +419,12 @@ def verify_mean_value(ctx, R=0.5, poles=20, samples=120, seed=0):
     ratios = []
     center = Point(np.zeros(spec.N), 0.0)
     for p in harmonic_family(ctx, R, poles, rng):
-        sup_u = max(
-            gamma(ctx, zq, p) for zq in sample_ball(spec, R, 4 * samples, rng)
-        )
+        sup_u = max(gamma(ctx, zq, p) for zq in
+                    as_points(sample_ball(spec, R, 4 * samples, rng)))
         if sup_u <= 0.0:
             continue
         u_c = gamma(ctx, center, p)
-        for z in sample_ball(spec, R / 2.0, samples, rng):
+        for z in as_points(sample_ball(spec, R / 2.0, samples, rng)):
             d = kdist(z, center, spec)
             if d < R / 100.0:
                 continue
@@ -527,7 +529,7 @@ def verify_singular_bounds(ctx, kind, R_list=(0.5, 0.25, 0.125), samples=6,
         psi = _singular_psi(kind, R, exps)
         h = fd_rel * R
         worst = 0.0
-        for z in sample_ball(spec, R / 2.0, samples, rng):
+        for z in as_points(sample_ball(spec, R / 2.0, samples, rng)):
             if z.t <= -(R * R) * 0.9:
                 z = Point(z.x, abs(z.t))
             for i in range(spec.m):
@@ -554,65 +556,81 @@ def verify_singular_bounds(ctx, kind, R_list=(0.5, 0.25, 0.125), samples=6,
     )
 
 
-def _second_derivative_values(problem, z):
-    """All tracked second-order quantities of u at z: d2_ij and Yu."""
-    H = np.asarray(problem.u.hess_m(z))
-    vals = [H[i, j] for i in range(H.shape[0]) for j in range(i, H.shape[1])]
-    vals.append(problem.u.Yu(z))
-    return np.array(vals)
+def _second_derivative_values(problem, Z):
+    """All tracked second-order quantities of u at the rows of Z, one row
+    each: d2_ij for i <= j, then Yu."""
+    H = problem.u.hess_m(Z)
+    i, j = np.triu_indices(H.shape[-1])
+    return np.column_stack([H[:, i, j], problem.u.Yu(Z)])
 
 
-def _check_ellipticity(problem, points):
+def _check_ellipticity(problem, Z):
     if problem.varcoeff is None:
         return
-    for z in points:
-        w = np.linalg.eigvalsh(problem.varcoeff(z))
-        if w[0] <= 0.0:
-            raise EllipticityError(
-                f"coefficient matrix loses ellipticity at {z} (min eig {w[0]:g})"
-            )
+    m = problem.spec.m
+    A = np.broadcast_to(problem.varcoeff(Z), (len(Z), m, m))
+    w = np.linalg.eigvalsh(A)[:, 0]
+    bad = np.flatnonzero(w <= 0.0)
+    if bad.size:
+        k = bad[0]
+        z = as_points(Z[k:k + 1])[0]
+        raise EllipticityError(
+            f"coefficient matrix loses ellipticity at {z} (min eig {w[k]:g})"
+        )
 
 
-def _schauder_report(ctx, problem, pair_samples, seed, name):
+def verify_schauder(ctx, problem, pair_samples=1000, seed=0, constant=False):
+    """Schauder ratio test for a manufactured pair.
+
+    With a coefficient field attached the right-hand side gains the
+    omega_a functional term (report "schauder-var"); without one the
+    check is the constant-coefficient test ("schauder-const"), so the
+    two agree identically when omega_a vanishes.  ``constant=True``
+    refuses a variable-coefficient problem.
+
+    The sups, the ellipticity sample, the interior pairs and their
+    distances are all taken on row blocks.
+    """
+    if constant and problem.varcoeff is not None:
+        raise ApplicabilityError(
+            "constant-coefficient check got a variable-coefficient problem"
+        )
+    name = "schauder-var" if problem.varcoeff is not None else "schauder-const"
     spec = ctx.spec
     rng = np.random.default_rng(seed)
     omega_f = empirical_modulus(problem.f, spec, radius=1.0,
                                 pair_samples=max(1000, pair_samples),
                                 seed=seed + 1)
-    sup_u = max(abs(problem.u.u(z)) for z in sample_ball(spec, 1.0, 800, rng))
-    sup_f = max(abs(problem.f(z)) for z in sample_ball(spec, 1.0, 800, rng))
+    sup_u = np.abs(problem.u.u(sample_ball(spec, 1.0, 800, rng))).max()
+    sup_f = np.abs(problem.f(sample_ball(spec, 1.0, 800, rng))).max()
     interior = sample_ball(spec, 0.25, pair_samples * 2, rng)
     _check_ellipticity(problem, interior[:200])
 
     eta_sup = 0.0
     if problem.omega_a is not None:
-        eta_sup = max(
-            np.abs(_second_derivative_values(problem, z)[:-1]).max()
-            for z in sample_ball(spec, 1.0, 400, rng)
-        )
+        eta_sup = np.abs(_second_derivative_values(
+            problem, sample_ball(spec, 1.0, 400, rng))[:, :-1]).max()
 
     # pointwise bound at the origin
-    origin_pt = Point(np.zeros(spec.N), 0.0)
-    lhs0 = np.abs(_second_derivative_values(problem, origin_pt)).max()
-    rhs0 = sup_u + abs(problem.f(origin_pt)) + dini_integral(omega_f).value
+    origin_row = np.zeros((1, spec.N + 1))
+    lhs0 = np.abs(_second_derivative_values(problem, origin_row)).max()
+    rhs0 = sup_u + abs(problem.f(origin_row)[0]) + dini_integral(omega_f).value
     point_ratio = lhs0 / rhs0 if rhs0 > 0.0 else 0.0
 
+    Z, W = interior[0::2], interior[1::2]
+    dists = kdist_rows(Z, W, spec)
+    lhs = np.abs(_second_derivative_values(problem, Z)
+                 - _second_derivative_values(problem, W)).max(axis=1)
     ratios = []
     r_min = float(omega_f.radii[0])
-    for k in range(pair_samples):
-        z, zeta = interior[2 * k], interior[2 * k + 1]
-        d = kdist(z, zeta, spec)
+    for d, jump in zip(dists.tolist(), lhs.tolist()):
         if d < r_min or d >= 1.0:
             continue
-        lhs = np.abs(
-            _second_derivative_values(problem, z)
-            - _second_derivative_values(problem, zeta)
-        ).max()
         rhs = d * sup_u + d * sup_f + schauder_functional(omega_f, d)
         if problem.omega_a is not None:
             rhs += schauder_functional(problem.omega_a, d) * eta_sup
         if rhs > 0.0:
-            ratios.append(lhs / rhs)
+            ratios.append(jump / rhs)
     fitted = max(ratios + [point_ratio]) if (ratios or point_ratio) else 0.0
     return EstimateReport(
         name=name,
@@ -630,26 +648,6 @@ def _schauder_report(ctx, problem, pair_samples, seed, name):
             "family": problem.family_id,
         },
     )
-
-
-def verify_schauder_const(ctx, problem, pair_samples=1000, seed=0):
-    """Constant-coefficient Schauder ratio test for a manufactured pair."""
-    if problem.varcoeff is not None:
-        raise ApplicabilityError(
-            "constant-coefficient check got a variable-coefficient problem"
-        )
-    return _schauder_report(ctx, problem, pair_samples, seed, "schauder-const")
-
-
-def verify_schauder_var(ctx, problem, pair_samples=1000, seed=0):
-    """Dini-coefficient Schauder test; adds the omega_a functional term.
-
-    With no coefficient field attached this is exactly the constant-
-    coefficient code path, so the two agree identically when omega_a
-    vanishes.
-    """
-    name = "schauder-var" if problem.varcoeff is not None else "schauder-const"
-    return _schauder_report(ctx, problem, pair_samples, seed, name)
 
 
 def verify_invariance(ctx, samples=40, seed=0, include_dilation=None):
@@ -672,8 +670,8 @@ def verify_invariance(ctx, samples=40, seed=0, include_dilation=None):
     bundle = _FAMILIES["gaussian2"](spec)
     worst_left = 0.0
     worst_dil = 0.0
-    pts = sample_ball(spec, 0.8, samples, rng)
-    shifts = sample_ball(spec, 0.8, samples, rng)
+    pts = as_points(sample_ball(spec, 0.8, samples, rng))
+    shifts = as_points(sample_ball(spec, 0.8, samples, rng))
     for z, zeta in zip(pts, shifts):
         shifted = lambda w: bundle.u(compose(zeta, w, spec))
         lhs = apply_L_fd(spec, shifted, z)

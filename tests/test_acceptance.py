@@ -43,8 +43,7 @@ from kolmo import (
     verify_apriori,
     verify_invariance,
     verify_plan,
-    verify_schauder_const,
-    verify_schauder_var,
+    verify_schauder,
     verify_singular_bounds,
 )
 from kolmo.errors import ApplicabilityError, StructureError
@@ -297,19 +296,19 @@ def test_criterion_09_schauder(kctx):
     ok = True
     for fam in ("gaussian", "gaussian2"):
         prob = manufacture(fam, kctx.spec)
-        rep0 = verify_schauder_const(kctx, prob, pair_samples=600, seed=0)
-        rep1 = verify_schauder_const(kctx, prob, pair_samples=600, seed=1)
+        rep0, rep1 = (verify_schauder(kctx, prob, pair_samples=600, seed=s,
+                                      constant=True) for s in (0, 1))
         ok = ok and rep0.verdict and rep1.verdict
         lo, hi = sorted([rep0.fitted_constant, rep1.fitted_constant])
         ok = ok and hi <= 2.0 * lo  # seed stability
 
-        scaled = verify_schauder_const(kctx, _scaled_problem(prob, 10.0),
-                                       pair_samples=600, seed=0)
+        scaled = verify_schauder(kctx, _scaled_problem(prob, 10.0),
+                                 pair_samples=600, seed=0, constant=True)
         ok = ok and abs(scaled.fitted_constant - rep0.fitted_constant) \
             <= 1e-10 * rep0.fitted_constant
 
         # omega_a = 0 reduces the variable-coefficient path to the constant one
-        var = verify_schauder_var(kctx, prob, pair_samples=600, seed=0)
+        var = verify_schauder(kctx, prob, pair_samples=600, seed=0)
         ok = ok and abs(var.fitted_constant - rep0.fitted_constant) <= 1e-10
     _report(9, "Schauder fitted constants", ok)
 

@@ -6,13 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from kolmo import cli, load_spec
 from kolmo.cli import run
+from kolmo.modulus import DEFAULT_RADII, modulus_from_pairs
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 KOLMO = str(SPEC_DIR / "kolmogorov.json")
 KINETIC = str(SPEC_DIR / "kinetic.json")
 DRIFTED = str(SPEC_DIR / "kinetic_drifted.json")
+HEAT = str(SPEC_DIR / "heat1d.json")
 
 
 def _last_json(capsys):
@@ -128,6 +132,61 @@ def test_modulus_from_csv(tmp_path, capsys):
     assert rep["results"]["source"]["input_csv"] == str(csv)
 
 
+def _csv_pair_loop(data, spec):
+    """omega over all pairs i < j of the CSV rows, one pair at a time, with
+    d(z_i, z_j) = ||z_j^{-1} o z_i|| written out from scipy's expm and
+    Python-float powers."""
+    N, alpha = spec.N, spec.exponents().alpha
+    dists, jumps = [], []
+    for i in range(len(data)):
+        for j in range(i + 1, len(data)):
+            xi, ti, xj, tj = data[i, :N], data[i, N], data[j, :N], data[j, N]
+            inv = -(expm(-(-tj) * spec.B) @ xj)
+            x, t = xi + expm(-ti * spec.B) @ inv, -tj + ti
+            dists.append(max([abs(t) ** 0.5] + [abs(v) ** (1.0 / a)
+                                                for v, a in zip(x, alpha)]))
+            jumps.append(abs(data[i, -1] - data[j, -1]))
+    return modulus_from_pairs(dists, jumps, DEFAULT_RADII).omega.tolist()
+
+
+@pytest.mark.parametrize("spec_path", [KOLMO, DRIFTED])
+def test_modulus_from_csv_matches_the_pair_loop(spec_path, tmp_path,
+                                                monkeypatch):
+    rng = np.random.default_rng(7)
+    csv = tmp_path / "samples.csv"
+    np.savetxt(csv, rng.uniform(-1.0, 1.0, (40, 4)), delimiter=",")
+    spec = load_spec(spec_path)
+    want = _csv_pair_loop(np.loadtxt(csv, delimiter=",", ndmin=2), spec)
+    assert max(want) > 0.0
+    assert cli._modulus_from_csv(csv, spec).omega.tolist() == want
+    monkeypatch.setattr(cli, "CSV_PAIR_CHUNK", 7)  # one row of pairs per chunk
+    assert cli._modulus_from_csv(csv, spec).omega.tolist() == want
+
+
+def test_pair_chunks_cover_every_pair_once():
+    for n, size in ((1, 5), (2, 1), (7, 3), (9, 100), (40, 7)):
+        chunks = list(cli._pair_chunks(n, size))
+        assert all(len(I) <= max(size, n - 1) for I, _ in chunks)
+        pairs = [(i, j) for I, J in chunks
+                 for i, j in zip(I.tolist(), J.tolist())]
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_kernel_mass_does_not_depend_on_the_thread_count():
+    # a BLAS dot over the 16,384 nodes of the fine pass grouped its terms
+    # by the thread count; the sum is exactly rounded now
+    argv = ["kernel", "--spec", KOLMO, "--point", "0,0,1", "--mass-time", "0.5"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "kolmo.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_verify_verb(capsys):
     code = run(["verify", "schauder-const", "--spec", KOLMO,
                 "--family", "gaussian", "--pairs", "300"])
@@ -166,6 +225,10 @@ BAD_INPUTS = {
     "zero-samples": ["verify", "mean-value", "--spec", KOLMO, "--samples", "0"],
     "huge-pairs": ["modulus", "--spec", KOLMO, "--function", "knorm",
                    "--pairs", "100000000000000000000"],
+    "counterexample-on-N1": ["modulus", "--spec", HEAT, "--function",
+                             "counterexample-f"],
+    "csv-not-finite": ["modulus", "--spec", KOLMO, "--input-csv",
+                       "{tmp}/nan.csv"],
     "unwritable-out": ["check", "--spec", KOLMO, "--out", "{tmp}/no/r.json"],
 }
 
@@ -176,6 +239,7 @@ def test_bad_input_keeps_exit_code_contract(name, tmp_path):
         json.dumps({"A": [[1.0]], "B": [[0.0, 0.0], [-1.0, 0.0]]}))
     (tmp_path / "text_A.json").write_text(
         json.dumps({"A": "x", "B": [[0.0, 0.0], [-1.0, 0.0]], "blocks": [1, 1]}))
+    (tmp_path / "nan.csv").write_text("0.1,0.2,0.3,1\nnan,0.1,0.2,2\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in BAD_INPUTS[name]]
     env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "kolmo.cli", *argv],

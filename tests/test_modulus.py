@@ -13,7 +13,7 @@ from kolmo import (
     empirical_modulus,
     holder_closed_form,
     holder_seminorm,
-    knorm,
+    knorm_rows,
     power_table,
     schauder_functional,
     table_from_function,
@@ -81,8 +81,8 @@ def test_holder_closed_form_lipschitz_case():
 def test_empirical_modulus_of_quasi_norm(kspec):
     # knorm is quasi-Lipschitz: omega(r) <= c r with a moderate constant
     exps = kspec.exponents()
-    table = empirical_modulus(lambda z: knorm(z, exps), kspec, pair_samples=2000,
-                              seed=0)
+    table = empirical_modulus(lambda Z: knorm_rows(Z, exps), kspec,
+                              pair_samples=2000, seed=0)
     rep = dini_integral(table)
     assert rep.classification == "dini"
     mask = table.radii > 2.0**-15
@@ -90,7 +90,7 @@ def test_empirical_modulus_of_quasi_norm(kspec):
 
 
 def test_empirical_modulus_is_monotone_table(kspec):
-    table = empirical_modulus(lambda z: z.x[0] ** 2, kspec, pair_samples=1000,
+    table = empirical_modulus(lambda Z: Z[:, 0] ** 2, kspec, pair_samples=1000,
                               seed=1)
     assert np.all(np.diff(table.omega) >= 0.0)
     assert table.provenance == "empirical"
@@ -110,7 +110,8 @@ def test_modulus_from_pairs_hand_table():
 
 def test_holder_seminorm_power_function(kspec):
     exps = kspec.exponents()
-    v = holder_seminorm(lambda z: knorm(z, exps) ** 0.5, kspec, 0.5, samples=2000)
+    v = holder_seminorm(lambda Z: knorm_rows(Z, exps) ** 0.5, kspec, 0.5,
+                        samples=2000)
     assert 0.5 < v < 5.0
 
 

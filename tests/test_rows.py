@@ -1,0 +1,201 @@
+"""Row blocks against K = 1: every group operation, the samplers and the
+bundle fields give, on a (K, N+1) block, exactly (==) what they give one
+point at a time, over generated admissible specs.  Independent scalar
+oracles pin the two rounding rules: libm pow in the quasi-norm, and a
+Python-float square in the Gaussian bundle's time term."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kolmo import (
+    DomainError,
+    Point,
+    as_points,
+    compose,
+    compose_rows,
+    coordinate_bundle,
+    dilate,
+    dilate_rows,
+    gaussian_bundle,
+    inverse,
+    inverse_rows,
+    kdist,
+    kdist_rows,
+    knorm,
+    knorm_rows,
+    make_spec,
+    quadratic_bundle,
+    sample_ball,
+)
+from kolmo.modulus import _scaled_pairs
+
+# Non-increasing block sizes with m in {1, 2} and N <= 6.
+BLOCKS = [
+    (1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
+    (2,), (2, 1), (2, 2), (2, 1, 1), (2, 2, 1), (2, 2, 2), (2, 1, 1, 1),
+    (2, 2, 1, 1),
+]
+K = 23
+PROPERTY = settings(derandomize=True, database=None, max_examples=30,
+                    deadline=None)
+
+
+def admissible_spec(blocks, seed, principal):
+    """A random spec with the given blocks: SPD A, full-rank subdiagonal
+    blocks, zero blocks below them and, unless ``principal``, random
+    blocks on and above the diagonal (a non-principal drift)."""
+    rng = np.random.default_rng(seed)
+    m, N = blocks[0], sum(blocks)
+    L = rng.uniform(-1.0, 1.0, (m, m))
+    A = L @ L.T + 0.5 * np.eye(m)
+    starts = np.cumsum((0,) + blocks)
+    B = np.zeros((N, N))
+    for i in range(len(blocks)):
+        rows = slice(starts[i], starts[i + 1])
+        for j in range(i - 1, len(blocks)):
+            if j < 0 or (principal and j >= i):
+                continue
+            cols = slice(starts[j], starts[j + 1])
+            blk = rng.uniform(-1.0, 1.0, (blocks[i], blocks[j]))
+            if j == i - 1:  # full row rank: a dominant identity part
+                blk[:, : blocks[i]] += 2.0 * np.eye(blocks[i])
+            B[rows, cols] = blk
+    return make_spec(A, B, blocks)
+
+
+specs = st.builds(admissible_spec, st.sampled_from(BLOCKS),
+                  st.integers(0, 2**32 - 1), st.booleans())
+
+
+def random_rows(spec, rng, count=K):
+    return rng.uniform(-1.0, 1.0, (count, spec.N + 1))
+
+
+def libm_knorm(z, alpha):
+    """The quasi-norm of one row in Python floats: libm pow throughout."""
+    return max([abs(z[-1]) ** 0.5]
+               + [abs(x) ** (1.0 / a) for x, a in zip(z, alpha)])
+
+
+@PROPERTY
+@given(specs, st.integers(0, 2**32 - 1))
+def test_group_rows_match_points(spec, seed):
+    rng = np.random.default_rng(seed)
+    exps = spec.exponents()
+    Z, W = random_rows(spec, rng), random_rows(spec, rng)
+    r = np.exp(rng.uniform(math.log(2.0**-20), 0.0, K))
+    zs, ws = as_points(Z), as_points(W)
+    assert np.array_equal(compose_rows(Z, W, spec), [
+        compose(z, w, spec).row()[0] for z, w in zip(zs, ws)])
+    assert np.array_equal(inverse_rows(Z, spec),
+                          [inverse(z, spec).row()[0] for z in zs])
+    assert np.array_equal(dilate_rows(r, Z, exps),
+                          [dilate(s, z, exps).row()[0] for s, z in zip(r, zs)])
+    assert np.array_equal(dilate_rows(0.3, Z, exps),
+                          [dilate(0.3, z, exps).row()[0] for z in zs])
+    assert knorm_rows(Z, exps).tolist() == [knorm(z, exps) for z in zs]
+    assert knorm_rows(Z, exps).tolist() == [libm_knorm(z, exps.alpha)
+                                            for z in Z.tolist()]
+    assert kdist_rows(Z, W, spec).tolist() == [kdist(z, w, spec)
+                                               for z, w in zip(zs, ws)]
+    # d(z, w) is the quasi-norm of w^{-1} o z, one K = 1 step at a time
+    assert kdist_rows(Z, W, spec).tolist() == [
+        knorm(compose(inverse(w, spec), z, spec), exps) for z, w in zip(zs, ws)]
+
+
+@PROPERTY
+@given(specs, st.integers(0, 2**32 - 1), st.booleans())
+def test_sample_ball_rows_match_one_draw_at_a_time(spec, seed, centered):
+    center = Point(np.full(spec.N, 0.2), -0.3) if centered else None
+    block = sample_ball(spec, 0.7, K, np.random.default_rng(seed), center)
+    rng = np.random.default_rng(seed)
+    single = [sample_ball(spec, 0.7, 1, rng, center)[0] for _ in range(K)]
+    assert block.shape == (K, spec.N + 1)
+    assert np.array_equal(block, single)
+
+
+@PROPERTY
+@given(specs, st.integers(0, 2**32 - 1))
+def test_scaled_pairs_rows_match_the_point_loop(spec, seed):
+    exps = spec.exponents()
+    r_min, radius = 2.0**-20, 0.8
+    pairs = _scaled_pairs(spec, radius, K, np.random.default_rng(seed), r_min,
+                          None)
+    # the same stream drawn and mapped one Point at a time
+    rng = np.random.default_rng(seed)
+    base = np.exp(rng.uniform(math.log(r_min), 0.0, size=K))
+    sep = np.exp(rng.uniform(math.log(r_min), 0.0, size=K))
+    for k in range(K):
+        raw = Point(rng.uniform(-1.0, 1.0, size=spec.N), rng.uniform(-1.0, 1.0))
+        z = dilate(base[k] * radius, raw, exps)
+        raw2 = Point(rng.uniform(-1.0, 1.0, size=spec.N),
+                     rng.uniform(-1.0, 1.0))
+        zeta = compose(z, dilate(sep[k] * radius, raw2, exps), spec)
+        assert np.array_equal(pairs[k], [z.row()[0], zeta.row()[0]])
+
+
+def bundles(spec, rng):
+    m, N = spec.m, spec.N
+    return [
+        quadratic_bundle(spec, c0=rng.uniform(-1, 1), a=rng.uniform(-1, 1, m),
+                         H=rng.uniform(-1, 1, (m, m)), bt=rng.uniform(-1, 1)),
+        coordinate_bundle(spec, N - 1),
+        gaussian_bundle(spec, center_x=rng.uniform(-0.5, 0.5, N),
+                        center_t=rng.uniform(-0.5, 0.5),
+                        width_x=rng.uniform(0.5, 1.5, N),
+                        width_t=rng.uniform(0.2, 1.0),
+                        amplitude=rng.uniform(0.5, 2.0)),
+    ]
+
+
+@PROPERTY
+@given(specs, st.integers(0, 2**32 - 1))
+def test_bundle_rows_match_points(spec, seed):
+    rng = np.random.default_rng(seed)
+    Z = random_rows(spec, rng)
+    zs = as_points(Z)
+    for bundle in bundles(spec, rng):
+        for field in ("u", "grad_m", "hess_m", "Yu"):
+            fn = getattr(bundle, field)
+            rows = fn(Z)
+            assert rows.shape[0] == K
+            assert np.array_equal(rows, [fn(z) for z in zs]), field
+
+
+def test_gaussian_time_term_squares_python_floats(kspec):
+    # the scalar form: numpy square in x, a Python-float square in t
+    # (numpy's x*x and libm pow(x, 2) differ on ~0.1% of these values)
+    c, ct, wx, wt, amp = np.array([0.2, -0.1]), -0.1, 0.8, 0.7, 1.7
+    bundle = gaussian_bundle(kspec, center_x=c, center_t=ct, width_x=wx,
+                             width_t=wt, amplitude=amp)
+    Z = random_rows(kspec, np.random.default_rng(5), 20_000)
+    want = [amp * np.exp(-(np.sum(((z[:-1] - c) / wx) ** 2)
+                           + ((float(z[-1]) - ct) / wt) ** 2)) for z in Z]
+    assert bundle.u(Z).tolist() == want
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rows_reject_non_finite(kspec, bad):
+    exps = kspec.exponents()
+    Z = random_rows(kspec, np.random.default_rng(1), 4)
+    Z[2, 1] = bad
+    W = random_rows(kspec, np.random.default_rng(2), 4)
+    for call in (lambda: compose_rows(Z, W, kspec),
+                 lambda: compose_rows(W, Z, kspec),
+                 lambda: inverse_rows(Z, kspec),
+                 lambda: dilate_rows(0.5, Z, exps),
+                 lambda: knorm_rows(Z, exps),
+                 lambda: kdist_rows(Z, W, kspec),
+                 lambda: kdist_rows(W, Z, kspec)):
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+            call()
+    # finite rows whose image overflows are refused as well
+    huge = np.array([[1e308, 1e308, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(DomainError):
+        compose_rows(huge, huge, kspec)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+        dilate_rows(1e200, huge, exps)

@@ -23,7 +23,7 @@ from kolmo import (
     verify_plan,
 )
 from kolmo.errors import DomainError, NonConvergenceError, PlanIntegrityError
-from kolmo.group import sample_ball
+from kolmo.group import as_points, sample_ball
 from kolmo.taylor import PathSegment
 
 
@@ -148,7 +148,7 @@ def test_verify_plan_detects_tampering(kspec):
 def test_bundle_derivatives_fd(kspec, drifted):
     rng = np.random.default_rng(4)
     for spec in (kspec, drifted):
-        pts = sample_ball(spec, 1.0, 15, rng)
+        pts = as_points(sample_ball(spec, 1.0, 15, rng))
         for bundle in (
             quadratic_bundle(spec, c0=0.3, a=[0.5], H=[[1.2]], bt=-0.7),
             coordinate_bundle(spec, 1),

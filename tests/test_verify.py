@@ -19,8 +19,7 @@ from kolmo import (
     verify_apriori,
     verify_invariance,
     verify_mean_value,
-    verify_schauder_const,
-    verify_schauder_var,
+    verify_schauder,
     verify_singular_bounds,
 )
 from kolmo.errors import (
@@ -203,7 +202,7 @@ def test_hermite_grid_is_cached_and_read_only():
 
 def test_schauder_const_report(kctx):
     prob = manufacture("gaussian", kctx.spec)
-    rep = verify_schauder_const(kctx, prob, pair_samples=400)
+    rep = verify_schauder(kctx, prob, pair_samples=400, constant=True)
     assert rep.verdict and math.isfinite(rep.fitted_constant)
     assert rep.samples > 100
     assert "ratio" in rep.to_json_dict()["ratios_csv"]
@@ -212,20 +211,20 @@ def test_schauder_const_report(kctx):
 def test_schauder_const_rejects_varcoeff(kctx):
     prob = manufacture("gaussian", kctx.spec, varcoeff_id="sin1")
     with pytest.raises(ApplicabilityError):
-        verify_schauder_const(kctx, prob)
+        verify_schauder(kctx, prob, constant=True)
 
 
 def test_schauder_var_matches_const_without_coefficients(kctx):
     prob = manufacture("gaussian2", kctx.spec)
-    a = verify_schauder_const(kctx, prob, pair_samples=300)
-    b = verify_schauder_var(kctx, prob, pair_samples=300)
+    a = verify_schauder(kctx, prob, pair_samples=300, constant=True)
+    b = verify_schauder(kctx, prob, pair_samples=300)
     assert b.name == "schauder-const"
     assert abs(a.fitted_constant - b.fitted_constant) <= 1e-10
 
 
 def test_schauder_var_with_coefficients(kctx):
     prob = manufacture("gaussian", kctx.spec, varcoeff_id="sin1x2")
-    rep = verify_schauder_var(kctx, prob, pair_samples=300)
+    rep = verify_schauder(kctx, prob, pair_samples=300)
     assert rep.name == "schauder-var"
     assert rep.verdict and rep.details["eta_sup"] > 0.0
 
@@ -238,7 +237,7 @@ def test_ellipticity_loss_detected(kctx):
         omega_a=prob.omega_a, family_id=prob.family_id,
     )
     with pytest.raises(EllipticityError):
-        verify_schauder_var(kctx, bad, pair_samples=300)
+        verify_schauder(kctx, bad, pair_samples=300)
 
 
 def test_invariance_principal(kctx):
