@@ -12,6 +12,7 @@ Exit codes: 0 pass, 2 verification criterion failed, 3 usage error,
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -116,7 +117,11 @@ def _emit(report, out_path):
                 fh.write(body + "\n")
         except OSError as err:
             raise UsageError(f"cannot write the report: {err}") from None
-    print(body)
+    try:
+        print(body, flush=True)
+    except BrokenPipeError:
+        # the reader left (kolmo ... | head): drop the rest, also at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,8 +227,7 @@ def _cmd_kernel(args):
     if z.t > pole.t:
         report["grad"] = gamma_grad(ctx, z, pole).tolist()
         report["pde_residual"] = check_kernel_pde(ctx, z, pole)
-        cov = covariance(ctx, z.t - pole.t)
-        report["covariance"] = cov.C.tolist()
+        report["covariance"] = covariance(ctx, z.t - pole.t).C.tolist()
     if args.mass_time is not None:
         mass = kernel_mass(ctx, args.mass_time)
         expected = math.exp(-args.mass_time * float(np.trace(spec.B)))

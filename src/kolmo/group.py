@@ -215,7 +215,7 @@ class OperatorSpec:
         return mat_exp(np.multiply.outer(np.negative(tau), self.B))
 
     def C(self, t):
-        """Covariance C(t) = int_0^t E(s) A~ E(s)^T ds, symmetrised.
+        """Covariance C(t) = int_0^t E(s) A~ E(s)^T ds, symmetrised (stacked for an array t).
 
         One block matrix exponential: for M = [[-B, A~], [0, B^T]] the
         top row of exp(t M) is [E(t), G(t)] with C(t) = G(t) E(t)^T.
@@ -225,9 +225,9 @@ class OperatorSpec:
         M[:N, :N] = -self.B
         M[:N, N:] = embedded_A(self)
         M[N:, N:] = self.B.T
-        Phi = mat_exp(t * M)
-        C = Phi[:N, N:] @ Phi[:N, :N].T
-        return (C + C.T) / 2.0
+        Phi = mat_exp(np.multiply.outer(t, M))
+        C = Phi[..., :N, N:] @ np.swapaxes(Phi[..., :N, :N], -1, -2)
+        return (C + np.swapaxes(C, -1, -2)) / 2.0
 
     def to_json_dict(self):
         return {

@@ -5,14 +5,19 @@ Gamma(z, zeta) = Gamma(x - E(t-tau) xi, t - tau) with the Gaussian form
     Gamma(x, t) = (4 pi)^{-N/2} / sqrt(det C(t))
                   * exp(-<C(t)^{-1} x, x>/4 - t tr B),   t > 0,
 
-and zero for t <= 0.  C(t) is the covariance integral of the flow.  The
-derivative formulas below come from differentiating the closed form;
-every one of them is cross-checked against finite differences in the
-test suite before anything downstream relies on it.
+and zero for t <= 0.  C(t) is the covariance integral of the flow.
+
+kernel_jet_rows evaluates Gamma and its derivatives in z on a row block,
+with E(dt) and C(dt) factorised once per distinct time step by stacked
+calls and nothing cached; gamma, gamma_grad, gamma_hess, gamma_hess_m
+and gamma_Y are its K = 1 calls, and each row rounds exactly as its own
+K = 1 call does.  Every derivative formula is cross-checked against
+finite differences in the test suite.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,126 +28,125 @@ from .errors import (
     HypoellipticityError,
     SupportError,
 )
-from .group import (Point, as_points, compose, dilate, embedded_A, inverse, knorm,
+from .group import (dilate, embedded_A, finite_rows, kdist_rows, knorm_rows,
                     origin, sample_ball)
-from .matrixcalc import gauss_panels, tensor_rule
+from .matrixcalc import dot_rows, gauss_panels, matvec_rows, tensor_rule, vecmat_rows
 
-TIME_QUANTUM = 1e-12
-
-
-@dataclass(frozen=True)
-class Covariance:
-    """C(t) together with its inverse and log-determinant."""
-
-    t: float
-    C: np.ndarray
-    Cinv: np.ndarray
-    logdet: float
+ROW_CHUNK = 4096  # most rows factorised at once: each holds ~16 N^2 floats of work
+Covariance = namedtuple("Covariance", "t C Cinv logdet")
+# Gamma at K rows with its (K, N) gradient in z, its (K, N, N) spatial
+# Hessian (L uses the m x m corner) and Y Gamma = <B x, grad> - d_t Gamma
+KernelJet = namedtuple("KernelJet", "gamma grad hess Y")
 
 
 @dataclass
 class KernelContext:
-    """An operator spec plus a covariance cache keyed by quantized time."""
+    """The operator spec the kernel functions evaluate against."""
 
     spec: object
-    _cache: dict = field(default_factory=dict, repr=False)
+
+
+def _factorise(spec, t):
+    """C(t), C(t)^{-1} and log det C(t) for a (K,) array of times > 0, each
+    slice bit-identical to its own K = 1 call.  DomainError if C(t)
+    overflows, HypoellipticityError if it is numerically singular."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = spec.C(t)
+    except AccuracyError:  # exp(t M) overflowed
+        C = None
+    if C is None or not np.isfinite(C).all():
+        raise DomainError(f"C(t) is not finite for a time step up to {t.max()}")
+    sign, logdet = np.linalg.slogdet(C)
+    bad = (sign <= 0) | (np.linalg.eigvalsh(C)[:, 0] <= 1e-300)
+    if bad.any():
+        raise HypoellipticityError(f"C({t[bad][0]}) is numerically singular")
+    return C, np.linalg.inv(C), logdet
 
 
 def covariance(ctx, t):
-    """Covariance C(t) with its inverse and log-determinant, cached.
+    """C(t) with its inverse and log-determinant, uncached (K = 1)."""
+    if not t > 0.0:
+        raise DomainError(f"covariance needs t > 0, got {t}")
+    C, Cinv, logdet = _factorise(ctx.spec, np.array([float(t)]))
+    return Covariance(t=t, C=C[0], Cinv=Cinv[0], logdet=float(logdet[0]))
 
-    The matrix is ``spec.C(t)``; a miss also checks that it is
-    numerically nonsingular, which the Hormander condition guarantees.
+
+def kernel_jet_rows(spec, Z, P, derivatives=True):
+    """Gamma(z, zeta) for the rows z of the (K, N+1) block Z and the poles
+    zeta of P, which has K rows or one row paired with every row of Z.
+
+    Returns a KernelJet; with ``derivatives=False`` only the (K,) values,
+    zero on and below the pole time (the derivatives need t > tau on
+    every row: SupportError).  The exponent is a math.exp per row, since
+    numpy's exp rounds differently on some inputs.
     """
-    if not (t > 0.0 and math.isfinite(t / TIME_QUANTUM)):
-        raise DomainError(f"covariance needs t > 0 in the cache's range, got {t}")
-    key = round(t / TIME_QUANTUM)
-    hit = ctx._cache.get(key)
-    if hit is not None:
-        return hit
-    C = ctx.spec.C(t)
-    sign, logdet = np.linalg.slogdet(C)
-    if sign <= 0 or np.linalg.eigvalsh(C)[0] <= 1e-300:
-        raise HypoellipticityError(f"C({t}) is numerically singular")
-    cov = Covariance(t=t, C=C, Cinv=np.linalg.inv(C), logdet=float(logdet))
-    ctx._cache[key] = cov
-    return cov
+    Z, P = finite_rows(Z), finite_rows(P)
+    if len(Z) > ROW_CHUNK:
+        parts = [kernel_jet_rows(spec, Z[k:k + ROW_CHUNK], P[k:k + ROW_CHUNK] if len(P) > 1
+                                 else P, derivatives) for k in range(0, len(Z), ROW_CHUNK)]
+        return KernelJet(*map(np.concatenate, zip(*parts))) if derivatives else np.concatenate(parts)
+    dt = Z[:, -1] - P[:, -1]
+    live = dt > 0.0
+    if derivatives and not live.all():
+        raise SupportError(f"kernel derivative needs t - tau > 0, got {dt[~live][0]}")
+    g = np.zeros(len(Z))
+    X, Xi, dt = Z[live, :-1], (P[live] if len(P) > 1 else P)[:, :-1], dt[live]
+    times, at = np.unique(dt, return_inverse=True)
+    _, Cinv, logdet = _factorise(spec, times)
+    E, Cinv, logdet = spec.E(times)[at], Cinv[at], logdet[at]
+    EXi = matvec_rows(E, Xi)
+    W = X - EXi
+    quad = dot_rows(vecmat_rows(W, Cinv), W)
+    log_pref = -0.5 * spec.N * math.log(4.0 * math.pi) - 0.5 * logdet
+    arg = log_pref - 0.25 * quad - dt * np.trace(spec.B)
+    g[live] = [math.exp(v) for v in arg.tolist()]
+    if not derivatives:
+        return g
 
-
-def _centered(ctx, z, zeta):
-    """(w, dt) with w = x - E(dt) xi; requires dt > 0."""
-    dt = z.t - zeta.t
-    if dt <= 0.0:
-        raise SupportError(f"kernel derivative needs t - tau > 0, got {dt}")
-    w = z.x - ctx.spec.E(dt) @ zeta.x
-    return w, dt
+    CW = matvec_rows(Cinv, W)
+    grad = -0.5 * CW * g[:, None]
+    hess = (0.25 * (CW[:, :, None] * CW[:, None, :]) - 0.5 * Cinv) * g[:, None, None]
+    # d_t Gamma from C'(dt) = E A~ E^T and w' = B E xi; a 2-d trace per row
+    Cprime = np.matmul(np.matmul(E, embedded_A(spec)), np.swapaxes(E, -1, -2))
+    tr = np.array([np.trace(M) for M in np.matmul(Cinv, Cprime)])
+    dlog_dt = (-0.5 * tr - 0.5 * dot_rows(CW, matvec_rows(spec.B, EXi))
+               + 0.25 * dot_rows(vecmat_rows(CW, Cprime), CW) - float(np.trace(spec.B)))
+    Y = dot_rows(matvec_rows(spec.B, X), grad) - dlog_dt * g
+    return KernelJet(gamma=g, grad=grad, hess=hess, Y=Y)
 
 
 def gamma(ctx, z, zeta=None):
     """Kernel value Gamma(z, zeta); zero on and below the pole time."""
-    spec = ctx.spec
     if zeta is None:
-        zeta = origin(spec.N)
-    dt = z.t - zeta.t
-    if dt <= 0.0:
-        return 0.0
-    w = z.x - spec.E(dt) @ zeta.x
-    cov = covariance(ctx, dt)
-    quad = float(w @ cov.Cinv @ w)
-    log_pref = -0.5 * spec.N * math.log(4.0 * math.pi) - 0.5 * cov.logdet
-    return math.exp(log_pref - 0.25 * quad - dt * np.trace(spec.B))
+        zeta = origin(ctx.spec.N)
+    return float(kernel_jet_rows(ctx.spec, z.row(), zeta.row(), derivatives=False)[0])
 
 
 def gamma_grad(ctx, z, zeta):
     """Full spatial gradient of Gamma in z: -C^{-1} w Gamma / 2."""
-    w, dt = _centered(ctx, z, zeta)
-    cov = covariance(ctx, dt)
-    return -0.5 * (cov.Cinv @ w) * gamma(ctx, z, zeta)
+    return kernel_jet_rows(ctx.spec, z.row(), zeta.row()).grad[0]
 
 
 def gamma_hess(ctx, z, zeta):
     """Full N x N spatial Hessian of Gamma in z."""
-    w, dt = _centered(ctx, z, zeta)
-    cov = covariance(ctx, dt)
-    g = gamma(ctx, z, zeta)
-    cw = cov.Cinv @ w
-    return (0.25 * np.outer(cw, cw) - 0.5 * cov.Cinv) * g
+    return kernel_jet_rows(ctx.spec, z.row(), zeta.row()).hess[0]
 
 
 def gamma_hess_m(ctx, z, zeta):
     """Top-left m x m block of the spatial Hessian."""
-    m = ctx.spec.m
-    return gamma_hess(ctx, z, zeta)[:m, :m]
+    return gamma_hess(ctx, z, zeta)[:ctx.spec.m, :ctx.spec.m]
 
 
 def gamma_Y(ctx, z, zeta):
-    """Lie derivative Y Gamma = <B x, grad> - d_t Gamma, analytically.
-
-    Uses C'(dt) = E(dt) A~ E(dt)^T and w' = B E(dt) xi for the time
-    derivative of the closed form.
-    """
-    spec = ctx.spec
-    w, dt = _centered(ctx, z, zeta)
-    cov = covariance(ctx, dt)
-    g = gamma(ctx, z, zeta)
-    E = spec.E(dt)
-    Cprime = E @ embedded_A(spec) @ E.T
-    wprime = spec.B @ (E @ zeta.x)
-    cw = cov.Cinv @ w
-    dlog_dt = (
-        -0.5 * float(np.trace(cov.Cinv @ Cprime))
-        - 0.5 * float(cw @ wprime)
-        + 0.25 * float(cw @ Cprime @ cw)
-        - float(np.trace(spec.B))
-    )
-    grad = -0.5 * cw * g
-    return float(spec.B @ z.x @ grad) - dlog_dt * g
+    """Lie derivative Y Gamma = <B x, grad> - d_t Gamma, analytically."""
+    return float(kernel_jet_rows(ctx.spec, z.row(), zeta.row()).Y[0])
 
 
 def check_kernel_pde(ctx, z, zeta):
     """Residual of L Gamma = sum a_ij d2 Gamma + Y Gamma; should vanish."""
-    H = gamma_hess_m(ctx, z, zeta)
-    return float(np.sum(ctx.spec.A * H)) + gamma_Y(ctx, z, zeta)
+    jet, m = kernel_jet_rows(ctx.spec, z.row(), zeta.row()), ctx.spec.m
+    return float(np.sum(ctx.spec.A * jet.hess[0, :m, :m])) + float(jet.Y[0])
 
 
 def check_homogeneity(ctx, z, r):
@@ -161,21 +165,21 @@ def kernel_mass(ctx, t, nodes_per_dim=32, tol=1e-6):
     """Quadrature of x -> Gamma(x, t); must equal exp(-t tr B).
 
     Integrates over a box of +-8 standard deviations of the underlying
-    Gaussian (mass outside < 1e-8) and doubles the node count once as a
-    self-check.  The weighted values are summed by math.fsum, exactly
-    rounded: a BLAS dot over the 16,384 nodes of the fine pass groups
-    its terms by the thread count, which moved the last digits.
+    Gaussian (mass outside < 1e-8), one row block per pass, and doubles
+    the node count once as a self-check.  The weighted values are summed
+    by math.fsum, exactly rounded: a BLAS dot over the 16,384 nodes of the
+    fine pass groups its terms by the thread count.
     """
     if t <= 0.0:
         raise DomainError("mass check needs t > 0")
-    cov = covariance(ctx, t)
-    sigma = np.sqrt(np.diag(2.0 * cov.C))
-    half_widths = 8.0 * sigma
+    spec = ctx.spec
+    half_widths = 8.0 * np.sqrt(np.diag(2.0 * covariance(ctx, t).C))
 
     def run(n):
         # two composite Gauss-Legendre panels per axis of the box
         pts, w = tensor_rule([gauss_panels(-h, h, 2, n) for h in half_widths])
-        vals = np.array([gamma(ctx, Point(p, t)) for p in pts])
+        Z = np.column_stack([pts, np.full(len(pts), t)])
+        vals = kernel_jet_rows(spec, Z, origin(spec.N).row(), derivatives=False)
         return math.fsum(vals * w)
 
     coarse, fine = run(nodes_per_dim), run(2 * nodes_per_dim)
@@ -188,55 +192,40 @@ def check_bounds(ctx, samples=10_000, R0=1.0, seed=0):
     """Fitted constants of the kernel decay bounds by Monte-Carlo sup.
 
     Returns a dict mapping each bound name to the empirical supremum of
-    the corresponding product value * d_K^power over sampled pairs in
-    the box Q_{R0}.
+    the corresponding product value * d_K^power (libm pow) over sampled
+    pairs in the box Q_{R0}, pairs closer than 1e-6 in time or distance
+    left out.
     """
     spec = ctx.spec
     exps = spec.exponents()
-    Q = exps.Q
-    rng = np.random.default_rng(seed)
-    pts = as_points(sample_ball(spec, R0, 2 * samples, rng))
-    out = {"gamma": 0.0, "grad_m": 0.0, "hess_m": 0.0, "Y": 0.0}
-    for j in range(spec.m, spec.N):
-        out[f"grad_alpha{exps.alpha[j]}"] = 0.0
-    for i in range(samples):
-        z, zeta = pts[2 * i], pts[2 * i + 1]
-        if z.t - zeta.t <= 1e-6:
-            continue
-        d = knorm(compose(inverse(zeta, spec), z, spec), exps)
-        if d < 1e-6:
-            continue
-        g = gamma(ctx, z, zeta)
-        grad = gamma_grad(ctx, z, zeta)
-        H = gamma_hess_m(ctx, z, zeta)
-        Yg = gamma_Y(ctx, z, zeta)
-        out["gamma"] = max(out["gamma"], g * d**Q)
-        out["grad_m"] = max(out["grad_m"], np.abs(grad[: spec.m]).max() * d ** (Q + 1))
-        out["hess_m"] = max(out["hess_m"], np.abs(H).max() * d ** (Q + 2))
-        out["Y"] = max(out["Y"], abs(Yg) * d ** (Q + 2))
-        for j in range(spec.m, spec.N):
-            a = exps.alpha[j]
-            out[f"grad_alpha{a}"] = max(
-                out[f"grad_alpha{a}"], abs(grad[j]) * d ** (Q + a)
-            )
+    Q, m = exps.Q, spec.m
+    pts = sample_ball(spec, R0, 2 * samples, np.random.default_rng(seed))
+    later = pts[0::2, -1] - pts[1::2, -1] > 1e-6
+    Z, P = pts[0::2][later], pts[1::2][later]
+    d = kdist_rows(Z, P, spec)
+    apart = d >= 1e-6
+    jet, d = kernel_jet_rows(spec, Z[apart], P[apart]), d[apart].tolist()
+    grad = np.abs(jet.grad)
+    terms = [("gamma", jet.gamma, Q), ("grad_m", grad[:, :m].max(axis=1), Q + 1),
+             ("hess_m", np.abs(jet.hess[:, :m, :m]).max(axis=(1, 2)), Q + 2),
+             ("Y", np.abs(jet.Y), Q + 2)]
+    terms += [(f"grad_alpha{exps.alpha[j]}", grad[:, j], Q + exps.alpha[j])
+              for j in range(m, spec.N)]
+    out = {}
+    for key, vals, power in terms:
+        out[key] = max([out.get(key, 0.0)]
+                       + [v * r**power for v, r in zip(vals.tolist(), d)])
     return out
 
 
 def annulus_sup(ctx, R, samples=2000, seed=0):
-    """Sup of Gamma over z in Q_{R/2}, zeta in Q_R minus Q_{3R/4}."""
+    """Sup of Gamma over z in Q_{R/2}, zeta in Q_R minus Q_{3R/4}: the
+    first ``samples`` poles of the annulus, the k-th paired with point
+    (k + 1) mod samples of the inner ball."""
     spec = ctx.spec
-    exps = spec.exponents()
     rng = np.random.default_rng(seed)
-    zs = as_points(sample_ball(spec, R / 2.0, samples, rng))
-    best = 0.0
-    kept = 0
-    for zeta in as_points(sample_ball(spec, R, 8 * samples, rng)):
-        if knorm(zeta, exps) < 0.75 * R:
-            continue
-        kept += 1
-        z = zs[kept % len(zs)]
-        if z.t > zeta.t:
-            best = max(best, gamma(ctx, z, zeta))
-        if kept >= samples:
-            break
-    return best
+    zs = sample_ball(spec, R / 2.0, samples, rng)
+    poles = sample_ball(spec, R, 8 * samples, rng)
+    poles = poles[~(knorm_rows(poles, spec.exponents()) < 0.75 * R)][:samples]
+    Z = zs[np.arange(1, len(poles) + 1) % len(zs)]
+    return max([0.0] + kernel_jet_rows(spec, Z, poles, derivatives=False).tolist())

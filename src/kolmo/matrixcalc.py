@@ -91,6 +91,11 @@ def matvec_rows(M, X):
     return np.matmul(M, X[..., None])[..., 0]
 
 
+def vecmat_rows(X, M):
+    """Row-wise x @ M for a (K, n) block X and a (K, n, n) stack M: one gemv per row."""
+    return np.matmul(X[..., None, :], M)[..., 0, :]
+
+
 def dot_rows(X, Y):
     """Row-wise x @ y of two (K, n) blocks (or one (n,) vector), one BLAS
     dot per row as in a single x @ y."""

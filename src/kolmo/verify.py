@@ -26,9 +26,9 @@ from .errors import (
     EllipticityError,
     ManufactureError,
 )
-from .group import (Point, as_points, compose, dilate, kdist, kdist_rows, knorm,
-                    rowwise, sample_ball)
-from .kernel import covariance, gamma, gamma_grad, gamma_hess_m, gamma_Y
+from .group import (Point, as_points, compose, dilate, finite_rows, kdist_rows,
+                    knorm, rowwise, sample_ball)
+from .kernel import covariance, kernel_jet_rows
 from .matrixcalc import mat_exp, sqrt_spd, tensor_rule
 from .modulus import (
     dini_integral,
@@ -307,24 +307,25 @@ def _hermite_slice(ctx, z, tau, nodes_x):
     """
     spec = ctx.spec
     dt = z.t - tau
-    cov = covariance(ctx, dt)
-    S = sqrt_spd(2.0 * cov.C)
+    S = sqrt_spd(2.0 * covariance(ctx, dt).C)
     Y, W = _hermite_grid(nodes_x, spec.N)
     M = mat_exp(dt * spec.B)
     pts = (z.x[None, :] - (math.sqrt(2.0) * (Y @ S.T))) @ M.T
     return pts, W, M
 
 
-def _inner_slice(ctx, fvec, z, tau, nodes_x):
-    """int N(w; 0, 2C(dt)) f(exp(dt B)(x - w), tau) dw by Gauss-Hermite."""
+def _inner_slice(ctx, f, z, tau, nodes_x):
+    """int N(w; 0, 2C(dt)) f(exp(dt B)(x - w), tau) dw by Gauss-Hermite,
+    with f called once on the slice's nodes as one row block."""
     pts, W, _ = _hermite_slice(ctx, z, tau, nodes_x)
-    vals = np.array([fvec(Point(p, tau)) for p in pts])
+    vals = f(finite_rows(np.column_stack([pts, np.full(len(pts), tau)])))
     return float(vals @ W) / math.pi ** (ctx.spec.N / 2.0)
 
 
 def convolve_solution(ctx, f, z, t_lo, nodes_t=16, nodes_x=24, check=True,
                       check_tol=1e-4):
-    """u(z) = -int Gamma(z, zeta) f(zeta) d zeta over times in [t_lo, t).
+    """u(z) = -int Gamma(z, zeta) f(zeta) d zeta over times in [t_lo, t),
+    for f mapping a (K, N+1) row block to its K values.
 
     The spatial integral is de-singularized by the substitution
     w = x - E(dt) xi, which turns the kernel into a plain Gaussian
@@ -369,32 +370,30 @@ def verify_apriori(ctx, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
 
     Fits the constant as the max over harmonic family members and
     sample points of the scaled ratios; second derivatives and Y use
-    the R^{-2} scaling.
+    the R^{-2} scaling.  Each pole's sup sample and derivative sample
+    are one row block each.
     """
-    spec = ctx.spec
+    spec, m = ctx.spec, ctx.spec.m
     exps = spec.exponents()
     rng = np.random.default_rng(seed)
     groups = sorted({f"grad_alpha{exps.alpha[j]}" for j in range(spec.N)})
     groups += ["second", "Y"]
     per_R = {R: {g: 0.0 for g in groups} for R in R_list}
     for R in R_list:
+        cell = per_R[R]
         for p in harmonic_family(ctx, R, poles, rng):
-            sup_u = max(gamma(ctx, zq, p) for zq in
-                        as_points(sample_ball(spec, R, 4 * samples, rng)))
+            sup_u = float(kernel_jet_rows(spec, sample_ball(spec, R, 4 * samples, rng),
+                                          p.row(), derivatives=False).max())
             if sup_u <= 0.0:
                 continue
-            cell = per_R[R]
-            for z in as_points(sample_ball(spec, R / 2.0, samples, rng)):
-                grad = gamma_grad(ctx, z, p)
-                H = gamma_hess_m(ctx, z, p)
-                Yv = gamma_Y(ctx, z, p)
-                for j in range(spec.N):
-                    key = f"grad_alpha{exps.alpha[j]}"
-                    cell[key] = max(
-                        cell[key], abs(grad[j]) * R ** exps.alpha[j] / sup_u
-                    )
-                cell["second"] = max(cell["second"], np.abs(H).max() * R**2 / sup_u)
-                cell["Y"] = max(cell["Y"], abs(Yv) * R**2 / sup_u)
+            jet = kernel_jet_rows(spec, sample_ball(spec, R / 2.0, samples, rng),
+                                  p.row())
+            scaled = [(f"grad_alpha{a}", np.abs(jet.grad[:, j]) * R**a)
+                      for j, a in enumerate(exps.alpha)]
+            scaled += [("second", np.abs(jet.hess[:, :m, :m]).max(axis=(1, 2)) * R**2),
+                       ("Y", np.abs(jet.Y) * R**2)]
+            for key, vals in scaled:
+                cell[key] = max(cell[key], float((vals / sup_u).max()))
     scaling = {R: max(per_R[R].values()) for R in R_list}
     stable = all(
         _stable({R: per_R[R][g] for R in R_list}) for g in groups
@@ -413,22 +412,23 @@ def verify_apriori(ctx, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
 
 
 def verify_mean_value(ctx, R=0.5, poles=20, samples=120, seed=0):
-    """|u(z) - u(zeta)| <= C kdist(z, zeta) sup|u| / R for harmonic u."""
+    """|u(z) - u(zeta)| <= C kdist(z, zeta) sup|u| / R for harmonic u,
+    with zeta the origin; pairs closer than R/100 are left out."""
     spec = ctx.spec
     rng = np.random.default_rng(seed)
     ratios = []
-    center = Point(np.zeros(spec.N), 0.0)
+    center = np.zeros((1, spec.N + 1))
     for p in harmonic_family(ctx, R, poles, rng):
-        sup_u = max(gamma(ctx, zq, p) for zq in
-                    as_points(sample_ball(spec, R, 4 * samples, rng)))
+        sup_u = float(kernel_jet_rows(spec, sample_ball(spec, R, 4 * samples, rng),
+                                      p.row(), derivatives=False).max())
         if sup_u <= 0.0:
             continue
-        u_c = gamma(ctx, center, p)
-        for z in as_points(sample_ball(spec, R / 2.0, samples, rng)):
-            d = kdist(z, center, spec)
-            if d < R / 100.0:
-                continue
-            ratios.append(abs(gamma(ctx, z, p) - u_c) * R / (d * sup_u))
+        Z = sample_ball(spec, R / 2.0, samples, rng)
+        u = kernel_jet_rows(spec, np.vstack([center, Z]), p.row(),
+                            derivatives=False)
+        d = kdist_rows(Z, center, spec)
+        ratio = np.abs(u[1:] - u[0]) * R / (d * sup_u)
+        ratios += ratio[~(d < R / 100.0)].tolist()
     fitted = max(ratios) if ratios else 0.0
     return EstimateReport(
         name="mean-value",

@@ -174,17 +174,36 @@ def test_pair_chunks_cover_every_pair_once():
 
 def test_kernel_mass_does_not_depend_on_the_thread_count():
     # a BLAS dot over the 16,384 nodes of the fine pass grouped its terms
-    # by the thread count; the sum is exactly rounded now
-    argv = ["kernel", "--spec", KOLMO, "--point", "0,0,1", "--mass-time", "0.5"]
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
-                   OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-m", "kolmo.cli", *argv],
-                              env=env, capture_output=True, timeout=120)
-        assert proc.returncode == 0
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    # by the thread count; the sum is exactly rounded now.  verify apriori
+    # runs the kernel on row blocks, where a product over all rows at once
+    # could round by the thread count as well
+    for argv in (["kernel", "--spec", KOLMO, "--point", "0,0,1", "--mass-time", "0.5"],
+                 ["verify", "apriori", "--spec", KOLMO]):
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "kolmo.cli", *argv],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    # kolmo verify mean-value ... | head -1: the reader leaves after the
+    # first line, long before the 100 kB report is written
+    env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kolmo.cli", "verify", "mean-value", "--spec",
+         KOLMO, "--poles", "4", "--samples", "2000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert first.startswith(b"mean-value: fitted constant")
+    assert err == b""
 
 
 def test_verify_verb(capsys):
@@ -246,6 +265,13 @@ def test_bad_input_keeps_exit_code_contract(name, tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode in (0, 2, 3, 4)
     assert "Traceback" not in proc.stderr
+
+
+def test_time_step_beyond_the_covariance_range_is_a_usage_error(capsys):
+    # C(1e300) overflows: a DomainError (exit 3), not the exponential's
+    # AccuracyError (exit 4)
+    assert run(["kernel", "--spec", KOLMO, "--point", "0,0,1e300"]) == 3
+    assert capsys.readouterr().err.startswith("error: C(t) is not finite")
 
 
 def test_report_bytes_deterministic(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from kolmo import (
     KernelContext,
     Point,
+    as_points,
     check_bounds,
     check_homogeneity,
     check_kernel_pde,
@@ -17,9 +18,13 @@ from kolmo import (
     heat_spec,
     hormander_check,
     integrate_matrix,
+    kernel_jet_rows,
     kernel_mass,
+    kolmogorov_spec,
+    make_spec,
     origin,
 )
+from kolmo import kernel
 from kolmo.errors import ApplicabilityError, DomainError, SupportError
 from kolmo.group import embedded_A
 from kolmo.kernel import annulus_sup
@@ -49,6 +54,70 @@ def test_covariance_matches_quadrature(kctx, kinetic, drifted, kappa2):
 def test_covariance_needs_positive_time(kctx):
     with pytest.raises(DomainError):
         covariance(kctx, 0.0)
+
+
+def test_gamma_does_not_depend_on_call_history():
+    # a cache keyed by round(t / 1e-12) once returned the first C(t) stored
+    # under a nearby time: 2.494e25 for 1.680e24 at dt = 4e-13 after
+    # dt = 1e-13, and the t = 0.7 value at t = 0.7 + 3e-13
+    spec = kolmogorov_spec(1)
+    ctx = KernelContext(spec)
+    for t in (1e-13, 4e-13, 0.7, 0.7 + 3e-13):
+        z = Point([0.0, 0.0], t)
+        assert gamma(ctx, z) == gamma(KernelContext(spec), z)
+    assert gamma(ctx, Point([0.0, 0.0], 4e-13)) < 2e24
+
+
+def test_kernel_jet_rows_in_chunks(drifted, monkeypatch):
+    # a long block is factorised ROW_CHUNK rows at a time, to the same bytes;
+    # with the poles a time unit later, some rows lie below their pole
+    rng = np.random.default_rng(4)
+    Z = np.column_stack([rng.uniform(-1, 1, (40, 2)), rng.uniform(0.2, 1.5, 40)])
+    P = np.column_stack([rng.uniform(-1, 1, (40, 2)), rng.uniform(-0.5, 0.0, 40)])
+    whole = [kernel_jet_rows(drifted, Z, poles) for poles in (P, P[:1])]
+    values = kernel_jet_rows(drifted, Z, P + [0, 0, 1.0], derivatives=False)
+    monkeypatch.setattr(kernel, "ROW_CHUNK", 7)
+    for jet, poles in zip(whole, (P, P[:1])):
+        for got, want in zip(kernel_jet_rows(drifted, Z, poles), jet):
+            assert np.array_equal(got, want)
+    assert np.array_equal(
+        kernel_jet_rows(drifted, Z, P + [0, 0, 1.0], derivatives=False), values)
+
+
+def _scalar_jet(spec, z, zeta):
+    """Gamma, gradient, Hessian and Y Gamma of one pair the per-Point way,
+    with 2-d numpy products, a 2-d factorisation of C and math.exp."""
+    dt = z.t - zeta.t
+    E = spec.E(dt)
+    C = spec.C(dt)
+    Cinv, logdet = np.linalg.inv(C), np.linalg.slogdet(C)[1]
+    w = z.x - E @ zeta.x
+    log_pref = -0.5 * spec.N * math.log(4.0 * math.pi) - 0.5 * logdet
+    g = math.exp(log_pref - 0.25 * float(w @ Cinv @ w) - dt * np.trace(spec.B))
+    cw = Cinv @ w
+    Cprime = E @ embedded_A(spec) @ E.T
+    dlog_dt = (-0.5 * float(np.trace(Cinv @ Cprime))
+               - 0.5 * float(cw @ (spec.B @ (E @ zeta.x)))
+               + 0.25 * float(cw @ Cprime @ cw) - float(np.trace(spec.B)))
+    grad = -0.5 * cw * g
+    hess = (0.25 * np.outer(cw, cw) - 0.5 * Cinv) * g
+    return g, grad, hess, float(spec.B @ z.x @ grad) - dlog_dt * g
+
+
+def test_kernel_jet_rows_round_as_the_scalar_route(kspec, drifted, kappa2, heat):
+    # the row block keeps the per-Point arithmetic bit for bit (math.exp,
+    # gemv for C^{-1} w and for w C^{-1}, 2-d traces), so reports do not move
+    m2 = make_spec(np.eye(2), np.block([[np.zeros((2, 2)), np.zeros((2, 2))],
+                                        [-np.eye(2), np.zeros((2, 2))]]), (2, 2))
+    rng = np.random.default_rng(9)
+    for spec in (kspec, drifted, kappa2, heat, m2):
+        Z = np.column_stack([rng.uniform(-1, 1, (60, spec.N)), rng.uniform(0.1, 1.5, 60)])
+        P = np.column_stack([rng.uniform(-1, 1, (60, spec.N)), rng.uniform(-1, 0.0, 60)])
+        jet = kernel_jet_rows(spec, Z, P)
+        for k, (z, zeta) in enumerate(zip(as_points(Z), as_points(P))):
+            want = _scalar_jet(spec, z, zeta)
+            for got, value in zip(jet, want):
+                assert np.array_equal(got[k], value)
 
 
 def test_gamma_origin_value(kctx):
@@ -123,11 +192,9 @@ def test_chapman_kolmogorov_heat_1d(heat):
     x, t = 0.4, 1.0
     sigma_mid = 0.6
     ys = np.linspace(-12.0, 12.0, 3001)
-    vals = np.array([
-        gamma(ctx, Point([x - 0.0], 0.0), Point([y], -sigma_mid))
-        * gamma(ctx, Point([y], -sigma_mid), Point([0.0], -t))
-        for y in ys
-    ])
+    mids = np.column_stack([ys, np.full(len(ys), -sigma_mid)])
+    vals = (kernel_jet_rows(heat, np.repeat([[x, 0.0]], len(ys), 0), mids, False)
+            * kernel_jet_rows(heat, mids, [[0.0, -t]], False))
     lhs = np.trapezoid(vals, ys)
     rhs = gamma(ctx, Point([x], 0.0), Point([0.0], -t))
     assert abs(lhs - rhs) < 1e-8 * rhs

@@ -1,8 +1,9 @@
-"""Row blocks against K = 1: every group operation, the samplers and the
-bundle fields give, on a (K, N+1) block, exactly (==) what they give one
-point at a time, over generated admissible specs.  Independent scalar
-oracles pin the two rounding rules: libm pow in the quasi-norm, and a
-Python-float square in the Gaussian bundle's time term."""
+"""Row blocks against K = 1: every group operation, the samplers, the
+bundle fields and the kernel jet give, on a (K, N+1) block, exactly (==)
+what they give one point at a time, over generated admissible specs.
+Independent scalar oracles pin the two rounding rules: libm pow in the
+quasi-norm, and a Python-float square in the Gaussian bundle's time term.
+The kernel also meets its PDE and its mass identity on those specs."""
 
 import math
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from kolmo import (
     DomainError,
+    KernelContext,
     Point,
     as_points,
     compose,
@@ -20,17 +22,24 @@ from kolmo import (
     coordinate_bundle,
     dilate,
     dilate_rows,
+    gamma,
+    gamma_Y,
+    gamma_grad,
+    gamma_hess,
     gaussian_bundle,
     inverse,
     inverse_rows,
     kdist,
     kdist_rows,
+    kernel_jet_rows,
+    kernel_mass,
     knorm,
     knorm_rows,
     make_spec,
     quadratic_bundle,
     sample_ball,
 )
+from kolmo.matrixcalc import matvec_rows
 from kolmo.modulus import _scaled_pairs
 
 # Non-increasing block sizes with m in {1, 2} and N <= 6.
@@ -199,3 +208,77 @@ def test_rows_reject_non_finite(kspec, bad):
         compose_rows(huge, huge, kspec)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
         dilate_rows(1e200, huge, exps)
+
+
+def kernel_rows(spec, rng, count=K, one_pole=False):
+    """Points Z above poles P with z - zeta at the kernel's own scale:
+    t - tau in [0.5, 1.5], where C is well conditioned on every generated
+    spec, and x = E(t - tau) xi + V sqrt(lambda) u with C = V lambda V^T
+    and u uniform in the unit box, so Gamma stays far from underflow.
+    ``one_pole`` repeats one pole on every row."""
+    P = random_rows(spec, rng, 1 if one_pole else count)
+    P = np.repeat(P, count // len(P), axis=0)
+    dt = rng.uniform(0.5, 1.5, count)
+    lam, V = np.linalg.eigh(spec.C(dt))
+    u = np.sqrt(lam) * rng.uniform(-1.0, 1.0, (count, spec.N))
+    Z = np.empty_like(P)
+    Z[:, :-1] = matvec_rows(spec.E(dt), P[:, :-1]) + matvec_rows(V, u)
+    Z[:, -1] = P[:, -1] + dt
+    return Z, P
+
+
+JET_FIELDS = ("gamma", "grad", "hess", "Y")
+
+
+@PROPERTY
+@given(specs, st.integers(0, 2**32 - 1))
+def test_kernel_jet_rows_match_one_row_at_a_time(spec, seed):
+    rng = np.random.default_rng(seed)
+    pole_per_row, one_pole = kernel_rows(spec, rng), kernel_rows(spec, rng, one_pole=True)
+    # a pole per row, and one pole row paired with every row
+    for Z, poles in (pole_per_row, (one_pole[0], one_pole[1][:1])):
+        jet = kernel_jet_rows(spec, Z, poles)
+        assert np.array_equal(kernel_jet_rows(spec, Z, poles, derivatives=False),
+                              jet.gamma)
+        for k in range(K):
+            one = kernel_jet_rows(spec, Z[k:k + 1], poles[k % len(poles)][None])
+            for field in JET_FIELDS:
+                assert np.array_equal(getattr(jet, field)[k],
+                                      getattr(one, field)[0]), field
+    # the Point wrappers are K = 1 calls
+    Z, P = pole_per_row
+    ctx, jet = KernelContext(spec), kernel_jet_rows(spec, Z, P)
+    for k, (z, zeta) in enumerate(zip(as_points(Z[:5]), as_points(P[:5]))):
+        assert gamma(ctx, z, zeta) == jet.gamma[k]
+        assert np.array_equal(gamma_grad(ctx, z, zeta), jet.grad[k])
+        assert np.array_equal(gamma_hess(ctx, z, zeta), jet.hess[k])
+        assert gamma_Y(ctx, z, zeta) == jet.Y[k]
+    # Gamma vanishes on and below the pole time, whatever the other rows
+    Z[::2, -1] = P[::2, -1] - np.arange(0, K, 2) / K
+    values = kernel_jet_rows(spec, Z, P, derivatives=False)
+    assert not values[::2].any() and np.array_equal(
+        values[1::2], kernel_jet_rows(spec, Z[1::2], P[1::2], derivatives=False))
+
+
+@PROPERTY
+@given(specs, st.integers(0, 2**32 - 1))
+def test_kernel_jet_rows_solve_the_pde(spec, seed):
+    # sum a_ij d2_ij Gamma + Y Gamma = 0 row by row, relative to its terms
+    Z, P = kernel_rows(spec, np.random.default_rng(seed))
+    jet, m = kernel_jet_rows(spec, Z, P), spec.m
+    second = np.sum(spec.A * jet.hess[:, :m, :m], axis=(1, 2))
+    scale = np.maximum(np.abs(second), np.abs(jet.Y))
+    assert (scale > 0.0).all()
+    assert (np.abs(second + jet.Y) <= 1e-6 * scale).all()
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(st.sampled_from([(1,), (1, 1), (2,)]), st.integers(0, 2**32 - 1),
+       st.booleans(), st.floats(0.1, 1.0))
+def test_kernel_mass_is_exp_minus_t_trace(blocks, seed, principal, t):
+    # N <= 2: the fine tensor grid of kernel_mass has 128^N points.  t <= 1:
+    # later, on some non-principal drifts C(t) is so correlated (|corr| >
+    # 0.97) that the axis-aligned grid does not converge (AccuracyError)
+    spec = admissible_spec(blocks, seed, principal)
+    mass = kernel_mass(KernelContext(spec), t)
+    assert abs(mass / math.exp(-t * np.trace(spec.B)) - 1.0) < 1e-6

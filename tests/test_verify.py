@@ -97,7 +97,7 @@ def test_convolution_duhamel_time_only(heat):
     # f = f(tau) only: u(z) = -int_{t_lo}^{t} f, since the mass is 1
     ctx = KernelContext(heat)
     z = Point([0.2], 0.5)
-    val = convolve_solution(ctx, lambda zeta: math.cos(zeta.t), z, t_lo=-0.5)
+    val = convolve_solution(ctx, lambda Z: np.cos(Z[:, -1]), z, t_lo=-0.5)
     assert abs(val - (-(math.sin(0.5) - math.sin(-0.5)))) < 1e-9
 
 
