@@ -30,7 +30,7 @@ from .errors import (
     SymmetryError,
     UsageError,
 )
-from .matrixcalc import mat_exp, matvec_rows, spd_min_eigen
+from .matrixcalc import exp_rows, exp_table, mat_exp, matvec_rows, spd_min_eigen
 
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
@@ -171,6 +171,7 @@ class OperatorSpec:
     blocks: BlockStructure
     zero_block_tol: float = ZERO_BLOCK_TOL
     rank_tol: float = RANK_TOL
+    # made on first use: the validated exponents and the exp_tables of E and C
     _exps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -209,10 +210,16 @@ class OperatorSpec:
         """True when B has only the subdiagonal blocks (B = B_0)."""
         return bool(np.abs(self.B - principal_B(self)).max() <= tol)
 
+    def _exp(self, key, generator):
+        """The exp_table of a generator, made on first use."""
+        if key not in self._exps:
+            self._exps[key] = exp_table(generator())
+        return self._exps[key]
+
     def E(self, tau):
         """Translation matrix E(tau) = exp(-tau B); an array of times gives
-        the stack of their matrices from one mat_exp call."""
-        return mat_exp(np.multiply.outer(np.negative(tau), self.B))
+        the stack of their matrices, from the powers of -B made once."""
+        return exp_rows(self._exp("E", lambda: -self.B), tau)
 
     def C(self, t):
         """Covariance C(t) = int_0^t E(s) A~ E(s)^T ds, symmetrised (stacked for an array t).
@@ -221,11 +228,15 @@ class OperatorSpec:
         top row of exp(t M) is [E(t), G(t)] with C(t) = G(t) E(t)^T.
         """
         N = self.N
-        M = np.zeros((2 * N, 2 * N))
-        M[:N, :N] = -self.B
-        M[:N, N:] = embedded_A(self)
-        M[N:, N:] = self.B.T
-        Phi = mat_exp(np.multiply.outer(t, M))
+
+        def block():
+            M = np.zeros((2 * N, 2 * N))
+            M[:N, :N] = -self.B
+            M[:N, N:] = embedded_A(self)
+            M[N:, N:] = self.B.T
+            return M
+
+        Phi = exp_rows(self._exp("C", block), t)
         C = Phi[..., :N, N:] @ np.swapaxes(Phi[..., :N, :N], -1, -2)
         return (C + np.swapaxes(C, -1, -2)) / 2.0
 

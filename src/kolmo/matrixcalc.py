@@ -2,8 +2,11 @@
 
 Everything here operates on plain numpy arrays.  Dimensions are tiny
 (N <= ~10), so the implementations favour determinism and accuracy over
-speed: the matrix exponential uses scipy's scaling-and-squaring Pade
-core, square roots go through a full symmetric eigendecomposition, and
+speed.  exp(t M) of a fixed generator M at a whole array of times comes
+from the powers of M, made once (exp_table, exp_rows): a finite series
+when M is nilpotent, otherwise a degree-18 Taylor series with scaling
+and squaring.  mat_exp is scipy's expm on one matrix, the independent
+route.  Square roots go through a full symmetric eigendecomposition, and
 the quadrature is a fixed-order composite Gauss-Legendre rule with a
 panel-doubling self-check.
 """
@@ -31,6 +34,12 @@ REFINE_TOL = 1e-10
 # dimensions has 128^2 = 16,384, and a grid held whole in memory at
 # 2^20 points of N = 4 floats takes 32 MB.
 TENSOR_BUDGET = 2**20
+# exp(X) of a non-nilpotent generator is the degree-18 Taylor series on
+# ||X||_1 < 1, where the tail is below 1/19! ~ 8e-18 of the leading term
+TAYLOR_DEGREE = 18
+# largest gap between an unscaled series and scipy's expm that exp_table
+# accepts; the entries of exp(X) with ||X||_1 < 1 are below e
+SERIES_CHECK_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -42,9 +51,24 @@ class SpdReport:
     tolerance: float
 
 
-def _as_square(M, stacked=False):
+@dataclass(frozen=True)
+class ExpTable:
+    """The powers of a generator M that exp_rows sums.
+
+    ``powers[k]`` is X^k / k! with X = M for a nilpotent M, whose series
+    ends at the last non-zero power; otherwise X = M / 2^shift with
+    2^shift > ||M||_1 = ``norm``, and k runs to TAYLOR_DEGREE.
+    """
+
+    powers: np.ndarray
+    nilpotent: bool
+    norm: float = 0.0
+    shift: int = 0
+
+
+def _as_square(M):
     M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or (M.ndim > 2 and not stacked) or M.shape[-2] != M.shape[-1]:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise DomainError("matrix has non-finite entries")
@@ -52,16 +76,81 @@ def _as_square(M, stacked=False):
 
 
 def mat_exp(M):
-    """Matrix exponential exp(M) of a small dense square matrix, or of
-    each matrix of a (..., n, n) stack in one scipy call.  scipy runs the
-    same code on every slice, so each slice is bit-identical to its own
-    call."""
-    M = _as_square(M, stacked=True)
+    """Matrix exponential exp(M) of one small dense square matrix by
+    scipy's scaling-and-squaring Pade core: the route independent of
+    exp_rows."""
+    M = _as_square(M)
     with np.errstate(over="ignore", invalid="ignore"):
         out = expm(M)
     if not np.isfinite(out).all():
         raise AccuracyError("overflow in matrix exponential")
     return out
+
+
+def exp_table(M):
+    """The powers of M for exp_rows, made once per generator.
+
+    M is nilpotent when one of M^1 .. M^n is exactly zero.  A truncated
+    series is checked once against mat_exp, at the time 2^-shift where
+    ||t M||_1 lies in [1/2, 1) and no squaring hides its truncation
+    (AccuracyError beyond SERIES_CHECK_TOL).
+    """
+    M = _as_square(M)
+    powers = [np.eye(len(M)), M]
+    while powers[-1].any() and len(powers) <= len(M):
+        powers.append(powers[-1] @ M)
+    if not powers[-1].any():
+        return ExpTable(_series_terms(powers[:-1]), nilpotent=True)
+    norm = float(np.abs(M).sum(axis=0).max())
+    shift = int(np.frexp(norm)[1])
+    scaled = np.ldexp(M, -shift)
+    powers = [np.eye(len(M)), scaled]
+    while len(powers) <= TAYLOR_DEGREE:
+        powers.append(powers[-1] @ scaled)
+    table = ExpTable(_series_terms(powers), nilpotent=False, norm=norm, shift=shift)
+    gap = np.abs(exp_rows(table, 2.0**-shift) - mat_exp(scaled)).max()
+    if not gap <= SERIES_CHECK_TOL:
+        raise AccuracyError(f"matrix exponential series is off by {gap:g}")
+    return table
+
+
+def _series_terms(powers):
+    """X^k / k! for the powers X^0 .. X^d."""
+    return np.array([P / math.factorial(k) for k, P in enumerate(powers)])
+
+
+def exp_rows(table, t):
+    """exp(t M) for the generator M of ``table``: one matrix for a scalar
+    t, or the (K, n, n) stack for a (K,) array of times.
+
+    Row k sums F = exp(u_k X) - I = sum over j >= 1 of u_k^j X^j / j!
+    element-wise, lowest power first, with u_k^j one running product;
+    squares it s_k times as exp(2Y) - I = F F + 2F, one matmul per
+    slice (a row with s_k <= j keeps its F at squaring j), which keeps
+    the relative accuracy of the small part near I; and adds I.
+    X = M / 2^shift, s_k = max(0, floor(log2(|t_k| ||M||_1)) + 1)
+    so that ||u_k X||_1 < 1, and u_k = t_k 2^(shift - s_k); for a
+    nilpotent M, X = M, u_k = t_k and nothing is squared.  Only t_k
+    decides its row's operations, so each row rounds exactly as its own
+    K = 1 call does.  AccuracyError on overflow, also of |t_k| ||M||_1.
+    """
+    t = np.asarray(t, dtype=float)
+    u = t.reshape(-1)
+    P = table.powers
+    s = np.zeros(len(u), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not table.nilpotent:  # an infinite |t_k| ||M||_1 leaves u_k infinite
+            s = np.maximum(np.frexp(u * table.norm)[1], 0)
+            u = np.ldexp(u, table.shift - s)
+        c = u[:, None].repeat(len(P) - 1, axis=1)
+        np.multiply.accumulate(c, axis=1, out=c)
+        F = np.add.reduce(c[:, :, None, None] * P[1:], axis=1)
+        for j in range(s.max(initial=0)):
+            F = np.where((s > j)[:, None, None], np.matmul(F, F) + 2.0 * F, F)
+        F += P[0]
+    if not np.isfinite(F).all():
+        raise AccuracyError("overflow in matrix exponential")
+    return F.reshape(t.shape + P[0].shape)
 
 
 def sqrt_spd(A):

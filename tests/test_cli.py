@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kolmo import cli, load_spec
+from kolmo import cli, load_spec, matrixcalc
 from kolmo.cli import run
 from kolmo.modulus import DEFAULT_RADII, modulus_from_pairs
 
@@ -81,15 +81,58 @@ def test_connect_nonconvergence_exit_code():
                 "--to", "0,0,0", "--tol", "0"]) == 4
 
 
-def test_connect_degenerate_direction_exit_code(tmp_path, capsys):
-    # on this three-level drift the planner meets a level-map solution
-    # whose norm overflows; that is a convergence failure, not a crash
+def _cli(argv, threads="1"):
+    env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
+               OPENBLAS_NUM_THREADS=threads)
+    return subprocess.run([sys.executable, "-m", "kolmo.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+
+
+def test_connect_degenerate_direction_exit_code(tmp_path):
+    # on this three-level drift the trial steps of the level-2 bracket
+    # overflow; that is a convergence failure, not a crash, and no numpy
+    # warning reaches stderr
     spec = tmp_path / "three_level.json"
     spec.write_text(json.dumps({"A": [[1.0]], "blocks": [1, 1, 1],
                                 "B": [[0, 0, 0], [1, 0, 0.3], [0, -2, 0]]}))
     pair = np.random.default_rng(2).uniform(-1.0, 1.0, 8)
     p, q = (",".join(repr(float(v)) for v in half) for half in (pair[:4], pair[4:]))
-    assert run(["connect", "--spec", str(spec), f"--from={p}", f"--to={q}"]) == 4
+    proc = _cli(["connect", "--spec", str(spec), f"--from={p}", f"--to={q}"])
+    assert proc.returncode == 4
+    assert proc.stdout.startswith(b"connect did not converge: no bracket")
+    assert proc.stderr == b""
+    # an overflow outside a trial step is the one-line accuracy failure
+    proc = _cli(["connect", "--spec", DRIFTED, "--from=0,0,0", "--to=0,1e300,0"])
+    assert proc.returncode == 4
+    assert proc.stderr.startswith(b"accuracy failure: overflow while planning")
+    assert proc.stderr.count(b"\n") == 1
+    # so is a time whose scaling |t| ||M||_1 overflows
+    proc = _cli(["connect", "--spec", DRIFTED, "--from=0,0,0", "--to=0,0,1e308"])
+    assert proc.returncode == 4
+    assert proc.stderr == b"accuracy failure: overflow in matrix exponential\n"
+
+
+def test_hot_paths_make_no_scipy_expm_call(monkeypatch, capsys):
+    # on principal drifts every E(t) and C(t) comes from the powers of its
+    # generator, so scipy's expm is never reached
+    def refuse(M):
+        raise AssertionError("scipy expm called on a hot path")
+
+    verbs = [["verify", "apriori", "--spec"],
+             ["verify", "schauder-var", "--varcoeff", "sin1", "--pairs", "300", "--spec"],
+             ["kernel", "--point", "0,0,1", "--mass-time", "0.5", "--spec"],
+             ["connect", "--from=-1,1,1", "--to=0,0,0", "--spec"]]
+    monkeypatch.setattr(matrixcalc, "expm", refuse)
+    for argv in verbs:
+        assert run(argv + [KINETIC if argv[0] == "connect" else KOLMO]) == 0
+    # on a non-principal drift the truncated series of each generator (-B,
+    # and the block generator of C) is checked once against scipy
+    calls = []
+    monkeypatch.setattr(matrixcalc, "expm", lambda M: calls.append(M) or expm(M))
+    for argv in verbs:
+        calls.clear()
+        run(argv + [DRIFTED])
+        assert 1 <= len(calls) <= 2
     capsys.readouterr()
 
 
@@ -132,21 +175,21 @@ def test_modulus_from_csv(tmp_path, capsys):
     assert rep["results"]["source"]["input_csv"] == str(csv)
 
 
-def _csv_pair_loop(data, spec):
-    """omega over all pairs i < j of the CSV rows, one pair at a time, with
-    d(z_i, z_j) = ||z_j^{-1} o z_i|| written out from scipy's expm and
-    Python-float powers."""
+def _csv_pair_loop(data, spec, E):
+    """Distances and jumps over all pairs i < j of the CSV rows, one pair
+    at a time, with d(z_i, z_j) = ||z_j^{-1} o z_i|| written out from the
+    matrix function E(t) = exp(-t B) and Python-float powers."""
     N, alpha = spec.N, spec.exponents().alpha
     dists, jumps = [], []
     for i in range(len(data)):
         for j in range(i + 1, len(data)):
             xi, ti, xj, tj = data[i, :N], data[i, N], data[j, :N], data[j, N]
-            inv = -(expm(-(-tj) * spec.B) @ xj)
-            x, t = xi + expm(-ti * spec.B) @ inv, -tj + ti
+            inv = -(E(-tj) @ xj)
+            x, t = xi + E(ti) @ inv, -tj + ti
             dists.append(max([abs(t) ** 0.5] + [abs(v) ** (1.0 / a)
                                                 for v, a in zip(x, alpha)]))
             jumps.append(abs(data[i, -1] - data[j, -1]))
-    return modulus_from_pairs(dists, jumps, DEFAULT_RADII).omega.tolist()
+    return dists, jumps
 
 
 @pytest.mark.parametrize("spec_path", [KOLMO, DRIFTED])
@@ -155,12 +198,20 @@ def test_modulus_from_csv_matches_the_pair_loop(spec_path, tmp_path,
     rng = np.random.default_rng(7)
     csv = tmp_path / "samples.csv"
     np.savetxt(csv, rng.uniform(-1.0, 1.0, (40, 4)), delimiter=",")
+    data = np.loadtxt(csv, delimiter=",", ndmin=2)
     spec = load_spec(spec_path)
-    want = _csv_pair_loop(np.loadtxt(csv, delimiter=",", ndmin=2), spec)
+    # chunking and pairing, exactly: the loop of K = 1 spec.E calls
+    dists, jumps = _csv_pair_loop(data, spec, spec.E)
+    want = modulus_from_pairs(dists, jumps, DEFAULT_RADII).omega.tolist()
     assert max(want) > 0.0
     assert cli._modulus_from_csv(csv, spec).omega.tolist() == want
     monkeypatch.setattr(cli, "CSV_PAIR_CHUNK", 7)  # one row of pairs per chunk
     assert cli._modulus_from_csv(csv, spec).omega.tolist() == want
+    # the exponential, to a tolerance: the same loop from scipy's expm
+    # gives distances within 1e-13 relative and the same modulus
+    ref, _ = _csv_pair_loop(data, spec, lambda t: expm(-t * spec.B))
+    assert np.allclose(dists, ref, rtol=1e-13, atol=0.0)
+    assert modulus_from_pairs(ref, jumps, DEFAULT_RADII).omega.tolist() == want
 
 
 def test_pair_chunks_cover_every_pair_once():
@@ -176,15 +227,17 @@ def test_kernel_mass_does_not_depend_on_the_thread_count():
     # a BLAS dot over the 16,384 nodes of the fine pass grouped its terms
     # by the thread count; the sum is exactly rounded now.  verify apriori
     # runs the kernel on row blocks, where a product over all rows at once
-    # could round by the thread count as well
+    # could round by the thread count as well; so could the matmul stacks
+    # that square the exponentials of schauder-var and connect
+    pair = np.random.default_rng(3).uniform(-1.0, 1.0, 6)
+    p, q = (",".join(repr(float(v)) for v in half) for half in (pair[:3], pair[3:]))
     for argv in (["kernel", "--spec", KOLMO, "--point", "0,0,1", "--mass-time", "0.5"],
-                 ["verify", "apriori", "--spec", KOLMO]):
+                 ["verify", "apriori", "--spec", KOLMO],
+                 ["verify", "schauder-var", "--varcoeff", "sin1", "--spec", DRIFTED],
+                 ["connect", "--spec", DRIFTED, f"--from={p}", f"--to={q}"]):
         outs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
-                       OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-m", "kolmo.cli", *argv],
-                                  env=env, capture_output=True, timeout=120)
+            proc = _cli(argv, threads)
             assert proc.returncode == 0
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
@@ -269,9 +322,13 @@ def test_bad_input_keeps_exit_code_contract(name, tmp_path):
 
 def test_time_step_beyond_the_covariance_range_is_a_usage_error(capsys):
     # C(1e300) overflows: a DomainError (exit 3), not the exponential's
-    # AccuracyError (exit 4)
-    assert run(["kernel", "--spec", KOLMO, "--point", "0,0,1e300"]) == 3
-    assert capsys.readouterr().err.startswith("error: C(t) is not finite")
+    # AccuracyError (exit 4); so do the t^3 terms of C(1e200) and, on the
+    # non-principal drift, the squarings of exp(1e5 M) and the scaling
+    # |t| ||M||_1 of exp(1e308 M)
+    for spec, t in ((KOLMO, "1e300"), (KOLMO, "1e200"), (DRIFTED, "1e5"),
+                    (DRIFTED, "1e308")):
+        assert run(["kernel", "--spec", spec, "--point", f"0,0,{t}"]) == 3
+        assert capsys.readouterr().err.startswith("error: C(t) is not finite")
 
 
 def test_report_bytes_deterministic(tmp_path, capsys):

@@ -28,7 +28,7 @@ from kolmo.errors import (
     EllipticityError,
 )
 from kolmo.kernel import covariance
-from kolmo.matrixcalc import mat_exp, sqrt_spd, tensor_rule
+from kolmo.matrixcalc import sqrt_spd, tensor_rule
 from kolmo.verify import (
     _FAMILIES,
     _d2_slice,
@@ -147,7 +147,7 @@ def _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, nodes_x):
     dt = z.t - tau
     S = sqrt_spd(2.0 * covariance(ctx, dt).C)
     Y, W = tensor_rule([hermgauss(nodes_x)] * spec.N)
-    M = mat_exp(dt * spec.B)
+    M = spec.E(-dt)
     pts = (z.x[None, :] - (math.sqrt(2.0) * (Y @ S.T))) @ M.T
     psi = _psi_at_point(kind, R, spec.exponents())
 
