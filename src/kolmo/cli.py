@@ -26,9 +26,7 @@ from .errors import (
 )
 from .group import (
     Point,
-    compose,
     compose_rows,
-    dilate,
     finite_rows,
     hormander_check,
     inverse_rows,
@@ -160,7 +158,8 @@ def _build_parser():
     p.add_argument("--family", default="gaussian", choices=sorted(_FAMILIES))
     p.add_argument("--point", default=None, help="expansion point x1,..,xN,t")
     p.add_argument("--form", default="group", choices=["group", "euclidean"])
-    p.add_argument("--rho-min-exp", type=int, default=8,
+    # rho^2 stays a normal float down to rho = 2^-511
+    p.add_argument("--rho-min-exp", type=_int_from(1, 511), default=8,
                    help="smallest dyadic scale 2^-k to profile")
 
     p = sub.add_parser("modulus", help="modulus of continuity and Dini summary")
@@ -264,18 +263,14 @@ def _cmd_connect(args):
 
 def _cmd_taylor(args):
     spec = load_spec(args.spec)
-    exps = spec.exponents()
     bundle = _FAMILIES[args.family](spec)
     z = (_parse_point(args.point, spec.N) if args.point
          else Point(0.05 * np.ones(spec.N), 0.02))
     rng = np.random.default_rng(args.seed)
-    direction = Point(rng.uniform(-1.0, 1.0, size=spec.N), rng.uniform(-1.0, 1.0))
-
-    def path(rho):
-        return compose(z, dilate(rho, direction, exps), spec)
-
+    direction = np.append(rng.uniform(-1.0, 1.0, size=spec.N), rng.uniform(-1.0, 1.0))
     rhos = [2.0**-k for k in range(1, args.rho_min_exp + 1)]
-    prof = remainder_profile(bundle, z, path, rhos, spec, form=args.form)
+    prof = remainder_profile(bundle, z.row(), direction[None], rhos, spec,
+                             form=args.form)
     csv_lines = ["rho,remainder,ratio"]
     for rho, ratio in prof:
         csv_lines.append(f"{rho:.10g},{ratio * rho**2:.12g},{ratio:.12g}")

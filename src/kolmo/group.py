@@ -11,11 +11,12 @@ block level n.
 Row blocks: K points are one (K, N+1) float array, row k holding
 (x_1, .., x_N, t) of point k.  compose_rows, inverse_rows, dilate_rows,
 knorm_rows, kdist_rows and sample_ball are the group operations on row
-blocks; compose, inverse, dilate and knorm on Points call them with
-K = 1.  Each row rounds exactly as its own K = 1 call does.
+blocks; compose, inverse, dilate, knorm and kdist on Points call them
+with K = 1.  Each row rounds exactly as its own K = 1 call does.  Point
+is the one-point form of the command line, the planner and these K = 1
+wrappers; everything else takes row blocks.
 """
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -118,6 +119,11 @@ class Point:
         row[0, -1] = self.t
         return row
 
+    @classmethod
+    def from_row(cls, Z):
+        """The point of a (1, N+1) row block."""
+        return cls(Z[0, :-1], Z[0, -1])
+
     def __eq__(self, other):
         return (
             isinstance(other, Point)
@@ -135,11 +141,6 @@ def origin(N):
     return Point(np.zeros(N), 0.0)
 
 
-def as_points(Z):
-    """The rows of a row block as Points."""
-    return [Point(z[:-1], z[-1]) for z in Z]
-
-
 def finite_rows(Z):
     """Z as a (K, N+1) float row block; DomainError on a non-finite entry,
     the check that every Point makes."""
@@ -149,17 +150,6 @@ def finite_rows(Z):
     if not np.isfinite(Z).all():
         raise DomainError("point has non-finite coordinates")
     return Z
-
-
-def rowwise(fn):
-    """Let ``fn``, written for a (K, N+1) row block, also take one Point:
-    it gets the point's K = 1 row and gives back that row's result."""
-    @functools.wraps(fn)
-    def call(z):
-        if isinstance(z, Point):
-            return fn(z.row())[0]
-        return fn(z)
-    return call
 
 
 @dataclass(frozen=True)
@@ -339,8 +329,8 @@ def embedded_A(spec):
 
 def hormander_check(spec, t, tol=1e-10):
     """Positivity of C(t) = int_0^t E(s) A~ E(s)^T ds; the Hormander test."""
-    if t <= 0.0:
-        raise DomainError(f"time must be positive, got {t}")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"time must be finite and positive, got {t}")
     return spd_min_eigen(spec.C(t), tol=tol)
 
 
@@ -403,17 +393,17 @@ def kdist_rows(Z, W, spec):
 
 def compose(z, zeta, spec):
     """Group product z o zeta = (xi + E(tau) x, t + tau)."""
-    return as_points(compose_rows(z.row(), zeta.row(), spec))[0]
+    return Point.from_row(compose_rows(z.row(), zeta.row(), spec))
 
 
 def inverse(z, spec):
     """Group inverse (x,t)^{-1} = (-E(-t) x, -t)."""
-    return as_points(inverse_rows(z.row(), spec))[0]
+    return Point.from_row(inverse_rows(z.row(), spec))
 
 
 def dilate(r, z, exps):
     """Anisotropic dilation delta_r: x_i -> r^{alpha_i} x_i, t -> r^2 t."""
-    return as_points(dilate_rows(r, z.row(), exps))[0]
+    return Point.from_row(dilate_rows(r, z.row(), exps))
 
 
 def knorm(z, exps):
@@ -520,23 +510,20 @@ def sample_ball(spec, radius, count, rng, center=None):
 
 
 def estimate_triangle_constant(spec, radius, samples=10_000, seed=0):
-    """Empirical pseudo-triangle constant over sampled pairs in a ball."""
+    """Empirical pseudo-triangle constant over sampled pairs in a ball:
+    the largest ||z^{-1}|| / ||z|| and ||z o zeta|| / (||z|| + ||zeta||)."""
     if radius <= 0.0:
         raise DomainError("radius must be positive")
     if samples < 100:
         raise DomainError("need at least 100 samples")
-    rng = np.random.default_rng(seed)
     exps = spec.exponents()
-    best = 1.0
-    pts = as_points(sample_ball(spec, radius, samples, rng))
-    for i in range(0, samples - 1, 2):
-        z, zeta = pts[i], pts[i + 1]
-        nz, nzeta = knorm(z, exps), knorm(zeta, exps)
-        if nz > 1e-12:
-            best = max(best, knorm(inverse(z, spec), exps) / nz)
-        if nz + nzeta > 1e-12:
-            best = max(best, knorm(compose(z, zeta, spec), exps) / (nz + nzeta))
-    return best
+    pts = sample_ball(spec, radius, samples, np.random.default_rng(seed))
+    Z, W = pts[0:samples - 1:2], pts[1::2]
+    nz, nw = knorm_rows(Z, exps), knorm_rows(W, exps)
+    inv = knorm_rows(inverse_rows(Z, spec), exps)[nz > 1e-12] / nz[nz > 1e-12]
+    apart = nz + nw > 1e-12
+    prod = knorm_rows(compose_rows(Z, W, spec), exps)[apart] / (nz + nw)[apart]
+    return float(max(1.0, inv.max(initial=1.0), prod.max(initial=1.0)))
 
 
 def kolmogorov_spec(m=1):

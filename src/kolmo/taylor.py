@@ -27,17 +27,19 @@ from .errors import (
 )
 from .group import (
     Point,
-    compose,
-    inverse,
+    compose_rows,
+    dilate_rows,
+    finite_rows,
+    inverse_rows,
     kdist,
     level_map_solve,
     mat_exp,  # unused here; the benchmark's tracer test reads kolmo.taylor.mat_exp
     project_level,
-    rowwise,
 )
-from .matrixcalc import dot_rows, matvec_rows
+from .matrixcalc import dot_rows, matvec_rows, vecmat_rows
 
 SEGMENT_TOL = 1e-12
+RICHARDSON_TOL = 1e-3  # largest step-halving change, relative to max(1, |value|)
 
 
 def endpoint_error(a, b):
@@ -57,9 +59,8 @@ class C2Bundle:
     variables and its Lie derivative along the drift.
 
     Fields are callables on a (K, N+1) row block: u -> (K,), grad_m ->
-    (K, m), hess_m -> (K, m, m), Yu -> (K,).  The built-in bundles wrap
-    them in ``rowwise``, so they also take one Point and return its
-    float, (m,) or (m, m) value.
+    (K, m), hess_m -> (K, m, m), Yu -> (K,).  One point is a (1, N+1)
+    block.
     """
 
     u: object
@@ -115,9 +116,17 @@ def flow_X(v, s, z):
     return Point(z.x + s * v, z.t)
 
 
+def flow_Y_rows(s, Z, spec):
+    """The drift flow e^{sY} of every row of Z: (exp(sB) x, t - s)."""
+    out = np.empty(Z.shape)
+    out[:, :-1] = matvec_rows(spec.E(-s), Z[:, :-1])
+    out[:, -1] = Z[:, -1] - s
+    return finite_rows(out)
+
+
 def flow_Y(s, z, spec):
     """Drift flow e^{sY}(x, t) = (exp(sB) x, t - s)."""
-    return Point(spec.E(-s) @ z.x, z.t - s)
+    return Point.from_row(flow_Y_rows(s, z.row(), spec))
 
 
 def _segment(kind, v, s, start, end):
@@ -152,26 +161,38 @@ def gamma_traj(n, v, s, z, spec, segments=None):
     return cur, segments
 
 
-def lie_derivative_fd(u, z, spec, h=1e-5):
-    """Central flow-difference approximation of Yu with a Richardson check."""
+def richardson(once, h, message):
+    """(4 D(h/2) - D(h)) / 3 for a difference quotient D(step) on rows.
+
+    One Richardson halving: AccuracyError(message) when the two steps
+    differ by more than RICHARDSON_TOL * max(1, |extrapolation|) on any
+    row.
+    """
     if h <= 0.0:
         raise DomainError("step must be positive")
-
-    def central(step):
-        fwd = u(flow_Y(step, z, spec))
-        bwd = u(flow_Y(-step, z, spec))
-        return (fwd - bwd) / (2.0 * step)
-
-    d1, d2 = central(h), central(h / 2.0)
+    d1, d2 = once(h), once(h / 2.0)
     extrap = (4.0 * d2 - d1) / 3.0
-    scale = max(1.0, abs(extrap))
-    if abs(d2 - d1) > 1e-3 * scale:
-        raise AccuracyError("drift derivative did not converge under refinement")
+    if (np.abs(d2 - d1) > RICHARDSON_TOL * np.maximum(1.0, np.abs(extrap))).any():
+        raise AccuracyError(message)
     return extrap
 
 
-def taylor2(bundle, z, zeta, spec, form="group"):
-    """Second-order intrinsic Taylor polynomial of the bundle at z.
+def lie_derivative_fd(u, Z, spec, h=1e-5):
+    """Central flow-difference approximation of Yu at the rows of Z, with
+    a Richardson check; u is called once per step, on both flows."""
+    Z = finite_rows(Z)
+
+    def central(step):
+        fwd, bwd = u(np.vstack([flow_Y_rows(step, Z, spec),
+                                flow_Y_rows(-step, Z, spec)])).reshape(2, len(Z))
+        return (fwd - bwd) / (2.0 * step)
+
+    return richardson(central, h, "drift derivative did not converge under refinement")
+
+
+def taylor2(bundle, z, Zeta, spec, form="group"):
+    """Second-order intrinsic Taylor polynomial of the bundle at the one
+    row z, evaluated at every row of Zeta.
 
     The euclidean form uses raw coordinate differences xi_i - x_i; the
     group form uses the first m components of the left-invariant
@@ -179,34 +200,33 @@ def taylor2(bundle, z, zeta, spec, form="group"):
     term.  The forms coincide whenever the first block row of B is zero.
     """
     m = spec.m
+    z, Zeta = finite_rows(z), finite_rows(Zeta)
     if form == "euclidean":
-        dx = (zeta.x - z.x)[:m]
+        dx = (Zeta[:, :-1] - z[:, :-1])[:, :m]
     elif form == "group":
-        dx = compose(inverse(z, spec), zeta, spec).x[:m]
+        dx = compose_rows(inverse_rows(z, spec), Zeta, spec)[:, :m]
     else:
         raise DomainError(f"unknown Taylor form {form!r}")
-    dtau = zeta.t - z.t
-    g = np.asarray(bundle.grad_m(z), dtype=float)
-    H = np.asarray(bundle.hess_m(z), dtype=float)
+    dtau = Zeta[:, -1] - z[0, -1]
+    g, H = bundle.grad_m(z)[0], bundle.hess_m(z)[0]
     return (
-        bundle.u(z)
-        + float(g @ dx)
-        + 0.5 * float(dx @ H @ dx)
-        - bundle.Yu(z) * dtau
+        bundle.u(z)[0]
+        + dot_rows(dx, g)
+        + 0.5 * dot_rows(vecmat_rows(dx, H), dx)
+        - bundle.Yu(z)[0] * dtau
     )
 
 
-def remainder_profile(bundle, z, path, rhos, spec, form="group"):
-    """Taylor remainder over a shrinking family zeta(rho) at distance rho.
+def remainder_profile(bundle, z, direction, rhos, spec, form="group"):
+    """Taylor remainder at zeta(rho) = z o delta_rho(direction), at
+    distance ~rho from the row z, for every rho at once.
 
     Returns a list of (rho, |u(zeta) - T2(zeta)| / rho^2).
     """
-    out = []
-    for rho in rhos:
-        zeta = path(rho)
-        rem = abs(bundle.u(zeta) - taylor2(bundle, z, zeta, spec, form=form))
-        out.append((rho, rem / rho**2))
-    return out
+    Zeta = compose_rows(z, dilate_rows(rhos, np.repeat(direction, len(rhos), axis=0),
+                                       spec.exponents()), spec)
+    rem = np.abs(bundle.u(Zeta) - taylor2(bundle, z, Zeta, spec, form=form))
+    return [(rho, r / rho**2) for rho, r in zip(rhos, rem.tolist())]
 
 
 def _leading_sign_unit(w):
@@ -391,21 +411,17 @@ def quadratic_bundle(spec, c0=0.0, a=None, H=None, bt=0.0):
     a = np.zeros(m) if a is None else np.asarray(a, dtype=float)
     H = np.zeros((m, m)) if H is None else np.asarray(H, dtype=float)
 
-    @rowwise
     def u(Z):
         xm = Z[:, :m]
         xH = np.matmul(xm[:, None, :], H)[:, 0]  # one gemv per row, as x @ H
         return c0 + dot_rows(a, xm) + 0.5 * dot_rows(xH, xm) + bt * Z[:, -1]
 
-    @rowwise
     def grad_m(Z):
         return a + matvec_rows(H, Z[:, :m])
 
-    @rowwise
     def hess_m(Z):
         return np.repeat(H[None], len(Z), axis=0)
 
-    @rowwise
     def Yu(Z):
         Du = np.zeros((len(Z), spec.N))
         Du[:, :m] = grad_m(Z)
@@ -420,19 +436,15 @@ def coordinate_bundle(spec, index):
     if index < m:
         return quadratic_bundle(spec, a=np.eye(spec.m)[index])
 
-    @rowwise
     def u(Z):
         return Z[:, index].copy()
 
-    @rowwise
     def grad_m(Z):
         return np.zeros((len(Z), m))
 
-    @rowwise
     def hess_m(Z):
         return np.zeros((len(Z), m, m))
 
-    @rowwise
     def Yu(Z):
         return matvec_rows(spec.B, Z[:, :-1])[:, index]
 
@@ -447,7 +459,6 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
     wx = np.broadcast_to(np.asarray(width_x, dtype=float), (N,)).copy()
     wt2 = width_t**2
 
-    @rowwise
     def u(Z):
         # The time term squares Python floats (libm pow), as the scalar
         # form ((t - c_t)/w_t) ** 2 does; numpy's array square is x*x,
@@ -459,17 +470,14 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
     def grad_full(Z):
         return -2.0 * (Z[:, :-1] - c) / wx**2 * u(Z)[:, None]
 
-    @rowwise
     def grad_m(Z):
         return grad_full(Z)[:, :m]
 
-    @rowwise
     def hess_m(Z):
         d = -2.0 * (Z[:, :m] - c[:m]) / wx[:m] ** 2
         outer = d[:, :, None] * d[:, None, :]
         return (outer - np.diag(2.0 / wx[:m] ** 2)) * u(Z)[:, None, None]
 
-    @rowwise
     def Yu(Z):
         dudt = -2.0 * (Z[:, -1] - center_t) / wt2 * u(Z)
         return dot_rows(matvec_rows(spec.B, Z[:, :-1]), grad_full(Z)) - dudt
@@ -477,21 +485,20 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
     return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu)
 
 
-def validate_bundle(bundle, spec, points, h=1e-5, tol=1e-6):
-    """FD cross-check of a bundle's analytic derivatives.
+def validate_bundle(bundle, spec, Z, h=1e-5):
+    """FD cross-check of a bundle's analytic derivatives at the rows of Z.
 
-    Returns the worst relative mismatch over the points; raises nothing.
+    Returns the worst relative mismatch of grad_m and Yu; raises
+    AccuracyError when the drift difference fails its Richardson check.
     """
-    worst = 0.0
+    Z = finite_rows(Z)
     m = spec.m
-    for z in points:
-        scale = max(1.0, abs(bundle.u(z)))
-        g = np.asarray(bundle.grad_m(z), dtype=float)
-        for i in range(m):
-            e = np.zeros(spec.N)
-            e[i] = h
-            fd = (bundle.u(Point(z.x + e, z.t)) - bundle.u(Point(z.x - e, z.t))) / (2 * h)
-            worst = max(worst, abs(fd - g[i]) / scale)
-        fd_Y = lie_derivative_fd(bundle.u, z, spec, h=h)
-        worst = max(worst, abs(fd_Y - bundle.Yu(z)) / scale)
-    return worst
+    e = h * np.eye(spec.N + 1)[:m]
+    scale = np.maximum(1.0, np.abs(bundle.u(Z)))
+    plus, minus = bundle.u(np.vstack([Z + ei for ei in e] + [Z - ei for ei in e])
+                           ).reshape(2, m, len(Z))
+    fd = (plus - minus) / (2 * h)
+    worst = np.abs(fd - bundle.grad_m(Z).T) / scale
+    fd_Y = lie_derivative_fd(bundle.u, Z, spec, h=h)
+    return float(max(worst.max(initial=0.0),
+                     (np.abs(fd_Y - bundle.Yu(Z)) / scale).max(initial=0.0)))

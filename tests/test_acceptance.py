@@ -20,9 +20,11 @@ from kolmo import (
     check_homogeneity,
     check_kernel_pde,
     compose,
+    compose_rows,
     connect,
     covariance,
     dilate,
+    dilate_rows,
     gamma,
     gamma_Y,
     holder_closed_form,
@@ -209,15 +211,10 @@ def test_criterion_05_taylor(kspec, kappa2, drifted):
     ok = True
     rhos = [2.0**-k for k in range(3, 10)]
     for spec in (kspec, kappa2):
-        exps = spec.exponents()
-        z = Point(0.05 * np.ones(spec.N), 0.02)
-        direction = Point(rng.uniform(0.4, 1.0, size=spec.N), 0.8)
-
-        def path(rho, spec=spec, z=z, direction=direction, exps=exps):
-            return compose(z, dilate(rho, direction, exps), spec)
-
+        z = Point(0.05 * np.ones(spec.N), 0.02).row()
+        direction = Point(rng.uniform(0.4, 1.0, size=spec.N), 0.8).row()
         for fam in ("gaussian", "gaussian2"):
-            prof = remainder_profile(_FAMILIES[fam](spec), z, path, rhos, spec)
+            prof = remainder_profile(_FAMILIES[fam](spec), z, direction, rhos, spec)
             ratios = [r for _, r in prof]
             ok = ok and all(a >= 1.5 * b for a, b in zip(ratios, ratios[1:]))
 
@@ -225,21 +222,18 @@ def test_criterion_05_taylor(kspec, kappa2, drifted):
         bundle = quadratic_bundle(spec, c0=0.4, a=0.6 * np.ones(spec.m),
                                   H=1.1 * np.eye(spec.m), bt=-0.2)
         for _ in range(100):
-            za = _rand_point(rng, spec.N)
-            zb = _rand_point(rng, spec.N)
-            ok = ok and abs(bundle.u(zb) - taylor2(bundle, za, zb, spec)) < 1e-13
+            za = _rand_point(rng, spec.N).row()
+            zb = _rand_point(rng, spec.N).row()
+            ok = ok and abs(bundle.u(zb) - taylor2(bundle, za, zb, spec))[0] < 1e-13
 
     # euclidean vs group discrepancy is O(||.||^2) on a generic drift
     exps = drifted.exponents()
     bundle = _FAMILIES["gaussian2"](drifted)
-    z = Point([0.4, 0.2], 0.1)
-    direction = Point([0.5, 0.7], 0.9)
-    consts = []
-    for rho in rhos:
-        zeta = compose(z, dilate(rho, direction, exps), drifted)
-        diff = abs(taylor2(bundle, z, zeta, drifted, form="euclidean")
-                   - taylor2(bundle, z, zeta, drifted, form="group"))
-        consts.append(diff / rho**2)
+    z = np.array([[0.4, 0.2, 0.1]])
+    zeta = compose_rows(z, dilate_rows(rhos, np.repeat([[0.5, 0.7, 0.9]], len(rhos), axis=0),
+                                       exps), drifted)
+    consts = np.abs(taylor2(bundle, z, zeta, drifted, form="euclidean")
+                    - taylor2(bundle, z, zeta, drifted, form="group")) / np.square(rhos)
     ok = ok and math.isfinite(max(consts)) and max(consts) <= 8.0 * min(consts)
     _report(5, "intrinsic Taylor remainder", ok)
 

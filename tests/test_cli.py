@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +331,30 @@ def test_time_step_beyond_the_covariance_range_is_a_usage_error(capsys):
                     (DRIFTED, "1e308")):
         assert run(["kernel", "--spec", spec, "--point", f"0,0,{t}"]) == 3
         assert capsys.readouterr().err.startswith("error: C(t) is not finite")
+
+
+def test_taylor_rho_min_exp_is_bounded(capsys):
+    # rho^2 is a normal float down to rho = 2^-511; further down the ratios
+    # were nan (540) or overflowed (1100), and 0 or less gave no profile
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in ("0", "512", "540", "-3"):
+            assert run(["taylor", "--spec", KOLMO, f"--rho-min-exp={k}"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and err.count("\n") == 1
+        assert run(["taylor", "--spec", KOLMO, "--rho-min-exp", "511"]) == 0
+    rows = _last_json(capsys)["results"]["profile_csv"].split("\n")[1:]
+    assert len(rows) == 511
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+def test_check_time_must_be_finite_and_positive(capsys):
+    # nan passed the old t <= 0 test and overflowed in C(t) (exit 4)
+    for t in ("nan", "inf", "0", "-1"):
+        assert run(["check", "--spec", KOLMO, f"--time={t}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: time must be finite and positive")
+        assert err.count("\n") == 1
 
 
 def test_report_bytes_deterministic(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from kolmo import (
     KernelContext,
     Point,
-    as_points,
     check_bounds,
     check_homogeneity,
     check_kernel_pde,
@@ -114,7 +113,8 @@ def test_kernel_jet_rows_round_as_the_scalar_route(kspec, drifted, kappa2, heat)
         Z = np.column_stack([rng.uniform(-1, 1, (60, spec.N)), rng.uniform(0.1, 1.5, 60)])
         P = np.column_stack([rng.uniform(-1, 1, (60, spec.N)), rng.uniform(-1, 0.0, 60)])
         jet = kernel_jet_rows(spec, Z, P)
-        for k, (z, zeta) in enumerate(zip(as_points(Z), as_points(P))):
+        for k, (z, zeta) in enumerate(zip(Z, P)):
+            z, zeta = Point(z[:-1], z[-1]), Point(zeta[:-1], zeta[-1])
             want = _scalar_jet(spec, z, zeta)
             for got, value in zip(jet, want):
                 assert np.array_equal(got[k], value)

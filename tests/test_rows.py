@@ -1,6 +1,7 @@
 """Row blocks against K = 1: every group operation, the samplers, the
-bundle fields and the kernel jet give, on a (K, N+1) block, exactly (==)
-what they give one point at a time, over generated admissible specs.
+bundle fields, the finite-difference operators and the kernel jet give,
+on a (K, N+1) block, exactly (==) what they give one point at a time,
+over generated admissible specs.
 Independent scalar oracles pin the two rounding rules: libm pow in the
 quasi-norm, and a Python-float square in the Gaussian bundle's time term.
 The kernel also meets its PDE and its mass identity on those specs."""
@@ -16,7 +17,7 @@ from kolmo import (
     DomainError,
     KernelContext,
     Point,
-    as_points,
+    apply_L_fd,
     compose,
     compose_rows,
     coordinate_bundle,
@@ -35,12 +36,14 @@ from kolmo import (
     kernel_mass,
     knorm,
     knorm_rows,
+    lie_derivative_fd,
     make_spec,
     quadratic_bundle,
     sample_ball,
 )
 from kolmo.matrixcalc import matvec_rows
 from kolmo.modulus import _scaled_pairs
+from kolmo.verify import _coeff_field
 
 # Non-increasing block sizes with m in {1, 2} and N <= 6.
 BLOCKS = [
@@ -84,6 +87,11 @@ def random_rows(spec, rng, count=K):
     return rng.uniform(-1.0, 1.0, (count, spec.N + 1))
 
 
+def points(Z):
+    """The rows of a row block as Points."""
+    return [Point(z[:-1], z[-1]) for z in Z]
+
+
 def libm_knorm(z, alpha):
     """The quasi-norm of one row in Python floats: libm pow throughout."""
     return max([abs(z[-1]) ** 0.5]
@@ -97,7 +105,7 @@ def test_group_rows_match_points(spec, seed):
     exps = spec.exponents()
     Z, W = random_rows(spec, rng), random_rows(spec, rng)
     r = np.exp(rng.uniform(math.log(2.0**-20), 0.0, K))
-    zs, ws = as_points(Z), as_points(W)
+    zs, ws = points(Z), points(W)
     assert np.array_equal(compose_rows(Z, W, spec), [
         compose(z, w, spec).row()[0] for z, w in zip(zs, ws)])
     assert np.array_equal(inverse_rows(Z, spec),
@@ -166,13 +174,33 @@ def bundles(spec, rng):
 def test_bundle_rows_match_points(spec, seed):
     rng = np.random.default_rng(seed)
     Z = random_rows(spec, rng)
-    zs = as_points(Z)
     for bundle in bundles(spec, rng):
         for field in ("u", "grad_m", "hess_m", "Yu"):
             fn = getattr(bundle, field)
             rows = fn(Z)
             assert rows.shape[0] == K
-            assert np.array_equal(rows, [fn(z) for z in zs]), field
+            assert np.array_equal(rows, [fn(Z[k:k + 1])[0] for k in range(K)]), field
+
+
+@PROPERTY
+@given(specs, st.integers(0, 2**32 - 1))
+def test_fd_operators_rows_match_one_row_slices(spec, seed):
+    # the stencil of K rows is one block; each row's values are those of
+    # its own one-row call, with and without a coefficient field
+    rng = np.random.default_rng(seed)
+    Z = 0.5 * random_rows(spec, rng)
+    sin1, _ = _coeff_field("sin1", spec)
+
+    def one_row_slices(call):
+        return np.concatenate([call(Z[k:k + 1]) for k in range(K)])
+
+    for bundle in bundles(spec, rng):
+        for call in (lambda W: apply_L_fd(spec, bundle.u, W),
+                     lambda W: apply_L_fd(spec, bundle.u, W, varcoeff=sin1),
+                     lambda W: lie_derivative_fd(bundle.u, W, spec)):
+            rows = call(Z)
+            assert rows.shape == (K,)
+            assert np.array_equal(rows, one_row_slices(call))
 
 
 def test_gaussian_time_term_squares_python_floats(kspec):
@@ -248,7 +276,7 @@ def test_kernel_jet_rows_match_one_row_at_a_time(spec, seed):
     # the Point wrappers are K = 1 calls
     Z, P = pole_per_row
     ctx, jet = KernelContext(spec), kernel_jet_rows(spec, Z, P)
-    for k, (z, zeta) in enumerate(zip(as_points(Z[:5]), as_points(P[:5]))):
+    for k, (z, zeta) in enumerate(zip(points(Z[:5]), points(P[:5]))):
         assert gamma(ctx, z, zeta) == jet.gamma[k]
         assert np.array_equal(gamma_grad(ctx, z, zeta), jet.grad[k])
         assert np.array_equal(gamma_hess(ctx, z, zeta), jet.hess[k])

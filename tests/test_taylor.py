@@ -4,10 +4,8 @@ from scipy.optimize import brentq
 
 from kolmo import (
     Point,
-    compose,
     connect,
     coordinate_bundle,
-    dilate,
     endpoint_error,
     flow_X,
     flow_Y,
@@ -23,8 +21,9 @@ from kolmo import (
     verify_plan,
 )
 from kolmo.errors import DomainError, NonConvergenceError, PlanIntegrityError
-from kolmo.group import as_points, sample_ball
+from kolmo.group import compose_rows, dilate_rows, sample_ball
 from kolmo.taylor import PathSegment
+from kolmo.verify import apply_L_fd
 
 
 def test_flows_closed_forms(kinetic):
@@ -148,7 +147,7 @@ def test_verify_plan_detects_tampering(kspec):
 def test_bundle_derivatives_fd(kspec, drifted):
     rng = np.random.default_rng(4)
     for spec in (kspec, drifted):
-        pts = as_points(sample_ball(spec, 1.0, 15, rng))
+        pts = sample_ball(spec, 1.0, 15, rng)
         for bundle in (
             quadratic_bundle(spec, c0=0.3, a=[0.5], H=[[1.2]], bt=-0.7),
             coordinate_bundle(spec, 1),
@@ -160,10 +159,20 @@ def test_bundle_derivatives_fd(kspec, drifted):
 
 def test_lie_derivative_fd(kspec):
     bundle = gaussian_bundle(kspec, width_t=0.5)
-    z = Point([0.3, -0.4], 0.2)
-    assert abs(lie_derivative_fd(bundle.u, z, kspec) - bundle.Yu(z)) < 1e-8
+    z = np.array([[0.3, -0.4, 0.2]])
+    assert abs(lie_derivative_fd(bundle.u, z, kspec) - bundle.Yu(z))[0] < 1e-8
     with pytest.raises(DomainError):
         lie_derivative_fd(bundle.u, z, kspec, h=0.0)
+
+
+def test_fd_stencil_rejects_an_overflowing_flow(drifted):
+    # exp(hB) x overflows in its first coordinate: x1 * e^h > max float
+    Z = np.array([[0.1, 0.2, 0.0], [1.79768e308, 0.0, 0.0]])
+    with np.errstate(over="ignore"):
+        for fd in (lambda u: lie_derivative_fd(u, Z, drifted),
+                   lambda u: apply_L_fd(drifted, u, Z)):
+            with pytest.raises(DomainError):
+                fd(lambda W: np.ones(len(W)))
 
 
 def test_taylor_exact_on_quadratics(kspec, kappa2):
@@ -173,16 +182,16 @@ def test_taylor_exact_on_quadratics(kspec, kappa2):
         bundle = quadratic_bundle(spec, c0=1.0, a=0.7 * np.ones(spec.m),
                                   H=1.5 * np.eye(spec.m), bt=-0.3)
         for _ in range(50):
-            z = Point(rng.uniform(-1, 1, size=spec.N), rng.uniform(-1, 1))
-            zeta = Point(rng.uniform(-1, 1, size=spec.N), rng.uniform(-1, 1))
+            z = np.append(rng.uniform(-1, 1, size=spec.N), rng.uniform(-1, 1))[None]
+            zeta = np.append(rng.uniform(-1, 1, size=spec.N), rng.uniform(-1, 1))[None]
             rem = bundle.u(zeta) - taylor2(bundle, z, zeta, spec)
-            assert abs(rem) < 1e-13
+            assert abs(rem[0]) < 1e-13
 
 
 def test_taylor_forms_coincide_when_top_row_vanishes(kspec):
     bundle = gaussian_bundle(kspec)
-    z = Point([0.2, 0.1], -0.1)
-    zeta = Point([-0.3, 0.4], 0.2)
+    z = np.array([[0.2, 0.1, -0.1]])
+    zeta = np.array([[-0.3, 0.4, 0.2]])
     a = taylor2(bundle, z, zeta, kspec, form="group")
     b = taylor2(bundle, z, zeta, kspec, form="euclidean")
     assert a == b
@@ -191,17 +200,12 @@ def test_taylor_forms_coincide_when_top_row_vanishes(kspec):
 
 
 def test_remainder_second_order_decay(kspec):
-    exps = kspec.exponents()
     bundle = gaussian_bundle(kspec, center_x=[0.3, -0.1], width_x=0.8,
                              width_t=0.5)
-    z = Point([0.1, 0.05], 0.02)
-    direction = Point([0.8, -0.6], 0.7)
-
-    def path(rho):
-        return compose(z, dilate(rho, direction, exps), kspec)
-
+    z = np.array([[0.1, 0.05, 0.02]])
+    direction = np.array([[0.8, -0.6, 0.7]])
     rhos = [2.0**-k for k in range(3, 10)]
-    prof = remainder_profile(bundle, z, path, rhos, kspec)
+    prof = remainder_profile(bundle, z, direction, rhos, kspec)
     ratios = [r for _, r in prof]
     for a, b in zip(ratios, ratios[1:]):
         assert a >= 1.5 * b  # remainder / rho^2 keeps shrinking
@@ -211,14 +215,12 @@ def test_euclidean_vs_group_discrepancy_quadratic(drifted):
     # the two forms differ by O(||.||^2) when the top block row is nonzero
     exps = drifted.exponents()
     bundle = gaussian_bundle(drifted, center_x=[0.2, 0.3], width_x=0.9)
-    z = Point([0.4, 0.2], 0.1)
-    direction = Point([0.5, 0.7], 0.9)
-    consts = []
-    for rho in [2.0**-k for k in range(3, 9)]:
-        zeta = compose(z, dilate(rho, direction, exps), drifted)
-        diff = abs(taylor2(bundle, z, zeta, drifted, form="euclidean")
-                   - taylor2(bundle, z, zeta, drifted, form="group"))
-        consts.append(diff / rho**2)
+    z = np.array([[0.4, 0.2, 0.1]])
+    rhos = 2.0 ** -np.arange(3, 9)
+    zeta = compose_rows(z, dilate_rows(rhos, np.repeat([[0.5, 0.7, 0.9]], 6, axis=0),
+                                       exps), drifted)
+    consts = np.abs(taylor2(bundle, z, zeta, drifted, form="euclidean")
+                    - taylor2(bundle, z, zeta, drifted, form="group")) / rhos**2
     assert max(consts) < 50.0
     assert max(consts) < 4.0 * min(consts)
 

@@ -12,9 +12,9 @@ from kolmo import (
     convolve_solution,
     cutoff_eta,
     cutoff_gradient_report,
-    gamma,
     harmonic_family,
     heat_spec,
+    kernel_jet_rows,
     manufacture,
     verify_apriori,
     verify_invariance,
@@ -39,15 +39,17 @@ from kolmo.verify import (
 
 def test_apply_L_fd_on_monomial(kspec):
     # L x1^2 = 2 a11 = 2 for the kinetic operator (drift term vanishes)
-    val = apply_L_fd(kspec, lambda z: z.x[0] ** 2, Point([0.3, 0.2], 0.1))
-    assert abs(val - 2.0) < 1e-8
+    val = apply_L_fd(kspec, lambda Z: Z[:, 0] ** 2, np.array([[0.3, 0.2, 0.1]]))
+    assert val.shape == (1,) and abs(val[0] - 2.0) < 1e-8
 
 
 def test_apply_L_fd_kills_kernel(kctx):
-    p = Point([0.1, -0.2], -1.0)
-    z = Point([0.3, 0.4], 0.2)
-    val = apply_L_fd(kctx.spec, lambda w: gamma(kctx, w, p), z)
-    assert abs(val) < 1e-6
+    # the whole stencil of both steps in one kernel_jet_rows call each
+    p = np.array([[0.1, -0.2, -1.0]])
+    z = np.array([[0.3, 0.4, 0.2]])
+    val = apply_L_fd(kctx.spec, lambda W: kernel_jet_rows(kctx.spec, W, p,
+                                                          derivatives=False), z)
+    assert abs(val[0]) < 1e-6
 
 
 def test_manufacture_families(kspec, drifted):
@@ -62,21 +64,21 @@ def test_manufacture_families(kspec, drifted):
 def test_manufacture_varcoeff(kspec):
     prob = manufacture("gaussian", kspec, varcoeff_id="sin1")
     assert prob.varcoeff is not None and prob.omega_a is not None
-    z = Point([0.5, 0.0], 0.0)
-    assert abs(prob.varcoeff(z)[0, 0] - (1.0 + 0.25 * math.sin(0.5))) < 1e-14
+    z = np.array([[0.5, 0.0, 0.0]])
+    assert abs(prob.varcoeff(z)[0, 0, 0] - (1.0 + 0.25 * math.sin(0.5))) < 1e-14
     with pytest.raises(DomainError):
         manufacture("gaussian", kspec, varcoeff_id="sin9")
 
 
 def test_cutoff_profile(kspec):
     exps = kspec.exponents()
-    assert cutoff_eta(0.5, Point([0.0, 0.0], 0.0), exps) == 1.0
-    assert cutoff_eta(0.5, Point([0.3, 0.0], 0.0), exps) == 1.0  # inside 3R/4
-    assert cutoff_eta(0.5, Point([0.6, 0.0], 0.0), exps) == 0.0
-    mid = cutoff_eta(0.5, Point([0.45, 0.0], 0.0), exps)
-    assert 0.0 < mid < 1.0
+    # the origin, inside 3R/4, beyond R, and on the ramp
+    eta = cutoff_eta(0.5, np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0],
+                                    [0.6, 0.0, 0.0], [0.45, 0.0, 0.0]]), exps)
+    assert eta[0] == 1.0 and eta[1] == 1.0 and eta[2] == 0.0
+    assert 0.0 < eta[3] < 1.0
     with pytest.raises(DomainError):
-        cutoff_eta(2.0, Point([0.0, 0.0], 0.0), exps)
+        cutoff_eta(2.0, np.zeros((1, 3)), exps)
 
 
 def test_cutoff_gradient_scaling_stable(kspec):
@@ -89,14 +91,15 @@ def test_cutoff_gradient_scaling_stable(kspec):
 def test_harmonic_family_poles_below_cylinder(kctx):
     rng = np.random.default_rng(0)
     for R in (1.0, 0.25):
-        for p in harmonic_family(kctx, R, 10, rng):
-            assert -3.0 * R * R <= p.t <= -2.0 * R * R
+        P = harmonic_family(kctx, R, 10, rng)
+        assert P.shape == (10, 3)
+        assert ((-3.0 * R * R <= P[:, -1]) & (P[:, -1] <= -2.0 * R * R)).all()
 
 
 def test_convolution_duhamel_time_only(heat):
     # f = f(tau) only: u(z) = -int_{t_lo}^{t} f, since the mass is 1
     ctx = KernelContext(heat)
-    z = Point([0.2], 0.5)
+    z = np.array([[0.2, 0.5]])
     val = convolve_solution(ctx, lambda Z: np.cos(Z[:, -1]), z, t_lo=-0.5)
     assert abs(val - (-(math.sin(0.5) - math.sin(-0.5)))) < 1e-9
 
@@ -104,9 +107,9 @@ def test_convolution_duhamel_time_only(heat):
 def test_convolution_reconstructs_manufactured(kctx):
     # narrow-in-time solution: u(., t_lo) ~ 1e-19, so u = -Gamma * f
     prob = manufacture("gaussian-narrow", kctx.spec)
-    z = Point([0.0, 0.0], 0.0)
+    z = np.zeros((1, 3))
     val = convolve_solution(kctx, prob.f, z, t_lo=-1.0)
-    assert abs(val - prob.u.u(z)) < 1e-5
+    assert abs(val - prob.u.u(z)[0]) < 1e-5
 
 
 def test_verify_apriori(kctx):
@@ -179,7 +182,7 @@ def test_d2_slice_matches_per_point_route(which, kspec, drifted):
         for tau in (z.t - 0.2, z.t - 1e-3):
             for i in range(spec.m):
                 for j in range(i, spec.m):
-                    got = _d2_slice(ctx, psi, z, tau, i, j, h, 12)
+                    got = _d2_slice(ctx, psi, z.row(), tau, i, j, h, 12)
                     want = _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, 12)
                     assert got == want, (kind, tau, i, j)
 
@@ -187,7 +190,7 @@ def test_d2_slice_matches_per_point_route(which, kspec, drifted):
 def test_d2_slice_rejects_non_finite_grid(kctx):
     psi = _singular_psi("g1", 0.5, kctx.spec.exponents())
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="grid"):
-        _d2_slice(kctx, psi, Point([0.1, 0.2], 0.1), 0.0, 0, 0, math.inf, 12)
+        _d2_slice(kctx, psi, np.array([[0.1, 0.2, 0.1]]), 0.0, 0, 0, math.inf, 12)
 
 
 def test_hermite_grid_is_cached_and_read_only():
