@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    AccuracyError,
     DomainError,
     EllipticityError,
     SolveError,
@@ -216,6 +217,7 @@ class OperatorSpec:
 
         One block matrix exponential: for M = [[-B, A~], [0, B^T]] the
         top row of exp(t M) is [E(t), G(t)] with C(t) = G(t) E(t)^T.
+        DomainError if C(t) overflows, in exp(t M) or in the product.
         """
         N = self.N
 
@@ -226,9 +228,17 @@ class OperatorSpec:
             M[N:, N:] = self.B.T
             return M
 
-        Phi = exp_rows(self._exp("C", block), t)
-        C = Phi[..., :N, N:] @ np.swapaxes(Phi[..., :N, :N], -1, -2)
-        return (C + np.swapaxes(C, -1, -2)) / 2.0
+        table = self._exp("C", block)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                Phi = exp_rows(table, t)
+                C = Phi[..., :N, N:] @ np.swapaxes(Phi[..., :N, :N], -1, -2)
+                C = (C + np.swapaxes(C, -1, -2)) / 2.0
+        except AccuracyError:  # exp(t M) overflowed
+            C = None
+        if C is None or not np.isfinite(C).all():
+            raise DomainError(f"C(t) is not finite for a time step up to {np.max(t)}")
+        return C
 
     def to_json_dict(self):
         return {
@@ -374,12 +384,12 @@ def dilate_rows(r, Z, exps):
 def knorm_rows(Z, exps):
     """Row-wise homogeneous quasi-norm: max of |x_i|^{1/alpha_i} and |t|^{1/2}.
 
-    Every power is a Python float ``**`` (libm ``pow``): numpy's array
-    power rounds differently on some inputs and would move the reports.
+    Every power is ``np.float_power``, which calls libm ``pow`` as a
+    Python float ``**`` does; ``np.power`` rounds differently on some
+    inputs and would move the reports.
     """
-    powers = [1.0 / a for a in exps.alpha]
-    return np.array([max(abs(z[-1]) ** 0.5, *map(pow, map(abs, z), powers))
-                     for z in finite_rows(Z).tolist()])
+    powers = [1.0 / a for a in exps.alpha] + [0.5]
+    return np.float_power(np.abs(finite_rows(Z)), powers).max(axis=1)
 
 
 def kdist_rows(Z, W, spec):

@@ -66,9 +66,10 @@ class ExpTable:
     shift: int = 0
 
 
-def _as_square(M):
+def _as_square(M, stack=False):
+    """M as a float square matrix, or with ``stack`` also a (K, n, n) stack."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim not in ((2, 3) if stack else (2,)) or M.shape[-2] != M.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise DomainError("matrix has non-finite entries")
@@ -154,14 +155,16 @@ def exp_rows(table, t):
 
 
 def sqrt_spd(A):
-    """Symmetric positive square root S of an SPD matrix, S @ S = A."""
-    A = _as_square(A)
-    if not np.allclose(A, A.T, atol=SYMMETRY_TOL, rtol=0.0):
+    """Symmetric positive square root S of an SPD matrix, S @ S = A; for a
+    (K, n, n) stack the stack of roots, each slice bit-identical to its
+    own call (a stacked eigh and matmul)."""
+    A = _as_square(A, stack=True)
+    if not np.allclose(A, np.swapaxes(A, -1, -2), atol=SYMMETRY_TOL, rtol=0.0):
         raise SymmetryError("matrix is not symmetric")
     w, V = np.linalg.eigh(A)
     if w.min() <= 0.0:
         raise DefinitenessError(f"matrix is not positive definite (min eig {w.min():g})")
-    return (V * np.sqrt(w)) @ V.T
+    return np.matmul(V * np.sqrt(w)[..., None, :], np.swapaxes(V, -1, -2))
 
 
 def spd_min_eigen(S, tol=1e-10):

@@ -460,10 +460,10 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
     wt2 = width_t**2
 
     def u(Z):
-        # The time term squares Python floats (libm pow), as the scalar
-        # form ((t - c_t)/w_t) ** 2 does; numpy's array square is x*x,
-        # which rounds differently.  The x term was an array square.
-        qt = [((t - center_t) / width_t) ** 2 for t in Z[:, -1].tolist()]
+        # The time term squares by libm pow (np.float_power), as the
+        # scalar form ((t - c_t)/w_t) ** 2 does; numpy's array square is
+        # x*x, which rounds differently.  The x term was an array square.
+        qt = np.float_power((Z[:, -1] - center_t) / width_t, 2.0)
         q = np.sum(((Z[:, :-1] - c) / wx) ** 2, axis=1) + qt
         return amplitude * np.exp(-q)
 

@@ -28,8 +28,8 @@ from .errors import (
 )
 from .group import (compose_rows, dilate_rows, finite_rows, kdist_rows,
                     knorm_rows, sample_ball)
-from .kernel import covariance, kernel_jet_rows
-from .matrixcalc import sqrt_spd, tensor_rule
+from .kernel import _factorise, kernel_jet_rows
+from .matrixcalc import dot_rows, sqrt_spd, tensor_rule
 from .modulus import (
     dini_integral,
     empirical_modulus,
@@ -40,6 +40,7 @@ from .taylor import (C2Bundle, flow_Y_rows, gaussian_bundle, quadratic_bundle,
                      richardson)
 
 FD_STEP = 1e-4
+QUAD_ROWS = 4096  # most quadrature rows (slices x nodes x offsets) in one chunk
 STABLE_FACTOR = 4.0
 SEED_FACTOR = 2.0
 
@@ -210,31 +211,7 @@ def cutoff_eta(R, Z, exps):
     if not 0.0 < R <= 1.0:
         raise DomainError(f"cutoff radius must lie in (0, 1], got {R}")
     s = np.clip((knorm_rows(Z, exps) - 0.75 * R) / (0.25 * R), 0.0, 1.0)
-    # the cube as a Python float (libm pow), as in knorm_rows
-    cube = np.array([v**3 for v in s.tolist()])
-    return 1.0 - cube * (10.0 - 15.0 * s + 6.0 * s * s)
-
-
-def _dilated_bump(R, X, t, exps):
-    """Gaussian bump at dilation scale R, exp(-sum (x_i/R^alpha_i)^2 - (t/R^2)^2),
-    at the K points of the (K, N) grid X, all at time t.
-
-    Plays the cutoff role inside quadrature-based checks: it
-    concentrates on the quasi-ball of radius ~R and is smooth with all
-    derivative scales set by R, so tensor quadrature converges, unlike
-    the kinked max-norm cutoff.  The rows are summed in Python floats
-    with libm ``pow`` and ``math.exp``: numpy's array square (x*x) and
-    ``np.exp`` round differently and would move the reports.
-    """
-    scales = [R**a for a in exps.alpha]
-    q0 = (float(t) / R**2) ** 2
-    out = []
-    for row in X.tolist():
-        q = q0
-        for xi, s in zip(row, scales):
-            q += (xi / s) ** 2
-        out.append(math.exp(-q))
-    return np.array(out)
+    return 1.0 - np.float_power(s, 3.0) * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
 def cutoff_gradient_report(spec, R_list=(1.0, 0.5, 0.25), samples=400, seed=0):
@@ -291,28 +268,31 @@ def _hermite_grid(nodes_x, N):
     return Y, W
 
 
-def _hermite_slice(ctx, z, tau, nodes_x):
-    """Gauss-Hermite rule for w ~ N(0, 2C(dt)) mapped to xi = exp(dt B)(x - w),
-    for the one row z = (x, t) and dt = t - tau.
+def _slice_chunks(slices, rows_per_slice):
+    """Consecutive ranges of slice indices, each holding at most QUAD_ROWS
+    quadrature rows (or one slice that alone holds more)."""
+    step = max(1, QUAD_ROWS // rows_per_slice)
+    return [slice(k, k + step) for k in range(0, slices, step)]
 
-    Returns the points xi, the tensor weights (to be divided by
-    pi^{N/2}) and M = exp(dt B).
+
+def _hermite_block(spec, Z, tau, nodes_x):
+    """Gauss-Hermite rules for w ~ N(0, 2C(dt)) mapped to xi = exp(dt B)(x - w),
+    one slice per time in tau, at the row z = (x, t) of Z paired with it
+    (or the one row of Z), with dt = t - tau.
+
+    Returns the (S, G, N) points xi, the G tensor weights (to be divided
+    by pi^{N/2}) and the (S, N, N) stack M = exp(dt B).  C(dt), its square
+    root and M are one stacked call each, and every slice is bit-identical
+    to its own K = 1 call.
     """
-    spec = ctx.spec
-    dt = z[0, -1] - tau
-    S = sqrt_spd(2.0 * covariance(ctx, dt).C)
+    dt = Z[:, -1] - tau
+    if not (dt > 0.0).all():
+        raise DomainError(f"covariance needs t > 0, got {dt[~(dt > 0.0)][0]}")
+    S = sqrt_spd(2.0 * _factorise(spec, dt)[0])
     Y, W = _hermite_grid(nodes_x, spec.N)
     M = spec.E(-dt)
-    pts = (z[:, :-1] - (math.sqrt(2.0) * (Y @ S.T))) @ M.T
-    return pts, W, M
-
-
-def _inner_slice(ctx, f, z, tau, nodes_x):
-    """int N(w; 0, 2C(dt)) f(exp(dt B)(x - w), tau) dw by Gauss-Hermite,
-    with f called once on the slice's nodes as one row block."""
-    pts, W, _ = _hermite_slice(ctx, z, tau, nodes_x)
-    vals = f(finite_rows(np.column_stack([pts, np.full(len(pts), tau)])))
-    return float(vals @ W) / math.pi ** (ctx.spec.N / 2.0)
+    w = math.sqrt(2.0) * np.matmul(Y, np.swapaxes(S, -1, -2))
+    return np.matmul(Z[:, None, :-1] - w, np.swapaxes(M, -1, -2)), W, M
 
 
 def convolve_solution(ctx, f, z, t_lo, nodes_t=16, nodes_x=24, check=True,
@@ -327,19 +307,23 @@ def convolve_solution(ctx, f, z, t_lo, nodes_t=16, nodes_x=24, check=True,
     A grid-doubling self-check guards the result.
     """
     z = finite_rows(z)
-    t = float(z[0, -1])
+    t, N = float(z[0, -1]), ctx.spec.N
     if t <= t_lo:
         raise DomainError("evaluation time must exceed the support onset")
 
     def run(nt, nx):
+        # f gets the nodes of a chunk of time slices as one row block
         nodes, wts = leggauss(nt)
         half = (t - t_lo) / 2.0
-        mid = (t + t_lo) / 2.0
-        total = 0.0
-        for s, w in zip(nodes, wts):
-            tau = mid + half * s
-            total += w * half * _inner_slice(ctx, f, z, tau, nx)
-        return -total
+        tau = (t + t_lo) / 2.0 + half * nodes
+        inner = []
+        for part in _slice_chunks(nt, nx**N):
+            pts, W, _ = _hermite_block(ctx.spec, z, tau[part], nx)
+            rows = np.dstack([pts, np.broadcast_to(tau[part, None], pts.shape[:2])])
+            vals = f(finite_rows(rows.reshape(-1, N + 1))).reshape(len(pts), -1)
+            inner.append(dot_rows(vals, W) / math.pi ** (N / 2.0))
+        # the terms in node order: np.sum pairs them, which rounds differently
+        return -functools.reduce(np.add, wts * half * np.concatenate(inner), 0.0)
 
     coarse = run(nodes_t, nodes_x)
     if not check:
@@ -437,74 +421,90 @@ def verify_mean_value(ctx, R=0.5, poles=20, samples=120, seed=0):
     )
 
 
-def _d2_slice(ctx, psi, z, tau, i, j, h, nodes_x):
-    """Inner integral of the second x-derivative of the convolution.
+def _d2_slices(ctx, psi, Z, tau, pairs, h, nodes_x):
+    """Inner integrals of the second x-derivatives of the convolution, one
+    slice per row z of Z and time in tau: the (S, len(pairs)) values of
+    d2_ij for the (i, j) of pairs.
 
     In the de-singularized form the derivative lands on psi:
     d2_ij int N(w; 0, 2C) psi(M(x - w)) dw with M = exp(dt B), so the
     integrand is bounded by sup|d2 psi| with no kernel singularity.
-    psi maps a (K, N) grid and the time tau to its K values.
+    psi maps an (..., S, G, N) grid and the (S,) slice times to values;
+    it is called once per chunk of slices, on every stencil offset of
+    every pair, and each slice is reduced by its own dot with the weights.
     """
     spec = ctx.spec
-    pts, W, M = _hermite_slice(ctx, z, tau, nodes_x)
-    di = h * M[:, i]
-    dj = h * M[:, j]
-
-    def vals(offset):
-        X = pts + offset
-        if not (np.all(np.isfinite(X)) and math.isfinite(tau)):
+    offsets = 1 + sum(2 if i == j else 4 for i, j in pairs)
+    out = np.empty((len(Z), len(pairs)))
+    for part in _slice_chunks(len(Z), offsets * nodes_x**spec.N):
+        pts, W, M = _hermite_block(spec, Z[part], tau[part], nodes_x)
+        d = h * np.moveaxis(M, -1, 0)  # d[i] = h M e_i, one row per slice
+        stencil = [np.zeros_like(d[0])]
+        for i, j in pairs:
+            stencil += ([d[i], -d[i]] if i == j else
+                        [d[i] + d[j], d[i] - d[j], -d[i] + d[j], -d[i] - d[j]])
+        X = pts + np.stack(stencil)[:, :, None, :]
+        if not np.isfinite(X).all():
             raise DomainError("quadrature grid has non-finite coordinates")
-        return psi(X, tau)
+        vals = iter(psi(X, tau[part]))
+        centre = next(vals)
+        for p, (i, j) in enumerate(pairs):
+            if i == j:
+                dd = (next(vals) - 2.0 * centre + next(vals)) / h**2
+            else:
+                pp, pm, mp, mm = (next(vals) for _ in range(4))
+                dd = (pp - pm - mp + mm) / (4.0 * h**2)
+            out[part, p] = dot_rows(dd, W)
+    return out / math.pi ** (spec.N / 2.0)
 
-    if i == j:
-        dd = (vals(di) - 2.0 * vals(np.zeros(spec.N)) + vals(-di)) / h**2
-    else:
-        dd = (
-            vals(di + dj) - vals(di - dj) - vals(-di + dj) + vals(-di - dj)
-        ) / (4.0 * h**2)
-    return float(dd @ W) / math.pi ** (spec.N / 2.0)
 
-
-def _d2_convolved(ctx, psi, z, i, j, t_lo, nodes_t=12, nodes_x=12, h=1e-3):
-    """d2_ij of int Gamma(z, .) psi over times in [t_lo, t), at the one
-    row z = (x, t).
+def _d2_convolved(ctx, psi, Z, pairs, t_lo, nodes_t=12, nodes_x=12, h=1e-3):
+    """d2_ij of int Gamma(z, .) psi over times in [t_lo, t) at every row
+    z = (x, t) of Z, for the (i, j) of pairs: the (K, len(pairs)) values.
 
     Outer integral in sigma = sqrt(t - tau), which removes the
-    square-root endpoint behaviour of the time slices.
+    square-root endpoint behaviour of the time slices; the slices of
+    all rows are one block, and each row sums its terms in node order.
     """
-    t = float(z[0, -1])
-    if t <= t_lo:
+    t = Z[:, -1]
+    if not (t > t_lo).all():
         raise DomainError("evaluation time must exceed the support onset")
-    smax = math.sqrt(t - t_lo)
+    smax = np.sqrt(t - t_lo)
     nodes, wts = leggauss(nodes_t)
-    total = 0.0
-    for s, w in zip(nodes, wts):
-        sigma = 0.5 * smax * (s + 1.0)
-        if sigma == 0.0:
-            continue
-        tau = t - sigma * sigma
-        total += w * 0.5 * smax * 2.0 * sigma * _d2_slice(
-            ctx, psi, z, tau, i, j, h, nodes_x
-        )
-    return total
+    sigma = 0.5 * smax * (nodes[:, None] + 1.0)  # slice q of row k at [q, k]
+    d2 = _d2_slices(ctx, psi, np.tile(Z, (nodes_t, 1)), (t - sigma * sigma).ravel(),
+                    pairs, h, nodes_x).reshape(nodes_t, len(Z), -1)
+    terms = (wts[:, None] * 0.5 * smax * 2.0 * sigma)[..., None] * d2
+    return functools.reduce(np.add, terms, 0.0)  # in node order, as in convolve_solution
 
 
 _G_KINDS = ("const", "g1", "g2")
 
 
 def _singular_psi(kind, R, exps):
-    """psi = (scale-R bump) * g on a (K, N) grid at one time, where g is
-    1, x_1 or x_1^2 for kind const, g1 or g2."""
-    def g(X):
-        if kind == "const":
-            return np.ones(len(X))
-        if kind == "g1":
-            return X[:, 0]
-        return np.array([x**2 for x in X[:, 0].tolist()])  # libm pow, as in the bump
+    """psi = (scale-R bump) * g, where g is 1, x_1 or x_1^2 for kind const,
+    g1 or g2, on an (..., G, N) grid whose slices sit at the times t (one
+    per slice, or one for all).
+
+    The Gaussian bump exp(-sum (x_i/R^alpha_i)^2 - (t/R^2)^2) plays the
+    cutoff role inside the quadrature: it concentrates on the quasi-ball
+    of radius ~R and is smooth with all derivative scales set by R, so
+    tensor quadrature converges, unlike the kinked max-norm cutoff.
+    Squares are np.float_power (libm pow), added in coordinate order to
+    the time term of the slice, and the exponent is a math.exp per row:
+    numpy's x*x and np.exp round differently and would move the reports.
+    """
+    scales = [R**a for a in exps.alpha]
 
     def psi(X, t):
-        # smooth scale-R bump: tensor quadrature needs smoothness
-        return _dilated_bump(R, X, t, exps) * g(X)
+        q = np.float_power(t / R**2, 2.0)[..., None]
+        for i, s in enumerate(scales):
+            q = q + np.float_power(X[..., i] / s, 2.0)
+        bump = np.fromiter(map(math.exp, (-q).ravel().tolist()), float,
+                           q.size).reshape(q.shape)
+        if kind == "const":
+            return bump
+        return bump * (X[..., 0] if kind == "g1" else np.float_power(X[..., 0], 2.0))
 
     return psi
 
@@ -515,30 +515,22 @@ def verify_singular_bounds(ctx, kind, R_list=(0.5, 0.25, 0.125), samples=6,
 
     kind selects g = 1, <v, x> (linear in a first-level coordinate), or
     <v, x>^2; the sup of |d2 w| over Q_{R/2} must scale accordingly
-    across a dyadic R sweep.
+    across a dyadic R sweep.  The slices of each R are one chunked block.
     """
     if kind not in _G_KINDS:
         raise DomainError(f"kind must be one of {_G_KINDS}, got {kind!r}")
     spec = ctx.spec
     exps = spec.exponents()
     rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(spec.m) for j in range(i, spec.m)]
     scaling = {}
     for R in R_list:
-        psi = _singular_psi(kind, R, exps)
-        h = fd_rel * R
-        worst = 0.0
         Z = sample_ball(spec, R / 2.0, samples, rng)
         early = Z[:, -1] <= -(R * R) * 0.9
         Z[early, -1] = np.abs(Z[early, -1])
-        for k in range(len(Z)):
-            z = Z[k:k + 1]
-            for i in range(spec.m):
-                for j in range(i, spec.m):
-                    d2 = _d2_convolved(
-                        ctx, psi, z, i, j, t_lo=-(R * R) * 1.0001, h=h
-                    )
-                    worst = max(worst, abs(d2))
-        scaling[R] = worst
+        d2 = _d2_convolved(ctx, _singular_psi(kind, R, exps), Z, pairs,
+                           t_lo=-(R * R) * 1.0001, h=fd_rel * R)
+        scaling[R] = max([0.0] + np.abs(d2).ravel().tolist())
     vals = [scaling[R] for R in R_list]
     steps = [vals[i] / vals[i + 1] if vals[i + 1] > 0 else math.inf
              for i in range(len(vals) - 1)]

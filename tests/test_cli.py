@@ -333,6 +333,14 @@ def test_time_step_beyond_the_covariance_range_is_a_usage_error(capsys):
         assert capsys.readouterr().err.startswith("error: C(t) is not finite")
 
 
+def test_check_time_whose_covariance_overflows_is_a_usage_error(capsys):
+    # hormander_check reads C(t) as the kernel does: an overflow is exit 3
+    for spec, t in ((KOLMO, "1e300"), (DRIFTED, "1e5")):
+        assert run(["check", "--spec", spec, "--time", t]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: C(t) is not finite") and err.count("\n") == 1
+
+
 def test_taylor_rho_min_exp_is_bounded(capsys):
     # rho^2 is a normal float down to rho = 2^-511; further down the ratios
     # were nan (540) or overflowed (1100), and 0 or less gave no profile

@@ -72,6 +72,24 @@ def test_sqrt_spd_rejects_nonsymmetric_and_indefinite():
         sqrt_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(DefinitenessError):
         sqrt_spd(np.diag([1.0, -1.0]))
+    # one bad slice of a stack is refused as well
+    for bad, error in ((np.array([[1.0, 2.0], [0.0, 1.0]]), SymmetryError),
+                       (np.diag([1.0, -1.0]), DefinitenessError)):
+        with pytest.raises(error):
+            sqrt_spd(np.stack([np.eye(2), bad, np.eye(2)]))
+    with pytest.raises(DimensionError):
+        sqrt_spd(np.ones((2, 2, 2, 2)))
+
+
+def test_sqrt_spd_stack_rounds_as_its_slices():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3, 5):
+        X = rng.standard_normal((40, n, n)) * np.exp(rng.uniform(-8.0, 4.0, (40, 1, 1)))
+        A = X @ np.swapaxes(X, -1, -2) + 1e-3 * np.eye(n)
+        A = (A + np.swapaxes(A, -1, -2)) / 2.0
+        S = sqrt_spd(A)
+        assert S.shape == A.shape
+        assert all(np.array_equal(S[k], sqrt_spd(A[k])) for k in range(len(A)))
 
 
 def test_spd_min_eigen_verdicts():

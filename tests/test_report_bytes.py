@@ -53,6 +53,11 @@ COMMANDS = [
     "verify apriori --spec specs/kinetic_m2.json --poles 4 --samples 20 --seed 3",
     "verify mean-value --spec specs/kolmogorov.json --poles 4 --samples 40",
     "verify singular-g1 --spec specs/kolmogorov.json --R-list 0.5,0.25 --seed 2",
+    "verify singular-const --spec specs/kolmogorov.json",
+    "verify singular-const --spec specs/kinetic_drifted.json --seed 1",
+    "verify singular-g2 --spec specs/kolmogorov.json --seed 3",
+    "verify singular-g2 --spec specs/kinetic_drifted.json --seed 0",
+    "verify singular-g1 --spec specs/kinetic.json",
 ]
 
 

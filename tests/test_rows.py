@@ -215,6 +215,24 @@ def test_gaussian_time_term_squares_python_floats(kspec):
     assert bundle.u(Z).tolist() == want
 
 
+def test_float_power_is_libm_pow():
+    # the rounding rule of knorm_rows, cutoff_eta, the Gaussian bundle's
+    # time term and the singular-bounds bump: np.float_power calls libm
+    # pow, as a Python float ** does (np.power and x*x round differently)
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 40_000),
+                        np.exp(rng.uniform(-745.0, 709.0, 40_000)),
+                        np.exp(rng.uniform(-20.0, 20.0, 20_000)),
+                        [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308]])
+    for p in (0.5, 1.0 / 3.0, 1.0 / 5.0, 1.0 / 7.0, 2.0, 3.0):
+        # a Python float ** raises OverflowError where the power overflows
+        v = x[x < 1e100] if p > 1.0 else x
+        for vals in (v, -v) if p > 1.0 else (v,):
+            got = np.float_power(vals, p)
+            want = np.array([e ** p for e in vals.tolist()])
+            assert np.array_equal(got, want), (p, int((got != want).sum()))
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_rows_reject_non_finite(kspec, bad):
     exps = kspec.exponents()

@@ -31,7 +31,7 @@ from kolmo.kernel import covariance
 from kolmo.matrixcalc import sqrt_spd, tensor_rule
 from kolmo.verify import (
     _FAMILIES,
-    _d2_slice,
+    _d2_slices,
     _hermite_grid,
     _singular_psi,
 )
@@ -144,7 +144,7 @@ def _psi_at_point(kind, R, exps):
 
 
 def _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, nodes_x):
-    """_d2_slice the per-Point way: the Hermite grid rebuilt for the slice,
+    """One slice of _d2_slices the per-Point way: the Hermite grid rebuilt for the slice,
     then one Point and one scalar bump * g per node and offset."""
     spec = ctx.spec
     dt = z.t - tau
@@ -179,18 +179,22 @@ def test_d2_slice_matches_per_point_route(which, kspec, drifted):
         psi = _singular_psi(kind, R, exps)
         one = _psi_at_point(kind, R, exps)
         assert np.array_equal(psi(X, -0.1), [one(Point(x, -0.1)) for x in X])
-        for tau in (z.t - 0.2, z.t - 1e-3):
-            for i in range(spec.m):
-                for j in range(i, spec.m):
-                    got = _d2_slice(ctx, psi, z.row(), tau, i, j, h, 12)
-                    want = _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, 12)
-                    assert got == want, (kind, tau, i, j)
+        # both slices and every (i, j) in one call
+        taus = [z.t - 0.2, z.t - 1e-3]
+        pairs = [(i, j) for i in range(spec.m) for j in range(i, spec.m)]
+        got = _d2_slices(ctx, psi, np.repeat(z.row(), 2, axis=0), np.array(taus),
+                         pairs, h, 12)
+        for s, tau in enumerate(taus):
+            for p, (i, j) in enumerate(pairs):
+                want = _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, 12)
+                assert got[s, p] == want, (kind, tau, i, j)
 
 
 def test_d2_slice_rejects_non_finite_grid(kctx):
     psi = _singular_psi("g1", 0.5, kctx.spec.exponents())
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="grid"):
-        _d2_slice(kctx, psi, np.array([[0.1, 0.2, 0.1]]), 0.0, 0, 0, math.inf, 12)
+        _d2_slices(kctx, psi, np.array([[0.1, 0.2, 0.1]]), np.array([0.0]),
+                   [(0, 0)], math.inf, 12)
 
 
 def test_hermite_grid_is_cached_and_read_only():
