@@ -10,6 +10,7 @@ Exit codes: 0 pass, 2 verification criterion failed, 3 usage error,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -127,6 +128,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built on the first run: parse_args keeps no state between calls
 def _build_parser():
     top = _Parser(prog="kolmo", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)

@@ -46,24 +46,24 @@ class KernelContext:
     spec: object
 
 
-def _factorise(spec, t):
-    """C(t), C(t)^{-1} and log det C(t) for a (K,) array of times > 0, each
-    slice bit-identical to its own K = 1 call.  DomainError if C(t)
-    overflows (spec.C), HypoellipticityError if it is numerically singular."""
+def _checked_C(spec, t):
+    """C(t) and log det C(t) for a (K,) array of times > 0, each slice
+    bit-identical to its own K = 1 call.  DomainError if C(t) overflows
+    (spec.C), HypoellipticityError if it is numerically singular."""
     C = spec.C(t)
     sign, logdet = np.linalg.slogdet(C)
     bad = (sign <= 0) | (np.linalg.eigvalsh(C)[:, 0] <= 1e-300)
     if bad.any():
         raise HypoellipticityError(f"C({t[bad][0]}) is numerically singular")
-    return C, np.linalg.inv(C), logdet
+    return C, logdet
 
 
 def covariance(ctx, t):
     """C(t) with its inverse and log-determinant, uncached (K = 1)."""
     if not t > 0.0:
         raise DomainError(f"covariance needs t > 0, got {t}")
-    C, Cinv, logdet = _factorise(ctx.spec, np.array([float(t)]))
-    return Covariance(t=t, C=C[0], Cinv=Cinv[0], logdet=float(logdet[0]))
+    C, logdet = _checked_C(ctx.spec, np.array([float(t)]))
+    return Covariance(t=t, C=C[0], Cinv=np.linalg.inv(C)[0], logdet=float(logdet[0]))
 
 
 def kernel_jet_rows(spec, Z, P, derivatives=True):
@@ -87,8 +87,8 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
     g = np.zeros(len(Z))
     X, Xi, dt = Z[live, :-1], (P[live] if len(P) > 1 else P)[:, :-1], dt[live]
     times, at = np.unique(dt, return_inverse=True)
-    _, Cinv, logdet = _factorise(spec, times)
-    E, Cinv, logdet = spec.E(times)[at], Cinv[at], logdet[at]
+    C, logdet = _checked_C(spec, times)
+    E, Cinv, logdet = spec.E(times)[at], np.linalg.inv(C)[at], logdet[at]
     EXi = matvec_rows(E, Xi)
     W = X - EXi
     quad = dot_rows(vecmat_rows(W, Cinv), W)

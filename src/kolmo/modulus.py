@@ -71,17 +71,6 @@ def power_table(alpha, radii=None):
     return table_from_function(lambda r: r**alpha, radii)
 
 
-def _log_trapz(r, w, inv_power):
-    """Trapezoid in u = log r of omega(r) / r^inv_power dr = w r^{1-k} du."""
-    u = np.log(r)
-    return float(np.trapezoid(w * r ** (1.0 - inv_power), u))
-
-
-def _interp_omega(table, d):
-    """Linear-in-log-r interpolation of omega at d inside the grid."""
-    return float(np.interp(math.log(d), np.log(table.radii), table.omega))
-
-
 def _tail_bound(table):
     """Power-law extrapolation of int_0^{r_min} omega/r dr.
 
@@ -110,7 +99,7 @@ def _decade_growth(table):
     while lo >= r[0] * 0.999:
         mask = (r >= lo * 0.999) & (r <= hi * 1.001)
         if mask.sum() >= 2:
-            growths.append(_log_trapz(r[mask], w[mask], 1))
+            growths.append(float(np.trapezoid(w[mask], np.log(r[mask]))))
         hi, lo = lo, lo / 10.0
     return tuple(growths)
 
@@ -136,7 +125,7 @@ def _classify(growths, total):
 
 def dini_integral(table):
     """int_{r_min}^1 omega(r)/r dr with tail bound and classification."""
-    value = _log_trapz(table.radii, table.omega, 1)
+    value = float(np.trapezoid(table.omega, np.log(table.radii)))  # omega/r dr in log r
     growths = _decade_growth(table)
     return DiniReport(
         value=value,
@@ -147,41 +136,52 @@ def dini_integral(table):
     )
 
 
-def schauder_functional(table, d):
-    """int_{r_min}^d omega/r dr + d int_d^1 omega/r^2 dr on the log grid."""
-    if not 0.0 < d < 1.0:
-        raise DomainError(f"split radius must lie in (0, 1), got {d}")
-    r, w = table.radii, table.omega
-    if d <= r[0]:
-        near = 0.0
-    else:
-        mask = r <= d
-        rs = np.append(r[mask], d)
-        ws = np.append(w[mask], _interp_omega(table, d))
-        near = _log_trapz(rs, ws, 1)
-    if d >= r[-1]:
-        far = 0.0
-    else:
-        mask = r >= d
-        rs = np.insert(r[mask], 0, d)
-        ws = np.insert(w[mask], 0, _interp_omega(table, d))
-        far = d * _log_trapz(rs, ws, 2)
-    return near + far
+SPLIT_ROWS = 4096  # most split radii whose bracket blocks are built at once
 
 
-def holder_closed_form(M, alpha, d):
-    """Closed-form Schauder bound for a Holder modulus M r^alpha.
+def _bracket_block(grid, ends, at_end):
+    """The (P, n+1) rows [grid, e] (at_end) or [e, grid] for the values e
+    of ``ends``, in C order: np.concatenate lays a broadcast grid out in
+    Fortran order, whose rows numpy does not sum pairwise."""
+    cols = [np.broadcast_to(grid, (len(ends), len(grid))), ends[:, None]]
+    return np.ascontiguousarray(np.concatenate(cols[::1 if at_end else -1], axis=1))
 
-    M d^alpha / (alpha (1-alpha)) for alpha < 1 and M d |log d| in the
-    borderline Lipschitz case; always dominates the numeric functional.
+
+def schauder_functional_rows(table, ds):
+    """schauder_functional at every split radius of the 1-d array ``ds``.
+
+    Radii are grouped by bracket: the near parts of all d with the same a
+    grid radii <= d form one block of rows [r[:a], d], the far parts of
+    all d with the same first grid radius r[b] >= d one block [d, r[b:]],
+    and each block is one trapezoid along its rows.  numpy sums each row
+    pairwise as it sums one d's 1-d array, and omega(d) is interpolated
+    at math.log(d), so every value is bit-identical to its K = 1 call.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
-    if not 0.0 < d < 1.0:
-        raise DomainError(f"split radius must lie in (0, 1), got {d}")
-    if alpha == 1.0:
-        return M * d * abs(math.log(d))
-    return M * d**alpha / (alpha * (1.0 - alpha))
+    ds = np.asarray(ds, dtype=float)
+    if len(ds) > SPLIT_ROWS:
+        return np.concatenate([schauder_functional_rows(table, ds[k:k + SPLIT_ROWS])
+                               for k in range(0, len(ds), SPLIT_ROWS)])
+    bad = ~((ds > 0.0) & (ds < 1.0))
+    if bad.any():
+        raise DomainError(f"split radius must lie in (0, 1), got {ds[bad][0].item()}")
+    r, w = table.radii, table.omega
+    w_d = np.interp([math.log(d) for d in ds.tolist()], np.log(r), w)
+    near, far = np.zeros(len(ds)), np.zeros(len(ds))
+    for out, live, key, inv_power in ((near, ds > r[0], np.searchsorted(r, ds, "right"), 1),
+                                      (far, ds < r[-1], np.searchsorted(r, ds, "left"), 2)):
+        for k in np.unique(key[live]).tolist():
+            rows = np.flatnonzero(live & (key == k))
+            cut = slice(0, k) if inv_power == 1 else slice(k, None)
+            R = _bracket_block(r[cut], ds[rows], inv_power == 1)
+            W = _bracket_block(w[cut], w_d[rows], inv_power == 1)
+            out[rows] = np.trapezoid(W * R ** (1.0 - inv_power), np.log(R), axis=-1)
+    return near + ds * far
+
+
+def schauder_functional(table, d):
+    """int_{r_min}^d omega/r dr + d int_d^1 omega/r^2 dr: the K = 1 call of
+    schauder_functional_rows."""
+    return float(schauder_functional_rows(table, [d])[0])
 
 
 def _scaled_pairs(spec, radius, count, rng, r_min, center):

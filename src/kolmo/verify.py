@@ -28,12 +28,12 @@ from .errors import (
 )
 from .group import (compose_rows, dilate_rows, finite_rows, kdist_rows,
                     knorm_rows, sample_ball)
-from .kernel import _factorise, kernel_jet_rows
+from .kernel import _checked_C, kernel_jet_rows
 from .matrixcalc import dot_rows, sqrt_spd, tensor_rule
 from .modulus import (
     dini_integral,
     empirical_modulus,
-    schauder_functional,
+    schauder_functional_rows,
     table_from_function,
 )
 from .taylor import (C2Bundle, flow_Y_rows, gaussian_bundle, quadratic_bundle,
@@ -288,7 +288,7 @@ def _hermite_block(spec, Z, tau, nodes_x):
     dt = Z[:, -1] - tau
     if not (dt > 0.0).all():
         raise DomainError(f"covariance needs t > 0, got {dt[~(dt > 0.0)][0]}")
-    S = sqrt_spd(2.0 * _factorise(spec, dt)[0])
+    S = sqrt_spd(2.0 * _checked_C(spec, dt)[0])
     Y, W = _hermite_grid(nodes_x, spec.N)
     M = spec.E(-dt)
     w = math.sqrt(2.0) * np.matmul(Y, np.swapaxes(S, -1, -2))
@@ -613,16 +613,14 @@ def verify_schauder(ctx, problem, pair_samples=1000, seed=0, constant=False):
     dists = kdist_rows(Z, W, spec)
     lhs = np.abs(_second_derivative_values(problem, Z)
                  - _second_derivative_values(problem, W)).max(axis=1)
-    ratios = []
-    r_min = float(omega_f.radii[0])
-    for d, jump in zip(dists.tolist(), lhs.tolist()):
-        if d < r_min or d >= 1.0:
-            continue
-        rhs = d * sup_u + d * sup_f + schauder_functional(omega_f, d)
-        if problem.omega_a is not None:
-            rhs += schauder_functional(problem.omega_a, d) * eta_sup
-        if rhs > 0.0:
-            ratios.append(jump / rhs)
+    # a NaN distance is kept, so that the functional rejects it
+    keep = ~((dists < omega_f.radii[0]) | (dists >= 1.0))
+    d = dists[keep]
+    rhs = d * sup_u + d * sup_f + schauder_functional_rows(omega_f, d)
+    if problem.omega_a is not None:
+        rhs = rhs + schauder_functional_rows(problem.omega_a, d) * eta_sup
+    live = rhs > 0.0
+    ratios = (lhs[keep][live] / rhs[live]).tolist()
     fitted = max(ratios + [point_ratio]) if (ratios or point_ratio) else 0.0
     return EstimateReport(
         name=name,

@@ -27,7 +27,6 @@ from kolmo import (
     dilate_rows,
     gamma,
     gamma_Y,
-    holder_closed_form,
     counterexample_certificate,
     inverse,
     kdist,
@@ -52,6 +51,8 @@ from kolmo import (
 from kolmo.errors import ApplicabilityError, StructureError
 from kolmo.matrixcalc import mat_exp
 from kolmo.verify import _FAMILIES
+
+from test_schauder_oracle import holder_closed_form
 
 
 def _report(num, name, ok):

@@ -376,6 +376,44 @@ def test_report_bytes_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+PARSER_LINES = [
+    ["check", "--spec", KOLMO, "--seed", "3"],
+    ["verify", "nope", "--spec", KOLMO],
+    ["connect", "--spec", KINETIC, "--from", "-0.5,1,1", "--to", "0,0,0"],
+    ["modulus", "--spec", KOLMO, "--function", "knorm", "--pairs", "1000",
+     "--schauder-d", "0.25"],
+    ["check", "--spec", KOLMO, "--bogus", "1"],
+    ["taylor", "--spec", KOLMO, "--rho-min-exp", "600"],
+    ["taylor", "--spec", DRIFTED, "--form", "euclidean", "--seed", "3"],
+    [],
+    ["verify", "schauder-var", "--varcoeff", "sin1", "--spec", KOLMO,
+     "--pairs", "50", "--seed", "1"],
+    ["modulus", "--spec", KOLMO, "--function", "knorm", "--schauder-d", "1"],
+    ["verify", "invariance", "--spec", KOLMO, "--samples", "12"],
+    ["check", "--spec", KOLMO],
+    ["taylor", "--spec", DRIFTED],
+]
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    # one parser serves every run of a process; each line must read as it
+    # does with a parser of its own, whatever ran before it
+    def outputs(order, fresh):
+        got = {}
+        for k in order:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(list(PARSER_LINES[k]))
+            got[k] = (code, *capsys.readouterr())
+        return got
+
+    lines = range(len(PARSER_LINES))
+    alone = outputs(lines, fresh=True)
+    assert {v[0] for v in alone.values()} == {0, 3}
+    assert outputs(lines, fresh=False) == alone
+    assert outputs(reversed(lines), fresh=False) == alone
+
+
 def test_report_embeds_config(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run(["check", "--spec", KOLMO, "--seed", "7", "--out", str(out)]) == 0

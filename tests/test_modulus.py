@@ -11,7 +11,6 @@ from kolmo import (
     counterexample_u,
     dini_integral,
     empirical_modulus,
-    holder_closed_form,
     holder_seminorm,
     knorm_rows,
     power_table,
@@ -20,6 +19,8 @@ from kolmo import (
 )
 from kolmo.errors import DomainError
 from kolmo.modulus import DEFAULT_RADII, modulus_from_pairs
+
+from test_schauder_oracle import holder_closed_form
 
 
 def test_table_validation():

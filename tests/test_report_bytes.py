@@ -58,6 +58,8 @@ COMMANDS = [
     "verify singular-g2 --spec specs/kolmogorov.json --seed 3",
     "verify singular-g2 --spec specs/kinetic_drifted.json --seed 0",
     "verify singular-g1 --spec specs/kinetic.json",
+    "modulus --spec specs/kolmogorov.json --function knorm --pairs 1000 --schauder-d 0.25",
+    "verify schauder-var --varcoeff sin1x2 --spec specs/kinetic_drifted.json --pairs 300 --seed 2",
 ]
 
 
