@@ -32,7 +32,7 @@ from .errors import (
     SymmetryError,
     UsageError,
 )
-from .matrixcalc import exp_rows, exp_table, mat_exp, matvec_rows, spd_min_eigen
+from .matrixcalc import exp_rows, exp_table, matvec_rows, spd_min_eigen
 
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
@@ -456,12 +456,6 @@ def scaled_B(spec, r):
     return Br
 
 
-def compose_r(z, zeta, spec, r):
-    """Composition under the scaled drift B_r; agrees with o at r = 1."""
-    Er = mat_exp(-zeta.t * scaled_B(spec, r))
-    return Point(zeta.x + Er @ z.x, z.t + zeta.t)
-
-
 def project_level(x, n, blocks):
     """Zero all coordinates of x outside dilation level n."""
     x = np.asarray(x, dtype=float)
@@ -517,23 +511,6 @@ def sample_ball(spec, radius, count, rng, center=None):
     if center is not None:
         Z = compose_rows(Z, center.row(), spec)
     return Z
-
-
-def estimate_triangle_constant(spec, radius, samples=10_000, seed=0):
-    """Empirical pseudo-triangle constant over sampled pairs in a ball:
-    the largest ||z^{-1}|| / ||z|| and ||z o zeta|| / (||z|| + ||zeta||)."""
-    if radius <= 0.0:
-        raise DomainError("radius must be positive")
-    if samples < 100:
-        raise DomainError("need at least 100 samples")
-    exps = spec.exponents()
-    pts = sample_ball(spec, radius, samples, np.random.default_rng(seed))
-    Z, W = pts[0:samples - 1:2], pts[1::2]
-    nz, nw = knorm_rows(Z, exps), knorm_rows(W, exps)
-    inv = knorm_rows(inverse_rows(Z, spec), exps)[nz > 1e-12] / nz[nz > 1e-12]
-    apart = nz + nw > 1e-12
-    prod = knorm_rows(compose_rows(Z, W, spec), exps)[apart] / (nz + nw)[apart]
-    return float(max(1.0, inv.max(initial=1.0), prod.max(initial=1.0)))
 
 
 def kolmogorov_spec(m=1):

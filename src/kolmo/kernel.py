@@ -28,8 +28,7 @@ from .errors import (
     HypoellipticityError,
     SupportError,
 )
-from .group import (dilate, embedded_A, finite_rows, kdist_rows, knorm_rows,
-                    origin, sample_ball)
+from .group import dilate, embedded_A, finite_rows, origin
 from .matrixcalc import dot_rows, gauss_panels, matvec_rows, tensor_rule, vecmat_rows
 
 ROW_CHUNK = 4096  # most rows factorised at once: each holds ~16 N^2 floats of work
@@ -180,46 +179,3 @@ def kernel_mass(ctx, t, nodes_per_dim=32, tol=1e-6):
     if abs(fine - coarse) > tol * max(1.0, abs(fine)):
         raise AccuracyError("kernel mass quadrature did not converge")
     return fine
-
-
-def check_bounds(ctx, samples=10_000, R0=1.0, seed=0):
-    """Fitted constants of the kernel decay bounds by Monte-Carlo sup.
-
-    Returns a dict mapping each bound name to the empirical supremum of
-    the corresponding product value * d_K^power (libm pow) over sampled
-    pairs in the box Q_{R0}, pairs closer than 1e-6 in time or distance
-    left out.
-    """
-    spec = ctx.spec
-    exps = spec.exponents()
-    Q, m = exps.Q, spec.m
-    pts = sample_ball(spec, R0, 2 * samples, np.random.default_rng(seed))
-    later = pts[0::2, -1] - pts[1::2, -1] > 1e-6
-    Z, P = pts[0::2][later], pts[1::2][later]
-    d = kdist_rows(Z, P, spec)
-    apart = d >= 1e-6
-    jet, d = kernel_jet_rows(spec, Z[apart], P[apart]), d[apart].tolist()
-    grad = np.abs(jet.grad)
-    terms = [("gamma", jet.gamma, Q), ("grad_m", grad[:, :m].max(axis=1), Q + 1),
-             ("hess_m", np.abs(jet.hess[:, :m, :m]).max(axis=(1, 2)), Q + 2),
-             ("Y", np.abs(jet.Y), Q + 2)]
-    terms += [(f"grad_alpha{exps.alpha[j]}", grad[:, j], Q + exps.alpha[j])
-              for j in range(m, spec.N)]
-    out = {}
-    for key, vals, power in terms:
-        out[key] = max([out.get(key, 0.0)]
-                       + [v * r**power for v, r in zip(vals.tolist(), d)])
-    return out
-
-
-def annulus_sup(ctx, R, samples=2000, seed=0):
-    """Sup of Gamma over z in Q_{R/2}, zeta in Q_R minus Q_{3R/4}: the
-    first ``samples`` poles of the annulus, the k-th paired with point
-    (k + 1) mod samples of the inner ball."""
-    spec = ctx.spec
-    rng = np.random.default_rng(seed)
-    zs = sample_ball(spec, R / 2.0, samples, rng)
-    poles = sample_ball(spec, R, 8 * samples, rng)
-    poles = poles[~(knorm_rows(poles, spec.exponents()) < 0.75 * R)][:samples]
-    Z = zs[np.arange(1, len(poles) + 1) % len(zs)]
-    return max([0.0] + kernel_jet_rows(spec, Z, poles, derivatives=False).tolist())

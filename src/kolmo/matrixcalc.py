@@ -6,17 +6,19 @@ speed.  exp(t M) of a fixed generator M at a whole array of times comes
 from the powers of M, made once (exp_table, exp_rows): a finite series
 when M is nilpotent, otherwise a degree-18 Taylor series with scaling
 and squaring.  mat_exp is scipy's expm on one matrix, the independent
-route.  Square roots go through a full symmetric eigendecomposition, and
-the quadrature is a fixed-order composite Gauss-Legendre rule with a
-panel-doubling self-check.
+route; scipy.linalg is imported on its first call, so a process that
+never checks a truncated series does not load it.  Square roots go
+through a full symmetric eigendecomposition, and the quadrature is a
+fixed-order composite Gauss-Legendre rule with a panel-doubling
+self-check.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm
 
 from .errors import (
     AccuracyError,
@@ -74,6 +76,14 @@ def _as_square(M, stack=False):
     if not np.isfinite(M).all():
         raise DomainError("matrix has non-finite entries")
     return M
+
+
+def expm(M):
+    """scipy.linalg.expm, imported on the first call: loading scipy.linalg
+    takes longer than most reports."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(M)
 
 
 def mat_exp(M):
@@ -194,10 +204,36 @@ def dot_rows(X, Y):
     return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
 
 
+def exp_nonpositive(x):
+    """exp of an array of arguments <= 0, each bit-identical to math.exp.
+
+    numpy's complex exp calls libm cexp, and glibc's cexp(x + 0i) is
+    exp(x) * cos 0, so its real part is libm exp(x), which math.exp also
+    calls (numpy's real np.exp rounds differently on some arguments).
+    Above ~709 cexp rescales, so positive arguments are refused
+    (DomainError).  An underflow to a subnormal or zero is no error.
+    """
+    x = np.asarray(x, dtype=float)
+    if (x > 0.0).any():
+        raise DomainError("exp_nonpositive needs arguments <= 0")
+    with np.errstate(under="ignore"):
+        return np.exp(x.astype(complex)).real
+
+
+@functools.lru_cache(maxsize=32)
+def gauss_legendre(n):
+    """The n-node Gauss-Legendre rule on [-1, 1], built once per n; its
+    arrays are read-only because every caller shares them."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_panels(lo, hi, panels, order=GAUSS_ORDER):
     """Composite Gauss-Legendre rule on [lo, hi]: points and weights of
     ``panels`` equal panels with ``order`` nodes each."""
-    nodes, weights = leggauss(order)
+    nodes, weights = gauss_legendre(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges) / 2.0
     mids = (edges[:-1] + edges[1:]) / 2.0

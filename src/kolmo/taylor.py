@@ -33,10 +33,11 @@ from .group import (
     inverse_rows,
     kdist,
     level_map_solve,
-    mat_exp,  # unused here; the benchmark's tracer test reads kolmo.taylor.mat_exp
     project_level,
 )
-from .matrixcalc import dot_rows, matvec_rows, vecmat_rows
+from .matrixcalc import (dot_rows,
+                         mat_exp,  # unused here; the benchmark's tracer test reads kolmo.taylor.mat_exp
+                         matvec_rows, vecmat_rows)
 
 SEGMENT_TOL = 1e-12
 RICHARDSON_TOL = 1e-3  # largest step-halving change, relative to max(1, |value|)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import (
@@ -29,7 +28,8 @@ from .errors import (
 from .group import (compose_rows, dilate_rows, finite_rows, kdist_rows,
                     knorm_rows, sample_ball)
 from .kernel import _checked_C, kernel_jet_rows
-from .matrixcalc import dot_rows, sqrt_spd, tensor_rule
+from .matrixcalc import (dot_rows, exp_nonpositive, gauss_legendre, sqrt_spd,
+                         tensor_rule)
 from .modulus import (
     dini_integral,
     empirical_modulus,
@@ -214,33 +214,6 @@ def cutoff_eta(R, Z, exps):
     return 1.0 - np.float_power(s, 3.0) * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def cutoff_gradient_report(spec, R_list=(1.0, 0.5, 0.25), samples=400, seed=0):
-    """FD sup of |d_i eta_R| and second differences across an R sweep.
-
-    Returns per-R tables of sup|d_i eta| * R^{alpha_i} and the pure
-    second-difference sup * R^2; the fitted constants should be stable.
-    """
-    exps = spec.exponents()
-    rng = np.random.default_rng(seed)
-    N, K = spec.N, samples
-    out = {}
-    for R in R_list:
-        Z = sample_ball(spec, R, samples, rng)
-        h = np.array([1e-5 * R**a for a in exps.alpha])
-        e = np.zeros((N, N + 1))
-        e[:, :N] = np.diag(h)
-        eta = cutoff_eta(R, np.vstack([Z] + [Z + ei for ei in e] + [Z - ei for ei in e]),
-                         exps).reshape(2 * N + 1, K)
-        mid, up, dn = eta[0], eta[1:N + 1], eta[N + 1:]
-        first = (np.abs(up - dn) / (2 * h[:, None])).max(axis=1, initial=0.0)
-        second = np.abs(up - 2 * mid + dn)[:spec.m] / h[:spec.m, None] ** 2
-        out[R] = {
-            "first_scaled": [first[i] * R ** exps.alpha[i] for i in range(N)],
-            "second_scaled": float(second.max(initial=0.0)) * R**2,
-        }
-    return out
-
-
 def harmonic_family(ctx, R, count, rng):
     """Poles p of kernel translates u_p = Gamma(., p) below the cylinder,
     as a (count, N+1) row block.
@@ -275,24 +248,31 @@ def _slice_chunks(slices, rows_per_slice):
     return [slice(k, k + step) for k in range(0, slices, step)]
 
 
-def _hermite_block(spec, Z, tau, nodes_x):
-    """Gauss-Hermite rules for w ~ N(0, 2C(dt)) mapped to xi = exp(dt B)(x - w),
-    one slice per time in tau, at the row z = (x, t) of Z paired with it
-    (or the one row of Z), with dt = t - tau.
-
-    Returns the (S, G, N) points xi, the G tensor weights (to be divided
-    by pi^{N/2}) and the (S, N, N) stack M = exp(dt B).  C(dt), its square
-    root and M are one stacked call each, and every slice is bit-identical
-    to its own K = 1 call.
+def _hermite_factors(spec, Z, tau):
+    """The factors of the Gauss-Hermite rules for w ~ N(0, 2C(dt)), one
+    slice per time in tau, at the row of Z paired with it (or the one
+    row of Z), with dt = t - tau: the (S, N, N) stacks of the root S of
+    2C(dt) and of M = exp(dt B).  C(dt), its root and M are one stacked
+    call each for all slices, and every slice is bit-identical to its
+    own K = 1 call.
     """
     dt = Z[:, -1] - tau
     if not (dt > 0.0).all():
         raise DomainError(f"covariance needs t > 0, got {dt[~(dt > 0.0)][0]}")
-    S = sqrt_spd(2.0 * _checked_C(spec, dt)[0])
-    Y, W = _hermite_grid(nodes_x, spec.N)
-    M = spec.E(-dt)
+    return sqrt_spd(2.0 * _checked_C(spec, dt)[0]), spec.E(-dt)
+
+
+def _hermite_points(Z, S, M, nodes_x):
+    """The cached Hermite grid mapped to xi = M (x - sqrt(2) S y) for a
+    chunk of slices with factors S and M (_hermite_factors), at the row
+    z = (x, t) of Z paired with each slice (or the one row of Z).
+
+    Returns the (S, G, N) points and the G tensor weights (to be divided
+    by pi^{N/2}).
+    """
+    Y, W = _hermite_grid(nodes_x, M.shape[-1])
     w = math.sqrt(2.0) * np.matmul(Y, np.swapaxes(S, -1, -2))
-    return np.matmul(Z[:, None, :-1] - w, np.swapaxes(M, -1, -2)), W, M
+    return np.matmul(Z[:, None, :-1] - w, np.swapaxes(M, -1, -2)), W
 
 
 def convolve_solution(ctx, f, z, t_lo, nodes_t=16, nodes_x=24, check=True,
@@ -312,13 +292,15 @@ def convolve_solution(ctx, f, z, t_lo, nodes_t=16, nodes_x=24, check=True,
         raise DomainError("evaluation time must exceed the support onset")
 
     def run(nt, nx):
-        # f gets the nodes of a chunk of time slices as one row block
-        nodes, wts = leggauss(nt)
+        # the factors once per pass; f gets the nodes of a chunk of
+        # time slices as one row block
+        nodes, wts = gauss_legendre(nt)
         half = (t - t_lo) / 2.0
         tau = (t + t_lo) / 2.0 + half * nodes
+        S, M = _hermite_factors(ctx.spec, z, tau)
         inner = []
         for part in _slice_chunks(nt, nx**N):
-            pts, W, _ = _hermite_block(ctx.spec, z, tau[part], nx)
+            pts, W = _hermite_points(z, S[part], M[part], nx)
             rows = np.dstack([pts, np.broadcast_to(tau[part, None], pts.shape[:2])])
             vals = f(finite_rows(rows.reshape(-1, N + 1))).reshape(len(pts), -1)
             inner.append(dot_rows(vals, W) / math.pi ** (N / 2.0))
@@ -430,15 +412,18 @@ def _d2_slices(ctx, psi, Z, tau, pairs, h, nodes_x):
     d2_ij int N(w; 0, 2C) psi(M(x - w)) dw with M = exp(dt B), so the
     integrand is bounded by sup|d2 psi| with no kernel singularity.
     psi maps an (..., S, G, N) grid and the (S,) slice times to values;
-    it is called once per chunk of slices, on every stencil offset of
-    every pair, and each slice is reduced by its own dot with the weights.
+    C(dt), sqrt_spd and E(-dt) are made once for all slices; QUAD_ROWS
+    chunks only the grid: psi is called once per chunk of slices, on
+    every stencil offset of every pair, and each slice is reduced by its
+    own dot with the weights.
     """
     spec = ctx.spec
     offsets = 1 + sum(2 if i == j else 4 for i, j in pairs)
+    S, M = _hermite_factors(spec, Z, tau)
     out = np.empty((len(Z), len(pairs)))
     for part in _slice_chunks(len(Z), offsets * nodes_x**spec.N):
-        pts, W, M = _hermite_block(spec, Z[part], tau[part], nodes_x)
-        d = h * np.moveaxis(M, -1, 0)  # d[i] = h M e_i, one row per slice
+        pts, W = _hermite_points(Z[part], S[part], M[part], nodes_x)
+        d = h * np.moveaxis(M[part], -1, 0)  # d[i] = h M e_i, one row per slice
         stencil = [np.zeros_like(d[0])]
         for i, j in pairs:
             stencil += ([d[i], -d[i]] if i == j else
@@ -470,7 +455,7 @@ def _d2_convolved(ctx, psi, Z, pairs, t_lo, nodes_t=12, nodes_x=12, h=1e-3):
     if not (t > t_lo).all():
         raise DomainError("evaluation time must exceed the support onset")
     smax = np.sqrt(t - t_lo)
-    nodes, wts = leggauss(nodes_t)
+    nodes, wts = gauss_legendre(nodes_t)
     sigma = 0.5 * smax * (nodes[:, None] + 1.0)  # slice q of row k at [q, k]
     d2 = _d2_slices(ctx, psi, np.tile(Z, (nodes_t, 1)), (t - sigma * sigma).ravel(),
                     pairs, h, nodes_x).reshape(nodes_t, len(Z), -1)
@@ -491,8 +476,9 @@ def _singular_psi(kind, R, exps):
     of radius ~R and is smooth with all derivative scales set by R, so
     tensor quadrature converges, unlike the kinked max-norm cutoff.
     Squares are np.float_power (libm pow), added in coordinate order to
-    the time term of the slice, and the exponent is a math.exp per row:
-    numpy's x*x and np.exp round differently and would move the reports.
+    the time term of the slice, and the exponent -q <= 0 goes through
+    matrixcalc.exp_nonpositive, which is libm exp as math.exp is: numpy's
+    x*x and np.exp round differently and would move the reports.
     """
     scales = [R**a for a in exps.alpha]
 
@@ -500,8 +486,7 @@ def _singular_psi(kind, R, exps):
         q = np.float_power(t / R**2, 2.0)[..., None]
         for i, s in enumerate(scales):
             q = q + np.float_power(X[..., i] / s, 2.0)
-        bump = np.fromiter(map(math.exp, (-q).ravel().tolist()), float,
-                           q.size).reshape(q.shape)
+        bump = exp_nonpositive(-q)
         if kind == "const":
             return bump
         return bump * (X[..., 0] if kind == "g1" else np.float_power(X[..., 0], 2.0))

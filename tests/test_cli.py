@@ -114,6 +114,20 @@ def test_connect_degenerate_direction_exit_code(tmp_path):
     assert proc.stderr == b"accuracy failure: overflow in matrix exponential\n"
 
 
+def test_kernel_report_leaves_scipy_linalg_unloaded():
+    # scipy.linalg serves only mat_exp, the once-per-generator check of a
+    # truncated series, which a principal drift never reaches; it is
+    # imported on mat_exp's first call, not with the command line
+    code = ("import sys, kolmo.cli\n"
+            f"code = kolmo.cli.run(['kernel', '--spec', {KOLMO!r}, '--point', '0.5,-0.5,1'])\n"
+            "sys.exit(code if 'scipy.linalg' not in sys.modules else 1)\n")
+    env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_hot_paths_make_no_scipy_expm_call(monkeypatch, capsys):
     # on principal drifts every E(t) and C(t) comes from the powers of its
     # generator, so scipy's expm is never reached

@@ -4,22 +4,51 @@ import pytest
 from kolmo import (
     Point,
     compose,
+    compose_rows,
     dilate,
-    estimate_triangle_constant,
     hormander_check,
     inverse,
+    inverse_rows,
     kdist,
     knorm,
     knorm_rows,
     load_spec,
     make_spec,
+    mat_exp,
     origin,
     principal_B,
     sample_ball,
     scaled_B,
 )
 from kolmo.errors import DomainError, EllipticityError, SolveError, StructureError
-from kolmo.group import compose_r, level_map_solve, project_level
+from kolmo.group import level_map_solve, project_level
+
+
+# Test-only helpers: the scaled-drift composition and an empirical
+# pseudo-triangle constant, which no command-line path uses.
+
+
+def compose_r(z, zeta, spec, r):
+    """Composition under the scaled drift B_r; agrees with o at r = 1."""
+    Er = mat_exp(-zeta.t * scaled_B(spec, r))
+    return Point(zeta.x + Er @ z.x, z.t + zeta.t)
+
+
+def estimate_triangle_constant(spec, radius, samples=10_000, seed=0):
+    """Empirical pseudo-triangle constant over sampled pairs in a ball:
+    the largest ||z^{-1}|| / ||z|| and ||z o zeta|| / (||z|| + ||zeta||)."""
+    if radius <= 0.0:
+        raise DomainError("radius must be positive")
+    if samples < 100:
+        raise DomainError("need at least 100 samples")
+    exps = spec.exponents()
+    pts = sample_ball(spec, radius, samples, np.random.default_rng(seed))
+    Z, W = pts[0:samples - 1:2], pts[1::2]
+    nz, nw = knorm_rows(Z, exps), knorm_rows(W, exps)
+    inv = knorm_rows(inverse_rows(Z, spec), exps)[nz > 1e-12] / nz[nz > 1e-12]
+    apart = nz + nw > 1e-12
+    prod = knorm_rows(compose_rows(Z, W, spec), exps)[apart] / (nz + nw)[apart]
+    return float(max(1.0, inv.max(initial=1.0), prod.max(initial=1.0)))
 
 
 def _random_point(rng, N, scale=1.5):

@@ -6,7 +6,6 @@ import pytest
 from kolmo import (
     KernelContext,
     Point,
-    check_bounds,
     check_homogeneity,
     check_kernel_pde,
     covariance,
@@ -17,16 +16,65 @@ from kolmo import (
     heat_spec,
     hormander_check,
     integrate_matrix,
+    kdist_rows,
     kernel_jet_rows,
     kernel_mass,
+    knorm_rows,
     kolmogorov_spec,
     make_spec,
     origin,
+    sample_ball,
 )
 from kolmo import kernel
 from kolmo.errors import ApplicabilityError, DomainError, SupportError
 from kolmo.group import embedded_A
-from kolmo.kernel import annulus_sup
+
+
+# Test-only helpers: Monte-Carlo sups of the kernel bounds, which no
+# command-line path uses.
+
+
+def check_bounds(ctx, samples=10_000, R0=1.0, seed=0):
+    """Fitted constants of the kernel decay bounds by Monte-Carlo sup.
+
+    Returns a dict mapping each bound name to the empirical supremum of
+    the corresponding product value * d_K^power (libm pow) over sampled
+    pairs in the box Q_{R0}, pairs closer than 1e-6 in time or distance
+    left out.
+    """
+    spec = ctx.spec
+    exps = spec.exponents()
+    Q, m = exps.Q, spec.m
+    pts = sample_ball(spec, R0, 2 * samples, np.random.default_rng(seed))
+    later = pts[0::2, -1] - pts[1::2, -1] > 1e-6
+    Z, P = pts[0::2][later], pts[1::2][later]
+    d = kdist_rows(Z, P, spec)
+    apart = d >= 1e-6
+    jet, d = kernel_jet_rows(spec, Z[apart], P[apart]), d[apart].tolist()
+    grad = np.abs(jet.grad)
+    terms = [("gamma", jet.gamma, Q), ("grad_m", grad[:, :m].max(axis=1), Q + 1),
+             ("hess_m", np.abs(jet.hess[:, :m, :m]).max(axis=(1, 2)), Q + 2),
+             ("Y", np.abs(jet.Y), Q + 2)]
+    terms += [(f"grad_alpha{exps.alpha[j]}", grad[:, j], Q + exps.alpha[j])
+              for j in range(m, spec.N)]
+    out = {}
+    for key, vals, power in terms:
+        out[key] = max([out.get(key, 0.0)]
+                       + [v * r**power for v, r in zip(vals.tolist(), d)])
+    return out
+
+
+def annulus_sup(ctx, R, samples=2000, seed=0):
+    """Sup of Gamma over z in Q_{R/2}, zeta in Q_R minus Q_{3R/4}: the
+    first ``samples`` poles of the annulus, the k-th paired with point
+    (k + 1) mod samples of the inner ball."""
+    spec = ctx.spec
+    rng = np.random.default_rng(seed)
+    zs = sample_ball(spec, R / 2.0, samples, rng)
+    poles = sample_ball(spec, R, 8 * samples, rng)
+    poles = poles[~(knorm_rows(poles, spec.exponents()) < 0.75 * R)][:samples]
+    Z = zs[np.arange(1, len(poles) + 1) % len(zs)]
+    return max([0.0] + kernel_jet_rows(spec, Z, poles, derivatives=False).tolist())
 
 
 def test_kolmogorov_covariance_closed_form(kctx):

@@ -2,8 +2,9 @@
 bundle fields, the finite-difference operators and the kernel jet give,
 on a (K, N+1) block, exactly (==) what they give one point at a time,
 over generated admissible specs.
-Independent scalar oracles pin the two rounding rules: libm pow in the
-quasi-norm, and a Python-float square in the Gaussian bundle's time term.
+Independent scalar oracles pin the rounding rules: libm pow in the
+quasi-norm, the cutoff and the Gaussian bundle's time term, and libm exp
+through numpy's complex exp in the singular-bounds bump.
 The kernel also meets its PDE and its mass identity on those specs."""
 
 import math
@@ -41,7 +42,7 @@ from kolmo import (
     quadratic_bundle,
     sample_ball,
 )
-from kolmo.matrixcalc import matvec_rows
+from kolmo.matrixcalc import exp_nonpositive, matvec_rows
 from kolmo.modulus import _scaled_pairs
 from kolmo.verify import _coeff_field
 
@@ -231,6 +232,25 @@ def test_float_power_is_libm_pow():
             got = np.float_power(vals, p)
             want = np.array([e ** p for e in vals.tolist()])
             assert np.array_equal(got, want), (p, int((got != want).sum()))
+
+
+def test_complex_exp_is_libm_exp():
+    # the rounding rule of the singular-bounds bump: numpy's complex exp
+    # calls libm cexp, whose real part at x + 0i is libm exp, as math.exp
+    # (the real np.exp rounds differently on some arguments)
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(-800.0, 0.0, 100_000),
+                        rng.uniform(-750.0, -700.0, 50_000),
+                        -np.exp(rng.uniform(-40.0, 4.0, 50_000)),
+                        [0.0, -0.0, -5e-324, -745.13, -745.14, -1e308]])
+    with np.errstate(all="raise"):  # underflow to a subnormal or 0 is no error
+        got = exp_nonpositive(x)
+    want = np.array([math.exp(v) for v in x.tolist()])
+    assert np.array_equal(got, want), int((got != want).sum())
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    for bad in (1e-300, 1.0, 710.0):
+        with pytest.raises(DomainError):
+            exp_nonpositive(np.array([-1.0, bad]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -3,7 +3,7 @@ per-slice route they replaced: one Gauss-Hermite slice at a time, its
 covariance, square root and E(-dt) made alone, and the bump summed row
 by row in Python floats (libm pow, math.exp).  The block route must give
 exactly (==) the same values over generated admissible specs, also when
-its chunks hold only a few slices."""
+its chunks hold only a few slices, and factorise each block once."""
 
 import math
 
@@ -164,3 +164,34 @@ def test_convolution_matches_the_slice_route(blocks, spec_seed, principal, seed,
         for nt, nx in ((9, 4), (16, 6)):
             got = convolve_solution(ctx, f, z, -1.0, nodes_t=nt, nodes_x=nx, check=False)
             assert got == convolved(ctx, f, z, -1.0, nt, nx), (nt, nx)
+
+
+def counting(calls, name, fn):
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return spy
+
+
+@PROPERTY
+@given(st.sampled_from([(1,), (1, 1), (2,)]), st.integers(0, 2**32 - 1),
+       st.booleans(), CHUNKS)
+def test_one_factorisation_per_block(blocks, spec_seed, principal, rows):
+    # C(dt), its root and E(-dt) are made once per _d2_slices call (one per
+    # R) and once per convolve_solution pass; QUAD_ROWS chunks only the grid
+    spec = admissible_spec(blocks, spec_seed, principal)
+    ctx = KernelContext(spec)
+    calls = {"C": 0, "slices": 0}
+    z = sample_ball(spec, 0.5, 1, np.random.default_rng(spec_seed))
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_bound(mp, rows)
+        mp.setattr(verify, "_checked_C", counting(calls, "C", verify._checked_C))
+        mp.setattr(verify, "_d2_slices", counting(calls, "slices", verify._d2_slices))
+        verify_singular_bounds(ctx, "g1", (0.5, 0.25), samples=2, seed=0)
+        assert calls == {"C": 2, "slices": 2}
+        for nt, nx in ((9, 4), (16, 6)):
+            calls["C"] = 0
+            convolve_solution(ctx, lambda Z: Z[:, 0], z, -1.0, nodes_t=nt,
+                              nodes_x=nx, check=False)
+            assert calls["C"] == 1, (nt, nx)

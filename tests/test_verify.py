@@ -11,11 +11,11 @@ from kolmo import (
     apply_L_fd,
     convolve_solution,
     cutoff_eta,
-    cutoff_gradient_report,
     harmonic_family,
     heat_spec,
     kernel_jet_rows,
     manufacture,
+    sample_ball,
     verify_apriori,
     verify_invariance,
     verify_mean_value,
@@ -35,6 +35,37 @@ from kolmo.verify import (
     _hermite_grid,
     _singular_psi,
 )
+
+
+# Test-only helper: finite-difference sups of the cutoff's derivatives,
+# which no command-line path uses.
+
+
+def cutoff_gradient_report(spec, R_list=(1.0, 0.5, 0.25), samples=400, seed=0):
+    """FD sup of |d_i eta_R| and second differences across an R sweep.
+
+    Returns per-R tables of sup|d_i eta| * R^{alpha_i} and the pure
+    second-difference sup * R^2; the fitted constants should be stable.
+    """
+    exps = spec.exponents()
+    rng = np.random.default_rng(seed)
+    N, K = spec.N, samples
+    out = {}
+    for R in R_list:
+        Z = sample_ball(spec, R, samples, rng)
+        h = np.array([1e-5 * R**a for a in exps.alpha])
+        e = np.zeros((N, N + 1))
+        e[:, :N] = np.diag(h)
+        eta = cutoff_eta(R, np.vstack([Z] + [Z + ei for ei in e] + [Z - ei for ei in e]),
+                         exps).reshape(2 * N + 1, K)
+        mid, up, dn = eta[0], eta[1:N + 1], eta[N + 1:]
+        first = (np.abs(up - dn) / (2 * h[:, None])).max(axis=1, initial=0.0)
+        second = np.abs(up - 2 * mid + dn)[:spec.m] / h[:spec.m, None] ** 2
+        out[R] = {
+            "first_scaled": [first[i] * R ** exps.alpha[i] for i in range(N)],
+            "second_scaled": float(second.max(initial=0.0)) * R**2,
+        }
+    return out
 
 
 def test_apply_L_fd_on_monomial(kspec):
