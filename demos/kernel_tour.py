@@ -41,7 +41,7 @@ def main():
     p = Point([0.1, 0.2], -0.2)
     print(f"\noperator residual at a generic point: {check_kernel_pde(ctx, z, p):.3e}")
 
-    mass = kernel_mass(ctx, 0.7)
+    mass = kernel_mass(spec, 0.7)
     print(f"kernel mass at t = 0.7: {mass:.10f} (trace-free drift, expect 1)")
 
     rng = np.random.default_rng(0)

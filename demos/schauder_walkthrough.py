@@ -7,7 +7,6 @@ counterexample showing why plain continuity of f is not enough.
 """
 
 from kolmo import (
-    KernelContext,
     counterexample_certificate,
     kolmogorov_spec,
     manufacture,
@@ -17,19 +16,18 @@ from kolmo import (
 
 def main():
     spec = kolmogorov_spec()
-    ctx = KernelContext(spec)
 
     prob = manufacture("gaussian", spec)
     print(f"manufactured family 'gaussian', operator-vs-FD defect "
           f"{prob.details['fd_validation_worst']:.2e}")
 
-    rep = verify_schauder(ctx, prob, pair_samples=800, constant=True)
+    rep = verify_schauder(prob, pair_samples=800, constant=True)
     print(f"constant coefficients: fitted constant {rep.fitted_constant:.4f} "
           f"over {rep.samples} pairs "
           f"(point ratio {rep.scaling['point']:.4f})")
 
     prob_var = manufacture("gaussian", spec, varcoeff_id="sin1")
-    rep_var = verify_schauder(ctx, prob_var, pair_samples=800)
+    rep_var = verify_schauder(prob_var, pair_samples=800)
     print(f"Dini coefficients (a11 + 0.25 sin x1): fitted constant "
           f"{rep_var.fitted_constant:.4f}")
 

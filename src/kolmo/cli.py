@@ -26,23 +26,14 @@ from .errors import (
     UsageError,
 )
 from .group import (
-    Point,
     compose_rows,
     finite_rows,
     hormander_check,
     inverse_rows,
     knorm_rows,
     load_spec,
-    origin,
 )
-from .kernel import (
-    KernelContext,
-    check_kernel_pde,
-    covariance,
-    gamma,
-    gamma_grad,
-    kernel_mass,
-)
+from .kernel import _checked_C, kernel_jet_rows, kernel_mass
 from .modulus import (
     DEFAULT_RADII,
     ModulusTable,
@@ -83,10 +74,18 @@ def _parse_floats(text, what):
 
 
 def _parse_point(text, N):
+    """The point x1,..,xN,t as a (1, N+1) row block."""
     parts = _parse_floats(text, "a point")
     if len(parts) != N + 1:
         raise UsageError(f"point needs {N + 1} comma-separated values, got {len(parts)}")
-    return Point(parts[:-1], parts[-1])
+    return finite_rows([parts])
+
+
+def _require_finite(values, what):
+    """AccuracyError unless every number in values is finite: a report
+    that exits 0 holds finite numbers only."""
+    if not np.isfinite(values).all():
+        raise AccuracyError(f"{what} is not finite")
 
 
 def _int_from(lo, hi=math.inf):
@@ -219,29 +218,34 @@ def _cmd_check(args):
 
 
 def _cmd_kernel(args):
+    """Gamma at the point and, above the pole, its gradient, the residual
+    of L Gamma (all from one jet row) and C(t - tau)."""
     spec = load_spec(args.spec)
-    ctx = KernelContext(spec)
-    z = _parse_point(args.point, spec.N)
-    pole = _parse_point(args.pole, spec.N) if args.pole else origin(spec.N)
-    value = gamma(ctx, z, pole)
-    report = {"point": z.to_list(), "pole": pole.to_list(), "gamma": value}
-    if z.t > pole.t:
-        report["grad"] = gamma_grad(ctx, z, pole).tolist()
-        report["pde_residual"] = check_kernel_pde(ctx, z, pole)
-        report["covariance"] = covariance(ctx, z.t - pole.t).C.tolist()
+    Z = _parse_point(args.point, spec.N)
+    P = _parse_point(args.pole, spec.N) if args.pole else np.zeros((1, spec.N + 1))
+    # Gamma vanishes on and below the pole time
+    report = {"point": Z[0].tolist(), "pole": P[0].tolist(), "gamma": 0.0}
+    if Z[0, -1] > P[0, -1]:
+        jet, m = kernel_jet_rows(spec, Z, P), spec.m
+        residual = float(np.sum(spec.A * jet.hess[0, :m, :m])) + float(jet.Y[0])
+        _require_finite(np.append(jet.grad[0], [jet.gamma[0], residual]),
+                        "a value or derivative of Gamma")
+        report.update(gamma=float(jet.gamma[0]), grad=jet.grad[0].tolist(),
+                      pde_residual=residual,
+                      covariance=_checked_C(spec, Z[:, -1] - P[:, -1])[0][0].tolist())
     if args.mass_time is not None:
-        mass = kernel_mass(ctx, args.mass_time)
+        mass = kernel_mass(spec, args.mass_time)
         expected = math.exp(-args.mass_time * float(np.trace(spec.B)))
         report["mass"] = {"time": args.mass_time, "value": mass,
                           "expected": expected}
-    print(f"gamma = {value:.12g}")
+    print(f"gamma = {report['gamma']:.12g}")
     return report, EXIT_PASS
 
 
 def _cmd_connect(args):
     spec = load_spec(args.spec)
-    z = _parse_point(args.src, spec.N)
-    zeta = _parse_point(args.dst, spec.N)
+    z = _parse_point(args.src, spec.N)[0]
+    zeta = _parse_point(args.dst, spec.N)[0]
     try:
         plan = connect(z, zeta, spec, tol=args.tol)
     except NonConvergenceError as err:
@@ -267,19 +271,19 @@ def _cmd_taylor(args):
     spec = load_spec(args.spec)
     bundle = _FAMILIES[args.family](spec)
     z = (_parse_point(args.point, spec.N) if args.point
-         else Point(0.05 * np.ones(spec.N), 0.02))
+         else np.append(np.full(spec.N, 0.05), 0.02)[None])
     rng = np.random.default_rng(args.seed)
     direction = np.append(rng.uniform(-1.0, 1.0, size=spec.N), rng.uniform(-1.0, 1.0))
     rhos = [2.0**-k for k in range(1, args.rho_min_exp + 1)]
-    prof = remainder_profile(bundle, z.row(), direction[None], rhos, spec,
-                             form=args.form)
+    prof = remainder_profile(bundle, z, direction[None], rhos, spec, form=args.form)
+    _require_finite([ratio for _, ratio in prof], "the Taylor remainder")
     csv_lines = ["rho,remainder,ratio"]
     for rho, ratio in prof:
         csv_lines.append(f"{rho:.10g},{ratio * rho**2:.12g},{ratio:.12g}")
     report = {
         "family": args.family,
         "form": args.form,
-        "point": z.to_list(),
+        "point": z[0].tolist(),
         "profile_csv": "\n".join(csv_lines),
     }
     print("\n".join(csv_lines))
@@ -374,32 +378,31 @@ def _cmd_modulus(args):
 
 def _cmd_verify(args):
     spec = load_spec(args.spec)
-    ctx = KernelContext(spec)
     R_list = (
         tuple(_parse_floats(args.R_list, "--R-list"))
         if args.R_list else None
     )
     crit = args.criterion
     if crit == "apriori":
-        rep = verify_apriori(ctx, R_list or (1.0, 0.5, 0.25),
+        rep = verify_apriori(spec, R_list or (1.0, 0.5, 0.25),
                              poles=args.poles, samples=args.samples,
                              seed=args.seed)
     elif crit == "mean-value":
-        rep = verify_mean_value(ctx, R=(R_list or (0.5,))[0],
+        rep = verify_mean_value(spec, R=(R_list or (0.5,))[0],
                                 poles=args.poles, samples=args.samples,
                                 seed=args.seed)
     elif crit.startswith("singular-"):
-        rep = verify_singular_bounds(ctx, crit.split("-", 1)[1],
+        rep = verify_singular_bounds(spec, crit.split("-", 1)[1],
                                      R_list or (0.5, 0.25, 0.125),
                                      seed=args.seed)
     elif crit.startswith("schauder-"):
         constant = crit == "schauder-const"
         problem = manufacture(args.family, spec, seed=args.seed,
                               varcoeff_id=None if constant else args.varcoeff)
-        rep = verify_schauder(ctx, problem, pair_samples=args.pairs,
+        rep = verify_schauder(problem, pair_samples=args.pairs,
                               seed=args.seed, constant=constant)
     else:
-        rep = verify_invariance(ctx, samples=args.samples, seed=args.seed)
+        rep = verify_invariance(spec, samples=args.samples, seed=args.seed)
     report = rep.to_json_dict()
     status = "pass" if rep.verdict else "FAIL"
     print(f"{rep.name}: fitted constant {rep.fitted_constant:.6g} [{status}]")

@@ -11,10 +11,9 @@ block level n.
 Row blocks: K points are one (K, N+1) float array, row k holding
 (x_1, .., x_N, t) of point k.  compose_rows, inverse_rows, dilate_rows,
 knorm_rows, kdist_rows and sample_ball are the group operations on row
-blocks; compose, inverse, dilate, knorm and kdist on Points call them
-with K = 1.  Each row rounds exactly as its own K = 1 call does.  Point
-is the one-point form of the command line, the planner and these K = 1
-wrappers; everything else takes row blocks.
+blocks, and each row rounds exactly as its own K = 1 call does.  Point
+is the one-point form of the K = 1 kernel calls and of taylor.flow_Y;
+everything else takes row blocks.
 """
 
 import json
@@ -86,7 +85,7 @@ class Exponents:
         return self.Q + 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Point:
     """A space-time point z = (x, t) of the group."""
 
@@ -102,17 +101,6 @@ class Point:
         if not (np.isfinite(x).all() and math.isfinite(self.t)):
             raise DomainError("point has non-finite coordinates")
 
-    @classmethod
-    def from_seq(cls, seq):
-        """Build from a flat sequence whose last entry is the time."""
-        seq = [float(v) for v in seq]
-        if len(seq) < 2:
-            raise DomainError("a point needs at least one spatial and one time entry")
-        return cls(np.array(seq[:-1]), seq[-1])
-
-    def to_list(self):
-        return [*self.x.tolist(), self.t]
-
     def row(self):
         """The point as a (1, N+1) row block."""
         row = np.empty((1, self.x.size + 1))
@@ -124,14 +112,6 @@ class Point:
     def from_row(cls, Z):
         """The point of a (1, N+1) row block."""
         return cls(Z[0, :-1], Z[0, -1])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Point)
-            and self.t == other.t
-            and self.x.shape == other.x.shape
-            and bool(np.all(self.x == other.x))
-        )
 
     def __repr__(self):
         coords = ", ".join(f"{v:g}" for v in self.x)
@@ -398,34 +378,6 @@ def kdist_rows(Z, W, spec):
                       spec.exponents())
 
 
-# The Point forms: K = 1 calls of the row functions.
-
-
-def compose(z, zeta, spec):
-    """Group product z o zeta = (xi + E(tau) x, t + tau)."""
-    return Point.from_row(compose_rows(z.row(), zeta.row(), spec))
-
-
-def inverse(z, spec):
-    """Group inverse (x,t)^{-1} = (-E(-t) x, -t)."""
-    return Point.from_row(inverse_rows(z.row(), spec))
-
-
-def dilate(r, z, exps):
-    """Anisotropic dilation delta_r: x_i -> r^{alpha_i} x_i, t -> r^2 t."""
-    return Point.from_row(dilate_rows(r, z.row(), exps))
-
-
-def knorm(z, exps):
-    """Homogeneous quasi-norm: max of |x_i|^{1/alpha_i} and |t|^{1/2}."""
-    return knorm_rows(z.row(), exps)[0]
-
-
-def kdist(z, zeta, spec):
-    """Left-invariant quasi-distance d_K(z, zeta) = ||zeta^{-1} o z||_K."""
-    return kdist_rows(z.row(), zeta.row(), spec)[0]
-
-
 def principal_B(spec):
     """B_0: the drift with every block except the subdiagonal zeroed."""
     blocks = spec.blocks
@@ -499,7 +451,7 @@ def level_map_solve(spec, n, target, residual_tol=1e-10):
 
 def sample_ball(spec, radius, count, rng, center=None):
     """Uniform samples in the quasi-ball Q_radius(center), as a (count, N+1)
-    row block.
+    row block; center is a (1, N+1) row block.
 
     The unit quasi-ball is exactly the unit box in (x, t), so sampling
     reduces to a box sample followed by a dilation and a translation.
@@ -509,7 +461,7 @@ def sample_ball(spec, radius, count, rng, center=None):
     Z = dilate_rows(radius, rng.uniform(-1.0, 1.0, size=(count, spec.N + 1)),
                     spec.exponents())
     if center is not None:
-        Z = compose_rows(Z, center.row(), spec)
+        Z = compose_rows(Z, center, spec)
     return Z
 
 

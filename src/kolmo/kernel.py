@@ -28,11 +28,11 @@ from .errors import (
     HypoellipticityError,
     SupportError,
 )
-from .group import dilate, embedded_A, finite_rows, origin
+from .group import dilate_rows, embedded_A, finite_rows, origin
 from .matrixcalc import dot_rows, gauss_panels, matvec_rows, tensor_rule, vecmat_rows
 
 ROW_CHUNK = 4096  # most rows factorised at once: each holds ~16 N^2 floats of work
-Covariance = namedtuple("Covariance", "t C Cinv logdet")
+Covariance = namedtuple("Covariance", "C")
 # Gamma at K rows with its (K, N) gradient in z, its (K, N, N) spatial
 # Hessian (L uses the m x m corner) and Y Gamma = <B x, grad> - d_t Gamma
 KernelJet = namedtuple("KernelJet", "gamma grad hess Y")
@@ -40,7 +40,7 @@ KernelJet = namedtuple("KernelJet", "gamma grad hess Y")
 
 @dataclass
 class KernelContext:
-    """The operator spec the kernel functions evaluate against."""
+    """The operator spec of the K = 1 kernel calls."""
 
     spec: object
 
@@ -58,11 +58,10 @@ def _checked_C(spec, t):
 
 
 def covariance(ctx, t):
-    """C(t) with its inverse and log-determinant, uncached (K = 1)."""
+    """C(t) for one time t > 0, checked as _checked_C checks it."""
     if not t > 0.0:
         raise DomainError(f"covariance needs t > 0, got {t}")
-    C, logdet = _checked_C(ctx.spec, np.array([float(t)]))
-    return Covariance(t=t, C=C[0], Cinv=np.linalg.inv(C)[0], logdet=float(logdet[0]))
+    return Covariance(C=_checked_C(ctx.spec, np.array([float(t)]))[0][0])
 
 
 def kernel_jet_rows(spec, Z, P, derivatives=True):
@@ -143,18 +142,20 @@ def check_kernel_pde(ctx, z, zeta):
 
 
 def check_homogeneity(ctx, z, r):
-    """Ratio Gamma(delta_r z) r^Q / Gamma(z); equals 1 for B = B_0."""
+    """Ratio Gamma(delta_r z) r^Q / Gamma(z); equals 1 for B = B_0.  Both
+    values are rows of one block."""
     spec = ctx.spec
     if not spec.is_dilation_invariant():
         raise ApplicabilityError("homogeneity holds only for B = B_0 drifts")
     exps = spec.exponents()
-    g = gamma(ctx, z)
+    g, g_r = kernel_jet_rows(spec, np.vstack([z.row(), dilate_rows(r, z.row(), exps)]),
+                             origin(spec.N).row(), derivatives=False)
     if g == 0.0:
         raise DomainError("homogeneity check needs t > 0")
-    return gamma(ctx, dilate(r, z, exps)) * r**exps.Q / g
+    return float(g_r * r**exps.Q / g)
 
 
-def kernel_mass(ctx, t, nodes_per_dim=32, tol=1e-6):
+def kernel_mass(spec, t, nodes_per_dim=32, tol=1e-6):
     """Quadrature of x -> Gamma(x, t); must equal exp(-t tr B).
 
     Integrates over a box of +-8 standard deviations of the underlying
@@ -163,10 +164,9 @@ def kernel_mass(ctx, t, nodes_per_dim=32, tol=1e-6):
     by math.fsum, exactly rounded: a BLAS dot over the 16,384 nodes of the
     fine pass groups its terms by the thread count.
     """
-    if t <= 0.0:
-        raise DomainError("mass check needs t > 0")
-    spec = ctx.spec
-    half_widths = 8.0 * np.sqrt(np.diag(2.0 * covariance(ctx, t).C))
+    if not t > 0.0:
+        raise DomainError(f"mass check needs t > 0, got {t}")
+    half_widths = 8.0 * np.sqrt(np.diag(2.0 * _checked_C(spec, np.array([float(t)]))[0][0]))
 
     def run(n):
         # two composite Gauss-Legendre panels per axis of the box

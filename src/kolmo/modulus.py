@@ -201,7 +201,7 @@ def _scaled_pairs(spec, radius, count, rng, r_min, center):
     raw = rng.uniform(-1.0, 1.0, size=(count, 2 * N + 2))
     Z = dilate_rows(base_scales * radius, raw[:, :N + 1], exps)
     if center is not None:
-        Z = compose_rows(Z, center.row(), spec)
+        Z = compose_rows(Z, center, spec)
     step = dilate_rows(sep_scales * radius, raw[:, N + 1:], exps)
     return np.stack([Z, compose_rows(Z, step, spec)], axis=1)
 

@@ -12,9 +12,11 @@ levels are reached through the recursive commutator-style trajectories
 For a dilation-invariant drift, gamma^(n) moves level n by exactly
 s^{2n+1} B^n v and leaves the lower levels untouched; for a generic
 drift the planner solves the level equation by bisection and repairs
-the disturbed levels in a capped fixed-point loop.
+the disturbed levels in a capped fixed-point loop.  The planner takes
+and records each point as one (N+1,) row (x_1, .., x_N, t).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,7 @@ from .group import (
     dilate_rows,
     finite_rows,
     inverse_rows,
-    kdist,
+    kdist_rows,
     level_map_solve,
     project_level,
 )
@@ -44,14 +46,14 @@ RICHARDSON_TOL = 1e-3  # largest step-halving change, relative to max(1, |value|
 
 
 def endpoint_error(a, b):
-    """Max-abs coordinate discrepancy between two points.
+    """Max-abs coordinate discrepancy between two (N+1,) rows.
 
     Convergence of the planner is measured in plain coordinates rather
     than the quasi-distance: the 1/alpha root in the quasi-norm blows a
     machine-epsilon residual on level n up to eps^{1/(2n+1)}, which
     would make tight tolerances unreachable for any plan.
     """
-    return max(float(np.abs(a.x - b.x).max()), abs(a.t - b.t))
+    return float(np.abs(a - b).max())
 
 
 @dataclass(frozen=True)
@@ -72,39 +74,37 @@ class C2Bundle:
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One closed-form flow piece: an X_v line or a drift arc."""
+    """One closed-form flow piece: an X_v line or a drift arc, from the
+    (N+1,) row start to the row end."""
 
     kind: str  # "X" or "Y"
     v: np.ndarray  # unit direction in V_0 for X segments, zeros for Y
     s: float
-    start: Point
-    end: Point
+    start: np.ndarray
+    end: np.ndarray
 
 
 @dataclass
 class PathPlan:
     """Ordered flow segments steering source to target."""
 
-    source: Point
-    target: Point
+    source: np.ndarray
+    target: np.ndarray
     segments: list = field(default_factory=list)
     achieved_error: float = 0.0
 
-    def endpoint(self):
-        return self.segments[-1].end if self.segments else self.source
-
     def to_json_dict(self):
         return {
-            "source": self.source.to_list(),
-            "target": self.target.to_list(),
+            "source": self.source.tolist(),
+            "target": self.target.tolist(),
             "achieved_error": self.achieved_error,
             "segments": [
                 {
                     "kind": seg.kind,
                     "v": seg.v.tolist(),
                     "s": seg.s,
-                    "start": seg.start.to_list(),
-                    "end": seg.end.to_list(),
+                    "start": seg.start.tolist(),
+                    "end": seg.end.tolist(),
                 }
                 for seg in self.segments
             ],
@@ -112,9 +112,10 @@ class PathPlan:
 
 
 def flow_X(v, s, z):
-    """Straight-line flow of X_v: (x + s v, t)."""
-    v = np.asarray(v, dtype=float)
-    return Point(z.x + s * v, z.t)
+    """Straight-line flow of X_v from the row z = (x, t): (x + s v, t)."""
+    end = z.copy()
+    end[:-1] += s * np.asarray(v, dtype=float)
+    return end
 
 
 def flow_Y_rows(s, Z, spec):
@@ -141,13 +142,14 @@ def _append_X(segments, v, s, z):
 
 
 def _append_Y(segments, s, z, spec):
-    end = flow_Y(s, z, spec)
-    segments.append(_segment("Y", np.zeros(z.x.size), s, z, end))
+    end = flow_Y_rows(s, z[None], spec)[0]
+    segments.append(_segment("Y", np.zeros(z.size - 1), s, z, end))
     return end
 
 
 def gamma_traj(n, v, s, z, spec, segments=None):
-    """Recursive trajectory gamma^(n)_{v,s}; returns (endpoint, trace)."""
+    """Recursive trajectory gamma^(n)_{v,s} from the row z; returns
+    (endpoint, trace)."""
     if n < 0:
         raise DomainError("trajectory level must be >= 0")
     if segments is None:
@@ -305,7 +307,8 @@ def _solve_level_param(n, v, s_guess, need, spec, tol=1e-12, max_expand=60):
 
 
 def connect(z, zeta, spec, tol=1e-9, max_iters=50):
-    """Plan a concatenation of X and Y flows steering z to zeta.
+    """Plan a concatenation of X and Y flows steering the row z to the row
+    zeta.
 
     One Y arc matches times, one X line matches the first-level
     coordinates, then one trajectory gamma^(n) per level n = 1..kappa.
@@ -324,14 +327,14 @@ def connect(z, zeta, spec, tol=1e-9, max_iters=50):
 def _connect(z, zeta, spec, tol, max_iters):
     blocks = spec.blocks
     plan = PathPlan(source=z, target=zeta)
-    if z == zeta:
+    if np.array_equal(z, zeta):
         return plan
     segments = plan.segments
     invariant = spec.is_dilation_invariant()
 
     cur = z
-    if cur.t != zeta.t:
-        cur = _append_Y(segments, cur.t - zeta.t, cur, spec)
+    if cur[-1] != zeta[-1]:
+        cur = _append_Y(segments, cur[-1] - zeta[-1], cur, spec)
     cur = _match_level0(segments, cur, zeta, blocks)
 
     err = endpoint_error(cur, zeta)
@@ -344,7 +347,7 @@ def _connect(z, zeta, spec, tol, max_iters):
             )
         iters += 1
         for n in range(1, blocks.kappa + 1):
-            need = project_level(zeta.x - cur.x, n, blocks)
+            need = project_level(zeta[:-1] - cur[:-1], n, blocks)
             if np.linalg.norm(need) <= SEGMENT_TOL:
                 continue
             w = level_map_solve(spec, n, need)
@@ -362,7 +365,7 @@ def _connect(z, zeta, spec, tol, max_iters):
 
 
 def _match_level0(segments, cur, zeta, blocks):
-    d0 = project_level(zeta.x - cur.x, 0, blocks)
+    d0 = project_level(zeta[:-1] - cur[:-1], 0, blocks)
     if np.linalg.norm(d0) <= SEGMENT_TOL:
         return cur
     v, sign = _leading_sign_unit(d0)
@@ -372,32 +375,34 @@ def _match_level0(segments, cur, zeta, blocks):
 def verify_plan(plan, spec, tol=1e-9):
     """Re-execute every segment and check chaining and the endpoint.
 
-    Returns a dict with the endpoint error and the accumulated path
-    length (sum of per-segment quasi-distance increments).
+    Returns a dict with the endpoint error and the path length: the
+    per-segment quasi-distance increments, one kdist_rows call for all
+    segments, summed in segment order.
     """
     cur = plan.source
-    length = 0.0
     for k, seg in enumerate(plan.segments):
-        if cur != seg.start and kdist(cur, seg.start, spec) > SEGMENT_TOL:
+        if not np.array_equal(cur, seg.start) and kdist_rows(
+                cur[None], seg.start[None], spec)[0] > SEGMENT_TOL:
             raise PlanIntegrityError(f"segment {k} does not chain from the previous end")
         if seg.kind == "X":
             end = flow_X(seg.v, seg.s, seg.start)
         elif seg.kind == "Y":
-            end = flow_Y(seg.s, seg.start, spec)
+            end = flow_Y_rows(seg.s, seg.start[None], spec)[0]
         else:
             raise PlanIntegrityError(f"segment {k} has unknown kind {seg.kind!r}")
-        if np.abs(end.x - seg.end.x).max() > SEGMENT_TOL * max(
-            1.0, np.abs(end.x).max()
-        ) or abs(end.t - seg.end.t) > SEGMENT_TOL * max(1.0, abs(end.t)):
+        x, t = end[:-1], end[-1]
+        if np.abs(x - seg.end[:-1]).max() > SEGMENT_TOL * max(1.0, np.abs(x).max()) or abs(
+                t - seg.end[-1]) > SEGMENT_TOL * max(1.0, abs(t)):
             raise PlanIntegrityError(f"segment {k} endpoint does not match its flow")
-        length += kdist(seg.end, seg.start, spec)
         cur = seg.end
+    ends, starts = (np.reshape([getattr(seg, key) for seg in plan.segments],
+                               (-1, cur.size)) for key in ("end", "start"))
     err = endpoint_error(cur, plan.target)
     return {
         "segments": len(plan.segments),
         "endpoint_error": err,
-        "kdist_error": kdist(cur, plan.target, spec),
-        "length": length,
+        "kdist_error": kdist_rows(cur[None], plan.target[None], spec)[0],
+        "length": functools.reduce(np.add, kdist_rows(ends, starts, spec), 0.0),
         "ok": err <= max(tol, plan.achieved_error * 1.01 + 1e-15),
     }
 

@@ -214,14 +214,14 @@ def cutoff_eta(R, Z, exps):
     return 1.0 - np.float_power(s, 3.0) * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def harmonic_family(ctx, R, count, rng):
+def harmonic_family(spec, R, count, rng):
     """Poles p of kernel translates u_p = Gamma(., p) below the cylinder,
     as a (count, N+1) row block.
 
     Poles sit at times in [-3R^2, -2R^2], so u_p solves L u = 0 on every
     point of Q_R (times >= -R^2) with a safety margin of R^2.
     """
-    P = sample_ball(ctx.spec, R, count, rng)
+    P = sample_ball(spec, R, count, rng)
     P[:, -1] = -2.0 * R * R - R * R * rng.uniform(0.0, 1.0, size=count)
     return P
 
@@ -275,7 +275,7 @@ def _hermite_points(Z, S, M, nodes_x):
     return np.matmul(Z[:, None, :-1] - w, np.swapaxes(M, -1, -2)), W
 
 
-def convolve_solution(ctx, f, z, t_lo, nodes_t=16, nodes_x=24, check=True,
+def convolve_solution(spec, f, z, t_lo, nodes_t=16, nodes_x=24, check=True,
                       check_tol=1e-4):
     """u(z) = -int Gamma(z, zeta) f(zeta) d zeta over times in [t_lo, t)
     at the one row z = (x, t), for f mapping a (K, N+1) row block to its
@@ -287,7 +287,7 @@ def convolve_solution(ctx, f, z, t_lo, nodes_t=16, nodes_x=24, check=True,
     A grid-doubling self-check guards the result.
     """
     z = finite_rows(z)
-    t, N = float(z[0, -1]), ctx.spec.N
+    t, N = float(z[0, -1]), spec.N
     if t <= t_lo:
         raise DomainError("evaluation time must exceed the support onset")
 
@@ -297,7 +297,7 @@ def convolve_solution(ctx, f, z, t_lo, nodes_t=16, nodes_x=24, check=True,
         nodes, wts = gauss_legendre(nt)
         half = (t - t_lo) / 2.0
         tau = (t + t_lo) / 2.0 + half * nodes
-        S, M = _hermite_factors(ctx.spec, z, tau)
+        S, M = _hermite_factors(spec, z, tau)
         inner = []
         for part in _slice_chunks(nt, nx**N):
             pts, W = _hermite_points(z, S[part], M[part], nx)
@@ -327,7 +327,7 @@ def _stable(scaling, factor=STABLE_FACTOR):
     return max(vals) <= factor * min(vals)
 
 
-def verify_apriori(ctx, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
+def verify_apriori(spec, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
     """Interior derivative bounds for harmonic u: |d_j u| <= C R^{-alpha_j} sup|u|.
 
     Fits the constant as the max over harmonic family members and
@@ -335,15 +335,14 @@ def verify_apriori(ctx, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
     the R^{-2} scaling.  Each pole's sup sample and derivative sample
     are one row block each.
     """
-    spec, m = ctx.spec, ctx.spec.m
-    exps = spec.exponents()
+    m, exps = spec.m, spec.exponents()
     rng = np.random.default_rng(seed)
     groups = sorted({f"grad_alpha{exps.alpha[j]}" for j in range(spec.N)})
     groups += ["second", "Y"]
     per_R = {R: {g: 0.0 for g in groups} for R in R_list}
     for R in R_list:
         cell = per_R[R]
-        for p in harmonic_family(ctx, R, poles, rng):
+        for p in harmonic_family(spec, R, poles, rng):
             sup_u = float(kernel_jet_rows(spec, sample_ball(spec, R, 4 * samples, rng),
                                           p[None], derivatives=False).max())
             if sup_u <= 0.0:
@@ -373,14 +372,13 @@ def verify_apriori(ctx, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
     )
 
 
-def verify_mean_value(ctx, R=0.5, poles=20, samples=120, seed=0):
+def verify_mean_value(spec, R=0.5, poles=20, samples=120, seed=0):
     """|u(z) - u(zeta)| <= C kdist(z, zeta) sup|u| / R for harmonic u,
     with zeta the origin; pairs closer than R/100 are left out."""
-    spec = ctx.spec
     rng = np.random.default_rng(seed)
     ratios = []
     center = np.zeros((1, spec.N + 1))
-    for p in harmonic_family(ctx, R, poles, rng):
+    for p in harmonic_family(spec, R, poles, rng):
         sup_u = float(kernel_jet_rows(spec, sample_ball(spec, R, 4 * samples, rng),
                                       p[None], derivatives=False).max())
         if sup_u <= 0.0:
@@ -403,7 +401,7 @@ def verify_mean_value(ctx, R=0.5, poles=20, samples=120, seed=0):
     )
 
 
-def _d2_slices(ctx, psi, Z, tau, pairs, h, nodes_x):
+def _d2_slices(spec, psi, Z, tau, pairs, h, nodes_x):
     """Inner integrals of the second x-derivatives of the convolution, one
     slice per row z of Z and time in tau: the (S, len(pairs)) values of
     d2_ij for the (i, j) of pairs.
@@ -417,7 +415,6 @@ def _d2_slices(ctx, psi, Z, tau, pairs, h, nodes_x):
     every stencil offset of every pair, and each slice is reduced by its
     own dot with the weights.
     """
-    spec = ctx.spec
     offsets = 1 + sum(2 if i == j else 4 for i, j in pairs)
     S, M = _hermite_factors(spec, Z, tau)
     out = np.empty((len(Z), len(pairs)))
@@ -443,7 +440,7 @@ def _d2_slices(ctx, psi, Z, tau, pairs, h, nodes_x):
     return out / math.pi ** (spec.N / 2.0)
 
 
-def _d2_convolved(ctx, psi, Z, pairs, t_lo, nodes_t=12, nodes_x=12, h=1e-3):
+def _d2_convolved(spec, psi, Z, pairs, t_lo, nodes_t=12, nodes_x=12, h=1e-3):
     """d2_ij of int Gamma(z, .) psi over times in [t_lo, t) at every row
     z = (x, t) of Z, for the (i, j) of pairs: the (K, len(pairs)) values.
 
@@ -457,7 +454,7 @@ def _d2_convolved(ctx, psi, Z, pairs, t_lo, nodes_t=12, nodes_x=12, h=1e-3):
     smax = np.sqrt(t - t_lo)
     nodes, wts = gauss_legendre(nodes_t)
     sigma = 0.5 * smax * (nodes[:, None] + 1.0)  # slice q of row k at [q, k]
-    d2 = _d2_slices(ctx, psi, np.tile(Z, (nodes_t, 1)), (t - sigma * sigma).ravel(),
+    d2 = _d2_slices(spec, psi, np.tile(Z, (nodes_t, 1)), (t - sigma * sigma).ravel(),
                     pairs, h, nodes_x).reshape(nodes_t, len(Z), -1)
     terms = (wts[:, None] * 0.5 * smax * 2.0 * sigma)[..., None] * d2
     return functools.reduce(np.add, terms, 0.0)  # in node order, as in convolve_solution
@@ -494,7 +491,7 @@ def _singular_psi(kind, R, exps):
     return psi
 
 
-def verify_singular_bounds(ctx, kind, R_list=(0.5, 0.25, 0.125), samples=6,
+def verify_singular_bounds(spec, kind, R_list=(0.5, 0.25, 0.125), samples=6,
                            seed=0, fd_rel=2e-3):
     """Second derivatives of w = int Gamma eta_R g: O(1), O(R), O(R^2).
 
@@ -504,7 +501,6 @@ def verify_singular_bounds(ctx, kind, R_list=(0.5, 0.25, 0.125), samples=6,
     """
     if kind not in _G_KINDS:
         raise DomainError(f"kind must be one of {_G_KINDS}, got {kind!r}")
-    spec = ctx.spec
     exps = spec.exponents()
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(spec.m) for j in range(i, spec.m)]
@@ -513,7 +509,7 @@ def verify_singular_bounds(ctx, kind, R_list=(0.5, 0.25, 0.125), samples=6,
         Z = sample_ball(spec, R / 2.0, samples, rng)
         early = Z[:, -1] <= -(R * R) * 0.9
         Z[early, -1] = np.abs(Z[early, -1])
-        d2 = _d2_convolved(ctx, _singular_psi(kind, R, exps), Z, pairs,
+        d2 = _d2_convolved(spec, _singular_psi(kind, R, exps), Z, pairs,
                            t_lo=-(R * R) * 1.0001, h=fd_rel * R)
         scaling[R] = max([0.0] + np.abs(d2).ravel().tolist())
     vals = [scaling[R] for R in R_list]
@@ -556,7 +552,7 @@ def _check_ellipticity(problem, Z):
         )
 
 
-def verify_schauder(ctx, problem, pair_samples=1000, seed=0, constant=False):
+def verify_schauder(problem, pair_samples=1000, seed=0, constant=False):
     """Schauder ratio test for a manufactured pair.
 
     With a coefficient field attached the right-hand side gains the
@@ -573,7 +569,7 @@ def verify_schauder(ctx, problem, pair_samples=1000, seed=0, constant=False):
             "constant-coefficient check got a variable-coefficient problem"
         )
     name = "schauder-var" if problem.varcoeff is not None else "schauder-const"
-    spec = ctx.spec
+    spec = problem.spec
     rng = np.random.default_rng(seed)
     omega_f = empirical_modulus(problem.f, spec, radius=1.0,
                                 pair_samples=max(1000, pair_samples),
@@ -625,14 +621,13 @@ def verify_schauder(ctx, problem, pair_samples=1000, seed=0, constant=False):
     )
 
 
-def verify_invariance(ctx, samples=40, seed=0, include_dilation=None):
+def verify_invariance(spec, samples=40, seed=0, include_dilation=None):
     """Left invariance of L under the group law, and dilation covariance.
 
     Checks apply_L_fd(u o l_zeta)(z) = apply_L_fd(u)(zeta o z) on a block
     of random samples; for principal drifts also L(u o delta_r)(z) =
     r^2 (L u)(delta_r z).
     """
-    spec = ctx.spec
     exps = spec.exponents()
     invariant = spec.is_dilation_invariant()
     if include_dilation is None:

@@ -296,6 +296,7 @@ def test_demo_counterexample(capsys):
 def test_usage_errors():
     assert run(["frobnicate"]) == 3
     assert run(["kernel", "--spec", KOLMO, "--point", "0,1"]) == 3  # short point
+    assert run(["kernel", "--spec", KOLMO, "--point", "nan,0,1"]) == 3  # not finite
     assert run([]) == 3
 
 
@@ -368,6 +369,27 @@ def test_taylor_rho_min_exp_is_bounded(capsys):
     rows = _last_json(capsys)["results"]["profile_csv"].split("\n")[1:]
     assert len(rows) == 511
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+NON_FINITE_REPORTS = {
+    "kernel-kolmogorov-1e308": ["kernel", "--spec", KOLMO, "--point", "1e308,0,1"],
+    "kernel-kolmogorov-minus-1e308": ["kernel", "--spec", KOLMO, "--point", "-1e308,0,1"],
+    "kernel-drifted-1e308": ["kernel", "--spec", DRIFTED, "--point", "1e308,0,1"],
+    "taylor-kolmogorov-1e308": ["taylor", "--spec", KOLMO, "--point", "1e308,0,0"],
+    "taylor-kolmogorov-minus-1e308": ["taylor", "--spec", KOLMO, "--point", "-1e308,0,0"],
+    "taylor-drifted-1e308": ["taylor", "--spec", DRIFTED, "--point", "1e308,0,0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_REPORTS))
+def test_a_non_finite_kernel_or_taylor_report_is_an_accuracy_failure(name, capsys):
+    # these exited 0 with a nan Gamma or nan remainders; the numpy
+    # warnings on the way are still raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(NON_FINITE_REPORTS[name]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("accuracy failure:") and err.count("\n") == 1
 
 
 def test_check_time_must_be_finite_and_positive(capsys):

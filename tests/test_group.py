@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from kolmo import (
-    Point,
-    compose,
     compose_rows,
-    dilate,
+    dilate_rows,
     hormander_check,
-    inverse,
     inverse_rows,
-    kdist,
-    knorm,
+    kdist_rows,
     knorm_rows,
     load_spec,
     make_spec,
     mat_exp,
-    origin,
     principal_B,
     sample_ball,
     scaled_B,
@@ -29,9 +24,10 @@ from kolmo.group import level_map_solve, project_level
 
 
 def compose_r(z, zeta, spec, r):
-    """Composition under the scaled drift B_r; agrees with o at r = 1."""
-    Er = mat_exp(-zeta.t * scaled_B(spec, r))
-    return Point(zeta.x + Er @ z.x, z.t + zeta.t)
+    """Composition of (1, N+1) row blocks under the scaled drift B_r;
+    agrees with o at r = 1."""
+    Er = mat_exp(-zeta[0, -1] * scaled_B(spec, r))
+    return np.append(zeta[0, :-1] + Er @ z[0, :-1], z[0, -1] + zeta[0, -1])[None]
 
 
 def estimate_triangle_constant(spec, radius, samples=10_000, seed=0):
@@ -52,7 +48,8 @@ def estimate_triangle_constant(spec, radius, samples=10_000, seed=0):
 
 
 def _random_point(rng, N, scale=1.5):
-    return Point(rng.uniform(-scale, scale, size=N), rng.uniform(-scale, scale))
+    """A random (1, N+1) row block."""
+    return np.append(rng.uniform(-scale, scale, size=N), rng.uniform(-scale, scale))[None]
 
 
 def test_kolmogorov_exponents(kspec):
@@ -97,20 +94,20 @@ def test_load_spec_declared_shape_mismatch(tmp_path):
 
 def test_group_axioms_random_triples(drifted):
     rng = np.random.default_rng(0)
-    e = origin(drifted.N)
+    e = np.zeros((1, drifted.N + 1))
     worst = 0.0
     for _ in range(1000):
         z = _random_point(rng, drifted.N)
         zeta = _random_point(rng, drifted.N)
         w = _random_point(rng, drifted.N)
-        lhs = compose(compose(z, zeta, drifted), w, drifted)
-        rhs = compose(z, compose(zeta, w, drifted), drifted)
-        worst = max(worst, np.abs(lhs.x - rhs.x).max(), abs(lhs.t - rhs.t))
-        ze = compose(z, e, drifted)
-        ez = compose(e, z, drifted)
-        worst = max(worst, np.abs(ze.x - z.x).max(), np.abs(ez.x - z.x).max())
-        zi = compose(z, inverse(z, drifted), drifted)
-        worst = max(worst, np.abs(zi.x).max(), abs(zi.t))
+        lhs = compose_rows(compose_rows(z, zeta, drifted), w, drifted)
+        rhs = compose_rows(z, compose_rows(zeta, w, drifted), drifted)
+        worst = max(worst, np.abs(lhs - rhs).max())
+        ze = compose_rows(z, e, drifted)
+        ez = compose_rows(e, z, drifted)
+        worst = max(worst, np.abs(ze - z).max(), np.abs(ez - z).max())
+        zi = compose_rows(z, inverse_rows(z, drifted), drifted)
+        worst = max(worst, np.abs(zi).max())
     assert worst < 1e-11
 
 
@@ -123,19 +120,19 @@ def test_dilation_distributes_for_principal_drift(kspec, kappa2):
             z = _random_point(rng, spec.N)
             zeta = _random_point(rng, spec.N)
             r = float(np.exp(rng.uniform(-1.5, 1.5)))
-            lhs = dilate(r, compose(z, zeta, spec), exps)
-            rhs = compose(dilate(r, z, exps), dilate(r, zeta, exps), spec)
-            worst = max(worst, np.abs(lhs.x - rhs.x).max(), abs(lhs.t - rhs.t))
+            lhs = dilate_rows(r, compose_rows(z, zeta, spec), exps)
+            rhs = compose_rows(dilate_rows(r, z, exps), dilate_rows(r, zeta, exps), spec)
+            worst = max(worst, np.abs(lhs - rhs).max())
         assert worst < 1e-11
 
 
 def test_dilation_fails_for_generic_drift(drifted):
     exps = drifted.exponents()
-    z = Point([1.0, 1.0], 1.0)
+    z = np.ones((1, 3))
     r = 0.5
-    lhs = dilate(r, compose(z, z, drifted), exps)
-    rhs = compose(dilate(r, z, exps), dilate(r, z, exps), drifted)
-    assert np.abs(lhs.x - rhs.x).max() >= 1e-3
+    lhs = dilate_rows(r, compose_rows(z, z, drifted), exps)
+    rhs = compose_rows(dilate_rows(r, z, exps), dilate_rows(r, z, exps), drifted)
+    assert np.abs(lhs - rhs)[0, :-1].max() >= 1e-3
 
 
 def test_kdist_left_invariance(kspec, drifted):
@@ -146,8 +143,8 @@ def test_kdist_left_invariance(kspec, drifted):
             z = _random_point(rng, spec.N, 1.0)
             zeta = _random_point(rng, spec.N, 1.0)
             g = _random_point(rng, spec.N, 1.0)
-            d0 = kdist(z, zeta, spec)
-            d1 = kdist(compose(g, z, spec), compose(g, zeta, spec), spec)
+            d0 = kdist_rows(z, zeta, spec)[0]
+            d1 = kdist_rows(compose_rows(g, z, spec), compose_rows(g, zeta, spec), spec)[0]
             worst = max(worst, abs(d0 - d1))
         assert worst < 1e-12
 
@@ -158,12 +155,13 @@ def test_knorm_homogeneous_degree_one(kappa2):
     for _ in range(100):
         z = _random_point(rng, kappa2.N)
         r = float(np.exp(rng.uniform(-2.0, 2.0)))
-        assert abs(knorm(dilate(r, z, exps), exps) - r * knorm(z, exps)) < 1e-12
+        assert abs(knorm_rows(dilate_rows(r, z, exps), exps)[0]
+                   - r * knorm_rows(z, exps)[0]) < 1e-12
 
 
 def test_dilate_rejects_nonpositive_scale(kspec):
     with pytest.raises(DomainError):
-        dilate(0.0, origin(2), kspec.exponents())
+        dilate_rows(0.0, np.zeros((1, 3)), kspec.exponents())
 
 
 def test_covariance_positivity_hormander(kspec, kappa2):
@@ -190,8 +188,8 @@ def test_compose_r_matches_compose_at_one(drifted):
     z = _random_point(rng, 2)
     zeta = _random_point(rng, 2)
     a = compose_r(z, zeta, drifted, 1.0)
-    b = compose(z, zeta, drifted)
-    assert np.abs(a.x - b.x).max() < 1e-14 and a.t == b.t
+    b = compose_rows(z, zeta, drifted)
+    assert np.abs(a - b)[0, :-1].max() < 1e-14 and a[0, -1] == b[0, -1]
 
 
 def test_level_map_solve_reaches_target(kappa2):
@@ -222,11 +220,3 @@ def test_triangle_constant_finite(kspec):
     c = estimate_triangle_constant(kspec, 1.0, samples=2000)
     assert 1.0 <= c < 10.0
 
-
-def test_point_from_seq_roundtrip():
-    z = Point.from_seq([1.0, 2.0, 3.0])
-    assert z.to_list() == [1.0, 2.0, 3.0]
-    with pytest.raises(DomainError):
-        Point.from_seq([1.0])
-    with pytest.raises(DomainError):
-        Point([np.inf], 0.0)

@@ -60,6 +60,11 @@ COMMANDS = [
     "verify singular-g1 --spec specs/kinetic.json",
     "modulus --spec specs/kolmogorov.json --function knorm --pairs 1000 --schauder-d 0.25",
     "verify schauder-var --varcoeff sin1x2 --spec specs/kinetic_drifted.json --pairs 300 --seed 2",
+    "kernel --spec specs/kolmogorov.json --point 0.3,-0.2,0.7 --mass-time 0.5",
+    "kernel --spec specs/kinetic_drifted.json --point 0.2,0.1,-0.4 --pole 0.1,0.2,-0.3",
+    "connect --spec specs/kolmogorov.json --from 0.4,-0.7,0.1 --to 0.4,-0.7,0.1",
+    "connect --spec specs/kinetic_m2.json --from 0.3,-0.2,0.5,0.1,0.4 --to -0.1,0.6,-0.3,0.2,-0.2",
+    "taylor --spec specs/kolmogorov.json",
 ]
 
 

@@ -19,29 +19,27 @@ from kolmo import (
     KernelContext,
     Point,
     apply_L_fd,
-    compose,
     compose_rows,
+    connect,
     coordinate_bundle,
-    dilate,
     dilate_rows,
     gamma,
     gamma_Y,
     gamma_grad,
     gamma_hess,
     gaussian_bundle,
-    inverse,
     inverse_rows,
-    kdist,
     kdist_rows,
     kernel_jet_rows,
     kernel_mass,
-    knorm,
     knorm_rows,
     lie_derivative_fd,
     make_spec,
     quadratic_bundle,
     sample_ball,
+    verify_plan,
 )
+from kolmo.errors import NonConvergenceError
 from kolmo.matrixcalc import exp_nonpositive, matvec_rows
 from kolmo.modulus import _scaled_pairs
 from kolmo.verify import _coeff_field
@@ -93,6 +91,11 @@ def points(Z):
     return [Point(z[:-1], z[-1]) for z in Z]
 
 
+def one_row_at_a_time(f, *blocks):
+    """f on the one-row slices k of the blocks, its results stacked."""
+    return np.concatenate([f(*(B[k:k + 1] for B in blocks)) for k in range(len(blocks[0]))])
+
+
 def libm_knorm(z, alpha):
     """The quasi-norm of one row in Python floats: libm pow throughout."""
     return max([abs(z[-1]) ** 0.5]
@@ -102,33 +105,53 @@ def libm_knorm(z, alpha):
 @PROPERTY
 @given(specs, st.integers(0, 2**32 - 1))
 def test_group_rows_match_points(spec, seed):
+    # every group operation on K rows == the same call on each one-row slice
     rng = np.random.default_rng(seed)
     exps = spec.exponents()
     Z, W = random_rows(spec, rng), random_rows(spec, rng)
     r = np.exp(rng.uniform(math.log(2.0**-20), 0.0, K))
-    zs, ws = points(Z), points(W)
-    assert np.array_equal(compose_rows(Z, W, spec), [
-        compose(z, w, spec).row()[0] for z, w in zip(zs, ws)])
-    assert np.array_equal(inverse_rows(Z, spec),
-                          [inverse(z, spec).row()[0] for z in zs])
-    assert np.array_equal(dilate_rows(r, Z, exps),
-                          [dilate(s, z, exps).row()[0] for s, z in zip(r, zs)])
-    assert np.array_equal(dilate_rows(0.3, Z, exps),
-                          [dilate(0.3, z, exps).row()[0] for z in zs])
-    assert knorm_rows(Z, exps).tolist() == [knorm(z, exps) for z in zs]
+    assert np.array_equal(compose_rows(Z, W, spec), one_row_at_a_time(
+        lambda z, w: compose_rows(z, w, spec), Z, W))
+    assert np.array_equal(inverse_rows(Z, spec), one_row_at_a_time(
+        lambda z: inverse_rows(z, spec), Z))
+    assert np.array_equal(dilate_rows(r, Z, exps), one_row_at_a_time(
+        lambda s, z: dilate_rows(s, z, exps), r, Z))
+    assert np.array_equal(dilate_rows(0.3, Z, exps), one_row_at_a_time(
+        lambda z: dilate_rows(0.3, z, exps), Z))
+    assert knorm_rows(Z, exps).tolist() == one_row_at_a_time(
+        lambda z: knorm_rows(z, exps), Z).tolist()
     assert knorm_rows(Z, exps).tolist() == [libm_knorm(z, exps.alpha)
                                             for z in Z.tolist()]
-    assert kdist_rows(Z, W, spec).tolist() == [kdist(z, w, spec)
-                                               for z, w in zip(zs, ws)]
+    assert kdist_rows(Z, W, spec).tolist() == one_row_at_a_time(
+        lambda z, w: kdist_rows(z, w, spec), Z, W).tolist()
     # d(z, w) is the quasi-norm of w^{-1} o z, one K = 1 step at a time
-    assert kdist_rows(Z, W, spec).tolist() == [
-        knorm(compose(inverse(w, spec), z, spec), exps) for z, w in zip(zs, ws)]
+    assert kdist_rows(Z, W, spec).tolist() == one_row_at_a_time(
+        lambda z, w: knorm_rows(compose_rows(inverse_rows(w, spec), z, spec), exps),
+        Z, W).tolist()
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.builds(admissible_spec, st.sampled_from([b for b in BLOCKS if len(b) <= 3]),
+                 st.integers(0, 2**32 - 1), st.booleans()),
+       st.integers(0, 2**32 - 1))
+def test_plan_length_is_the_in_order_sum_of_segment_distances(spec, seed):
+    # verify_plan's one kdist_rows call == one call per segment, summed in
+    # order; at most three levels keep the generic-drift planner fast
+    z, zeta = 0.5 * random_rows(spec, np.random.default_rng(seed), 2)
+    try:
+        plan = connect(z, zeta, spec)
+    except NonConvergenceError as err:  # the plan so far still has a length
+        plan = err.plan
+    length = 0.0
+    for seg in plan.segments:
+        length += kdist_rows(seg.end[None], seg.start[None], spec)[0]
+    assert plan.segments and verify_plan(plan, spec)["length"] == length
 
 
 @PROPERTY
 @given(specs, st.integers(0, 2**32 - 1), st.booleans())
 def test_sample_ball_rows_match_one_draw_at_a_time(spec, seed, centered):
-    center = Point(np.full(spec.N, 0.2), -0.3) if centered else None
+    center = np.append(np.full(spec.N, 0.2), -0.3)[None] if centered else None
     block = sample_ball(spec, 0.7, K, np.random.default_rng(seed), center)
     rng = np.random.default_rng(seed)
     single = [sample_ball(spec, 0.7, 1, rng, center)[0] for _ in range(K)]
@@ -143,17 +166,16 @@ def test_scaled_pairs_rows_match_the_point_loop(spec, seed):
     r_min, radius = 2.0**-20, 0.8
     pairs = _scaled_pairs(spec, radius, K, np.random.default_rng(seed), r_min,
                           None)
-    # the same stream drawn and mapped one Point at a time
+    # the same stream drawn and mapped one row at a time
     rng = np.random.default_rng(seed)
     base = np.exp(rng.uniform(math.log(r_min), 0.0, size=K))
     sep = np.exp(rng.uniform(math.log(r_min), 0.0, size=K))
     for k in range(K):
-        raw = Point(rng.uniform(-1.0, 1.0, size=spec.N), rng.uniform(-1.0, 1.0))
-        z = dilate(base[k] * radius, raw, exps)
-        raw2 = Point(rng.uniform(-1.0, 1.0, size=spec.N),
-                     rng.uniform(-1.0, 1.0))
-        zeta = compose(z, dilate(sep[k] * radius, raw2, exps), spec)
-        assert np.array_equal(pairs[k], [z.row()[0], zeta.row()[0]])
+        raw = rng.uniform(-1.0, 1.0, size=(1, spec.N + 1))
+        z = dilate_rows(base[k] * radius, raw, exps)
+        raw2 = rng.uniform(-1.0, 1.0, size=(1, spec.N + 1))
+        zeta = compose_rows(z, dilate_rows(sep[k] * radius, raw2, exps), spec)
+        assert np.array_equal(pairs[k], np.vstack([z, zeta]))
 
 
 def bundles(spec, rng):
@@ -346,5 +368,5 @@ def test_kernel_mass_is_exp_minus_t_trace(blocks, seed, principal, t):
     # later, on some non-principal drifts C(t) is so correlated (|corr| >
     # 0.97) that the axis-aligned grid does not converge (AccuracyError)
     spec = admissible_spec(blocks, seed, principal)
-    mass = kernel_mass(KernelContext(spec), t)
+    mass = kernel_mass(spec, t)
     assert abs(mass / math.exp(-t * np.trace(spec.B)) - 1.0) < 1e-6

@@ -142,7 +142,7 @@ def test_singular_scalings_match_the_slice_route(blocks, spec_seed, principal,
     with pytest.MonkeyPatch.context() as mp:
         chunk_bound(mp, rows)
         for kind in ("const", "g1", "g2"):
-            got = verify_singular_bounds(ctx, kind, R_list, samples=2, seed=seed)
+            got = verify_singular_bounds(ctx.spec, kind, R_list, samples=2, seed=seed)
             assert got.scaling == singular_scaling(ctx, kind, R_list, 2, seed), kind
 
 
@@ -162,7 +162,7 @@ def test_convolution_matches_the_slice_route(blocks, spec_seed, principal, seed,
     with pytest.MonkeyPatch.context() as mp:
         chunk_bound(mp, rows)
         for nt, nx in ((9, 4), (16, 6)):
-            got = convolve_solution(ctx, f, z, -1.0, nodes_t=nt, nodes_x=nx, check=False)
+            got = convolve_solution(spec, f, z, -1.0, nodes_t=nt, nodes_x=nx, check=False)
             assert got == convolved(ctx, f, z, -1.0, nt, nx), (nt, nx)
 
 
@@ -181,17 +181,16 @@ def test_one_factorisation_per_block(blocks, spec_seed, principal, rows):
     # C(dt), its root and E(-dt) are made once per _d2_slices call (one per
     # R) and once per convolve_solution pass; QUAD_ROWS chunks only the grid
     spec = admissible_spec(blocks, spec_seed, principal)
-    ctx = KernelContext(spec)
     calls = {"C": 0, "slices": 0}
     z = sample_ball(spec, 0.5, 1, np.random.default_rng(spec_seed))
     with pytest.MonkeyPatch.context() as mp:
         chunk_bound(mp, rows)
         mp.setattr(verify, "_checked_C", counting(calls, "C", verify._checked_C))
         mp.setattr(verify, "_d2_slices", counting(calls, "slices", verify._d2_slices))
-        verify_singular_bounds(ctx, "g1", (0.5, 0.25), samples=2, seed=0)
+        verify_singular_bounds(spec, "g1", (0.5, 0.25), samples=2, seed=0)
         assert calls == {"C": 2, "slices": 2}
         for nt, nx in ((9, 4), (16, 6)):
             calls["C"] = 0
-            convolve_solution(ctx, lambda Z: Z[:, 0], z, -1.0, nodes_t=nt,
+            convolve_solution(spec, lambda Z: Z[:, 0], z, -1.0, nodes_t=nt,
                               nodes_x=nx, check=False)
             assert calls["C"] == 1, (nt, nx)

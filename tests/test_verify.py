@@ -74,11 +74,11 @@ def test_apply_L_fd_on_monomial(kspec):
     assert val.shape == (1,) and abs(val[0] - 2.0) < 1e-8
 
 
-def test_apply_L_fd_kills_kernel(kctx):
+def test_apply_L_fd_kills_kernel(kspec):
     # the whole stencil of both steps in one kernel_jet_rows call each
     p = np.array([[0.1, -0.2, -1.0]])
     z = np.array([[0.3, 0.4, 0.2]])
-    val = apply_L_fd(kctx.spec, lambda W: kernel_jet_rows(kctx.spec, W, p,
+    val = apply_L_fd(kspec, lambda W: kernel_jet_rows(kspec, W, p,
                                                           derivatives=False), z)
     assert abs(val[0]) < 1e-6
 
@@ -119,48 +119,47 @@ def test_cutoff_gradient_scaling_stable(kspec):
         assert max(vals) <= 4.0 * min(vals)
 
 
-def test_harmonic_family_poles_below_cylinder(kctx):
+def test_harmonic_family_poles_below_cylinder(kspec):
     rng = np.random.default_rng(0)
     for R in (1.0, 0.25):
-        P = harmonic_family(kctx, R, 10, rng)
+        P = harmonic_family(kspec, R, 10, rng)
         assert P.shape == (10, 3)
         assert ((-3.0 * R * R <= P[:, -1]) & (P[:, -1] <= -2.0 * R * R)).all()
 
 
 def test_convolution_duhamel_time_only(heat):
     # f = f(tau) only: u(z) = -int_{t_lo}^{t} f, since the mass is 1
-    ctx = KernelContext(heat)
     z = np.array([[0.2, 0.5]])
-    val = convolve_solution(ctx, lambda Z: np.cos(Z[:, -1]), z, t_lo=-0.5)
+    val = convolve_solution(heat, lambda Z: np.cos(Z[:, -1]), z, t_lo=-0.5)
     assert abs(val - (-(math.sin(0.5) - math.sin(-0.5)))) < 1e-9
 
 
-def test_convolution_reconstructs_manufactured(kctx):
+def test_convolution_reconstructs_manufactured(kspec):
     # narrow-in-time solution: u(., t_lo) ~ 1e-19, so u = -Gamma * f
-    prob = manufacture("gaussian-narrow", kctx.spec)
+    prob = manufacture("gaussian-narrow", kspec)
     z = np.zeros((1, 3))
-    val = convolve_solution(kctx, prob.f, z, t_lo=-1.0)
+    val = convolve_solution(kspec, prob.f, z, t_lo=-1.0)
     assert abs(val - prob.u.u(z)[0]) < 1e-5
 
 
-def test_verify_apriori(kctx):
-    rep = verify_apriori(kctx, poles=8, samples=25)
+def test_verify_apriori(kspec):
+    rep = verify_apriori(kspec, poles=8, samples=25)
     assert rep.verdict and math.isfinite(rep.fitted_constant)
     for cell in rep.details["per_group"].values():
         assert set(cell) == {"grad_alpha1", "grad_alpha3", "second", "Y"}
 
 
-def test_verify_mean_value(kctx):
-    rep = verify_mean_value(kctx, poles=8, samples=40)
+def test_verify_mean_value(kspec):
+    rep = verify_mean_value(kspec, poles=8, samples=40)
     assert rep.verdict and 0.0 < rep.fitted_constant < 10.0
 
 
-def test_verify_singular_bounds_const(kctx):
-    rep = verify_singular_bounds(kctx, "const", samples=3)
+def test_verify_singular_bounds_const(kspec):
+    rep = verify_singular_bounds(kspec, "const", samples=3)
     assert rep.verdict
     assert rep.details["expected_dyadic_step"] == 1.0
     with pytest.raises(DomainError):
-        verify_singular_bounds(kctx, "g3")
+        verify_singular_bounds(kspec, "g3")
 
 
 def _psi_at_point(kind, R, exps):
@@ -213,7 +212,7 @@ def test_d2_slice_matches_per_point_route(which, kspec, drifted):
         # both slices and every (i, j) in one call
         taus = [z.t - 0.2, z.t - 1e-3]
         pairs = [(i, j) for i in range(spec.m) for j in range(i, spec.m)]
-        got = _d2_slices(ctx, psi, np.repeat(z.row(), 2, axis=0), np.array(taus),
+        got = _d2_slices(spec, psi, np.repeat(z.row(), 2, axis=0), np.array(taus),
                          pairs, h, 12)
         for s, tau in enumerate(taus):
             for p, (i, j) in enumerate(pairs):
@@ -221,10 +220,10 @@ def test_d2_slice_matches_per_point_route(which, kspec, drifted):
                 assert got[s, p] == want, (kind, tau, i, j)
 
 
-def test_d2_slice_rejects_non_finite_grid(kctx):
-    psi = _singular_psi("g1", 0.5, kctx.spec.exponents())
+def test_d2_slice_rejects_non_finite_grid(kspec):
+    psi = _singular_psi("g1", 0.5, kspec.exponents())
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="grid"):
-        _d2_slices(kctx, psi, np.array([[0.1, 0.2, 0.1]]), np.array([0.0]),
+        _d2_slices(kspec, psi, np.array([[0.1, 0.2, 0.1]]), np.array([0.0]),
                    [(0, 0)], math.inf, 12)
 
 
@@ -238,56 +237,55 @@ def test_hermite_grid_is_cached_and_read_only():
         W[0] = 1.0
 
 
-def test_schauder_const_report(kctx):
-    prob = manufacture("gaussian", kctx.spec)
-    rep = verify_schauder(kctx, prob, pair_samples=400, constant=True)
+def test_schauder_const_report(kspec):
+    prob = manufacture("gaussian", kspec)
+    rep = verify_schauder(prob, pair_samples=400, constant=True)
     assert rep.verdict and math.isfinite(rep.fitted_constant)
     assert rep.samples > 100
     assert "ratio" in rep.to_json_dict()["ratios_csv"]
 
 
-def test_schauder_const_rejects_varcoeff(kctx):
-    prob = manufacture("gaussian", kctx.spec, varcoeff_id="sin1")
+def test_schauder_const_rejects_varcoeff(kspec):
+    prob = manufacture("gaussian", kspec, varcoeff_id="sin1")
     with pytest.raises(ApplicabilityError):
-        verify_schauder(kctx, prob, constant=True)
+        verify_schauder(prob, constant=True)
 
 
-def test_schauder_var_matches_const_without_coefficients(kctx):
-    prob = manufacture("gaussian2", kctx.spec)
-    a = verify_schauder(kctx, prob, pair_samples=300, constant=True)
-    b = verify_schauder(kctx, prob, pair_samples=300)
+def test_schauder_var_matches_const_without_coefficients(kspec):
+    prob = manufacture("gaussian2", kspec)
+    a = verify_schauder(prob, pair_samples=300, constant=True)
+    b = verify_schauder(prob, pair_samples=300)
     assert b.name == "schauder-const"
     assert abs(a.fitted_constant - b.fitted_constant) <= 1e-10
 
 
-def test_schauder_var_with_coefficients(kctx):
-    prob = manufacture("gaussian", kctx.spec, varcoeff_id="sin1x2")
-    rep = verify_schauder(kctx, prob, pair_samples=300)
+def test_schauder_var_with_coefficients(kspec):
+    prob = manufacture("gaussian", kspec, varcoeff_id="sin1x2")
+    rep = verify_schauder(prob, pair_samples=300)
     assert rep.name == "schauder-var"
     assert rep.verdict and rep.details["eta_sup"] > 0.0
 
 
-def test_ellipticity_loss_detected(kctx):
-    prob = manufacture("gaussian", kctx.spec)
+def test_ellipticity_loss_detected(kspec):
+    prob = manufacture("gaussian", kspec)
     bad = ManufacturedProblem(
         u=prob.u, f=prob.f, spec=prob.spec,
         varcoeff=lambda z: np.array([[-1.0]]),
         omega_a=prob.omega_a, family_id=prob.family_id,
     )
     with pytest.raises(EllipticityError):
-        verify_schauder(kctx, bad, pair_samples=300)
+        verify_schauder(bad, pair_samples=300)
 
 
-def test_invariance_principal(kctx):
-    rep = verify_invariance(kctx, samples=15)
+def test_invariance_principal(kspec):
+    rep = verify_invariance(kspec, samples=15)
     assert rep.verdict
     assert rep.details["dilation_checked"]
     assert rep.scaling["left"] < 1e-5 and rep.scaling["dilation"] < 1e-5
 
 
 def test_invariance_generic_drift(drifted):
-    ctx = KernelContext(drifted)
-    rep = verify_invariance(ctx, samples=15)
+    rep = verify_invariance(drifted, samples=15)
     assert rep.verdict and not rep.details["dilation_checked"]
     with pytest.raises(ApplicabilityError):
-        verify_invariance(ctx, samples=5, include_dilation=True)
+        verify_invariance(drifted, samples=5, include_dilation=True)
