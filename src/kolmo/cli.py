@@ -132,8 +132,8 @@ def _build_parser():
     top = _Parser(prog="kolmo", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(p, spec_required=True):
-        p.add_argument("--spec", required=spec_required, help="operator spec JSON")
+    def common(p):
+        p.add_argument("--spec", required=True, help="operator spec JSON")
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--seed", type=_int_from(0), default=0)
 

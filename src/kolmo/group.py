@@ -140,10 +140,8 @@ class OperatorSpec:
     A: np.ndarray
     B: np.ndarray
     blocks: BlockStructure
-    zero_block_tol: float = ZERO_BLOCK_TOL
-    rank_tol: float = RANK_TOL
     # made on first use: the validated exponents and the exp_tables of E and C
-    _exps: dict = field(default_factory=dict, repr=False, compare=False)
+    _exps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
@@ -177,9 +175,9 @@ class OperatorSpec:
             self._exps["exps"] = validate_structure(self)
         return self._exps["exps"]
 
-    def is_dilation_invariant(self, tol=ZERO_BLOCK_TOL):
+    def is_dilation_invariant(self):
         """True when B has only the subdiagonal blocks (B = B_0)."""
-        return bool(np.abs(self.B - principal_B(self)).max() <= tol)
+        return bool(np.abs(self.B - principal_B(self)).max() <= ZERO_BLOCK_TOL)
 
     def _exp(self, key, generator):
         """The exp_table of a generator, made on first use."""
@@ -230,15 +228,14 @@ class OperatorSpec:
         }
 
 
-def make_spec(A, B, blocks, validate=True):
-    """Assemble and (by default) validate an operator spec."""
+def make_spec(A, B, blocks):
+    """Assemble and validate an operator spec."""
     spec = OperatorSpec(A=A, B=B, blocks=BlockStructure(tuple(blocks)))
-    if validate:
-        spec.exponents()
+    spec.exponents()
     return spec
 
 
-def load_spec(path_or_dict, validate=True):
+def load_spec(path_or_dict):
     """Read an operator spec from a JSON file or an already-parsed dict."""
     if isinstance(path_or_dict, dict):
         data = path_or_dict
@@ -255,11 +252,14 @@ def load_spec(path_or_dict, validate=True):
         raise StructureError(f"spec has no {err} entry") from None
     except (TypeError, ValueError) as err:
         raise StructureError(f"malformed spec: {err}") from None
-    spec = make_spec(A, B, blocks, validate=validate)
-    if "N" in data and int(data["N"]) != spec.N:
-        raise StructureError(f"declared N={data['N']} but blocks sum to {spec.N}")
-    if "m" in data and int(data["m"]) != spec.m:
-        raise StructureError(f"declared m={data['m']} but first block is {spec.m}")
+    spec = make_spec(A, B, blocks)
+    for key, size, what in (("N", spec.N, "blocks sum to"), ("m", spec.m, "first block is")):
+        try:
+            declared = int(data.get(key, size))
+        except (TypeError, ValueError, OverflowError):
+            raise StructureError(f"declared {key}={data[key]!r} is not an integer") from None
+        if declared != size:
+            raise StructureError(f"declared {key}={data[key]} but {what} {size}")
     return spec
 
 
@@ -293,7 +293,7 @@ def validate_structure(spec):
             if j >= i - 1:
                 continue
             blk = spec.B[blocks.level_slice(i), blocks.level_slice(j)]
-            if np.abs(blk).max() > spec.zero_block_tol:
+            if np.abs(blk).max() > ZERO_BLOCK_TOL:
                 raise StructureError(
                     f"block ({i},{j}) below the subdiagonal must be zero, "
                     f"max entry {np.abs(blk).max():g}"
@@ -301,7 +301,7 @@ def validate_structure(spec):
     for j in range(1, blocks.kappa + 1):
         blk = spec.B[blocks.level_slice(j), blocks.level_slice(j - 1)]
         sv = np.linalg.svd(blk, compute_uv=False)
-        rank = int(np.sum(sv > spec.rank_tol))
+        rank = int(np.sum(sv > RANK_TOL))
         if rank < blocks.sizes[j]:
             raise StructureError(
                 f"subdiagonal block at level {j} has rank {rank}, "
@@ -317,11 +317,11 @@ def embedded_A(spec):
     return At
 
 
-def hormander_check(spec, t, tol=1e-10):
+def hormander_check(spec, t):
     """Positivity of C(t) = int_0^t E(s) A~ E(s)^T ds; the Hormander test."""
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"time must be finite and positive, got {t}")
-    return spd_min_eigen(spec.C(t), tol=tol)
+    return spd_min_eigen(spec.C(t))
 
 
 def compose_rows(Z, W, spec, E=None):
@@ -417,7 +417,7 @@ def project_level(x, n, blocks):
     return out
 
 
-def level_map_solve(spec, n, target, residual_tol=1e-10):
+def level_map_solve(spec, n, target):
     """Minimum-norm w in V_0 with B^n w = target in V_n.
 
     The minimum-norm least-squares solution of the restricted map is
@@ -438,9 +438,7 @@ def level_map_solve(spec, n, target, residual_tol=1e-10):
     Bn = np.linalg.matrix_power(spec.B, n)
     M = Bn[blocks.level_slice(n), blocks.level_slice(0)]
     w0, *_ = np.linalg.lstsq(M, target_n, rcond=None)
-    if np.linalg.norm(M @ w0 - target_n) > residual_tol * max(
-        1.0, np.linalg.norm(target_n)
-    ):
+    if np.linalg.norm(M @ w0 - target_n) > 1e-10 * max(1.0, np.linalg.norm(target_n)):
         raise SolveError(
             f"level-{n} map could not reach the target; spec violates surjectivity"
         )
@@ -449,20 +447,17 @@ def level_map_solve(spec, n, target, residual_tol=1e-10):
     return w
 
 
-def sample_ball(spec, radius, count, rng, center=None):
-    """Uniform samples in the quasi-ball Q_radius(center), as a (count, N+1)
-    row block; center is a (1, N+1) row block.
+def sample_ball(spec, radius, count, rng):
+    """Uniform samples in the quasi-ball Q_radius about the origin, as a
+    (count, N+1) row block.
 
     The unit quasi-ball is exactly the unit box in (x, t), so sampling
-    reduces to a box sample followed by a dilation and a translation.
-    The box is one draw of count * (N+1) numbers, the stream that count
-    draws of one point each would give.
+    reduces to a box sample followed by a dilation.  The box is one draw
+    of count * (N+1) numbers, the stream that count draws of one point
+    each would give.
     """
-    Z = dilate_rows(radius, rng.uniform(-1.0, 1.0, size=(count, spec.N + 1)),
-                    spec.exponents())
-    if center is not None:
-        Z = compose_rows(Z, center, spec)
-    return Z
+    return dilate_rows(radius, rng.uniform(-1.0, 1.0, size=(count, spec.N + 1)),
+                       spec.exponents())
 
 
 def kolmogorov_spec(m=1):

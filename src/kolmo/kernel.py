@@ -155,14 +155,14 @@ def check_homogeneity(ctx, z, r):
     return float(g_r * r**exps.Q / g)
 
 
-def kernel_mass(spec, t, nodes_per_dim=32, tol=1e-6):
+def kernel_mass(spec, t):
     """Quadrature of x -> Gamma(x, t); must equal exp(-t tr B).
 
     Integrates over a box of +-8 standard deviations of the underlying
-    Gaussian (mass outside < 1e-8), one row block per pass, and doubles
-    the node count once as a self-check.  The weighted values are summed
-    by math.fsum, exactly rounded: a BLAS dot over the 16,384 nodes of the
-    fine pass groups its terms by the thread count.
+    Gaussian (mass outside < 1e-8), one row block per pass of 32, then 64
+    nodes per panel, which must agree to 1e-6 relative.  The weighted
+    values are summed by math.fsum, exactly rounded: a BLAS dot over the
+    16,384 nodes of the fine pass groups its terms by the thread count.
     """
     if not t > 0.0:
         raise DomainError(f"mass check needs t > 0, got {t}")
@@ -175,7 +175,7 @@ def kernel_mass(spec, t, nodes_per_dim=32, tol=1e-6):
         vals = kernel_jet_rows(spec, Z, origin(spec.N).row(), derivatives=False)
         return math.fsum(vals * w)
 
-    coarse, fine = run(nodes_per_dim), run(2 * nodes_per_dim)
-    if abs(fine - coarse) > tol * max(1.0, abs(fine)):
+    coarse, fine = run(32), run(64)
+    if abs(fine - coarse) > 1e-6 * max(1.0, abs(fine)):
         raise AccuracyError("kernel mass quadrature did not converge")
     return fine

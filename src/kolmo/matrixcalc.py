@@ -30,7 +30,7 @@ from .errors import (
 
 SYMMETRY_TOL = 1e-12
 GAUSS_ORDER = 10
-DEFAULT_PANELS = 8
+PANELS = 8
 REFINE_TOL = 1e-10
 # Most points a tensor grid may have: kernel_mass's fine grid in two
 # dimensions has 128^2 = 16,384, and a grid held whole in memory at
@@ -50,7 +50,6 @@ class SpdReport:
 
     min_eigenvalue: float
     is_spd: bool
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -177,13 +176,14 @@ def sqrt_spd(A):
     return np.matmul(V * np.sqrt(w)[..., None, :], np.swapaxes(V, -1, -2))
 
 
-def spd_min_eigen(S, tol=1e-10):
-    """Smallest eigenvalue of a symmetric matrix with an SPD verdict."""
+def spd_min_eigen(S):
+    """Smallest eigenvalue of a symmetric matrix with an SPD verdict: SPD
+    when it exceeds 1e-10."""
     S = _as_square(S)
     if not np.allclose(S, S.T, atol=SYMMETRY_TOL, rtol=0.0):
         raise SymmetryError("matrix is not symmetric beyond 1e-12")
     w_min = float(np.linalg.eigvalsh(S)[0])
-    return SpdReport(min_eigenvalue=w_min, is_spd=w_min > tol, tolerance=tol)
+    return SpdReport(min_eigenvalue=w_min, is_spd=w_min > 1e-10)
 
 
 def matvec_rows(M, X):
@@ -270,19 +270,17 @@ def _quad_matrix(M, t, panels):
     return acc
 
 
-def integrate_matrix(M, t, panels=DEFAULT_PANELS, check=True):
+def integrate_matrix(M, t):
     """Entry-wise integral of the matrix-valued map M over [0, t].
 
-    Composite Gauss-Legendre of fixed order per panel.  With ``check``
-    the panel count is doubled once and the two results must agree to
-    1e-10 (relative to the larger entry scale), otherwise AccuracyError.
+    Composite Gauss-Legendre of fixed order on PANELS panels; the
+    panel count is doubled once and the two results must agree to 1e-10
+    (relative to the larger entry scale), otherwise AccuracyError.
     """
     if t <= 0.0:
         raise DomainError(f"integration endpoint must be positive, got {t}")
-    coarse = _quad_matrix(M, t, panels)
-    if not check:
-        return coarse
-    fine = _quad_matrix(M, t, 2 * panels)
+    coarse = _quad_matrix(M, t, PANELS)
+    fine = _quad_matrix(M, t, 2 * PANELS)
     scale = max(1.0, float(np.abs(fine).max()))
     if np.abs(fine - coarse).max() > REFINE_TOL * scale:
         raise AccuracyError(

@@ -57,31 +57,30 @@ class DiniReport:
     decade_growth: tuple
 
 
-def table_from_function(omega, radii=None, provenance="analytic"):
-    """Tabulate a scalar modulus function on the (default) log grid."""
-    r = DEFAULT_RADII if radii is None else np.asarray(radii, dtype=float)
-    return ModulusTable(radii=r, omega=np.array([omega(x) for x in r]),
-                        provenance=provenance)
+def table_from_function(omega):
+    """Tabulate a scalar modulus function on the log grid DEFAULT_RADII."""
+    return ModulusTable(radii=DEFAULT_RADII,
+                        omega=np.array([omega(x) for x in DEFAULT_RADII]))
 
 
-def power_table(alpha, radii=None):
+def power_table(alpha):
     """The Holder modulus omega(r) = r^alpha."""
     if alpha <= 0.0:
         raise DomainError("exponent must be positive")
-    return table_from_function(lambda r: r**alpha, radii)
+    return table_from_function(lambda r: r**alpha)
 
 
 def _tail_bound(table):
     """Power-law extrapolation of int_0^{r_min} omega/r dr.
 
-    Fits omega ~ M r^p over the smallest decade; a nonpositive fitted
-    exponent means the model integral diverges and the bound is inf.
+    Fits omega ~ M r^p over the smallest decade, or over the whole grid
+    when it spans less; a nonpositive fitted exponent means the model
+    integral diverges and the bound is inf.
     """
     r, w = table.radii, table.omega
     if w[0] == 0.0:
         return 0.0
-    j = int(np.searchsorted(r, r[0] * 10.0))
-    j = max(j, 1)
+    j = min(max(int(np.searchsorted(r, r[0] * 10.0)), 1), len(r) - 1)
     if w[j] <= 0.0:
         return 0.0
     p = math.log(w[j] / w[0]) / math.log(r[j] / r[0])
@@ -184,13 +183,13 @@ def schauder_functional(table, d):
     return float(schauder_functional_rows(table, [d])[0])
 
 
-def _scaled_pairs(spec, radius, count, rng, r_min, center):
+def _scaled_pairs(spec, radius, count, rng, r_min):
     """Pairs (z, zeta) stratified across log scales, as a (count, 2, N+1)
     block: pair k is the rows [k, 0] = z and [k, 1] = zeta.
 
-    Both the distance of the base point from the domain center and the
+    Both the distance of the base point from the origin and the
     separation of the pair are drawn log-uniformly, so small-radius
-    behaviour near the center (where singular moduli live) is sampled
+    behaviour near the origin (where singular moduli live) is sampled
     as densely as the bulk.  The box coordinates of all pairs are one
     (count, 2N+2) draw, the stream of count draws of z's and zeta's.
     """
@@ -200,15 +199,13 @@ def _scaled_pairs(spec, radius, count, rng, r_min, center):
     sep_scales = np.exp(rng.uniform(math.log(r_min), 0.0, size=count))
     raw = rng.uniform(-1.0, 1.0, size=(count, 2 * N + 2))
     Z = dilate_rows(base_scales * radius, raw[:, :N + 1], exps)
-    if center is not None:
-        Z = compose_rows(Z, center, spec)
     step = dilate_rows(sep_scales * radius, raw[:, N + 1:], exps)
     return np.stack([Z, compose_rows(Z, step, spec)], axis=1)
 
 
-def empirical_modulus(f, spec, radius=1.0, pair_samples=4000, radii=None,
-                      seed=0, center=None):
-    """Empirical modulus: sup |f(z) - f(zeta)| over pairs with kdist < r.
+def empirical_modulus(f, spec, radius=1.0, pair_samples=4000, seed=0):
+    """Empirical modulus: sup |f(z) - f(zeta)| over pairs with kdist < r,
+    on the grid DEFAULT_RADII.
 
     ``f`` maps a (K, N+1) row block to its K values.  A lower bound on
     the true sup-modulus, which makes any Schauder inequality verified
@@ -219,12 +216,11 @@ def empirical_modulus(f, spec, radius=1.0, pair_samples=4000, radii=None,
         raise DomainError("domain radius must be positive")
     if pair_samples < 1000:
         raise DomainError("need at least 1000 pair samples")
-    r_grid = DEFAULT_RADII if radii is None else np.asarray(radii, dtype=float)
     rng = np.random.default_rng(seed)
-    pairs = _scaled_pairs(spec, radius, pair_samples, rng, r_grid[0], center)
+    pairs = _scaled_pairs(spec, radius, pair_samples, rng, DEFAULT_RADII[0])
     Z, W = pairs[:, 0], pairs[:, 1]
     jumps = np.abs(f(Z) - f(W))
-    return modulus_from_pairs(kdist_rows(Z, W, spec), jumps, r_grid)
+    return modulus_from_pairs(kdist_rows(Z, W, spec), jumps, DEFAULT_RADII)
 
 
 def pair_omega(dists, jumps, radii):
@@ -249,16 +245,14 @@ def modulus_from_pairs(dists, jumps, radii):
                         provenance="empirical")
 
 
-def holder_seminorm(f, spec, alpha, samples=4000, radius=1.0, seed=0,
-                    center=None):
-    """Empirical sup of |f(z) - f(zeta)| / kdist(z, zeta)^alpha; ``f`` maps
-    a row block to its values."""
+def holder_seminorm(f, spec, alpha, samples=4000):
+    """Empirical sup of |f(z) - f(zeta)| / kdist(z, zeta)^alpha over pairs
+    in the unit quasi-ball, seed 0; ``f`` maps a row block to its values."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
     if samples < 100:
         raise DomainError("need at least 100 samples")
-    rng = np.random.default_rng(seed)
-    pairs = _scaled_pairs(spec, radius, samples, rng, 2.0**-20, center)
+    pairs = _scaled_pairs(spec, 1.0, samples, np.random.default_rng(0), 2.0**-20)
     Z, W = pairs[:, 0], pairs[:, 1]
     best = 0.0
     for d, jump in zip(kdist_rows(Z, W, spec).tolist(),
@@ -319,8 +313,9 @@ def counterexample_mixed(alpha, x, y):
     )
 
 
-def counterexample_certificate(alpha=0.5, decades=4, seed=0, pair_samples=4000):
-    """Non-Dini certificate for f: per-decade Dini growth over small radii.
+def counterexample_certificate(alpha=0.5, seed=0, pair_samples=4000):
+    """Non-Dini certificate for f: per-decade Dini growth over the four
+    smallest decades of radii.
 
     Samples the empirical modulus of f on a planar heat-type geometry in
     a ball avoiding the unit-circle singularity, then reports the
@@ -336,7 +331,7 @@ def counterexample_certificate(alpha=0.5, decades=4, seed=0, pair_samples=4000):
     table = empirical_modulus(fval, spec, radius=0.3, pair_samples=pair_samples,
                               seed=seed)
     report = dini_integral(table)
-    growth = report.decade_growth[-decades:]
+    growth = report.decade_growth[-4:]
     deltas = [1e-2, 1e-4, 1e-6, 1e-8]
     return {
         "alpha": alpha,

@@ -90,8 +90,8 @@ class PathPlan:
 
     source: np.ndarray
     target: np.ndarray
-    segments: list = field(default_factory=list)
-    achieved_error: float = 0.0
+    segments: list = field(default_factory=list, init=False)
+    achieved_error: float = field(default=0.0, init=False)
 
     def to_json_dict(self):
         return {
@@ -249,26 +249,31 @@ def traj_increment(n, v, s, spec):
     """Displacement of gamma^(n)_{v,s} in closed form.
 
     Independent of the base point: Delta_0(s) = s v and
-    Delta_{n+1}(s) = Delta_n(s) + exp(-s^2 B) Delta_n(-s).  Unlike
-    re-executing the flows, this never forms the huge intermediate
-    exp(s^2 B) x products, so it stays accurate for large parameters.
+    Delta_{n+1}(s) = Delta_n(s) + exp(-s^2 B) Delta_n(-s), in one pass
+    over the pair (Delta_k(s), Delta_k(-s)) with one E(s^2) for both
+    signs.  Unlike re-executing the flows, this never forms the huge
+    intermediate exp(s^2 B) x products, so it stays accurate for large
+    parameters.
     """
     v = np.asarray(v, dtype=float)
     if n == 0:
         return s * v
-    d = traj_increment(n - 1, v, s, spec)
-    return d + spec.E(s * s) @ traj_increment(n - 1, v, -s, spec)
+    plus, minus = s * v, -s * v
+    E = spec.E(s * s)
+    for _ in range(n - 1):
+        plus, minus = plus + E @ minus, minus + E @ plus
+    return plus + E @ minus
 
 
 def _level_increment(n, v, s, spec, blocks):
     return project_level(traj_increment(n, v, s, spec), n, blocks)
 
 
-def _solve_level_param(n, v, s_guess, need, spec, tol=1e-12, max_expand=60):
+def _solve_level_param(n, v, s_guess, need, spec):
     """Bisection in s for the level-n increment along the needed direction.
 
     ``need`` is the required level-n increment vector; the scalar
-    equation matches its component along need/|need|.
+    equation matches its component along need/|need|, to a width of 1e-12.
     """
     blocks = spec.blocks
     nhat = need / np.linalg.norm(need)
@@ -280,7 +285,7 @@ def _solve_level_param(n, v, s_guess, need, spec, tol=1e-12, max_expand=60):
     def bracket(hi0):
         lo, flo = 0.0, phi(0.0)
         hi = hi0
-        for _ in range(max_expand):
+        for _ in range(60):
             try:
                 fhi = phi(hi)
             except (AccuracyError, FloatingPointError):  # the step overflows
@@ -297,7 +302,7 @@ def _solve_level_param(n, v, s_guess, need, spec, tol=1e-12, max_expand=60):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = phi(mid)
-        if fmid == 0.0 or abs(hi - lo) < tol:
+        if fmid == 0.0 or abs(hi - lo) < 1e-12:
             return mid
         if flo * fmid <= 0.0:
             hi, fhi = mid, fmid
@@ -491,20 +496,20 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
     return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu)
 
 
-def validate_bundle(bundle, spec, Z, h=1e-5):
-    """FD cross-check of a bundle's analytic derivatives at the rows of Z.
+def validate_bundle(bundle, spec, Z):
+    """FD cross-check (step 1e-5) of a bundle's derivatives at the rows of Z.
 
     Returns the worst relative mismatch of grad_m and Yu; raises
     AccuracyError when the drift difference fails its Richardson check.
     """
     Z = finite_rows(Z)
-    m = spec.m
+    m, h = spec.m, 1e-5
     e = h * np.eye(spec.N + 1)[:m]
     scale = np.maximum(1.0, np.abs(bundle.u(Z)))
     plus, minus = bundle.u(np.vstack([Z + ei for ei in e] + [Z - ei for ei in e])
                            ).reshape(2, m, len(Z))
     fd = (plus - minus) / (2 * h)
     worst = np.abs(fd - bundle.grad_m(Z).T) / scale
-    fd_Y = lie_derivative_fd(bundle.u, Z, spec, h=h)
+    fd_Y = lie_derivative_fd(bundle.u, Z, spec)
     return float(max(worst.max(initial=0.0),
                      (np.abs(fd_Y - bundle.Yu(Z)) / scale).max(initial=0.0)))

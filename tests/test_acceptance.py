@@ -246,7 +246,7 @@ def test_criterion_06_dini():
             d = 2.0**-k
             ok = ok and holder_closed_form(1.0, a, d) >= schauder_functional(ptab, d)
 
-    cert = counterexample_certificate(decades=4, seed=0, pair_samples=4000)
+    cert = counterexample_certificate(seed=0, pair_samples=4000)
     ok = ok and len(cert["decade_growth"]) == 4
     ok = ok and cert["min_growth"] >= 0.2
     f_diag, m_diag = cert["f_diagonal"], cert["mixed_diagonal"]

@@ -319,6 +319,9 @@ BAD_INPUTS = {
     "csv-not-finite": ["modulus", "--spec", KOLMO, "--input-csv",
                        "{tmp}/nan.csv"],
     "unwritable-out": ["check", "--spec", KOLMO, "--out", "{tmp}/no/r.json"],
+    "declared-N-text": ["check", "--spec", "{tmp}/N_text.json"],
+    "declared-N-null": ["check", "--spec", "{tmp}/N_null.json"],
+    "declared-m-list": ["check", "--spec", "{tmp}/m_list.json"],
 }
 
 
@@ -329,6 +332,11 @@ def test_bad_input_keeps_exit_code_contract(name, tmp_path):
     (tmp_path / "text_A.json").write_text(
         json.dumps({"A": "x", "B": [[0.0, 0.0], [-1.0, 0.0]], "blocks": [1, 1]}))
     (tmp_path / "nan.csv").write_text("0.1,0.2,0.3,1\nnan,0.1,0.2,2\n")
+    # a declared N or m that is not an integer
+    for stem, key, value in (("N_text", "N", "abc"), ("N_null", "N", None),
+                             ("m_list", "m", [1])):
+        (tmp_path / f"{stem}.json").write_text(
+            json.dumps(dict(json.loads(Path(KOLMO).read_text()), **{key: value})))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in BAD_INPUTS[name]]
     env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "kolmo.cli", *argv],

@@ -47,6 +47,15 @@ def test_dini_integral_power_modulus():
         assert abs(rep.tail_bound - r0**a / a) < 1e-2 * rep.tail_bound
 
 
+def test_dini_integral_on_a_table_shorter_than_a_decade():
+    # the tail fit read omega one decade above r_min, past the end of this
+    # grid (IndexError); it now fits the whole grid: omega = 0.2 r, p = 1
+    rep = dini_integral(ModulusTable(radii=[0.5, 1.0], omega=[0.1, 0.2]))
+    assert rep.tail_bound == 0.1
+    assert rep.value == pytest.approx(0.15 * math.log(2.0))
+    assert rep.classification == "inconclusive" and rep.decade_growth == ()
+
+
 def test_dini_integral_log_modulus_diverges():
     # omega = 1 / |log r| gains log(10)-ish per decade forever
     table = table_from_function(lambda r: 1.0 / max(1.0, abs(math.log(r))))

@@ -149,12 +149,11 @@ def test_plan_length_is_the_in_order_sum_of_segment_distances(spec, seed):
 
 
 @PROPERTY
-@given(specs, st.integers(0, 2**32 - 1), st.booleans())
-def test_sample_ball_rows_match_one_draw_at_a_time(spec, seed, centered):
-    center = np.append(np.full(spec.N, 0.2), -0.3)[None] if centered else None
-    block = sample_ball(spec, 0.7, K, np.random.default_rng(seed), center)
+@given(specs, st.integers(0, 2**32 - 1))
+def test_sample_ball_rows_match_one_draw_at_a_time(spec, seed):
+    block = sample_ball(spec, 0.7, K, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    single = [sample_ball(spec, 0.7, 1, rng, center)[0] for _ in range(K)]
+    single = [sample_ball(spec, 0.7, 1, rng)[0] for _ in range(K)]
     assert block.shape == (K, spec.N + 1)
     assert np.array_equal(block, single)
 
@@ -164,8 +163,7 @@ def test_sample_ball_rows_match_one_draw_at_a_time(spec, seed, centered):
 def test_scaled_pairs_rows_match_the_point_loop(spec, seed):
     exps = spec.exponents()
     r_min, radius = 2.0**-20, 0.8
-    pairs = _scaled_pairs(spec, radius, K, np.random.default_rng(seed), r_min,
-                          None)
+    pairs = _scaled_pairs(spec, radius, K, np.random.default_rng(seed), r_min)
     # the same stream drawn and mapped one row at a time
     rng = np.random.default_rng(seed)
     base = np.exp(rng.uniform(math.log(r_min), 0.0, size=K))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from kolmo import (
@@ -19,10 +21,12 @@ from kolmo import (
     validate_bundle,
     verify_plan,
 )
-from kolmo.errors import DomainError, NonConvergenceError, PlanIntegrityError
+from kolmo.errors import DomainError, KolmoError, NonConvergenceError, PlanIntegrityError
 from kolmo.group import compose_rows, dilate_rows, sample_ball
 from kolmo.taylor import PathSegment
 from kolmo.verify import apply_L_fd
+
+from test_rows import PROPERTY, specs
 
 
 def test_flows_closed_forms(kinetic):
@@ -62,6 +66,43 @@ def test_traj_increment_matches_execution(kinetic, drifted, kappa2):
             end, _ = gamma_traj(n, v, s, z, spec)
             assert np.abs((end - z)[:-1] - traj_increment(n, v, s, spec)).max() < 1e-12
             assert abs(end[-1] - z[-1]) < 1e-14
+
+
+def recursive_traj_increment(n, v, s, spec):
+    """traj_increment in its doubly recursive form, 2^(n+1) - 1 calls."""
+    v = np.asarray(v, dtype=float)
+    if n == 0:
+        return s * v
+    d = recursive_traj_increment(n - 1, v, s, spec)
+    return d + spec.E(s * s) @ recursive_traj_increment(n - 1, v, -s, spec)
+
+
+def _outcome(f):
+    """f's value, or the type of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return f()
+    except KolmoError as err:
+        return type(err)
+
+
+@PROPERTY
+@given(specs, st.integers(0, 2**32 - 1))
+def test_traj_increment_equals_the_recursion(spec, seed):
+    # the one-pass pair form == the recursion on every level, for |s| from
+    # 1e-4 to 9, where a non-principal E(s^2) overflows in both
+    rng = np.random.default_rng(seed)
+    for n in range(spec.kappa + 1):
+        for _ in range(4):
+            v = np.zeros(spec.N)
+            v[: spec.m] = rng.standard_normal(spec.m)
+            s = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, np.log10(9.0))
+            got = _outcome(lambda: traj_increment(n, v, s, spec))
+            want = _outcome(lambda: recursive_traj_increment(n, v, s, spec))
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_traj_increment_preserves_lower_levels(kappa2):
