@@ -18,6 +18,7 @@ everything else takes row blocks.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,10 +255,9 @@ def load_spec(path_or_dict):
         raise StructureError(f"malformed spec: {err}") from None
     spec = make_spec(A, B, blocks)
     for key, size, what in (("N", spec.N, "blocks sum to"), ("m", spec.m, "first block is")):
-        try:
-            declared = int(data.get(key, size))
-        except (TypeError, ValueError, OverflowError):
-            raise StructureError(f"declared {key}={data[key]!r} is not an integer") from None
+        declared = data.get(key, size)
+        if isinstance(declared, bool) or not isinstance(declared, numbers.Real) or declared % 1:
+            raise StructureError(f"declared {key}={declared!r} is not a whole number")
         if declared != size:
             raise StructureError(f"declared {key}={data[key]} but {what} {size}")
     return spec
@@ -333,7 +333,7 @@ def compose_rows(Z, W, spec, E=None):
     """
     if E is None:
         E = spec.E(W[:, -1])
-    out = np.empty((max(len(Z), len(W)), Z.shape[1]))
+    out = np.empty((len(Z) if len(W) == 1 else len(W), Z.shape[1]))
     out[:, :-1] = W[:, :-1] + matvec_rows(E, Z[:, :-1])
     out[:, -1] = Z[:, -1] + W[:, -1]
     return finite_rows(out)

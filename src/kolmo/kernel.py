@@ -101,7 +101,7 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
     hess = (0.25 * (CW[:, :, None] * CW[:, None, :]) - 0.5 * Cinv) * g[:, None, None]
     # d_t Gamma from C'(dt) = E A~ E^T and w' = B E xi; a 2-d trace per row
     Cprime = np.matmul(np.matmul(E, embedded_A(spec)), np.swapaxes(E, -1, -2))
-    tr = np.array([np.trace(M) for M in np.matmul(Cinv, Cprime)])
+    tr = np.trace(np.matmul(Cinv, Cprime), axis1=-2, axis2=-1)
     dlog_dt = (-0.5 * tr - 0.5 * dot_rows(CW, matvec_rows(spec.B, EXi))
                + 0.25 * dot_rows(vecmat_rows(CW, Cprime), CW) - float(np.trace(spec.B)))
     Y = dot_rows(matvec_rows(spec.B, X), grad) - dlog_dt * g

@@ -20,6 +20,7 @@ from .errors import DomainError
 from .group import compose_rows, dilate_rows, heat_spec, kdist_rows
 
 DEFAULT_RADII = 2.0 ** np.linspace(-20.0, 0.0, 64)
+DEFAULT_RADII.flags.writeable = False  # every table on the default grid shares it
 MONOTONE_TOL = 1e-12
 
 

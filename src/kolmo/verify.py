@@ -324,78 +324,75 @@ def _stable(scaling):
     return max(vals) <= STABLE_FACTOR * min(vals)
 
 
+def _harmonic_samples(spec, R, poles, samples, rng):
+    """Poles P = harmonic_family(spec, R, poles, rng), then pole by pole a
+    box of 4 * samples rows of Q_R and one of samples rows of Q_{R/2}, all
+    dilated from one unit-box draw.  Returns P, the Q_{R/2} rows Z stacked
+    pole by pole and each pole's sup|u_p| over its Q_R box, from one
+    values-only kernel call; a dead pole (sup 0) is drawn all the same."""
+    P, exps, width = harmonic_family(spec, R, poles, rng), spec.exponents(), spec.N + 1
+    U = sample_ball(spec, 1.0, poles * 5 * samples, rng).reshape(poles, 5 * samples, width)
+    S = dilate_rows(R, U[:, :4 * samples].reshape(-1, width), exps)
+    Z = dilate_rows(R / 2.0, U[:, 4 * samples:].reshape(-1, width), exps)
+    u = kernel_jet_rows(spec, S, np.repeat(P, 4 * samples, axis=0), derivatives=False)
+    return P, Z, u.reshape(poles, 4 * samples).max(axis=1)
+
+
 def verify_apriori(spec, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
     """Interior derivative bounds for harmonic u: |d_j u| <= C R^{-alpha_j} sup|u|.
 
     Fits the constant as the max over harmonic family members and
     sample points of the scaled ratios; second derivatives and Y use
-    the R^{-2} scaling.  Each pole's sup sample and derivative sample
-    are one row block each.
+    the R^{-2} scaling.  Per R, the draws are _harmonic_samples' and the
+    derivatives at every pole's Q_{R/2} rows come from one kernel call; a
+    dead pole (sup|u_p| = 0) is drawn and evaluated, then left out.
     """
     m, exps = spec.m, spec.exponents()
     rng = np.random.default_rng(seed)
-    groups = sorted({f"grad_alpha{exps.alpha[j]}" for j in range(spec.N)})
-    groups += ["second", "Y"]
+    groups = sorted({f"grad_alpha{a}" for a in exps.alpha}) + ["second", "Y"]
     per_R = {R: {g: 0.0 for g in groups} for R in R_list}
     for R in R_list:
         cell = per_R[R]
-        for p in harmonic_family(spec, R, poles, rng):
-            sup_u = float(kernel_jet_rows(spec, sample_ball(spec, R, 4 * samples, rng),
-                                          p[None], derivatives=False).max())
-            if sup_u <= 0.0:
-                continue
-            jet = kernel_jet_rows(spec, sample_ball(spec, R / 2.0, samples, rng),
-                                  p[None])
-            scaled = [(f"grad_alpha{a}", np.abs(jet.grad[:, j]) * R**a)
-                      for j, a in enumerate(exps.alpha)]
-            scaled += [("second", np.abs(jet.hess[:, :m, :m]).max(axis=(1, 2)) * R**2),
-                       ("Y", np.abs(jet.Y) * R**2)]
-            for key, vals in scaled:
-                cell[key] = max(cell[key], float((vals / sup_u).max()))
+        P, Z, sup = _harmonic_samples(spec, R, poles, samples, rng)
+        live = sup > 0.0
+        jet = kernel_jet_rows(spec, Z, np.repeat(P, samples, axis=0))
+        scaled = [(f"grad_alpha{a}", np.abs(jet.grad[:, j]) * R**a)
+                  for j, a in enumerate(exps.alpha)]
+        scaled += [("second", np.abs(jet.hess[:, :m, :m]).max(axis=(1, 2)) * R**2),
+                   ("Y", np.abs(jet.Y) * R**2)]
+        for key, vals in scaled:
+            per_pole = (vals.reshape(poles, samples)[live] / sup[live, None]).max(axis=1)
+            cell[key] = max([cell[key], *per_pole.tolist()])
     scaling = {R: max(per_R[R].values()) for R in R_list}
-    stable = all(
-        _stable({R: per_R[R][g] for R in R_list}) for g in groups
-    )
+    stable = all(_stable({R: per_R[R][g] for R in R_list}) for g in groups)
     fitted = max(scaling.values()) if scaling else 0.0
     return EstimateReport(
-        name="apriori-derivative-bounds",
-        seed=seed,
-        samples=poles * samples * len(R_list),
-        fitted_constant=fitted,
-        scaling=scaling,
-        ratios=list(scaling.values()),
+        name="apriori-derivative-bounds", seed=seed, samples=poles * samples * len(R_list),
+        fitted_constant=fitted, scaling=scaling, ratios=list(scaling.values()),
         verdict=math.isfinite(fitted) and stable,
-        details={"per_group": {str(R): per_R[R] for R in R_list}},
-    )
+        details={"per_group": {str(R): per_R[R] for R in R_list}})
 
 
 def verify_mean_value(spec, R=0.5, poles=20, samples=120, seed=0):
     """|u(z) - u(zeta)| <= C kdist(z, zeta) sup|u| / R for harmonic u,
-    with zeta the origin; pairs closer than R/100 are left out."""
+    with zeta the origin; pairs closer than R/100 are left out.  The draws
+    are _harmonic_samples'; one kernel call covers every pole's block
+    [zeta, Z_p].  A dead pole (sup|u_p| = 0) is drawn and evaluated, then
+    left out of the ratios."""
     rng = np.random.default_rng(seed)
-    ratios = []
-    center = np.zeros((1, spec.N + 1))
-    for p in harmonic_family(spec, R, poles, rng):
-        sup_u = float(kernel_jet_rows(spec, sample_ball(spec, R, 4 * samples, rng),
-                                      p[None], derivatives=False).max())
-        if sup_u <= 0.0:
-            continue
-        Z = sample_ball(spec, R / 2.0, samples, rng)
-        u = kernel_jet_rows(spec, np.vstack([center, Z]), p[None],
-                            derivatives=False)
-        d = kdist_rows(Z, center, spec)
-        ratio = np.abs(u[1:] - u[0]) * R / (d * sup_u)
-        ratios += ratio[~(d < R / 100.0)].tolist()
+    P, Z, sup = _harmonic_samples(spec, R, poles, samples, rng)
+    width = spec.N + 1
+    blocks = np.insert(Z.reshape(poles, samples, width), 0, 0.0, axis=1).reshape(-1, width)
+    u = kernel_jet_rows(spec, blocks, np.repeat(P, samples + 1, axis=0),
+                        derivatives=False).reshape(poles, samples + 1)
+    d = kdist_rows(Z, np.zeros((1, width)), spec).reshape(poles, samples)
+    live = sup > 0.0
+    u, d = u[live], d[live]
+    ratio = np.abs(u[:, 1:] - u[:, :1]) * R / (d * sup[live, None])
+    ratios = ratio[~(d < R / 100.0)].tolist()
     fitted = max(ratios) if ratios else 0.0
-    return EstimateReport(
-        name="mean-value",
-        seed=seed,
-        samples=len(ratios),
-        fitted_constant=fitted,
-        scaling={R: fitted},
-        ratios=ratios,
-        verdict=math.isfinite(fitted),
-    )
+    return EstimateReport(name="mean-value", seed=seed, samples=len(ratios), fitted_constant=fitted,
+                          scaling={R: fitted}, ratios=ratios, verdict=math.isfinite(fitted))
 
 
 def _d2_slices(spec, psi, Z, tau, pairs, h, nodes_x):

@@ -322,6 +322,8 @@ BAD_INPUTS = {
     "declared-N-text": ["check", "--spec", "{tmp}/N_text.json"],
     "declared-N-null": ["check", "--spec", "{tmp}/N_null.json"],
     "declared-m-list": ["check", "--spec", "{tmp}/m_list.json"],
+    "declared-N-fraction": ["check", "--spec", "{tmp}/N_fraction.json"],
+    "declared-N-digits": ["check", "--spec", "{tmp}/N_digits.json"],
 }
 
 
@@ -332,9 +334,10 @@ def test_bad_input_keeps_exit_code_contract(name, tmp_path):
     (tmp_path / "text_A.json").write_text(
         json.dumps({"A": "x", "B": [[0.0, 0.0], [-1.0, 0.0]], "blocks": [1, 1]}))
     (tmp_path / "nan.csv").write_text("0.1,0.2,0.3,1\nnan,0.1,0.2,2\n")
-    # a declared N or m that is not an integer
+    # a declared N or m that is not a whole number
     for stem, key, value in (("N_text", "N", "abc"), ("N_null", "N", None),
-                             ("m_list", "m", [1])):
+                             ("m_list", "m", [1]), ("N_fraction", "N", 2.9),
+                             ("N_digits", "N", "2")):
         (tmp_path / f"{stem}.json").write_text(
             json.dumps(dict(json.loads(Path(KOLMO).read_text()), **{key: value})))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in BAD_INPUTS[name]]
@@ -343,6 +346,8 @@ def test_bad_input_keeps_exit_code_contract(name, tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode in (0, 2, 3, 4)
     assert "Traceback" not in proc.stderr
+    if name.startswith("declared-"):  # a structure error, not a truncated size
+        assert proc.returncode == 3 and proc.stderr.count("\n") == 1
 
 
 def test_time_step_beyond_the_covariance_range_is_a_usage_error(capsys):

@@ -56,6 +56,15 @@ def test_dini_integral_on_a_table_shorter_than_a_decade():
     assert rep.classification == "inconclusive" and rep.decade_growth == ()
 
 
+def test_default_radii_are_shared_read_only():
+    # every table on the default grid holds DEFAULT_RADII itself
+    grid = DEFAULT_RADII.copy()
+    with pytest.raises(ValueError):
+        power_table(0.5).radii[0] = 5e-7
+    assert np.array_equal(DEFAULT_RADII, grid)
+    assert table_from_function(lambda r: r).radii[0] == grid[0]
+
+
 def test_dini_integral_log_modulus_diverges():
     # omega = 1 / |log r| gains log(10)-ish per decade forever
     table = table_from_function(lambda r: 1.0 / max(1.0, abs(math.log(r))))
