@@ -409,11 +409,11 @@ def scaled_B(spec, r):
 
 
 def project_level(x, n, blocks):
-    """Zero all coordinates of x outside dilation level n."""
+    """Zero all coordinates of x (of each row of a block) outside dilation level n."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     sl = blocks.level_slice(n)
-    out[sl] = x[sl]
+    out[..., sl] = x[..., sl]
     return out
 
 

@@ -43,6 +43,7 @@ from .matrixcalc import (dot_rows,
 
 SEGMENT_TOL = 1e-12
 RICHARDSON_TOL = 1e-3  # largest step-halving change, relative to max(1, |value|)
+BISECTION_DEPTH = 4  # bisection steps whose midpoints one phi call evaluates
 
 
 def endpoint_error(a, b):
@@ -245,28 +246,41 @@ def _leading_sign_unit(w):
     return v, 1.0
 
 
-def traj_increment(n, v, s, spec):
-    """Displacement of gamma^(n)_{v,s} in closed form.
+def traj_increment_rows(n, v, s, spec):
+    """Displacements of gamma^(n)_{v,s} in closed form, one row per
+    parameter of the 1-d array s, each rounded as its own K = 1 call.
 
     Independent of the base point: Delta_0(s) = s v and
     Delta_{n+1}(s) = Delta_n(s) + exp(-s^2 B) Delta_n(-s), in one pass
-    over the pair (Delta_k(s), Delta_k(-s)) with one E(s^2) for both
-    signs.  Unlike re-executing the flows, this never forms the huge
+    over the pair (Delta_k(s), Delta_k(-s)) with one stacked E(s^2) for
+    both signs.  Unlike re-executing the flows, this never forms the huge
     intermediate exp(s^2 B) x products, so it stays accurate for large
     parameters.
     """
-    v = np.asarray(v, dtype=float)
+    s = np.asarray(s, dtype=float)
+    plus, minus = np.outer(s, v), np.outer(-s, v)
     if n == 0:
-        return s * v
-    plus, minus = s * v, -s * v
+        return plus
     E = spec.E(s * s)
     for _ in range(n - 1):
-        plus, minus = plus + E @ minus, minus + E @ plus
-    return plus + E @ minus
+        plus, minus = plus + matvec_rows(E, minus), minus + matvec_rows(E, plus)
+    return plus + matvec_rows(E, minus)
 
 
-def _level_increment(n, v, s, spec, blocks):
-    return project_level(traj_increment(n, v, s, spec), n, blocks)
+def traj_increment(n, v, s, spec):
+    """traj_increment_rows at the one parameter s."""
+    return traj_increment_rows(n, v, [s], spec)[0]
+
+
+def _midpoint_heap(lo, hi):
+    """The next BISECTION_DEPTH steps' midpoints from [lo, hi] in heap order
+    (children 2i + 1, 2i + 2), each 0.5 * (a + b) of the bounds it bisects."""
+    bounds, mids = [(lo, hi)], []
+    while len(mids) < 2**BISECTION_DEPTH - 1:
+        a, b = bounds[len(mids)]
+        mids.append(0.5 * (a + b))
+        bounds += [(a, mids[-1]), (mids[-1], b)]
+    return mids
 
 
 def _solve_level_param(n, v, s_guess, need, spec):
@@ -274,40 +288,54 @@ def _solve_level_param(n, v, s_guess, need, spec):
 
     ``need`` is the required level-n increment vector; the scalar
     equation matches its component along need/|need|, to a width of 1e-12.
+    It evaluates stacked subtrees: one phi call on the midpoints of the
+    next BISECTION_DEPTH steps, walked by the one-step rules, bit for bit.
+    A subtree whose call overflows is walked one K = 1 call at a time,
+    so an error is raised at the midpoint where one step at a time would.
     """
     blocks = spec.blocks
     nhat = need / np.linalg.norm(need)
     target = float(np.linalg.norm(need))
 
     def phi(s):
-        return float(_level_increment(n, v, s, spec, blocks) @ nhat) - target
+        inc = project_level(traj_increment_rows(n, v, s, spec), n, blocks)
+        return (dot_rows(inc, nhat) - target).tolist()
 
     def bracket(hi0):
-        lo, flo = 0.0, phi(0.0)
+        lo, flo = 0.0, phi([0.0])[0]
         hi = hi0
         for _ in range(60):
             try:
-                fhi = phi(hi)
+                fhi = phi([hi])[0]
             except (AccuracyError, FloatingPointError):  # the step overflows
                 return None
             if flo * fhi <= 0.0:
-                return lo, hi, flo, fhi
+                return lo, hi, flo
             hi *= 1.5
         return None
 
     found = bracket(s_guess) or bracket(-s_guess)
     if found is None:
         raise NonConvergenceError(f"no bracket for the level-{n} equation")
-    lo, hi, flo, fhi = found
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = phi(mid)
-        if fmid == 0.0 or abs(hi - lo) < 1e-12:
-            return mid
-        if flo * fmid <= 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
+    lo, hi, flo = found
+    steps = 0
+    while steps < 200:
+        mids = _midpoint_heap(lo, hi)
+        try:
+            fmids = phi(mids)
+        except (AccuracyError, FloatingPointError):  # some midpoint overflows
+            fmids = None
+        node = 0
+        while node < len(mids) and steps < 200:
+            mid = mids[node]
+            fmid = fmids[node] if fmids else phi([mid])[0]
+            if fmid == 0.0 or abs(hi - lo) < 1e-12:
+                return mid
+            steps += 1
+            if flo * fmid <= 0.0:
+                hi, node = mid, 2 * node + 1
+            else:
+                lo, flo, node = mid, fmid, 2 * node + 2
     return 0.5 * (lo + hi)
 
 

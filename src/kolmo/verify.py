@@ -583,7 +583,8 @@ def verify_schauder(problem, pair_samples=1000, seed=0, constant=False):
     # pointwise bound at the origin
     origin_row = np.zeros((1, spec.N + 1))
     lhs0 = np.abs(_second_derivative_values(problem, origin_row)).max()
-    rhs0 = sup_u + abs(problem.f(origin_row)[0]) + dini_integral(omega_f).value
+    dini_f = dini_integral(omega_f).value
+    rhs0 = sup_u + abs(problem.f(origin_row)[0]) + dini_f
     point_ratio = lhs0 / rhs0 if rhs0 > 0.0 else 0.0
 
     Z, W = interior[0::2], interior[1::2]
@@ -610,7 +611,7 @@ def verify_schauder(problem, pair_samples=1000, seed=0, constant=False):
         details={
             "sup_u": sup_u,
             "sup_f": sup_f,
-            "dini_f": dini_integral(omega_f).value,
+            "dini_f": dini_f,
             "eta_sup": eta_sup,
             "family": problem.family_id,
         },

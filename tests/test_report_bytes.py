@@ -65,6 +65,15 @@ COMMANDS = [
     "connect --spec specs/kolmogorov.json --from 0.4,-0.7,0.1 --to 0.4,-0.7,0.1",
     "connect --spec specs/kinetic_m2.json --from 0.3,-0.2,0.5,0.1,0.4 --to -0.1,0.6,-0.3,0.2,-0.2",
     "taylor --spec specs/kolmogorov.json",
+    "connect --spec specs/kinetic_drifted.json"
+    " --from=-0.8165705257321911,-0.5800079899765509,0.9833723920289295"
+    " --to=0.45284927845559997,0.7360761912583977,-0.9010324307265669",
+    "connect --spec specs/kinetic_drifted.json"
+    " --from=0.2739233746429086,-0.4604265724722594,-0.9180529521276106"
+    " --to=-0.9669447289429418,0.6265404784005448,0.8255111545554434",
+    "connect --spec specs/kinetic_drifted.json"
+    " --from=0.023643249400513433,0.9009273926518706,-0.7116807745607325"
+    " --to=0.8972988942744877,-0.3763370959790291,-0.1533471020548487",
 ]
 
 

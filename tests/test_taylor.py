@@ -22,8 +22,8 @@ from kolmo import (
     verify_plan,
 )
 from kolmo.errors import DomainError, KolmoError, NonConvergenceError, PlanIntegrityError
-from kolmo.group import compose_rows, dilate_rows, sample_ball
-from kolmo.taylor import PathSegment
+from kolmo.group import OperatorSpec, compose_rows, dilate_rows, sample_ball
+from kolmo.taylor import PathSegment, traj_increment_rows
 from kolmo.verify import apply_L_fd
 
 from test_rows import PROPERTY, specs
@@ -89,20 +89,28 @@ def _outcome(f):
 @PROPERTY
 @given(specs, st.integers(0, 2**32 - 1))
 def test_traj_increment_equals_the_recursion(spec, seed):
-    # the one-pass pair form == the recursion on every level, for |s| from
-    # 1e-4 to 9, where a non-principal E(s^2) overflows in both
+    # every row of a stacked call == the recursion at its own s, on every
+    # level, for both signs and |s| from 1e-4 to 9, and at |s| = 40, where
+    # E(s^2) of most non-principal specs overflows: then its K = 1 call
+    # raises the recursion's error, and so does a stacked call holding it
     rng = np.random.default_rng(seed)
     for n in range(spec.kappa + 1):
-        for _ in range(4):
-            v = np.zeros(spec.N)
-            v[: spec.m] = rng.standard_normal(spec.m)
-            s = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, np.log10(9.0))
-            got = _outcome(lambda: traj_increment(n, v, s, spec))
-            want = _outcome(lambda: recursive_traj_increment(n, v, s, spec))
-            if isinstance(want, type):
-                assert got is want
-            else:
-                assert np.array_equal(got, want, equal_nan=True)
+        v = np.zeros(spec.N)
+        v[: spec.m] = rng.standard_normal(spec.m)
+        s = rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(-4.0, np.log10(9.0), 8)
+        s[:3] = [-9.0, 1e-4, 40.0]
+        want = [_outcome(lambda: recursive_traj_increment(n, v, x, spec)) for x in s]
+        fails = [isinstance(w, type) for w in want]
+        for x, w, fail in zip(s, want, fails):
+            got = _outcome(lambda: traj_increment(n, v, x, spec))
+            assert got is w if fail else np.array_equal(got, w, equal_nan=True)
+        ok = ~np.array(fails)
+        rows = _outcome(lambda: traj_increment_rows(n, v, s[ok], spec))
+        assert np.array_equal(rows, [w for w, fail in zip(want, fails) if not fail],
+                              equal_nan=True)
+        if any(fails):
+            stacked = _outcome(lambda: traj_increment_rows(n, v, s, spec))
+            assert stacked is next(w for w, fail in zip(want, fails) if fail)
 
 
 def test_traj_increment_preserves_lower_levels(kappa2):
@@ -164,6 +172,23 @@ def test_connect_random_generic(drifted):
         zeta = np.append(rng.uniform(-1.5, 1.5, size=2), rng.uniform(-1.5, 1.5))
         plan = connect(z, zeta, drifted)
         assert plan.achieved_error <= 1e-9
+
+
+def test_connect_evaluates_the_bisection_in_stacked_subtrees(drifted, monkeypatch):
+    # one E(t) call per bisection step made 47-50 calls per connect on the
+    # planner benchmark's pairs 0-19; one per subtree of 4 steps makes 17
+    calls = []
+    E = OperatorSpec.E
+
+    def counted(self, tau):
+        calls.append(tau)
+        return E(self, tau)
+
+    monkeypatch.setattr(OperatorSpec, "E", counted)
+    pair = np.random.default_rng(0).uniform(-1.0, 1.0, 6)
+    plan = connect(pair[:3], pair[3:], drifted)
+    assert plan.achieved_error <= 1e-9
+    assert len(calls) <= 24
 
 
 def test_connect_trivial_and_nonconvergence(kspec, drifted):
