@@ -42,6 +42,9 @@ TAYLOR_DEGREE = 18
 # largest gap between an unscaled series and scipy's expm that exp_table
 # accepts; the entries of exp(X) with ||X||_1 < 1 are below e
 SERIES_CHECK_TOL = 1e-13
+# Most bytes of series terms exp_rows holds at once: a longer block of
+# times, whose (rows, d, n, n) products would exceed it, goes in chunks
+SERIES_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -142,11 +145,17 @@ def exp_rows(table, t):
     so that ||u_k X||_1 < 1, and u_k = t_k 2^(shift - s_k); for a
     nilpotent M, X = M, u_k = t_k and nothing is squared.  Only t_k
     decides its row's operations, so each row rounds exactly as its own
-    K = 1 call does.  AccuracyError on overflow, also of |t_k| ||M||_1.
+    K = 1 call does, and a block of times whose series terms exceed
+    SERIES_BUDGET bytes is taken in chunks of rows.  AccuracyError on
+    overflow, also of |t_k| ||M||_1.
     """
     t = np.asarray(t, dtype=float)
     u = t.reshape(-1)
     P = table.powers
+    step = max(1, SERIES_BUDGET // P.nbytes)  # P.nbytes > one row's series terms
+    if len(u) > step:
+        return np.concatenate([exp_rows(table, u[k:k + step]) for k in range(0, len(u), step)]
+                              ).reshape(t.shape + P[0].shape)
     s = np.zeros(len(u), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         if not table.nilpotent:  # an infinite |t_k| ||M||_1 leaves u_k infinite

@@ -6,9 +6,9 @@ the small-radius regime, where Dini behaviour lives.  The integrals
 log r, reported together with a power-law tail bound below the grid and
 a divergence classification read off the growth of partial integrals.
 
-Also here: the executable two-dimensional counterexample u = xy |log
-(x^2+y^2)|^a whose Laplacian is continuous but not Dini continuous at
-the origin, while the mixed derivative u_xy blows up there.
+Also here: the Laplacian f and the mixed derivative u_xy of the planar
+counterexample u = xy |log(x^2+y^2)|^a; f is continuous but not Dini
+continuous at the origin, while u_xy blows up there.
 """
 
 import math
@@ -62,13 +62,6 @@ def table_from_function(omega):
     """Tabulate a scalar modulus function on the log grid DEFAULT_RADII."""
     return ModulusTable(radii=DEFAULT_RADII,
                         omega=np.array([omega(x) for x in DEFAULT_RADII]))
-
-
-def power_table(alpha):
-    """The Holder modulus omega(r) = r^alpha."""
-    if alpha <= 0.0:
-        raise DomainError("exponent must be positive")
-    return table_from_function(lambda r: r**alpha)
 
 
 def _tail_bound(table):
@@ -136,26 +129,22 @@ def dini_integral(table):
     )
 
 
-SPLIT_ROWS = 4096  # most split radii whose bracket blocks are built at once
-
-
-def _bracket_block(grid, ends, at_end):
-    """The (P, n+1) rows [grid, e] (at_end) or [e, grid] for the values e
-    of ``ends``, in C order: np.concatenate lays a broadcast grid out in
-    Fortran order, whose rows numpy does not sum pairwise."""
-    cols = [np.broadcast_to(grid, (len(ends), len(grid))), ends[:, None]]
-    return np.ascontiguousarray(np.concatenate(cols[::1 if at_end else -1], axis=1))
+SPLIT_ROWS = 4096  # most split radii whose trapezoid terms are laid out at once
 
 
 def schauder_functional_rows(table, ds):
     """schauder_functional at every split radius of the 1-d array ``ds``.
 
-    Radii are grouped by bracket: the near parts of all d with the same a
-    grid radii <= d form one block of rows [r[:a], d], the far parts of
-    all d with the same first grid radius r[b] >= d one block [d, r[b:]],
-    and each block is one trapezoid along its rows.  numpy sums each row
-    pairwise as it sums one d's 1-d array, and omega(d) is interpolated
-    at math.log(d), so every value is bit-identical to its K = 1 call.
+    The near part of d is the trapezoid over the grid radii <= d, then d;
+    the far part over d, then the grid radii >= d.  With the radii sorted,
+    every near row is laid out as [interior terms, end term] and every far
+    row as [end term, interior terms] in one (K, len(r)) array per part:
+    the interior terms diff(log r) (y[1:] + y[:-1]) / 2 are formed once,
+    and each d writes its end term into its own column.  The rows with the
+    same term count n are one add.reduce over their n contiguous columns.
+    numpy sums each row of a C-order block pairwise, as it sums one d's
+    1-d array, and omega(d) is interpolated at math.log(d), so every value
+    is bit-identical to its K = 1 call.
     """
     ds = np.asarray(ds, dtype=float)
     if len(ds) > SPLIT_ROWS:
@@ -165,17 +154,34 @@ def schauder_functional_rows(table, ds):
     if bad.any():
         raise DomainError(f"split radius must lie in (0, 1), got {ds[bad][0].item()}")
     r, w = table.radii, table.omega
-    w_d = np.interp([math.log(d) for d in ds.tolist()], np.log(r), w)
-    near, far = np.zeros(len(ds)), np.zeros(len(ds))
-    for out, live, key, inv_power in ((near, ds > r[0], np.searchsorted(r, ds, "right"), 1),
-                                      (far, ds < r[-1], np.searchsorted(r, ds, "left"), 2)):
-        for k in np.unique(key[live]).tolist():
-            rows = np.flatnonzero(live & (key == k))
-            cut = slice(0, k) if inv_power == 1 else slice(k, None)
-            R = _bracket_block(r[cut], ds[rows], inv_power == 1)
-            W = _bracket_block(w[cut], w_d[rows], inv_power == 1)
-            out[rows] = np.trapezoid(W * R ** (1.0 - inv_power), np.log(R), axis=-1)
-    return near + ds * far
+    L = len(r)
+    order = np.argsort(ds, kind="stable")
+    d = ds[order]
+    w_d = np.interp([math.log(x) for x in d.tolist()], np.log(r), w)
+    log_r, log_d = np.log(r), np.log(d)
+    # term counts, monotone in the sorted d; 0 where the part is empty
+    near_n = np.where(d > r[0], np.searchsorted(r, d, "right"), 0)
+    far_n = np.where(d < r[-1], L - np.searchsorted(r, d, "left"), 0)
+    sums = np.zeros((2, len(d)))
+    for out, n, inv_power in ((sums[0], near_n, 1), (sums[1], far_n, 2)):
+        near = inv_power == 1
+        y = w * r ** (1.0 - inv_power)
+        y_d = w_d * d ** (1.0 - inv_power)
+        terms = np.empty((len(d), L))
+        interior = slice(0, L - 1) if near else slice(1, L)
+        terms[:, interior] = np.diff(log_r) * (y[1:] + y[:-1]) / 2.0
+        live = np.flatnonzero(n)
+        k = n[live] - 1 if near else L - n[live]  # the grid radius next to d
+        dx = log_d[live] - log_r[k] if near else log_r[k] - log_d[live]
+        terms[live, k] = dx * (y_d[live] + y[k]) / 2.0  # its own column
+        starts = np.flatnonzero(np.diff(n, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(d)]):
+            if n[lo]:
+                cols = slice(0, n[lo]) if near else slice(L - n[lo], L)
+                np.add.reduce(terms[lo:hi, cols], axis=1, out=out[lo:hi])
+    result = np.empty(len(d))
+    result[order] = sums[0] + d * sums[1]
+    return result
 
 
 def schauder_functional(table, d):
@@ -246,23 +252,6 @@ def modulus_from_pairs(dists, jumps, radii):
                         provenance="empirical")
 
 
-def holder_seminorm(f, spec, alpha, samples=4000):
-    """Empirical sup of |f(z) - f(zeta)| / kdist(z, zeta)^alpha over pairs
-    in the unit quasi-ball, seed 0; ``f`` maps a row block to its values."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
-    if samples < 100:
-        raise DomainError("need at least 100 samples")
-    pairs = _scaled_pairs(spec, 1.0, samples, np.random.default_rng(0), 2.0**-20)
-    Z, W = pairs[:, 0], pairs[:, 1]
-    best = 0.0
-    for d, jump in zip(kdist_rows(Z, W, spec).tolist(),
-                       np.abs(f(Z) - f(W)).tolist()):
-        if d > 0.0:
-            best = max(best, jump / d**alpha)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # The planar counterexample u = x y |log(x^2 + y^2)|^a.
 
@@ -274,14 +263,6 @@ def _counterexample_logs(x, y):
     if rho2 >= 1.0:
         raise DomainError("the counterexample needs x^2 + y^2 < 1")
     return rho2, abs(math.log(rho2))
-
-
-def counterexample_u(alpha, x, y):
-    """u(x, y) = x y |log(x^2+y^2)|^alpha; bounded and continuous."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
-    rho2, L = _counterexample_logs(x, y)
-    return x * y * L**alpha
 
 
 def counterexample_f(alpha, x, y):

@@ -506,11 +506,11 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
         q = np.sum(((Z[:, :-1] - c) / wx) ** 2, axis=1) + qt
         return amplitude * np.exp(-q)
 
-    def grad_full(Z):
-        return -2.0 * (Z[:, :-1] - c) / wx**2 * u(Z)[:, None]
+    def grad_full(Z, uZ):
+        return -2.0 * (Z[:, :-1] - c) / wx**2 * uZ[:, None]
 
     def grad_m(Z):
-        return grad_full(Z)[:, :m]
+        return grad_full(Z, u(Z))[:, :m]
 
     def hess_m(Z):
         d = -2.0 * (Z[:, :m] - c[:m]) / wx[:m] ** 2
@@ -518,8 +518,9 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
         return (outer - np.diag(2.0 / wx[:m] ** 2)) * u(Z)[:, None, None]
 
     def Yu(Z):
-        dudt = -2.0 * (Z[:, -1] - center_t) / wt2 * u(Z)
-        return dot_rows(matvec_rows(spec.B, Z[:, :-1]), grad_full(Z)) - dudt
+        uZ = u(Z)  # one evaluation for the time and the space derivatives
+        dudt = -2.0 * (Z[:, -1] - center_t) / wt2 * uZ
+        return dot_rows(matvec_rows(spec.B, Z[:, :-1]), grad_full(Z, uZ)) - dudt
 
     return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu)
 

@@ -33,7 +33,6 @@ from kolmo import (
     kolmogorov_spec,
     make_spec,
     manufacture,
-    power_table,
     quadratic_bundle,
     remainder_profile,
     schauder_functional,
@@ -49,6 +48,7 @@ from kolmo.errors import ApplicabilityError, StructureError
 from kolmo.matrixcalc import mat_exp
 from kolmo.verify import _FAMILIES
 
+from test_modulus import power_table
 from test_schauder_oracle import holder_closed_form
 
 

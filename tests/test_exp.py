@@ -5,6 +5,7 @@ series in exact rational arithmetic, the semigroup law, quadrature of
 the covariance integral and the dilation identity of C."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from test_rows import BLOCKS, K, PROPERTY, admissible_spec
 
-from kolmo import AccuracyError, integrate_matrix, kolmogorov_spec
+from kolmo import AccuracyError, integrate_matrix, kernel_jet_rows, kolmogorov_spec
+from kolmo import matrixcalc
 from kolmo.group import embedded_A
 from kolmo.matrixcalc import TAYLOR_DEGREE, exp_rows, exp_table
 
@@ -148,3 +150,38 @@ def test_exp_rows_shapes_and_overflow(drifted):
                 exp_rows(generic, t)
     with pytest.raises(AccuracyError):
         drifted.E(-1e5)
+
+
+@PROPERTY
+@given(specs, st.integers(0, 2**32 - 1), st.integers(1, 3 * K))
+def test_exp_rows_chunks_keep_every_bit(spec, seed, budget_rows):
+    # a block of times goes in chunks of rows; any chunk size, one row
+    # included, gives the same bits as one chunk
+    ts = np.random.default_rng(seed).uniform(-8.0, 8.0, 3 * K)
+    tables = (exp_table(-spec.B), exp_table(block_generator(spec)),
+              exp_table(np.zeros((spec.N, spec.N))))  # one power, no series
+    whole = [exp_rows(table, ts) for table in tables]
+    with pytest.MonkeyPatch.context() as mp:
+        for budget in (1, budget_rows * tables[1].powers.nbytes):
+            mp.setattr(matrixcalc, "SERIES_BUDGET", budget)
+            for table, want in zip(tables, whole):
+                assert np.array_equal(exp_rows(table, ts), want)
+
+
+def test_a_six_level_kernel_call_keeps_its_series_in_budget():
+    # 4,096 rows of C(t) on a six-level non-principal spec: all series
+    # terms at once, (4096, 18, 12, 12) floats, peaked at 90.6 MB; in
+    # chunks within SERIES_BUDGET the call peaks at 9.8 MB
+    spec = admissible_spec((1,) * 6, 0, False)
+    rng = np.random.default_rng(0)
+    Z = rng.uniform(-1.0, 1.0, (4096, spec.N + 1))
+    Z[:, -1] = rng.uniform(0.1, 1.0, len(Z))
+    P = np.zeros((1, spec.N + 1))
+    kernel_jet_rows(spec, Z[:2], P)  # the exponential tables are built once
+    tracemalloc.start()
+    try:
+        kernel_jet_rows(spec, Z, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

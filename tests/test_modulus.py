@@ -8,19 +8,49 @@ from kolmo import (
     counterexample_certificate,
     counterexample_f,
     counterexample_mixed,
-    counterexample_u,
     dini_integral,
     empirical_modulus,
-    holder_seminorm,
+    kdist_rows,
     knorm_rows,
-    power_table,
     schauder_functional,
     table_from_function,
 )
 from kolmo.errors import DomainError
-from kolmo.modulus import DEFAULT_RADII, modulus_from_pairs
+from kolmo.modulus import DEFAULT_RADII, _counterexample_logs, _scaled_pairs, modulus_from_pairs
 
 from test_schauder_oracle import holder_closed_form
+
+
+def power_table(alpha):
+    """The Holder modulus omega(r) = r^alpha."""
+    if alpha <= 0.0:
+        raise DomainError("exponent must be positive")
+    return table_from_function(lambda r: r**alpha)
+
+
+def holder_seminorm(f, spec, alpha, samples=4000):
+    """Empirical sup of |f(z) - f(zeta)| / kdist(z, zeta)^alpha over pairs
+    in the unit quasi-ball, seed 0; ``f`` maps a row block to its values."""
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
+    if samples < 100:
+        raise DomainError("need at least 100 samples")
+    pairs = _scaled_pairs(spec, 1.0, samples, np.random.default_rng(0), 2.0**-20)
+    Z, W = pairs[:, 0], pairs[:, 1]
+    best = 0.0
+    for d, jump in zip(kdist_rows(Z, W, spec).tolist(),
+                       np.abs(f(Z) - f(W)).tolist()):
+        if d > 0.0:
+            best = max(best, jump / d**alpha)
+    return best
+
+
+def counterexample_u(alpha, x, y):
+    """u(x, y) = x y |log(x^2+y^2)|^alpha; bounded and continuous."""
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
+    rho2, L = _counterexample_logs(x, y)
+    return x * y * L**alpha
 
 
 def test_table_validation():

@@ -74,6 +74,8 @@ COMMANDS = [
     "connect --spec specs/kinetic_drifted.json"
     " --from=0.023643249400513433,0.9009273926518706,-0.7116807745607325"
     " --to=0.8972988942744877,-0.3763370959790291,-0.1533471020548487",
+    "verify schauder-var --varcoeff sin1 --spec specs/kinetic_m2.json --pairs 300 --seed 4",
+    "verify schauder-const --family gaussian2 --spec specs/kinetic.json --pairs 300 --seed 5",
 ]
 
 

@@ -136,7 +136,9 @@ def test_rows_reject_a_split_radius_outside_the_unit_interval():
 def test_row_trapezoid_sums_as_its_rows():
     # the rounding rule of schauder_functional_rows: numpy reduces each
     # row of a C-contiguous block pairwise, as it reduces a 1-d array (a
-    # cumulative sum, or a block in Fortran order, rounds differently)
+    # cumulative sum, or a block in Fortran order, rounds differently);
+    # so do rows lo:hi of a block wider than n, summed over their first n
+    # columns into a slice of the result, as the padded layout sums them
     rng = np.random.default_rng(12)
     for n in range(2, 66):
         y = rng.uniform(0.0, 1.0, (300, n)) * np.exp(rng.uniform(-20.0, 20.0, (300, n)))
@@ -144,3 +146,9 @@ def test_row_trapezoid_sums_as_its_rows():
         got = np.trapezoid(y, x, axis=-1)
         want = np.array([np.trapezoid(a, b) for a, b in zip(y, x)])
         assert np.array_equal(got, want), (n, int((got != want).sum()))
+    for n in range(1, 66):
+        wide = rng.uniform(0.0, 1.0, (300, 70)) * np.exp(rng.uniform(-20.0, 20.0, (300, 70)))
+        lo, hi = sorted(rng.choice(301, 2, replace=False).tolist())
+        out = np.zeros(300)
+        np.add.reduce(wide[lo:hi, :n], axis=1, out=out[lo:hi])
+        assert out[lo:hi].tolist() == [np.add.reduce(row[:n]) for row in wide[lo:hi]], n
