@@ -380,7 +380,7 @@ def _cmd_verify(args):
     spec = load_spec(args.spec)
     R_list = (
         tuple(_parse_floats(args.R_list, "--R-list"))
-        if args.R_list else None
+        if args.R_list is not None else None
     )
     crit = args.criterion
     if crit == "apriori":

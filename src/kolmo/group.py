@@ -178,7 +178,7 @@ class OperatorSpec:
 
     def is_dilation_invariant(self):
         """True when B has only the subdiagonal blocks (B = B_0)."""
-        return bool(np.abs(self.B - principal_B(self)).max() <= ZERO_BLOCK_TOL)
+        return bool(np.abs(self.B - scaled_B(self, 0.0)).max() <= ZERO_BLOCK_TOL)
 
     def _exp(self, key, generator):
         """The exp_table of a generator, made on first use."""
@@ -376,16 +376,6 @@ def kdist_rows(Z, W, spec):
     """Row-wise quasi-distance d_K(Z[k], W[k]) = ||W[k]^{-1} o Z[k]||_K."""
     return knorm_rows(compose_rows(inverse_rows(W, spec), Z, spec),
                       spec.exponents())
-
-
-def principal_B(spec):
-    """B_0: the drift with every block except the subdiagonal zeroed."""
-    blocks = spec.blocks
-    B0 = np.zeros_like(spec.B)
-    for j in range(1, blocks.kappa + 1):
-        rows, cols = blocks.level_slice(j), blocks.level_slice(j - 1)
-        B0[rows, cols] = spec.B[rows, cols]
-    return B0
 
 
 def scaled_B(spec, r):

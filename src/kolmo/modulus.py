@@ -52,7 +52,6 @@ class DiniReport:
     """Truncated Dini integral with a tail model and a divergence verdict."""
 
     value: float
-    r_min: float
     tail_bound: float
     classification: str  # "dini" | "non-dini" | "inconclusive"
     decade_growth: tuple
@@ -122,7 +121,6 @@ def dini_integral(table):
     growths = _decade_growth(table)
     return DiniReport(
         value=value,
-        r_min=float(table.radii[0]),
         tail_bound=_tail_bound(table),
         classification=_classify(growths, value),
         decade_growth=growths,

@@ -348,8 +348,11 @@ def connect(z, zeta, spec, tol=1e-9, max_iters=50):
     Dilation-invariant drifts terminate exactly; otherwise a final X
     correction of the first-level residual is followed by a fixed-point
     repetition until the endpoint error drops below ``tol``.  A floating
-    overflow while planning is an AccuracyError.
+    overflow while planning is an AccuracyError; a tolerance that is not
+    finite and >= 0 is a DomainError.
     """
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"tolerance must be finite and >= 0, got {tol}")
     try:
         with np.errstate(over="raise"):
             return _connect(z, zeta, spec, tol, max_iters)

@@ -93,22 +93,19 @@ class EstimateReport:
 
 def _coeff_field(varcoeff_id, spec):
     """Built-in variable-coefficient families with analytic moduli."""
-    m = spec.m
     if varcoeff_id is None:
         return None, None
-    if varcoeff_id.startswith("sin1"):
-        amp = 0.25 if varcoeff_id == "sin1" else 0.5
-        if varcoeff_id not in ("sin1", "sin1x2"):
-            raise DomainError(f"unknown coefficient family {varcoeff_id!r}")
+    try:
+        amp = {"sin1": 0.25, "sin1x2": 0.5}[varcoeff_id]
+    except KeyError:
+        raise DomainError(f"unknown coefficient family {varcoeff_id!r}") from None
 
-        def a(Z):
-            out = np.repeat(spec.A[None], len(Z), axis=0)
-            out[:, 0, 0] += amp * np.sin(Z[:, 0])
-            return out
+    def a(Z):
+        out = np.repeat(spec.A[None], len(Z), axis=0)
+        out[:, 0, 0] += amp * np.sin(Z[:, 0])
+        return out
 
-        omega_a = table_from_function(lambda r: amp * min(2.0, r))
-        return a, omega_a
-    raise DomainError(f"unknown coefficient family {varcoeff_id!r}")
+    return a, table_from_function(lambda r: amp * min(2.0, r))
 
 
 _FAMILIES = {
@@ -239,38 +236,54 @@ def _hermite_grid(nodes_x, N):
     return Y, W
 
 
-def _slice_chunks(slices, rows_per_slice):
-    """Consecutive ranges of slice indices, each holding at most QUAD_ROWS
-    quadrature rows (or one slice that alone holds more)."""
-    step = max(1, QUAD_ROWS // rows_per_slice)
-    return [slice(k, k + step) for k in range(0, slices, step)]
+def _slice_integrals(spec, psi, Z, tau, pairs, h, nodes_x):
+    """Gauss-Hermite slices of int Gamma(z, .) psi, one per row z = (x, t)
+    of Z and time in tau, with dt = t - tau: the (S, 1 + len(pairs))
+    values of int N(w; 0, 2C(dt)) psi(M(x - w)) dw with M = exp(dt B),
+    then of its d2_ij by differences of step h for the (i, j) of pairs.
 
-
-def _hermite_factors(spec, Z, tau):
-    """The factors of the Gauss-Hermite rules for w ~ N(0, 2C(dt)), one
-    slice per time in tau, at the row of Z paired with it (or the one
-    row of Z), with dt = t - tau: the (S, N, N) stacks of the root S of
-    2C(dt) and of M = exp(dt B).  C(dt), its root and M are one stacked
-    call each for all slices, and every slice is bit-identical to its
-    own K = 1 call.
+    The substitution w = x - E(dt) xi turns the kernel into this plain
+    Gaussian weight, and the derivative lands on psi, so the integrand
+    is bounded by sup|d2 psi| with no kernel singularity.  psi maps an
+    (..., S, G, N) grid and the (S,) slice times to values.  C(dt), its
+    root and E(-dt) are one stacked call each for all slices, every
+    slice bit-identical to its own K = 1 call; QUAD_ROWS chunks only the
+    grid: psi is called once per chunk of slices, on every stencil
+    offset, and each slice is reduced by its own dot with the weights.
     """
     dt = Z[:, -1] - tau
     if not (dt > 0.0).all():
         raise DomainError(f"covariance needs t > 0, got {dt[~(dt > 0.0)][0]}")
-    return sqrt_spd(2.0 * _checked_C(spec, dt)[0]), spec.E(-dt)
-
-
-def _hermite_points(Z, S, M, nodes_x):
-    """The cached Hermite grid mapped to xi = M (x - sqrt(2) S y) for a
-    chunk of slices with factors S and M (_hermite_factors), at the row
-    z = (x, t) of Z paired with each slice (or the one row of Z).
-
-    Returns the (S, G, N) points and the G tensor weights (to be divided
-    by pi^{N/2}).
-    """
-    Y, W = _hermite_grid(nodes_x, M.shape[-1])
-    w = math.sqrt(2.0) * np.matmul(Y, np.swapaxes(S, -1, -2))
-    return np.matmul(Z[:, None, :-1] - w, np.swapaxes(M, -1, -2)), W
+    S, M = sqrt_spd(2.0 * _checked_C(spec, dt)[0]), spec.E(-dt)
+    Y, W = _hermite_grid(nodes_x, spec.N)
+    offsets = 1 + sum(2 if i == j else 4 for i, j in pairs)
+    step = max(1, QUAD_ROWS // (offsets * len(W)))
+    out = np.empty((len(Z), 1 + len(pairs)))
+    for k in range(0, len(Z), step):
+        part = slice(k, k + step)
+        w = math.sqrt(2.0) * np.matmul(Y, np.swapaxes(S[part], -1, -2))
+        pts = np.matmul(Z[part, None, :-1] - w, np.swapaxes(M[part], -1, -2))
+        d = np.moveaxis(M[part], -1, 0)  # d[i] = M e_i, one row per slice
+        stencil = [np.zeros_like(d[0])]
+        for i, j in pairs:
+            a, b = h * d[i], h * d[j]
+            stencil += [a, -a] if i == j else [a + b, a - b, -a + b, -a - b]
+        X = pts + np.stack(stencil)[:, :, None, :]
+        if not np.isfinite(X).all():
+            raise DomainError("quadrature grid has non-finite coordinates")
+        # contiguous, so that each dot_rows row rounds as one x @ y (a strided
+        # view, such as the real part of exp_nonpositive, takes another loop)
+        vals = iter(np.ascontiguousarray(psi(X, tau[part])))
+        centre = next(vals)
+        out[part, 0] = dot_rows(centre, W)
+        for p, (i, j) in enumerate(pairs, 1):
+            if i == j:
+                dd = (next(vals) - 2.0 * centre + next(vals)) / h**2
+            else:
+                pp, pm, mp, mm = (next(vals) for _ in range(4))
+                dd = (pp - pm - mp + mm) / (4.0 * h**2)
+            out[part, p] = dot_rows(dd, W)
+    return out / math.pi ** (spec.N / 2.0)
 
 
 def convolve_solution(spec, f, z, t_lo, nodes_t=16, nodes_x=24, check=True):
@@ -288,21 +301,17 @@ def convolve_solution(spec, f, z, t_lo, nodes_t=16, nodes_x=24, check=True):
     if t <= t_lo:
         raise DomainError("evaluation time must exceed the support onset")
 
+    def psi(X, tau):  # f on the rows (xi, tau) of an (..., S, G, N) grid
+        rows = np.concatenate([X, np.broadcast_to(tau[:, None, None], X.shape[:-1] + (1,))], -1)
+        return f(finite_rows(rows.reshape(-1, N + 1))).reshape(X.shape[:-1])
+
     def run(nt, nx):
-        # the factors once per pass; f gets the nodes of a chunk of
-        # time slices as one row block
         nodes, wts = gauss_legendre(nt)
         half = (t - t_lo) / 2.0
         tau = (t + t_lo) / 2.0 + half * nodes
-        S, M = _hermite_factors(spec, z, tau)
-        inner = []
-        for part in _slice_chunks(nt, nx**N):
-            pts, W = _hermite_points(z, S[part], M[part], nx)
-            rows = np.dstack([pts, np.broadcast_to(tau[part, None], pts.shape[:2])])
-            vals = f(finite_rows(rows.reshape(-1, N + 1))).reshape(len(pts), -1)
-            inner.append(dot_rows(vals, W) / math.pi ** (N / 2.0))
+        inner = _slice_integrals(spec, psi, np.broadcast_to(z, (nt, N + 1)), tau, (), None, nx)
         # the terms in node order: np.sum pairs them, which rounds differently
-        return -functools.reduce(np.add, wts * half * np.concatenate(inner), 0.0)
+        return -functools.reduce(np.add, wts * half * inner[:, 0], 0.0)
 
     coarse = run(nodes_t, nodes_x)
     if not check:
@@ -395,45 +404,6 @@ def verify_mean_value(spec, R=0.5, poles=20, samples=120, seed=0):
                           scaling={R: fitted}, ratios=ratios, verdict=math.isfinite(fitted))
 
 
-def _d2_slices(spec, psi, Z, tau, pairs, h, nodes_x):
-    """Inner integrals of the second x-derivatives of the convolution, one
-    slice per row z of Z and time in tau: the (S, len(pairs)) values of
-    d2_ij for the (i, j) of pairs.
-
-    In the de-singularized form the derivative lands on psi:
-    d2_ij int N(w; 0, 2C) psi(M(x - w)) dw with M = exp(dt B), so the
-    integrand is bounded by sup|d2 psi| with no kernel singularity.
-    psi maps an (..., S, G, N) grid and the (S,) slice times to values;
-    C(dt), sqrt_spd and E(-dt) are made once for all slices; QUAD_ROWS
-    chunks only the grid: psi is called once per chunk of slices, on
-    every stencil offset of every pair, and each slice is reduced by its
-    own dot with the weights.
-    """
-    offsets = 1 + sum(2 if i == j else 4 for i, j in pairs)
-    S, M = _hermite_factors(spec, Z, tau)
-    out = np.empty((len(Z), len(pairs)))
-    for part in _slice_chunks(len(Z), offsets * nodes_x**spec.N):
-        pts, W = _hermite_points(Z[part], S[part], M[part], nodes_x)
-        d = h * np.moveaxis(M[part], -1, 0)  # d[i] = h M e_i, one row per slice
-        stencil = [np.zeros_like(d[0])]
-        for i, j in pairs:
-            stencil += ([d[i], -d[i]] if i == j else
-                        [d[i] + d[j], d[i] - d[j], -d[i] + d[j], -d[i] - d[j]])
-        X = pts + np.stack(stencil)[:, :, None, :]
-        if not np.isfinite(X).all():
-            raise DomainError("quadrature grid has non-finite coordinates")
-        vals = iter(psi(X, tau[part]))
-        centre = next(vals)
-        for p, (i, j) in enumerate(pairs):
-            if i == j:
-                dd = (next(vals) - 2.0 * centre + next(vals)) / h**2
-            else:
-                pp, pm, mp, mm = (next(vals) for _ in range(4))
-                dd = (pp - pm - mp + mm) / (4.0 * h**2)
-            out[part, p] = dot_rows(dd, W)
-    return out / math.pi ** (spec.N / 2.0)
-
-
 def _d2_convolved(spec, psi, Z, pairs, t_lo, h):
     """d2_ij of int Gamma(z, .) psi over times in [t_lo, t) at every row
     z = (x, t) of Z, for the (i, j) of pairs: the (K, len(pairs)) values,
@@ -449,8 +419,8 @@ def _d2_convolved(spec, psi, Z, pairs, t_lo, h):
     smax = np.sqrt(t - t_lo)
     nodes, wts = gauss_legendre(12)
     sigma = 0.5 * smax * (nodes[:, None] + 1.0)  # slice q of row k at [q, k]
-    d2 = _d2_slices(spec, psi, np.tile(Z, (12, 1)), (t - sigma * sigma).ravel(),
-                    pairs, h, 12).reshape(12, len(Z), -1)
+    d2 = _slice_integrals(spec, psi, np.tile(Z, (12, 1)), (t - sigma * sigma).ravel(),
+                          pairs, h, 12)[:, 1:].reshape(12, len(Z), -1)
     terms = (wts[:, None] * 0.5 * smax * 2.0 * sigma)[..., None] * d2
     return functools.reduce(np.add, terms, 0.0)  # in node order, as in convolve_solution
 

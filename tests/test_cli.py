@@ -83,6 +83,21 @@ def test_connect_nonconvergence_exit_code():
                 "--to", "0,0,0", "--tol", "0"]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    # --tol inf skipped the correction loop and passed with endpoint error 1
+    ["connect", "--spec", KOLMO, "--from", "0,0,0", "--to", "1,1,1", "--tol=inf"],
+    ["connect", "--spec", KOLMO, "--from", "0,0,0", "--to", "1,1,1", "--tol=nan"],
+    ["connect", "--spec", KOLMO, "--from", "0,0,0", "--to", "1,1,1", "--tol=-1"],
+    # an empty list ran the default radii and recorded "R_list": ""
+    ["verify", "apriori", "--spec", KOLMO, "--R-list", ""],
+    ["verify", "singular-g1", "--spec", KOLMO, "--R-list", ""],
+], ids=["tol-inf", "tol-nan", "tol-negative", "R-list-empty-apriori",
+        "R-list-empty-singular"])
+def test_option_outside_its_domain_is_a_usage_error(argv, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def _cli(argv, threads="1"):
     env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
                OPENBLAS_NUM_THREADS=threads)

@@ -11,7 +11,6 @@ from kolmo import (
     load_spec,
     make_spec,
     mat_exp,
-    principal_B,
     sample_ball,
     scaled_B,
 )
@@ -178,7 +177,9 @@ def test_kolmogorov_covariance_min_eigenvalue(kspec):
 
 def test_scaled_B_endpoints(drifted):
     assert np.abs(scaled_B(drifted, 1.0) - drifted.B).max() == 0.0
-    assert np.abs(scaled_B(drifted, 0.0) - principal_B(drifted)).max() == 0.0
+    B0 = np.zeros_like(drifted.B)  # blocks (1, 1): B_0 keeps the subdiagonal block
+    B0[1:, :1] = drifted.B[1:, :1]
+    assert np.abs(scaled_B(drifted, 0.0) - B0).max() == 0.0
     with pytest.raises(DomainError):
         scaled_B(drifted, 1.5)
 

@@ -76,6 +76,7 @@ COMMANDS = [
     " --to=0.8972988942744877,-0.3763370959790291,-0.1533471020548487",
     "verify schauder-var --varcoeff sin1 --spec specs/kinetic_m2.json --pairs 300 --seed 4",
     "verify schauder-const --family gaussian2 --spec specs/kinetic.json --pairs 300 --seed 5",
+    "verify singular-g2 --spec specs/heat1d.json --seed 2",
 ]
 
 

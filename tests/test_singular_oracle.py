@@ -178,7 +178,7 @@ def counting(calls, name, fn):
 @given(st.sampled_from([(1,), (1, 1), (2,)]), st.integers(0, 2**32 - 1),
        st.booleans(), CHUNKS)
 def test_one_factorisation_per_block(blocks, spec_seed, principal, rows):
-    # C(dt), its root and E(-dt) are made once per _d2_slices call (one per
+    # C(dt), its root and E(-dt) are made once per _slice_integrals call (one per
     # R) and once per convolve_solution pass; QUAD_ROWS chunks only the grid
     spec = admissible_spec(blocks, spec_seed, principal)
     calls = {"C": 0, "slices": 0}
@@ -186,7 +186,8 @@ def test_one_factorisation_per_block(blocks, spec_seed, principal, rows):
     with pytest.MonkeyPatch.context() as mp:
         chunk_bound(mp, rows)
         mp.setattr(verify, "_checked_C", counting(calls, "C", verify._checked_C))
-        mp.setattr(verify, "_d2_slices", counting(calls, "slices", verify._d2_slices))
+        mp.setattr(verify, "_slice_integrals",
+                   counting(calls, "slices", verify._slice_integrals))
         verify_singular_bounds(spec, "g1", (0.5, 0.25), samples=2, seed=0)
         assert calls == {"C": 2, "slices": 2}
         for nt, nx in ((9, 4), (16, 6)):

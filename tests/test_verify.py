@@ -31,9 +31,9 @@ from kolmo.kernel import covariance
 from kolmo.matrixcalc import sqrt_spd, tensor_rule
 from kolmo.verify import (
     _FAMILIES,
-    _d2_slices,
     _hermite_grid,
     _singular_psi,
+    _slice_integrals,
 )
 
 
@@ -174,8 +174,9 @@ def _psi_at_point(kind, R, exps):
 
 
 def _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, nodes_x):
-    """One slice of _d2_slices the per-Point way: the Hermite grid rebuilt for the slice,
-    then one Point and one scalar bump * g per node and offset."""
+    """One slice of _slice_integrals the per-Point way: the Hermite grid rebuilt for the
+    slice, then one Point and one scalar bump * g per node and offset.  Returns
+    the centre integral and d2_ij."""
     spec = ctx.spec
     dt = z.t - tau
     S = sqrt_spd(2.0 * covariance(ctx, dt).C)
@@ -188,13 +189,15 @@ def _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, nodes_x):
         return np.array([psi(Point(p + offset, tau)) for p in pts])
 
     di, dj = h * M[:, i], h * M[:, j]
+    centre = vals(np.zeros(spec.N))
     if i == j:
-        dd = (vals(di) - 2.0 * vals(np.zeros(spec.N)) + vals(-di)) / h**2
+        dd = (vals(di) - 2.0 * centre + vals(-di)) / h**2
     else:
         dd = (
             vals(di + dj) - vals(di - dj) - vals(-di + dj) + vals(-di - dj)
         ) / (4.0 * h**2)
-    return float(dd @ W) / math.pi ** (spec.N / 2.0)
+    norm = math.pi ** (spec.N / 2.0)
+    return float(centre @ W) / norm, float(dd @ W) / norm
 
 
 @pytest.mark.parametrize("which", ["kolmogorov", "drifted", "heat2"])
@@ -212,19 +215,20 @@ def test_d2_slice_matches_per_point_route(which, kspec, drifted):
         # both slices and every (i, j) in one call
         taus = [z.t - 0.2, z.t - 1e-3]
         pairs = [(i, j) for i in range(spec.m) for j in range(i, spec.m)]
-        got = _d2_slices(spec, psi, np.repeat(z.row(), 2, axis=0), np.array(taus),
-                         pairs, h, 12)
+        got = _slice_integrals(spec, psi, np.repeat(z.row(), 2, axis=0), np.array(taus),
+                               pairs, h, 12)
         for s, tau in enumerate(taus):
-            for p, (i, j) in enumerate(pairs):
-                want = _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, 12)
-                assert got[s, p] == want, (kind, tau, i, j)
+            for p, (i, j) in enumerate(pairs, 1):
+                centre, d2 = _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, 12)
+                assert got[s, 0] == centre, (kind, tau)
+                assert got[s, p] == d2, (kind, tau, i, j)
 
 
 def test_d2_slice_rejects_non_finite_grid(kspec):
     psi = _singular_psi("g1", 0.5, kspec.exponents())
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="grid"):
-        _d2_slices(kspec, psi, np.array([[0.1, 0.2, 0.1]]), np.array([0.0]),
-                   [(0, 0)], math.inf, 12)
+        _slice_integrals(kspec, psi, np.array([[0.1, 0.2, 0.1]]), np.array([0.0]),
+                         [(0, 0)], math.inf, 12)
 
 
 def test_hermite_grid_is_cached_and_read_only():
