@@ -36,6 +36,10 @@ from .matrixcalc import exp_rows, exp_table, matvec_rows, spd_min_eigen
 
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
+# Most bytes of block exponentials exp(t M) that OperatorSpec.C holds at
+# once, 128 rows at N = 4; exp_rows's series terms of a chunk take d times
+# as much, d the number of powers of M it sums
+COVARIANCE_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,11 @@ class OperatorSpec:
 
         One block matrix exponential: for M = [[-B, A~], [0, B^T]] the
         top row of exp(t M) is [E(t), G(t)] with C(t) = G(t) E(t)^T.
-        DomainError if C(t) overflows, in exp(t M) or in the product.
+        A block of times goes in chunks of rows whose exp(t M) fit
+        COVARIANCE_BUDGET bytes, so neither the (K, 2N, 2N) stack nor its
+        series terms are held for all K times at once; each slice is
+        bit-identical to its own K = 1 call.  DomainError if C(t)
+        overflows, in exp(t M) or in the product.
         """
         N = self.N
 
@@ -208,16 +216,20 @@ class OperatorSpec:
             return M
 
         table = self._exp("C", block)
+        u = np.asarray(t, dtype=float).reshape(-1)
+        step = max(1, COVARIANCE_BUDGET // table.powers[0].nbytes)
+        C = np.empty((len(u), N, N))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                Phi = exp_rows(table, t)
-                C = Phi[..., :N, N:] @ np.swapaxes(Phi[..., :N, :N], -1, -2)
+                for k in range(0, len(u), step):
+                    Phi = exp_rows(table, u[k:k + step])
+                    C[k:k + step] = Phi[:, :N, N:] @ np.swapaxes(Phi[:, :N, :N], -1, -2)
                 C = (C + np.swapaxes(C, -1, -2)) / 2.0
         except AccuracyError:  # exp(t M) overflowed
             C = None
         if C is None or not np.isfinite(C).all():
             raise DomainError(f"C(t) is not finite for a time step up to {np.max(t)}")
-        return C
+        return C.reshape(np.shape(t) + (N, N))
 
     def to_json_dict(self):
         return {

@@ -209,7 +209,11 @@ def vecmat_rows(X, M):
 
 def dot_rows(X, Y):
     """Row-wise x @ y of two (K, n) blocks (or one (n,) vector), one BLAS
-    dot per row as in a single x @ y."""
+    dot per row as in a single x @ y of fresh vectors.  The operands are
+    made C-contiguous first: on a strided block, such as the real part of
+    exp_nonpositive, numpy's matmul takes another loop, which rounds
+    differently."""
+    X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
     return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
 
 

@@ -271,9 +271,7 @@ def _slice_integrals(spec, psi, Z, tau, pairs, h, nodes_x):
         X = pts + np.stack(stencil)[:, :, None, :]
         if not np.isfinite(X).all():
             raise DomainError("quadrature grid has non-finite coordinates")
-        # contiguous, so that each dot_rows row rounds as one x @ y (a strided
-        # view, such as the real part of exp_nonpositive, takes another loop)
-        vals = iter(np.ascontiguousarray(psi(X, tau[part])))
+        vals = iter(psi(X, tau[part]))
         centre = next(vals)
         out[part, 0] = dot_rows(centre, W)
         for p, (i, j) in enumerate(pairs, 1):
@@ -336,15 +334,14 @@ def _stable(scaling):
 def _harmonic_samples(spec, R, poles, samples, rng):
     """Poles P = harmonic_family(spec, R, poles, rng), then pole by pole a
     box of 4 * samples rows of Q_R and one of samples rows of Q_{R/2}, all
-    dilated from one unit-box draw.  Returns P, the Q_{R/2} rows Z stacked
-    pole by pole and each pole's sup|u_p| over its Q_R box, from one
-    values-only kernel call; a dead pole (sup 0) is drawn all the same."""
+    dilated from one unit-box draw.  Returns P, the Q_R rows S and the
+    Q_{R/2} rows Z, both stacked pole by pole; no kernel is called, so
+    the draws do not depend on computed values."""
     P, exps, width = harmonic_family(spec, R, poles, rng), spec.exponents(), spec.N + 1
     U = sample_ball(spec, 1.0, poles * 5 * samples, rng).reshape(poles, 5 * samples, width)
     S = dilate_rows(R, U[:, :4 * samples].reshape(-1, width), exps)
     Z = dilate_rows(R / 2.0, U[:, 4 * samples:].reshape(-1, width), exps)
-    u = kernel_jet_rows(spec, S, np.repeat(P, 4 * samples, axis=0), derivatives=False)
-    return P, Z, u.reshape(poles, 4 * samples).max(axis=1)
+    return P, S, Z
 
 
 def verify_apriori(spec, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
@@ -352,25 +349,31 @@ def verify_apriori(spec, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
 
     Fits the constant as the max over harmonic family members and
     sample points of the scaled ratios; second derivatives and Y use
-    the R^{-2} scaling.  Per R, the draws are _harmonic_samples' and the
-    derivatives at every pole's Q_{R/2} rows come from one kernel call; a
-    dead pole (sup|u_p| = 0) is drawn and evaluated, then left out.
+    the R^{-2} scaling.  Radius by radius the draws are
+    _harmonic_samples'; then one values call over every radius's Q_R
+    boxes gives each pole's sup|u_p|, and one derivative call covers
+    every Q_{R/2} box.  A dead pole (sup|u_p| = 0) is drawn and
+    evaluated, then left out.
     """
-    m, exps = spec.m, spec.exponents()
+    m, exps, width = spec.m, spec.exponents(), spec.N + 1
     rng = np.random.default_rng(seed)
+    draws = [_harmonic_samples(spec, R, poles, samples, rng) for R in R_list]
+    # radius by radius; an empty R_list gives empty (0, N+1) blocks
+    P, S, Z = (np.reshape([d[i] for d in draws], (-1, width)) for i in range(3))
+    sup = kernel_jet_rows(spec, S, np.repeat(P, 4 * samples, axis=0), derivatives=False
+                          ).reshape(len(R_list), poles, 4 * samples).max(axis=2)
+    jet = kernel_jet_rows(spec, Z, np.repeat(P, samples, axis=0))
     groups = sorted({f"grad_alpha{a}" for a in exps.alpha}) + ["second", "Y"]
     per_R = {R: {g: 0.0 for g in groups} for R in R_list}
-    for R in R_list:
-        cell = per_R[R]
-        P, Z, sup = _harmonic_samples(spec, R, poles, samples, rng)
-        live = sup > 0.0
-        jet = kernel_jet_rows(spec, Z, np.repeat(P, samples, axis=0))
-        scaled = [(f"grad_alpha{a}", np.abs(jet.grad[:, j]) * R**a)
+    for i, R in enumerate(R_list):
+        cell, live = per_R[R], sup[i] > 0.0
+        rows = slice(i * poles * samples, (i + 1) * poles * samples)
+        scaled = [(f"grad_alpha{a}", np.abs(jet.grad[rows, j]) * R**a)
                   for j, a in enumerate(exps.alpha)]
-        scaled += [("second", np.abs(jet.hess[:, :m, :m]).max(axis=(1, 2)) * R**2),
-                   ("Y", np.abs(jet.Y) * R**2)]
+        scaled += [("second", np.abs(jet.hess[rows, :m, :m]).max(axis=(1, 2)) * R**2),
+                   ("Y", np.abs(jet.Y[rows]) * R**2)]
         for key, vals in scaled:
-            per_pole = (vals.reshape(poles, samples)[live] / sup[live, None]).max(axis=1)
+            per_pole = (vals.reshape(poles, samples)[live] / sup[i, live, None]).max(axis=1)
             cell[key] = max([cell[key], *per_pole.tolist()])
     scaling = {R: max(per_R[R].values()) for R in R_list}
     stable = all(_stable({R: per_R[R][g] for R in R_list}) for g in groups)
@@ -385,15 +388,17 @@ def verify_apriori(spec, R_list=(1.0, 0.5, 0.25), poles=20, samples=60, seed=0):
 def verify_mean_value(spec, R=0.5, poles=20, samples=120, seed=0):
     """|u(z) - u(zeta)| <= C kdist(z, zeta) sup|u| / R for harmonic u,
     with zeta the origin; pairs closer than R/100 are left out.  The draws
-    are _harmonic_samples'; one kernel call covers every pole's block
-    [zeta, Z_p].  A dead pole (sup|u_p| = 0) is drawn and evaluated, then
-    left out of the ratios."""
+    are _harmonic_samples'; one values call covers every pole's block
+    [S_p, zeta, Z_p], whose Q_R rows S_p give sup|u_p|.  A dead pole
+    (sup|u_p| = 0) is drawn and evaluated, then left out of the ratios."""
     rng = np.random.default_rng(seed)
-    P, Z, sup = _harmonic_samples(spec, R, poles, samples, rng)
+    P, S, Z = _harmonic_samples(spec, R, poles, samples, rng)
     width = spec.N + 1
-    blocks = np.insert(Z.reshape(poles, samples, width), 0, 0.0, axis=1).reshape(-1, width)
-    u = kernel_jet_rows(spec, blocks, np.repeat(P, samples + 1, axis=0),
-                        derivatives=False).reshape(poles, samples + 1)
+    blocks = np.concatenate([S.reshape(poles, 4 * samples, width), np.zeros((poles, 1, width)),
+                             Z.reshape(poles, samples, width)], axis=1).reshape(-1, width)
+    u = kernel_jet_rows(spec, blocks, np.repeat(P, 5 * samples + 1, axis=0),
+                        derivatives=False).reshape(poles, 5 * samples + 1)
+    sup, u = u[:, :4 * samples].max(axis=1), u[:, 4 * samples:]
     d = kdist_rows(Z, np.zeros((1, width)), spec).reshape(poles, samples)
     live = sup > 0.0
     u, d = u[live], d[live]

@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from test_rows import BLOCKS, K, PROPERTY, admissible_spec
 
 from kolmo import AccuracyError, integrate_matrix, kernel_jet_rows, kolmogorov_spec
-from kolmo import matrixcalc
+from kolmo import group, matrixcalc
 from kolmo.group import embedded_A
 from kolmo.matrixcalc import TAYLOR_DEGREE, exp_rows, exp_table
 
@@ -166,6 +166,24 @@ def test_exp_rows_chunks_keep_every_bit(spec, seed, budget_rows):
             mp.setattr(matrixcalc, "SERIES_BUDGET", budget)
             for table, want in zip(tables, whole):
                 assert np.array_equal(exp_rows(table, ts), want)
+
+
+@PROPERTY
+@given(specs, st.integers(0, 2**32 - 1), st.integers(1, 2**14))
+def test_C_chunks_keep_every_bit(spec, seed, budget):
+    # OperatorSpec.C forms its block exponentials in chunks of rows; one
+    # row at a time, any small budget and the default give the bits of
+    # one chunk and of each time's own K = 1 call
+    ts = np.random.default_rng(seed).uniform(-8.0, 8.0, 3 * K)
+    row_bytes, default = (2 * spec.N) ** 2 * 8, group.COVARIANCE_BUDGET
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(group, "COVARIANCE_BUDGET", len(ts) * row_bytes)
+        whole = spec.C(ts)
+        assert all(np.array_equal(spec.C(ts[k:k + 1])[0], whole[k]) for k in range(len(ts)))
+        assert np.array_equal(spec.C(ts[0]), whole[0])
+        for size in (1, budget, default):
+            mp.setattr(group, "COVARIANCE_BUDGET", size)
+            assert np.array_equal(spec.C(ts), whole)
 
 
 def test_a_six_level_kernel_call_keeps_its_series_in_budget():

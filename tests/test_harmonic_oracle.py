@@ -12,7 +12,8 @@ computed values.  The loops here draw that box before the skip.  On the
 shipped specs no pole is dead and both draw orders agree; on some
 generated six-level specs whole radii are dead, and the property covers
 them.  The dead-pole tests also move poles far away by hand.  Also here:
-the memory guard of one apriori report.
+the memory guards of an apriori report and the kernel calls each report
+makes.
 """
 
 import contextlib
@@ -26,7 +27,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolmo import EstimateReport, kernel_jet_rows, kdist_rows, sample_ball, verify
+from kolmo import EstimateReport, kernel_jet_rows, kdist_rows, load_spec, sample_ball, verify
 from kolmo.cli import run
 from kolmo.verify import _stable, harmonic_family, verify_apriori, verify_mean_value
 
@@ -148,9 +149,11 @@ def test_a_dead_pole_leaves_the_other_mean_value_ratios_alone(kspec, monkeypatch
 
 
 def test_one_apriori_report_stays_under_a_megabyte(tmp_path):
-    # per-pole kernel calls peak at 0.29 MB and one call per R at 0.78 MB;
-    # one call over all three radii would hold the (960, d, 8, 8) series
-    # terms of C(t) at once, 2.1 MB
+    # per-pole kernel calls peaked at 0.29 MB and one call per R at 0.78 MB;
+    # the one values call over all three radii (960 rows) held the
+    # (960, d, 8, 8) series terms of C(t) at once, 2.25 MB, until
+    # OperatorSpec.C formed its block exponentials in chunks of
+    # group.COVARIANCE_BUDGET bytes: 0.77 MB
     spec = tmp_path / "kinetic_m2.json"
     spec.write_text(json.dumps(kinetic_m2_spec()))
     argv = ["verify", "apriori", "--spec", str(spec), "--poles", "4", "--samples", "20"]
@@ -163,3 +166,35 @@ def test_one_apriori_report_stays_under_a_megabyte(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_a_default_apriori_report_stays_under_six_megabytes():
+    # 20 poles x 60 samples x 3 radii: 14,400 value rows and 3,600
+    # derivative rows, in kernel_jet_rows's chunks of ROW_CHUNK rows;
+    # 6.7 MB with one call per R and C(t) in one piece, 5.4 MB now
+    spec = load_spec(kinetic_m2_spec())
+    verify_apriori(spec, poles=1, samples=1)  # the exponential tables are built once
+    tracemalloc.start()
+    try:
+        verify_apriori(spec, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+def test_one_values_call_and_one_derivative_call_per_report(kspec, monkeypatch):
+    # apriori: every radius's Q_R boxes in one values call, every Q_{R/2}
+    # box in one derivative call; mean-value: one values call in all
+    calls = []
+
+    def spy(spec, Z, P, derivatives=True):
+        calls.append((len(Z), derivatives))
+        return kernel_jet_rows(spec, Z, P, derivatives)
+
+    monkeypatch.setattr(verify, "kernel_jet_rows", spy)
+    verify_apriori(kspec, (1.0, 0.5, 0.25), poles=4, samples=20, seed=1)
+    assert calls == [(3 * 4 * 4 * 20, False), (3 * 4 * 20, True)]
+    calls.clear()
+    verify_mean_value(kspec, 0.5, poles=4, samples=20, seed=1)
+    assert calls == [(4 * (5 * 20 + 1), False)]

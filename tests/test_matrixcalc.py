@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kolmo import AccuracyError, integrate_matrix, mat_exp, spd_min_eigen, sqrt_spd
-from kolmo.matrixcalc import TENSOR_BUDGET, tensor_rule
+from kolmo.matrixcalc import TENSOR_BUDGET, dot_rows, tensor_rule
 from kolmo.errors import (
     DefinitenessError,
     DimensionError,
@@ -90,6 +90,20 @@ def test_sqrt_spd_stack_rounds_as_its_slices():
         S = sqrt_spd(A)
         assert S.shape == A.shape
         assert all(np.array_equal(S[k], sqrt_spd(A[k])) for k in range(len(A)))
+
+
+def test_dot_rows_on_strided_blocks_rounds_as_one_dot_per_row():
+    # a strided block (the real part of a complex array, a column slice)
+    # takes another matmul loop than a contiguous one; each row must still
+    # be one x @ y of fresh vectors, whatever the caller passed
+    rng = np.random.default_rng(7)
+    for n in (3, 17, 64, 301):
+        X = (rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n))).real
+        Y = rng.standard_normal((12, n + 2))[:, 1:-1]
+        for x, y in ((X, Y), (X, Y[0]), (Y, X)):
+            rows = dot_rows(x, y)
+            y_rows = np.broadcast_to(y, x.shape)
+            assert all(rows[k] == x[k].copy() @ y_rows[k].copy() for k in range(len(x)))
 
 
 def test_spd_min_eigen_verdicts():
