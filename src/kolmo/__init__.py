@@ -42,7 +42,6 @@ from .group import (
     level_map_solve,
     load_spec,
     make_spec,
-    origin,
     project_level,
     sample_ball,
     scaled_B,
@@ -52,13 +51,9 @@ from .kernel import (
     Covariance,
     KernelContext,
     KernelJet,
-    check_homogeneity,
-    check_kernel_pde,
     covariance,
     gamma,
-    gamma_Y,
     gamma_grad,
-    gamma_hess,
     gamma_hess_m,
     kernel_jet_rows,
     kernel_mass,
@@ -93,12 +88,9 @@ from .taylor import (
     flow_Y,
     gamma_traj,
     gaussian_bundle,
-    lie_derivative_fd,
     quadratic_bundle,
     remainder_profile,
     taylor2,
-    traj_increment,
-    validate_bundle,
     verify_plan,
 )
 from .verify import (
@@ -106,7 +98,6 @@ from .verify import (
     ManufacturedProblem,
     apply_L_fd,
     convolve_solution,
-    cutoff_eta,
     harmonic_family,
     manufacture,
     verify_apriori,

@@ -444,23 +444,26 @@ def run(argv):
     """Execute one command; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(_fuse_point_values(argv))
-        body, code = _COMMANDS[args.verb](args)
-        report = {
-            "verb": args.verb,
-            "config": {
-                k: v for k, v in sorted(vars(args).items()) if k != "verb"
-            },
-            "seed": getattr(args, "seed", 0),
-            "exit_code": code,
-            "results": body,
-        }
-        _emit(report, getattr(args, "out", None))
+        # one floating-point policy: an overflow, a division by zero or an
+        # invalid operation that no layer handles is an accuracy failure
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args = parser.parse_args(_fuse_point_values(argv))
+            body, code = _COMMANDS[args.verb](args)
+            report = {
+                "verb": args.verb,
+                "config": {
+                    k: v for k, v in sorted(vars(args).items()) if k != "verb"
+                },
+                "seed": getattr(args, "seed", 0),
+                "exit_code": code,
+                "results": body,
+            }
+            _emit(report, getattr(args, "out", None))
         return code
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (AccuracyError, NonConvergenceError) as err:
+    except (AccuracyError, NonConvergenceError, FloatingPointError) as err:
         print(f"accuracy failure: {err}", file=sys.stderr)
         return EXIT_ACCURACY
     except KolmoError as err:

@@ -12,7 +12,8 @@ Row blocks: K points are one (K, N+1) float array, row k holding
 (x_1, .., x_N, t) of point k.  compose_rows, inverse_rows, dilate_rows,
 knorm_rows, kdist_rows and sample_ball are the group operations on row
 blocks, and each row rounds exactly as its own K = 1 call does.  Point
-is the one-point form of the K = 1 kernel calls and of taylor.flow_Y;
+is the one-point form of kernel.gamma, gamma_grad, gamma_hess_m and
+taylor.flow_Y, which only the benchmark's closed-form checks call;
 everything else takes row blocks.
 """
 
@@ -29,7 +30,6 @@ from .errors import (
     EllipticityError,
     SolveError,
     StructureError,
-    SymmetryError,
     UsageError,
 )
 from .matrixcalc import exp_rows, exp_table, matvec_rows, spd_min_eigen
@@ -117,14 +117,6 @@ class Point:
     def from_row(cls, Z):
         """The point of a (1, N+1) row block."""
         return cls(Z[0, :-1], Z[0, -1])
-
-    def __repr__(self):
-        coords = ", ".join(f"{v:g}" for v in self.x)
-        return f"Point(({coords}), t={self.t:g})"
-
-
-def origin(N):
-    return Point(np.zeros(N), 0.0)
 
 
 def finite_rows(Z):
@@ -346,15 +338,17 @@ def compose_rows(Z, W, spec, E=None):
     if E is None:
         E = spec.E(W[:, -1])
     out = np.empty((len(Z) if len(W) == 1 else len(W), Z.shape[1]))
-    out[:, :-1] = W[:, :-1] + matvec_rows(E, Z[:, :-1])
-    out[:, -1] = Z[:, -1] + W[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_rows rejects the overflow
+        out[:, :-1] = W[:, :-1] + matvec_rows(E, Z[:, :-1])
+        out[:, -1] = Z[:, -1] + W[:, -1]
     return finite_rows(out)
 
 
 def inverse_rows(Z, spec):
     """Row-wise group inverse (x,t)^{-1} = (-E(-t) x, -t)."""
     out = np.empty(Z.shape)
-    out[:, :-1] = -matvec_rows(spec.E(-Z[:, -1]), Z[:, :-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_rows rejects the overflow
+        out[:, :-1] = -matvec_rows(spec.E(-Z[:, -1]), Z[:, :-1])
     out[:, -1] = -Z[:, -1]
     return finite_rows(out)
 
@@ -366,10 +360,11 @@ def dilate_rows(r, Z, exps):
     if (r <= 0.0).any():
         raise DomainError(
             f"dilation parameter must be positive, got {float(r.min())}")
-    scales = np.power(r[..., None], np.asarray(exps.alpha, dtype=float))
     out = np.empty(Z.shape)
-    out[:, :-1] = scales * Z[:, :-1]
-    out[:, -1] = r * r * Z[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # finite_rows rejects the overflow
+        scales = np.power(r[..., None], np.asarray(exps.alpha, dtype=float))
+        out[:, :-1] = scales * Z[:, :-1]
+        out[:, -1] = r * r * Z[:, -1]
     return finite_rows(out)
 
 

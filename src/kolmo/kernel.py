@@ -9,10 +9,10 @@ and zero for t <= 0.  C(t) is the covariance integral of the flow.
 
 kernel_jet_rows evaluates Gamma and its derivatives in z on a row block,
 with E(dt) and C(dt) factorised once per distinct time step by stacked
-calls and nothing cached; gamma, gamma_grad, gamma_hess, gamma_hess_m
-and gamma_Y are its K = 1 calls, and each row rounds exactly as its own
-K = 1 call does.  Every derivative formula is cross-checked against
-finite differences in the test suite.
+calls and nothing cached; each row rounds exactly as its own K = 1 call
+does.  gamma, gamma_grad and gamma_hess_m are its K = 1 calls on Points,
+kept for the benchmark's closed-form check.  Every derivative formula
+is cross-checked against finite differences in the test suite.
 """
 
 import math
@@ -21,14 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AccuracyError,
-    ApplicabilityError,
-    DomainError,
-    HypoellipticityError,
-    SupportError,
-)
-from .group import dilate_rows, embedded_A, finite_rows, origin
+from .errors import AccuracyError, DomainError, HypoellipticityError, SupportError
+from .group import embedded_A, finite_rows
 from .matrixcalc import dot_rows, gauss_panels, matvec_rows, tensor_rule, vecmat_rows
 
 ROW_CHUNK = 4096  # most rows factorised at once: each holds ~16 N^2 floats of work
@@ -108,10 +102,8 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
     return KernelJet(gamma=g, grad=grad, hess=hess, Y=Y)
 
 
-def gamma(ctx, z, zeta=None):
+def gamma(ctx, z, zeta):
     """Kernel value Gamma(z, zeta); zero on and below the pole time."""
-    if zeta is None:
-        zeta = origin(ctx.spec.N)
     return float(kernel_jet_rows(ctx.spec, z.row(), zeta.row(), derivatives=False)[0])
 
 
@@ -120,39 +112,9 @@ def gamma_grad(ctx, z, zeta):
     return kernel_jet_rows(ctx.spec, z.row(), zeta.row()).grad[0]
 
 
-def gamma_hess(ctx, z, zeta):
-    """Full N x N spatial Hessian of Gamma in z."""
-    return kernel_jet_rows(ctx.spec, z.row(), zeta.row()).hess[0]
-
-
 def gamma_hess_m(ctx, z, zeta):
     """Top-left m x m block of the spatial Hessian."""
-    return gamma_hess(ctx, z, zeta)[:ctx.spec.m, :ctx.spec.m]
-
-
-def gamma_Y(ctx, z, zeta):
-    """Lie derivative Y Gamma = <B x, grad> - d_t Gamma, analytically."""
-    return float(kernel_jet_rows(ctx.spec, z.row(), zeta.row()).Y[0])
-
-
-def check_kernel_pde(ctx, z, zeta):
-    """Residual of L Gamma = sum a_ij d2 Gamma + Y Gamma; should vanish."""
-    jet, m = kernel_jet_rows(ctx.spec, z.row(), zeta.row()), ctx.spec.m
-    return float(np.sum(ctx.spec.A * jet.hess[0, :m, :m])) + float(jet.Y[0])
-
-
-def check_homogeneity(ctx, z, r):
-    """Ratio Gamma(delta_r z) r^Q / Gamma(z); equals 1 for B = B_0.  Both
-    values are rows of one block."""
-    spec = ctx.spec
-    if not spec.is_dilation_invariant():
-        raise ApplicabilityError("homogeneity holds only for B = B_0 drifts")
-    exps = spec.exponents()
-    g, g_r = kernel_jet_rows(spec, np.vstack([z.row(), dilate_rows(r, z.row(), exps)]),
-                             origin(spec.N).row(), derivatives=False)
-    if g == 0.0:
-        raise DomainError("homogeneity check needs t > 0")
-    return float(g_r * r**exps.Q / g)
+    return kernel_jet_rows(ctx.spec, z.row(), zeta.row()).hess[0, :ctx.spec.m, :ctx.spec.m]
 
 
 def kernel_mass(spec, t):
@@ -172,7 +134,7 @@ def kernel_mass(spec, t):
         # two composite Gauss-Legendre panels per axis of the box
         pts, w = tensor_rule([gauss_panels(-h, h, 2, n) for h in half_widths])
         Z = np.column_stack([pts, np.full(len(pts), t)])
-        vals = kernel_jet_rows(spec, Z, origin(spec.N).row(), derivatives=False)
+        vals = kernel_jet_rows(spec, Z, np.zeros((1, spec.N + 1)), derivatives=False)
         return math.fsum(vals * w)
 
     coarse, fine = run(32), run(64)

@@ -25,8 +25,7 @@ from .errors import (
     EllipticityError,
     ManufactureError,
 )
-from .group import (compose_rows, dilate_rows, finite_rows, kdist_rows,
-                    knorm_rows, sample_ball)
+from .group import compose_rows, dilate_rows, finite_rows, kdist_rows, sample_ball
 from .kernel import _checked_C, kernel_jet_rows
 from .matrixcalc import (dot_rows, exp_nonpositive, gauss_legendre, sqrt_spd,
                          tensor_rule)
@@ -197,16 +196,7 @@ def apply_L_fd(spec, u, Z, varcoeff=None):
 
 
 # ---------------------------------------------------------------------------
-# Cutoff function and the harmonic test family.
-
-
-def cutoff_eta(R, Z, exps):
-    """Cutoff eta_R at the rows of Z: 1 inside knorm <= 3R/4, 0 beyond
-    knorm >= R, a C^2 quintic ramp between."""
-    if not 0.0 < R <= 1.0:
-        raise DomainError(f"cutoff radius must lie in (0, 1], got {R}")
-    s = np.clip((knorm_rows(Z, exps) - 0.75 * R) / (0.25 * R), 0.0, 1.0)
-    return 1.0 - np.float_power(s, 3.0) * (10.0 - 15.0 * s + 6.0 * s * s)
+# The harmonic test family.
 
 
 def harmonic_family(spec, R, count, rng):

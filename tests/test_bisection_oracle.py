@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from kolmo import taylor
 from kolmo.errors import AccuracyError, KolmoError, NonConvergenceError
 from kolmo.group import project_level
-from kolmo.taylor import _solve_level_param, traj_increment
+from kolmo.taylor import _solve_level_param
 
 from test_rows import BLOCKS, admissible_spec
 
@@ -27,13 +27,15 @@ NON_PRINCIPAL = st.builds(admissible_spec, st.sampled_from([b for b in BLOCKS if
 
 
 def sequential_solve(n, v, s_guess, need, spec):
-    """The bisection one midpoint at a time, one K = 1 phi call each."""
+    """The bisection one midpoint at a time, one K = 1 phi call each, made
+    through the module attribute so that the tests below can patch it."""
     blocks = spec.blocks
     nhat = need / np.linalg.norm(need)
     target = float(np.linalg.norm(need))
 
     def phi(s):
-        return float(project_level(traj_increment(n, v, s, spec), n, blocks) @ nhat) - target
+        inc = taylor.traj_increment_rows(n, v, [s], spec)[0]
+        return float(project_level(inc, n, blocks) @ nhat) - target
 
     def bracket(hi0):
         lo, flo = 0.0, phi(0.0)

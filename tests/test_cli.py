@@ -411,13 +411,63 @@ NON_FINITE_REPORTS = {
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_REPORTS))
 def test_a_non_finite_kernel_or_taylor_report_is_an_accuracy_failure(name, capsys):
-    # these exited 0 with a nan Gamma or nan remainders; the numpy
-    # warnings on the way are still raised
+    # these exited 0 with a nan Gamma or nan remainders; the overflow is
+    # now raised as the accuracy failure itself, with no numpy warning
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         assert run(NON_FINITE_REPORTS[name]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("accuracy failure:") and err.count("\n") == 1
+
+
+OVERFLOWING_RADII = {
+    "singular-g1": ["verify", "singular-g1", "--spec", KOLMO, "--R-list", "0.5,1e308"],
+    "apriori": ["verify", "apriori", "--spec", KOLMO, "--R-list", "1e200"],
+    "mean-value": ["verify", "mean-value", "--spec", KOLMO, "--R-list", "1e200"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_RADII))
+def test_a_radius_whose_dilation_overflows_is_one_error_line(name, capsys):
+    # the dilated sample points overflow: finite_rows rejects them (exit 3),
+    # and the numpy warnings that came first are gone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(OVERFLOWING_RADII[name]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: point has non-finite coordinates\n"
+
+
+@pytest.mark.parametrize("family", ["constant", "quadratic", "gaussian"])
+def test_an_overflow_that_a_layer_handles_keeps_its_exit_code(family, capsys):
+    # under the command line's raising error state: z^{-1} overflows in
+    # inverse_rows, which leaves it to finite_rows (exit 3), and taylor2
+    # meets it before the bundle's own overflow at that point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["taylor", "--spec", KOLMO, "--family", family,
+                    "--point", "1e299,1e299,1e299"]) == 3
+        assert capsys.readouterr().err == "error: point has non-finite coordinates\n"
+        # the bump's squares overflow far out; exp(-inf) = 0 is its limit
+        assert run(["taylor", "--spec", KOLMO, "--family", family, "--point",
+                    "-2.185936850811001e+153,8.379282566533775e+153,-5.3190522057924274e+153"]
+                   ) == 0
+    capsys.readouterr()
+
+
+def test_the_contract_lines_hold_under_warnings_as_errors():
+    # a fresh interpreter with python -W error: the exit code and one
+    # stderr line each, with no warning turned into a traceback
+    env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    lines = [(NON_FINITE_REPORTS["kernel-kolmogorov-1e308"], 4),
+             (NON_FINITE_REPORTS["taylor-kolmogorov-1e308"], 4)]
+    lines += [(OVERFLOWING_RADII[name], 3) for name in sorted(OVERFLOWING_RADII)]
+    for argv, code in lines:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "kolmo.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == b"" and proc.stderr.count(b"\n") == 1
 
 
 def test_check_time_must_be_finite_and_positive(capsys):

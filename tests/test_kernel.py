@@ -6,13 +6,10 @@ import pytest
 from kolmo import (
     KernelContext,
     Point,
-    check_homogeneity,
-    check_kernel_pde,
     covariance,
+    dilate_rows,
     gamma,
-    gamma_Y,
     gamma_grad,
-    gamma_hess,
     heat_spec,
     hormander_check,
     integrate_matrix,
@@ -22,12 +19,13 @@ from kolmo import (
     knorm_rows,
     kolmogorov_spec,
     make_spec,
-    origin,
     sample_ball,
 )
 from kolmo import kernel
-from kolmo.errors import ApplicabilityError, DomainError, SupportError
+from kolmo.errors import DomainError, SupportError
 from kolmo.group import embedded_A
+
+ORIGIN = Point([0.0, 0.0], 0.0)
 
 
 # Test-only helpers: Monte-Carlo sups of the kernel bounds, which no
@@ -111,8 +109,8 @@ def test_gamma_does_not_depend_on_call_history():
     ctx = KernelContext(spec)
     for t in (1e-13, 4e-13, 0.7, 0.7 + 3e-13):
         z = Point([0.0, 0.0], t)
-        assert gamma(ctx, z) == gamma(KernelContext(spec), z)
-    assert gamma(ctx, Point([0.0, 0.0], 4e-13)) < 2e24
+        assert gamma(ctx, z, ORIGIN) == gamma(KernelContext(spec), z, ORIGIN)
+    assert gamma(ctx, Point([0.0, 0.0], 4e-13), ORIGIN) < 2e24
 
 
 def test_kernel_jet_rows_in_chunks(drifted, monkeypatch):
@@ -171,14 +169,14 @@ def test_kernel_jet_rows_round_as_the_scalar_route(kspec, drifted, kappa2, heat)
 def test_gamma_origin_value(kctx):
     # (4 pi)^{-1} / sqrt(det [[1,1/2],[1/2,1/3]]) = sqrt(3) / (2 pi)
     z = Point([0.0, 0.0], 1.0)
-    assert abs(gamma(kctx, z) - math.sqrt(3.0) / (2.0 * math.pi)) < 1e-10
+    assert abs(gamma(kctx, z, ORIGIN) - math.sqrt(3.0) / (2.0 * math.pi)) < 1e-10
 
 
 def test_gamma_vanishes_at_and_below_pole_time(kctx):
-    assert gamma(kctx, Point([0.3, 0.1], 0.0)) == 0.0
-    assert gamma(kctx, Point([0.3, 0.1], -1.0)) == 0.0
+    assert gamma(kctx, Point([0.3, 0.1], 0.0), ORIGIN) == 0.0
+    assert gamma(kctx, Point([0.3, 0.1], -1.0), ORIGIN) == 0.0
     with pytest.raises(SupportError):
-        gamma_grad(kctx, Point([0.3, 0.1], 0.0), origin(2))
+        gamma_grad(kctx, Point([0.3, 0.1], 0.0), ORIGIN)
 
 
 def test_gamma_derivatives_match_fd(kctx):
@@ -188,8 +186,8 @@ def test_gamma_derivatives_match_fd(kctx):
         z = Point(rng.uniform(-1, 1, size=2), rng.uniform(0.3, 2.0))
         p = Point(rng.uniform(-1, 1, size=2), rng.uniform(-0.5, 0.0))
         g = gamma(ctx := kctx, z, p)
-        grad = gamma_grad(ctx, z, p)
-        H = gamma_hess(ctx, z, p)
+        jet = kernel_jet_rows(ctx.spec, z.row(), p.row())
+        grad, H = jet.grad[0], jet.hess[0]
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
@@ -203,18 +201,25 @@ def test_gamma_derivatives_match_fd(kctx):
         fwd = gamma(ctx, Point(E @ z.x, z.t - s), p)
         E = ctx.spec.E(s)
         bwd = gamma(ctx, Point(E @ z.x, z.t + s), p)
-        assert abs((fwd - bwd) / (2 * s) - gamma_Y(ctx, z, p)) < 1e-6 * max(1.0, g)
+        assert abs((fwd - bwd) / (2 * s) - jet.Y[0]) < 1e-6 * max(1.0, g)
+
+
+def pde_residual(spec, Z, P):
+    """L Gamma = sum a_ij d2 Gamma + Y Gamma at the rows of Z over the
+    poles P, and Y Gamma, from one jet."""
+    jet, m = kernel_jet_rows(spec, Z, P), spec.m
+    return np.sum(spec.A * jet.hess[:, :m, :m], axis=(1, 2)) + jet.Y, jet.Y
 
 
 def test_kernel_pde_residual_relative(kctx, drifted):
     rng = np.random.default_rng(1)
     for spec in (kctx.spec, drifted):
-        ctx = KernelContext(spec)
-        for _ in range(50):
-            z = Point(rng.uniform(-1.5, 1.5, size=2), rng.uniform(0.2, 2.0))
-            p = Point(rng.uniform(-1, 1, size=2), rng.uniform(-0.5, 0.0))
-            scale = max(abs(gamma_Y(ctx, z, p)), 1e-300)
-            assert abs(check_kernel_pde(ctx, z, p)) <= 1e-6 * max(1.0, scale)
+        rows = [(np.append(rng.uniform(-1.5, 1.5, size=2), rng.uniform(0.2, 2.0)),
+                 np.append(rng.uniform(-1, 1, size=2), rng.uniform(-0.5, 0.0)))
+                for _ in range(50)]
+        residual, Y = pde_residual(spec, *map(np.array, zip(*rows)))
+        scale = np.maximum(np.abs(Y), 1e-300)
+        assert (np.abs(residual) <= 1e-6 * np.maximum(1.0, scale)).all()
 
 
 def test_kernel_mass(kctx, drifted):
@@ -223,14 +228,23 @@ def test_kernel_mass(kctx, drifted):
     assert abs(kernel_mass(drifted, 1.0) - math.exp(-1.0)) < 1e-5
 
 
-def test_homogeneity_principal_only(kctx, drifted):
+def homogeneity_ratio(spec, z, r):
+    """Gamma(delta_r z) r^Q / Gamma(z) with the pole at the origin; 1 for
+    B = B_0.  Both values are rows of one block."""
+    exps = spec.exponents()
+    g, g_r = kernel_jet_rows(spec, np.vstack([z, dilate_rows(r, z, exps)]),
+                             np.zeros((1, spec.N + 1)), derivatives=False)
+    return float(g_r * r**exps.Q / g)
+
+
+def test_homogeneity_principal_only(kspec, drifted):
     rng = np.random.default_rng(2)
     for _ in range(20):
-        z = Point(rng.uniform(-1, 1, size=2), rng.uniform(0.2, 1.5))
+        z = np.append(rng.uniform(-1, 1, size=2), rng.uniform(0.2, 1.5))[None]
         r = float(np.exp(rng.uniform(-0.7, 0.7)))
-        assert abs(check_homogeneity(kctx, z, r) - 1.0) < 1e-10
-    with pytest.raises(ApplicabilityError):
-        check_homogeneity(KernelContext(drifted), Point([0.0, 0.0], 1.0), 0.5)
+        assert abs(homogeneity_ratio(kspec, z, r) - 1.0) < 1e-10
+    # a drift beyond B_0 breaks the scaling law
+    assert abs(homogeneity_ratio(drifted, np.array([[0.0, 0.0, 1.0]]), 0.5) - 1.0) > 0.1
 
 
 def test_chapman_kolmogorov_heat_1d(heat):

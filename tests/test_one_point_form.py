@@ -2,7 +2,8 @@
 KernelContext are the one-point form of the K = 1 kernel calls and of
 taylor.flow_Y only: the source is read with ``ast``, and the test fails
 where any other code names them.  Point keeps its check of finite
-coordinates."""
+coordinates.  The K = 1 wrappers that nothing but tests called are gone
+and must stay gone."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kolmo
 from kolmo import DomainError, Point
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kolmo"
@@ -18,8 +20,7 @@ ONE_POINT_NAMES = {"Point", "KernelContext"}
 # None admits the whole file
 ALLOWED = {
     "group.py": None,
-    "kernel.py": {"KernelContext", "covariance", "gamma", "gamma_grad", "gamma_hess",
-                  "gamma_hess_m", "gamma_Y", "check_kernel_pde", "check_homogeneity"},
+    "kernel.py": {"KernelContext", "covariance", "gamma", "gamma_grad", "gamma_hess_m"},
     "taylor.py": {"<import>", "flow_Y"},
     "__init__.py": {"<import>"},
 }
@@ -62,6 +63,25 @@ def test_point_and_kernel_context_stay_in_their_one_point_calls():
         stray += [f"{path.name}: {name} in {scope}"
                   for scope, name in one_point_uses(path) if scope not in allowed]
     assert not stray, "one-point names outside their calls:\n" + "\n".join(stray)
+
+
+# module -> deleted one-point wrappers and test-only helpers; the kernel
+# jet, C(t) and traj_increment_rows serve their callers
+DELETED = {
+    "kernel": ("gamma_hess", "gamma_Y", "check_kernel_pde", "check_homogeneity"),
+    "group": ("origin",),
+    "taylor": ("traj_increment", "lie_derivative_fd", "validate_bundle"),
+    "verify": ("cutoff_eta",),
+}
+
+
+def test_deleted_wrappers_stay_deleted():
+    for module, names in DELETED.items():
+        for name in names:
+            assert not hasattr(getattr(kolmo, module), name), f"{module}.{name}"
+            assert not hasattr(kolmo, name), name
+    # gamma takes its pole from the caller
+    assert kolmo.gamma.__defaults__ is None
 
 
 def test_point_rejects_non_finite_coordinates():

@@ -13,20 +13,36 @@ from kolmo import (
     flow_Y,
     gamma_traj,
     gaussian_bundle,
-    lie_derivative_fd,
     quadratic_bundle,
     remainder_profile,
     taylor2,
-    traj_increment,
-    validate_bundle,
     verify_plan,
 )
 from kolmo.errors import DomainError, KolmoError, NonConvergenceError, PlanIntegrityError
-from kolmo.group import OperatorSpec, compose_rows, dilate_rows, sample_ball
+from kolmo.group import OperatorSpec, compose_rows, dilate_rows, finite_rows, sample_ball
 from kolmo.taylor import PathSegment, traj_increment_rows
 from kolmo.verify import apply_L_fd
 
-from test_rows import PROPERTY, specs
+from test_rows import PROPERTY, lie_derivative_fd, specs
+
+
+def validate_bundle(bundle, spec, Z):
+    """FD cross-check (step 1e-5) of a bundle's derivatives at the rows of Z.
+
+    Returns the worst relative mismatch of grad_m and Yu; raises
+    AccuracyError when the drift difference fails its Richardson check.
+    """
+    Z = finite_rows(Z)
+    m, h = spec.m, 1e-5
+    e = h * np.eye(spec.N + 1)[:m]
+    scale = np.maximum(1.0, np.abs(bundle.u(Z)))
+    plus, minus = bundle.u(np.vstack([Z + ei for ei in e] + [Z - ei for ei in e])
+                           ).reshape(2, m, len(Z))
+    fd = (plus - minus) / (2 * h)
+    worst = np.abs(fd - bundle.grad_m(Z).T) / scale
+    fd_Y = lie_derivative_fd(bundle.u, Z, spec)
+    return float(max(worst.max(initial=0.0),
+                     (np.abs(fd_Y - bundle.Yu(Z)) / scale).max(initial=0.0)))
 
 
 def test_flows_closed_forms(kinetic):
@@ -64,12 +80,12 @@ def test_traj_increment_matches_execution(kinetic, drifted, kappa2):
             s = rng.uniform(-1.2, 1.2)
             z = np.append(rng.uniform(-1, 1, size=spec.N), rng.uniform(-1, 1))
             end, _ = gamma_traj(n, v, s, z, spec)
-            assert np.abs((end - z)[:-1] - traj_increment(n, v, s, spec)).max() < 1e-12
+            assert np.abs((end - z)[:-1] - traj_increment_rows(n, v, [s], spec)[0]).max() < 1e-12
             assert abs(end[-1] - z[-1]) < 1e-14
 
 
 def recursive_traj_increment(n, v, s, spec):
-    """traj_increment in its doubly recursive form, 2^(n+1) - 1 calls."""
+    """traj_increment_rows at one s in its doubly recursive form, 2^(n+1) - 1 calls."""
     v = np.asarray(v, dtype=float)
     if n == 0:
         return s * v
@@ -102,7 +118,7 @@ def test_traj_increment_equals_the_recursion(spec, seed):
         want = [_outcome(lambda: recursive_traj_increment(n, v, x, spec)) for x in s]
         fails = [isinstance(w, type) for w in want]
         for x, w, fail in zip(s, want, fails):
-            got = _outcome(lambda: traj_increment(n, v, x, spec))
+            got = _outcome(lambda: traj_increment_rows(n, v, [x], spec)[0])
             assert got is w if fail else np.array_equal(got, w, equal_nan=True)
         ok = ~np.array(fails)
         rows = _outcome(lambda: traj_increment_rows(n, v, s[ok], spec))
@@ -121,7 +137,7 @@ def test_traj_increment_preserves_lower_levels(kappa2):
         v = np.zeros(3)
         v[0] = rng.standard_normal()
         s = rng.uniform(-1.5, 1.5)
-        d = traj_increment(n, v, s, kappa2)
+        d = traj_increment_rows(n, v, [s], kappa2)[0]
         assert np.abs(d[:n]).max() < 1e-12 * max(1.0, np.abs(d).max())
         # and moves level n by exactly s^{2n+1} B^n v
         want = s ** (2 * n + 1) * (np.linalg.matrix_power(kappa2.B, n) @ v)

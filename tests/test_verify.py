@@ -10,10 +10,10 @@ from kolmo import (
     Point,
     apply_L_fd,
     convolve_solution,
-    cutoff_eta,
     harmonic_family,
     heat_spec,
     kernel_jet_rows,
+    knorm_rows,
     manufacture,
     sample_ball,
     verify_apriori,
@@ -37,8 +37,17 @@ from kolmo.verify import (
 )
 
 
-# Test-only helper: finite-difference sups of the cutoff's derivatives,
-# which no command-line path uses.
+# Test-only helpers: the cutoff and finite-difference sups of its
+# derivatives, which no command-line path uses.
+
+
+def cutoff_eta(R, Z, exps):
+    """Cutoff eta_R at the rows of Z: 1 inside knorm <= 3R/4, 0 beyond
+    knorm >= R, a C^2 quintic ramp between."""
+    if not 0.0 < R <= 1.0:
+        raise DomainError(f"cutoff radius must lie in (0, 1], got {R}")
+    s = np.clip((knorm_rows(Z, exps) - 0.75 * R) / (0.25 * R), 0.0, 1.0)
+    return 1.0 - np.float_power(s, 3.0) * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
 def cutoff_gradient_report(spec, R_list=(1.0, 0.5, 0.25), samples=400, seed=0):
