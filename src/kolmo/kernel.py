@@ -10,9 +10,12 @@ and zero for t <= 0.  C(t) is the covariance integral of the flow.
 kernel_jet_rows evaluates Gamma and its derivatives in z on a row block,
 with E(dt) and C(dt) factorised once per distinct time step by stacked
 calls and nothing cached; each row rounds exactly as its own K = 1 call
-does.  gamma, gamma_grad and gamma_hess_m are its K = 1 calls on Points,
-kept for the benchmark's closed-form check.  Every derivative formula
-is cross-checked against finite differences in the test suite.
+does.  C(dt) must be positive definite (Hormander's condition): a
+Gershgorin bound formed from its entries certifies that, and eigvalsh
+runs only on the rows the bound cannot clear (_checked_C).  gamma,
+gamma_grad and gamma_hess_m are its K = 1 calls on Points, kept for the
+benchmark's closed-form check.  Every derivative formula is
+cross-checked against finite differences in the test suite.
 """
 
 import math
@@ -42,10 +45,31 @@ class KernelContext:
 def _checked_C(spec, t):
     """C(t) and log det C(t) for a (K,) array of times > 0, each slice
     bit-identical to its own K = 1 call.  DomainError if C(t) overflows
-    (spec.C), HypoellipticityError if it is numerically singular."""
+    (spec.C), HypoellipticityError if it is numerically singular: a
+    determinant sign <= 0 or an eigvalsh minimum <= 1e-300.
+
+    eigvalsh runs only on the rows that a Gershgorin bound does not
+    clear.  With d = diag C and r_ij = |C_ij| / sqrt(d_i d_j) (r_ii = 1),
+    lambda_min(C) >= g min d for g = 2 - max_i sum_j r_ij; a slack of
+    4 n eps covers the rounding of r and of its row sums.  eigvalsh's
+    eigenvalues lie within p(n) eps ||C||_2 of the exact ones (LAPACK
+    Users' Guide, 3rd ed., section 4.7), and ||C||_2 <= tr C once g > 0,
+    so with p(n) <= 2^10 n it flags no row with g min d > 2^10 n eps tr C
+    + 2e-300.  A zero d (C(t) underflowed to 0) makes g nan: that row
+    falls back.
+    """
     C = spec.C(t)
     sign, logdet = np.linalg.slogdet(C)
-    bad = (sign <= 0) | (np.linalg.eigvalsh(C)[:, 0] <= 1e-300)
+    n, eps = C.shape[-1], np.finfo(float).eps
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = np.diagonal(C, axis1=1, axis2=2)
+        s = np.sqrt(d)
+        g = 2.0 - (np.abs(C) / (s[:, :, None] * s[:, None, :])).sum(-1).max(-1) - 4 * n * eps
+        cleared = (g > 0) & (g * d.min(-1) > 2**10 * n * eps * d.sum(-1) + 2e-300)
+    bad = sign <= 0
+    rest = ~(cleared | bad)
+    if rest.any():
+        bad[rest] = np.linalg.eigvalsh(C[rest])[:, 0] <= 1e-300
     if bad.any():
         raise HypoellipticityError(f"C({t[bad][0]}) is numerically singular")
     return C, logdet

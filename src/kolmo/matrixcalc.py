@@ -10,7 +10,9 @@ route; scipy.linalg is imported on its first call, so a process that
 never checks a truncated series does not load it.  Square roots go
 through a full symmetric eigendecomposition, and the quadrature is a
 fixed-order composite Gauss-Legendre rule with a panel-doubling
-self-check.
+self-check.  The symmetry test of sqrt_spd and spd_min_eigen compares
+exactly first and calls np.allclose only when that fails: C(t) comes
+symmetrised, so a report's matrices pass at the cost of one comparison.
 """
 
 import functools
@@ -172,12 +174,19 @@ def exp_rows(table, t):
     return F.reshape(t.shape + P[0].shape)
 
 
+def _symmetric(A):
+    """A (or each slice of a stack) equals its transpose within
+    SYMMETRY_TOL; on finite entries, exact equality implies allclose."""
+    At = np.swapaxes(A, -1, -2)
+    return bool((A == At).all()) or np.allclose(A, At, atol=SYMMETRY_TOL, rtol=0.0)
+
+
 def sqrt_spd(A):
     """Symmetric positive square root S of an SPD matrix, S @ S = A; for a
     (K, n, n) stack the stack of roots, each slice bit-identical to its
     own call (a stacked eigh and matmul)."""
     A = _as_square(A, stack=True)
-    if not np.allclose(A, np.swapaxes(A, -1, -2), atol=SYMMETRY_TOL, rtol=0.0):
+    if not _symmetric(A):
         raise SymmetryError("matrix is not symmetric")
     w, V = np.linalg.eigh(A)
     if w.min() <= 0.0:
@@ -189,7 +198,7 @@ def spd_min_eigen(S):
     """Smallest eigenvalue of a symmetric matrix with an SPD verdict: SPD
     when it exceeds 1e-10."""
     S = _as_square(S)
-    if not np.allclose(S, S.T, atol=SYMMETRY_TOL, rtol=0.0):
+    if not _symmetric(S):
         raise SymmetryError("matrix is not symmetric beyond 1e-12")
     w_min = float(np.linalg.eigvalsh(S)[0])
     return SpdReport(min_eigenvalue=w_min, is_spd=w_min > 1e-10)

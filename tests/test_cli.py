@@ -463,6 +463,10 @@ def test_the_contract_lines_hold_under_warnings_as_errors():
     lines = [(NON_FINITE_REPORTS["kernel-kolmogorov-1e308"], 4),
              (NON_FINITE_REPORTS["taylor-kolmogorov-1e308"], 4)]
     lines += [(OVERFLOWING_RADII[name], 3) for name in sorted(OVERFLOWING_RADII)]
+    # a singular C(t): by the eigenvalue alone (sign > 0, min eig ~ 8e-302)
+    # and the zero matrix of an underflowed flow
+    lines += [(["kernel", "--spec", KOLMO, "--point", "0,0,1e-100"], 3),
+              (["kernel", "--spec", DRIFTED, "--point", "0.5,-0.5,100"], 3)]
     for argv, code in lines:
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "kolmo.cli", *argv],
                               env=env, capture_output=True, timeout=120)

@@ -1,4 +1,8 @@
+import contextlib
+import io
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,9 +25,14 @@ from kolmo import (
     make_spec,
     sample_ball,
 )
-from kolmo import kernel
-from kolmo.errors import DomainError, SupportError
+from kolmo import kernel, load_spec
+from kolmo.cli import run
+from kolmo.errors import DomainError, HypoellipticityError, KolmoError, SupportError
 from kolmo.group import embedded_A
+
+from test_cli import KOLMO
+from test_report_bytes import kinetic_m2_spec
+from test_rows import BLOCKS, admissible_spec
 
 ORIGIN = Point([0.0, 0.0], 0.0)
 
@@ -271,3 +280,71 @@ def test_bounds_constants_finite(kctx):
 def test_annulus_sup_finite(kctx):
     v = annulus_sup(kctx, 0.5, samples=300)
     assert np.isfinite(v) and v >= 0.0
+
+
+def _checked_C_by_eigvalsh(spec, t):
+    """The check before the certificate: eigvalsh on every row."""
+    C = spec.C(t)
+    sign, logdet = np.linalg.slogdet(C)
+    bad = (sign <= 0) | (np.linalg.eigvalsh(C)[:, 0] <= 1e-300)
+    if bad.any():
+        raise HypoellipticityError(f"C({t[bad][0]}) is numerically singular")
+    return C, logdet
+
+
+def _outcome(check, spec, t):
+    """The error type and message, or the bytes of C and log det C, of
+    one check under the command line's floating-point policy."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            C, logdet = check(spec, t)
+    except KolmoError as err:
+        return type(err), str(err)
+    return C.tobytes(), logdet.tobytes()
+
+
+def test_checked_C_verdicts_match_the_eigvalsh_check():
+    # the entrywise certificate only skips eigvalsh on rows it could not
+    # flag, so every verdict, message, C and log det stays the same, one
+    # row at a time and stacked, down to times where C(t) is singular
+    times = 10.0 ** np.arange(-150, 3)
+    eigenvalue_only = 0  # rows flagged with a positive determinant sign
+    for blocks in BLOCKS:
+        for principal in (True, False):
+            for seed in (0, 1):
+                spec = admissible_spec(blocks, seed, principal)
+                assert (_outcome(kernel._checked_C, spec, times)
+                        == _outcome(_checked_C_by_eigvalsh, spec, times))
+                for t in times:
+                    one = _outcome(kernel._checked_C, spec, np.array([t]))
+                    assert one == _outcome(_checked_C_by_eigvalsh, spec, np.array([t]))
+                    if one[0] is HypoellipticityError:
+                        eigenvalue_only += np.linalg.slogdet(spec.C(np.array([t])))[0][0] > 0
+    assert eigenvalue_only > 0
+
+
+def test_workload_reports_call_no_eigvalsh_in_checked_C(tmp_path, monkeypatch):
+    # every covariance row of the apriori and singular benchmark reports
+    # is cleared from its entries; the spy counts eigvalsh in _checked_C
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        if sys._getframe(1).f_code is kernel._checked_C.__code__:
+            calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    m2 = tmp_path / "kinetic_m2.json"
+    m2.write_text(json.dumps(kinetic_m2_spec()))
+    for seed in range(3):
+        for argv in (["verify", "apriori", "--spec", str(m2), "--poles", "4",
+                      "--samples", "20"],
+                     ["verify", "singular-g1", "--spec", KOLMO, "--R-list", "0.5,0.25"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv + ["--seed", str(seed)]) == 0
+    assert calls == []
+    # C(1e-7) of the Kolmogorov operator has min d / max d = 1e-14 / 3:
+    # it falls back, and the spy sees it
+    kernel._checked_C(load_spec(KOLMO), np.array([1e-7, 1.0]))
+    assert calls == [1]

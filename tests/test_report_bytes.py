@@ -77,6 +77,8 @@ COMMANDS = [
     "verify schauder-var --varcoeff sin1 --spec specs/kinetic_m2.json --pairs 300 --seed 4",
     "verify schauder-const --family gaussian2 --spec specs/kinetic.json --pairs 300 --seed 5",
     "verify singular-g2 --spec specs/heat1d.json --seed 2",
+    "kernel --spec specs/kolmogorov.json --point 0,0,1e-100",
+    "kernel --spec specs/kinetic_drifted.json --point 0.5,-0.5,100",
 ]
 
 
