@@ -97,7 +97,6 @@ from .verify import (
     EstimateReport,
     ManufacturedProblem,
     apply_L_fd,
-    convolve_solution,
     harmonic_family,
     manufacture,
     verify_apriori,

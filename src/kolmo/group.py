@@ -223,15 +223,6 @@ class OperatorSpec:
             raise DomainError(f"C(t) is not finite for a time step up to {np.max(t)}")
         return C.reshape(np.shape(t) + (N, N))
 
-    def to_json_dict(self):
-        return {
-            "N": self.N,
-            "m": self.m,
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "blocks": list(self.blocks.sizes),
-        }
-
 
 def make_spec(A, B, blocks):
     """Assemble and validate an operator spec."""

@@ -130,8 +130,12 @@ def exp_table(M):
 
 
 def _series_terms(powers):
-    """X^k / k! for the powers X^0 .. X^d."""
-    return np.array([P / math.factorial(k) for k, P in enumerate(powers)])
+    """X^k / k! for the powers X^0 .. X^d.  From k = 171 on, k! is past
+    the largest double: 1/k! is then the exactly rounded quotient of the
+    integers (a subnormal or 0), so a long nilpotent chain needs no
+    float k!."""
+    return np.array([P / math.factorial(k) if k <= 170 else P * (1 / math.factorial(k))
+                     for k, P in enumerate(powers)])
 
 
 def exp_rows(table, t):

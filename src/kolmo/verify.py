@@ -3,9 +3,9 @@
 The workflow: pick an analytic solution u with closed-form derivatives,
 build f = L u exactly, and check the estimate inequalities as fitted-
 constant ratio tests.  Harmonic test functions come for free as kernel
-translates Gamma(., p) with poles below the region of interest; true
-solutions of L u = f are reconstructed by convolving f against the
-kernel and compared with the manufactured u.
+translates Gamma(., p) with poles below the region of interest, and
+the singular-bounds check convolves a bump against the kernel by
+Gauss-Hermite slices.
 
 Every report carries the seed, the raw lhs/rhs ratio samples, and a
 scaling table, so a verdict can always be re-derived from the artifact.
@@ -19,7 +19,6 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import (
-    AccuracyError,
     ApplicabilityError,
     DomainError,
     EllipticityError,
@@ -235,11 +234,13 @@ def _slice_integrals(spec, psi, Z, tau, pairs, h, nodes_x):
     The substitution w = x - E(dt) xi turns the kernel into this plain
     Gaussian weight, and the derivative lands on psi, so the integrand
     is bounded by sup|d2 psi| with no kernel singularity.  psi maps an
-    (..., S, G, N) grid and the (S,) slice times to values.  C(dt), its
-    root and E(-dt) are one stacked call each for all slices, every
-    slice bit-identical to its own K = 1 call; QUAD_ROWS chunks only the
-    grid: psi is called once per chunk of slices, on every stencil
-    offset, and each slice is reduced by its own dot with the weights.
+    (..., S, N, G) grid, coordinate-major so that each coordinate is a
+    run of G nodes, and the (S,) slice times to (..., S, G) values.
+    C(dt), its root and E(-dt) are one stacked call each for all slices,
+    every slice bit-identical to its own K = 1 call; QUAD_ROWS chunks
+    only the grid: psi is called once per chunk of slices, on every
+    stencil offset, and each slice is reduced by its own dot with the
+    weights.
     """
     dt = Z[:, -1] - tau
     if not (dt > 0.0).all():
@@ -251,14 +252,14 @@ def _slice_integrals(spec, psi, Z, tau, pairs, h, nodes_x):
     out = np.empty((len(Z), 1 + len(pairs)))
     for k in range(0, len(Z), step):
         part = slice(k, k + step)
-        w = math.sqrt(2.0) * np.matmul(Y, np.swapaxes(S[part], -1, -2))
-        pts = np.matmul(Z[part, None, :-1] - w, np.swapaxes(M[part], -1, -2))
+        w = math.sqrt(2.0) * np.matmul(S[part], Y.T)
+        pts = np.matmul(M[part], Z[part, :-1, None] - w)
         d = np.moveaxis(M[part], -1, 0)  # d[i] = M e_i, one row per slice
         stencil = [np.zeros_like(d[0])]
         for i, j in pairs:
             a, b = h * d[i], h * d[j]
             stencil += [a, -a] if i == j else [a + b, a - b, -a + b, -a - b]
-        X = pts + np.stack(stencil)[:, :, None, :]
+        X = pts + np.stack(stencil)[:, :, :, None]
         if not np.isfinite(X).all():
             raise DomainError("quadrature grid has non-finite coordinates")
         vals = iter(psi(X, tau[part]))
@@ -272,42 +273,6 @@ def _slice_integrals(spec, psi, Z, tau, pairs, h, nodes_x):
                 dd = (pp - pm - mp + mm) / (4.0 * h**2)
             out[part, p] = dot_rows(dd, W)
     return out / math.pi ** (spec.N / 2.0)
-
-
-def convolve_solution(spec, f, z, t_lo, nodes_t=16, nodes_x=24, check=True):
-    """u(z) = -int Gamma(z, zeta) f(zeta) d zeta over times in [t_lo, t)
-    at the one row z = (x, t), for f mapping a (K, N+1) row block to its
-    K values.
-
-    The spatial integral is de-singularized by the substitution
-    w = x - E(dt) xi, which turns the kernel into a plain Gaussian
-    weight; the remaining time integrand is continuous up to tau = t.
-    A grid-doubling self-check (to 1e-4 relative) guards the result.
-    """
-    z = finite_rows(z)
-    t, N = float(z[0, -1]), spec.N
-    if t <= t_lo:
-        raise DomainError("evaluation time must exceed the support onset")
-
-    def psi(X, tau):  # f on the rows (xi, tau) of an (..., S, G, N) grid
-        rows = np.concatenate([X, np.broadcast_to(tau[:, None, None], X.shape[:-1] + (1,))], -1)
-        return f(finite_rows(rows.reshape(-1, N + 1))).reshape(X.shape[:-1])
-
-    def run(nt, nx):
-        nodes, wts = gauss_legendre(nt)
-        half = (t - t_lo) / 2.0
-        tau = (t + t_lo) / 2.0 + half * nodes
-        inner = _slice_integrals(spec, psi, np.broadcast_to(z, (nt, N + 1)), tau, (), None, nx)
-        # the terms in node order: np.sum pairs them, which rounds differently
-        return -functools.reduce(np.add, wts * half * inner[:, 0], 0.0)
-
-    coarse = run(nodes_t, nodes_x)
-    if not check:
-        return coarse
-    fine = run(2 * nodes_t, nodes_x + 8)
-    if abs(fine - coarse) > 1e-4 * max(1.0, abs(fine)):
-        raise AccuracyError("convolution quadrature did not converge")
-    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +382,8 @@ def _d2_convolved(spec, psi, Z, pairs, t_lo, h):
     d2 = _slice_integrals(spec, psi, np.tile(Z, (12, 1)), (t - sigma * sigma).ravel(),
                           pairs, h, 12)[:, 1:].reshape(12, len(Z), -1)
     terms = (wts[:, None] * 0.5 * smax * 2.0 * sigma)[..., None] * d2
-    return functools.reduce(np.add, terms, 0.0)  # in node order, as in convolve_solution
+    # the terms in node order: np.sum pairs them, which rounds differently
+    return functools.reduce(np.add, terms, 0.0)
 
 
 _G_KINDS = ("const", "g1", "g2")
@@ -425,28 +391,28 @@ _G_KINDS = ("const", "g1", "g2")
 
 def _singular_psi(kind, R, exps):
     """psi = (scale-R bump) * g, where g is 1, x_1 or x_1^2 for kind const,
-    g1 or g2, on an (..., G, N) grid whose slices sit at the times t (one
-    per slice, or one for all).
+    g1 or g2, on an (..., S, N, G) grid whose S slices sit at the times t
+    (one per slice, or one for all).
 
     The Gaussian bump exp(-sum (x_i/R^alpha_i)^2 - (t/R^2)^2) plays the
     cutoff role inside the quadrature: it concentrates on the quasi-ball
     of radius ~R and is smooth with all derivative scales set by R, so
     tensor quadrature converges, unlike the kinked max-norm cutoff.
-    Squares are np.float_power (libm pow), added in coordinate order to
-    the time term of the slice, and the exponent -q <= 0 goes through
-    matrixcalc.exp_nonpositive, which is libm exp as math.exp is: numpy's
-    x*x and np.exp round differently and would move the reports.
+    Squares are np.square, the IEEE product x*x, added in coordinate
+    order to the time term of the slice, and the exponent -q <= 0 goes
+    through matrixcalc.exp_nonpositive, which is libm exp as math.exp
+    is: numpy's own float64 exp takes a CPU-dependent path.
     """
     scales = [R**a for a in exps.alpha]
 
     def psi(X, t):
-        q = np.float_power(t / R**2, 2.0)[..., None]
+        q = np.square(t / R**2)[..., None]
         for i, s in enumerate(scales):
-            q = q + np.float_power(X[..., i] / s, 2.0)
+            q = q + np.square(X[..., i, :] / s)
         bump = exp_nonpositive(-q)
         if kind == "const":
             return bump
-        return bump * (X[..., 0] if kind == "g1" else np.float_power(X[..., 0], 2.0))
+        return bump * (X[..., 0, :] if kind == "g1" else np.square(X[..., 0, :]))
 
     return psi
 

@@ -474,6 +474,23 @@ def test_the_contract_lines_hold_under_warnings_as_errors():
         assert proc.stdout == b"" and proc.stderr.count(b"\n") == 1
 
 
+def test_a_long_chain_spec_keeps_the_exit_code_contract(tmp_path):
+    # 86 one-dimensional levels: C(t)'s block generator has size 172, so its
+    # series reaches 171!, past the largest double (this exited 1 with an
+    # OverflowError traceback); Hörmander's check fails numerically, as at 85
+    N = 86
+    B = np.diag(np.ones(N - 1), -1)
+    path = tmp_path / "chain86.json"
+    path.write_text(json.dumps({"N": N, "m": 1, "A": [[1.0]], "B": B.tolist(),
+                                "blocks": [1] * N}))
+    env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "kolmo.cli", "check",
+                           "--spec", str(path)], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 2 and proc.stderr == b""
+    assert b"hormander FAIL" in proc.stdout.splitlines()[0]
+
+
 def test_check_time_must_be_finite_and_positive(capsys):
     # nan passed the old t <= 0 test and overflowed in C(t) (exit 4)
     for t in ("nan", "inf", "0", "-1"):

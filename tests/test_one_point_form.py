@@ -66,13 +66,16 @@ def test_point_and_kernel_context_stay_in_their_one_point_calls():
 
 
 # module -> deleted one-point wrappers and test-only helpers; the kernel
-# jet, C(t) and traj_increment_rows serve their callers
+# jet, C(t), traj_increment_rows and verify._slice_integrals serve their
+# callers (convolve_solution lives in tests/convolution.py)
 DELETED = {
     "kernel": ("gamma_hess", "gamma_Y", "check_kernel_pde", "check_homogeneity"),
     "group": ("origin",),
     "taylor": ("traj_increment", "lie_derivative_fd", "validate_bundle"),
-    "verify": ("cutoff_eta",),
+    "verify": ("cutoff_eta", "convolve_solution"),
 }
+# class -> deleted methods that nothing called
+DELETED_METHODS = {"OperatorSpec": ("to_json_dict",)}
 
 
 def test_deleted_wrappers_stay_deleted():
@@ -80,6 +83,9 @@ def test_deleted_wrappers_stay_deleted():
         for name in names:
             assert not hasattr(getattr(kolmo, module), name), f"{module}.{name}"
             assert not hasattr(kolmo, name), name
+    for cls, names in DELETED_METHODS.items():
+        for name in names:
+            assert not hasattr(getattr(kolmo, cls), name), f"{cls}.{name}"
     # gamma takes its pole from the caller
     assert kolmo.gamma.__defaults__ is None
 

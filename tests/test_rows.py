@@ -250,9 +250,9 @@ def test_gaussian_time_term_squares_python_floats(kspec):
 
 
 def test_float_power_is_libm_pow():
-    # the rounding rule of knorm_rows, cutoff_eta, the Gaussian bundle's
-    # time term and the singular-bounds bump: np.float_power calls libm
-    # pow, as a Python float ** does (np.power and x*x round differently)
+    # the rounding rule of knorm_rows, cutoff_eta and the Gaussian bundle's
+    # time term: np.float_power calls libm pow, as a Python float ** does
+    # (np.power and x*x round differently)
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.uniform(0.0, 1.0, 40_000),
                         np.exp(rng.uniform(-745.0, 709.0, 40_000)),

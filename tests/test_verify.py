@@ -9,7 +9,6 @@ from kolmo import (
     ManufacturedProblem,
     Point,
     apply_L_fd,
-    convolve_solution,
     harmonic_family,
     heat_spec,
     kernel_jet_rows,
@@ -35,6 +34,8 @@ from kolmo.verify import (
     _singular_psi,
     _slice_integrals,
 )
+
+from convolution import convolve_solution
 
 
 # Test-only helpers: the cutoff and finite-difference sups of its
@@ -174,11 +175,13 @@ def test_verify_singular_bounds_const(kspec):
 def _psi_at_point(kind, R, exps):
     """The scalar psi: the scale-R bump times g at one Point."""
     def psi(zeta):
-        q = (zeta.t / R**2) ** 2
+        v = zeta.t / R**2
+        q = v * v
         for xi, a in zip(zeta.x, exps.alpha):
-            q += (xi / R**a) ** 2
+            v = xi / R**a
+            q += v * v
         x0 = float(zeta.x[0])
-        return math.exp(-q) * {"const": 1.0, "g1": x0, "g2": x0**2}[kind]
+        return math.exp(-q) * {"const": 1.0, "g1": x0, "g2": x0 * x0}[kind]
     return psi
 
 
@@ -220,7 +223,7 @@ def test_d2_slice_matches_per_point_route(which, kspec, drifted):
     for kind in ("const", "g1", "g2"):
         psi = _singular_psi(kind, R, exps)
         one = _psi_at_point(kind, R, exps)
-        assert np.array_equal(psi(X, -0.1), [one(Point(x, -0.1)) for x in X])
+        assert np.array_equal(psi(X.T, -0.1), [one(Point(x, -0.1)) for x in X])
         # both slices and every (i, j) in one call
         taus = [z.t - 0.2, z.t - 1e-3]
         pairs = [(i, j) for i in range(spec.m) for j in range(i, spec.m)]
