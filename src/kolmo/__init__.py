@@ -33,7 +33,6 @@ from .group import (
     dilate_rows,
     finite_rows,
     heat_spec,
-    hormander_check,
     inverse_rows,
     kdist_rows,
     knorm_rows,
@@ -58,13 +57,7 @@ from .kernel import (
     kernel_jet_rows,
     kernel_mass,
 )
-from .matrixcalc import (
-    SpdReport,
-    integrate_matrix,
-    mat_exp,
-    spd_min_eigen,
-    sqrt_spd,
-)
+from .matrixcalc import integrate_matrix, mat_exp, sqrt_spd
 from .modulus import (
     DiniReport,
     ModulusTable,

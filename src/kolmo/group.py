@@ -32,7 +32,7 @@ from .errors import (
     StructureError,
     UsageError,
 )
-from .matrixcalc import exp_rows, exp_table, matvec_rows, spd_min_eigen
+from .matrixcalc import _symmetric, exp_rows, exp_table, matvec_rows
 
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
@@ -84,10 +84,6 @@ class Exponents:
 
     alpha: tuple
     Q: int
-
-    @property
-    def Qplus2(self):
-        return self.Q + 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,16 +151,6 @@ class OperatorSpec:
     @property
     def kappa(self):
         return self.blocks.kappa
-
-    @property
-    def lam(self):
-        """Smallest eigenvalue of A."""
-        return float(np.linalg.eigvalsh(self.A)[0])
-
-    @property
-    def Lam(self):
-        """Largest eigenvalue of A."""
-        return float(np.linalg.eigvalsh(self.A)[-1])
 
     def exponents(self):
         """Validated dilation exponents; validates the spec on first use."""
@@ -278,7 +264,7 @@ def validate_structure(spec):
         raise StructureError(f"B must be {N}x{N}, got {spec.B.shape}")
     if spec.A.shape != (m, m):
         raise StructureError(f"A must be {m}x{m}, got {spec.A.shape}")
-    if not np.allclose(spec.A, spec.A.T, atol=1e-12, rtol=0.0):
+    if not _symmetric(spec.A):
         raise EllipticityError("A is not symmetric")
     if np.linalg.eigvalsh(spec.A)[0] <= 0.0:
         raise EllipticityError("A is not positive definite")
@@ -310,13 +296,6 @@ def embedded_A(spec):
     At = np.zeros((spec.N, spec.N))
     At[: spec.m, : spec.m] = spec.A
     return At
-
-
-def hormander_check(spec, t):
-    """Positivity of C(t) = int_0^t E(s) A~ E(s)^T ds; the Hormander test."""
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"time must be finite and positive, got {t}")
-    return spd_min_eigen(spec.C(t))
 
 
 def compose_rows(Z, W, spec, E=None):

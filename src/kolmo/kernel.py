@@ -46,7 +46,9 @@ def _checked_C(spec, t):
     """C(t) and log det C(t) for a (K,) array of times > 0, each slice
     bit-identical to its own K = 1 call.  DomainError if C(t) overflows
     (spec.C), HypoellipticityError if it is numerically singular: a
-    determinant sign <= 0 or an eigvalsh minimum <= 1e-300.
+    determinant sign <= 0 or an eigvalsh minimum <= 1e-300.  This is
+    the one positive-definiteness verdict on C(t), Hormander's condition:
+    the kernel acts on it and the check verb reports it.
 
     eigvalsh runs only on the rows that a Gershgorin bound does not
     clear.  With d = diag C and r_ij = |C_ij| / sqrt(d_i d_j) (r_ii = 1),
@@ -59,9 +61,10 @@ def _checked_C(spec, t):
     falls back.
     """
     C = spec.C(t)
-    sign, logdet = np.linalg.slogdet(C)
     n, eps = C.shape[-1], np.finfo(float).eps
+    # a zero pivot in slogdet is log(0): sign 0, which the test below rejects
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sign, logdet = np.linalg.slogdet(C)
         d = np.diagonal(C, axis1=1, axis2=2)
         s = np.sqrt(d)
         g = 2.0 - (np.abs(C) / (s[:, :, None] * s[:, None, :])).sum(-1).max(-1) - 4 * n * eps
@@ -89,7 +92,8 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
     Returns a KernelJet; with ``derivatives=False`` only the (K,) values,
     zero on and below the pole time (the derivatives need t > tau on
     every row: SupportError).  The exponent is a math.exp per row, since
-    numpy's exp rounds differently on some inputs.
+    numpy's exp rounds differently on some inputs; AccuracyError if it
+    overflows.
     """
     Z, P = finite_rows(Z), finite_rows(P)
     if len(Z) > ROW_CHUNK:
@@ -110,7 +114,10 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
     quad = dot_rows(vecmat_rows(W, Cinv), W)
     log_pref = -0.5 * spec.N * math.log(4.0 * math.pi) - 0.5 * logdet
     arg = log_pref - 0.25 * quad - dt * np.trace(spec.B)
-    g[live] = [math.exp(v) for v in arg.tolist()]
+    try:
+        g[live] = [math.exp(v) for v in arg.tolist()]
+    except OverflowError:  # a certified C(dt) so small that Gamma passes DBL_MAX
+        raise AccuracyError(f"Gamma overflows at a time step {dt[np.argmax(arg)]}") from None
     if not derivatives:
         return g
 

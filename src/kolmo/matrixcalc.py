@@ -10,9 +10,11 @@ route; scipy.linalg is imported on its first call, so a process that
 never checks a truncated series does not load it.  Square roots go
 through a full symmetric eigendecomposition, and the quadrature is a
 fixed-order composite Gauss-Legendre rule with a panel-doubling
-self-check.  The symmetry test of sqrt_spd and spd_min_eigen compares
-exactly first and calls np.allclose only when that fails: C(t) comes
-symmetrised, so a report's matrices pass at the cost of one comparison.
+self-check.  _symmetric, the symmetry test of sqrt_spd and of an
+operator's A, compares exactly first and calls np.allclose only when
+that fails: C(t) comes symmetrised, so a report's matrices pass at the
+cost of one comparison.  Whether C(t) is positive definite is decided
+in one place, kernel._checked_C.
 """
 
 import functools
@@ -47,14 +49,6 @@ SERIES_CHECK_TOL = 1e-13
 # Most bytes of series terms exp_rows holds at once: a longer block of
 # times, whose (rows, d, n, n) products would exceed it, goes in chunks
 SERIES_BUDGET = 2**22
-
-
-@dataclass(frozen=True)
-class SpdReport:
-    """Outcome of a positive-definiteness check."""
-
-    min_eigenvalue: float
-    is_spd: bool
 
 
 @dataclass(frozen=True)
@@ -196,16 +190,6 @@ def sqrt_spd(A):
     if w.min() <= 0.0:
         raise DefinitenessError(f"matrix is not positive definite (min eig {w.min():g})")
     return np.matmul(V * np.sqrt(w)[..., None, :], np.swapaxes(V, -1, -2))
-
-
-def spd_min_eigen(S):
-    """Smallest eigenvalue of a symmetric matrix with an SPD verdict: SPD
-    when it exceeds 1e-10."""
-    S = _as_square(S)
-    if not _symmetric(S):
-        raise SymmetryError("matrix is not symmetric beyond 1e-12")
-    w_min = float(np.linalg.eigvalsh(S)[0])
-    return SpdReport(min_eigenvalue=w_min, is_spd=w_min > 1e-10)
 
 
 def matvec_rows(M, X):

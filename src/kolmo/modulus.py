@@ -30,7 +30,6 @@ class ModulusTable:
 
     radii: np.ndarray
     omega: np.ndarray
-    provenance: str = "analytic"
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
@@ -246,8 +245,7 @@ def pair_omega(dists, jumps, radii):
 
 def modulus_from_pairs(dists, jumps, radii):
     """Modulus table from sampled pairs (see pair_omega)."""
-    return ModulusTable(radii=radii, omega=pair_omega(dists, jumps, radii),
-                        provenance="empirical")
+    return ModulusTable(radii=radii, omega=pair_omega(dists, jumps, radii))
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,7 @@ def test_time_step_beyond_the_covariance_range_is_a_usage_error(capsys):
 
 
 def test_check_time_whose_covariance_overflows_is_a_usage_error(capsys):
-    # hormander_check reads C(t) as the kernel does: an overflow is exit 3
+    # check reads C(t) through the kernel's own test: an overflow is exit 3
     for spec, t in ((KOLMO, "1e300"), (DRIFTED, "1e5")):
         assert run(["check", "--spec", spec, "--time", t]) == 3
         err = capsys.readouterr().err
@@ -455,11 +455,14 @@ def test_an_overflow_that_a_layer_handles_keeps_its_exit_code(family, capsys):
     capsys.readouterr()
 
 
-def test_the_contract_lines_hold_under_warnings_as_errors():
+def test_the_contract_lines_hold_under_warnings_as_errors(tmp_path):
     # a fresh interpreter with python -W error: the exit code and one
     # stderr line each, with no warning turned into a traceback
     env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
                OPENBLAS_NUM_THREADS="1")
+    heat3 = tmp_path / "heat3.json"
+    heat3.write_text(json.dumps({"A": np.eye(3).tolist(), "B": np.zeros((3, 3)).tolist(),
+                                 "blocks": [3]}))
     lines = [(NON_FINITE_REPORTS["kernel-kolmogorov-1e308"], 4),
              (NON_FINITE_REPORTS["taylor-kolmogorov-1e308"], 4)]
     lines += [(OVERFLOWING_RADII[name], 3) for name in sorted(OVERFLOWING_RADII)]
@@ -467,6 +470,9 @@ def test_the_contract_lines_hold_under_warnings_as_errors():
     # and the zero matrix of an underflowed flow
     lines += [(["kernel", "--spec", KOLMO, "--point", "0,0,1e-100"], 3),
               (["kernel", "--spec", DRIFTED, "--point", "0.5,-0.5,100"], 3)]
+    # a certified C(1e-290) whose Gamma passes the largest double (this
+    # exited 1 with an OverflowError traceback)
+    lines += [(["kernel", "--spec", str(heat3), "--point", "0,0,0,1e-290"], 4)]
     for argv, code in lines:
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "kolmo.cli", *argv],
                               env=env, capture_output=True, timeout=120)
@@ -489,6 +495,47 @@ def test_a_long_chain_spec_keeps_the_exit_code_contract(tmp_path):
                            "--spec", str(path)], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 2 and proc.stderr == b""
     assert b"hormander FAIL" in proc.stdout.splitlines()[0]
+
+
+def _chain_spec(tmp_path, N):
+    """N one-dimensional levels: A = [[1]], ones on the subdiagonal of B."""
+    path = tmp_path / f"chain{N}.json"
+    path.write_text(json.dumps({"A": [[1.0]], "B": np.diag(np.ones(N - 1), -1).tolist(),
+                                "blocks": [1] * N}))
+    return str(path)
+
+
+def test_check_and_kernel_share_one_verdict_on_the_chains(tmp_path, capsys):
+    # check reports the verdict the kernel acts on; its own absolute rule
+    # (lambda_min > 1e-10) failed N = 6..12, where the kernel runs
+    for N, time, want in [(N, "1", 0) for N in range(3, 13)] + [(20, "1", 2), (85, "0.3", 2)]:
+        spec = _chain_spec(tmp_path, N)
+        check = run(["check", "--spec", spec, "--time", time])
+        kernel = run(["kernel", "--spec", spec, "--point", "0," * N + time])
+        assert check == want and (check == 0) == (kernel == 0), N
+        # a singular C(t) is exit 3, also where slogdet meets a zero pivot
+        # (N = 85 at t = 0.3 was an accuracy failure, exit 4)
+        assert kernel in (0, 3)
+    capsys.readouterr()
+
+
+def test_check_verdict_does_not_depend_on_the_scale_of_A(tmp_path, capsys):
+    # A -> 2^k A scales C(t) by exactly 2^k on a nilpotent block generator
+    # (a finite series); the drifted operator's scaled series rounds
+    # differently, so there only the exit code is asserted
+    for path in (HEAT, KOLMO, KINETIC, DRIFTED):
+        data = json.loads(Path(path).read_text())
+        C1 = load_spec(data).C(1.0)
+        codes = set()
+        for k in (-40, -20, 0, 20):
+            scaled = dict(data, A=(np.asarray(data["A"]) * 2.0**k).tolist())
+            if path != DRIFTED:
+                assert (load_spec(scaled).C(1.0) == 2.0**k * C1).all(), (path, k)
+            spec = tmp_path / "scaled.json"
+            spec.write_text(json.dumps(scaled))
+            codes.add(run(["check", "--spec", str(spec)]))
+        assert codes == {0}, path
+    capsys.readouterr()
 
 
 def test_check_time_must_be_finite_and_positive(capsys):

@@ -4,7 +4,6 @@ import pytest
 from kolmo import (
     compose_rows,
     dilate_rows,
-    hormander_check,
     inverse_rows,
     kdist_rows,
     knorm_rows,
@@ -16,6 +15,7 @@ from kolmo import (
 )
 from kolmo.errors import DomainError, EllipticityError, SolveError, StructureError
 from kolmo.group import level_map_solve, project_level
+from kolmo.kernel import _checked_C
 
 
 # Test-only helpers: the scaled-drift composition and an empirical
@@ -55,7 +55,6 @@ def test_kolmogorov_exponents(kspec):
     exps = kspec.exponents()
     assert exps.alpha == (1, 3)
     assert exps.Q == 4
-    assert exps.Qplus2 == 6
     assert kspec.is_dilation_invariant()
 
 
@@ -164,15 +163,15 @@ def test_dilate_rejects_nonpositive_scale(kspec):
 
 
 def test_covariance_positivity_hormander(kspec, kappa2):
+    # the kernel's verdict, which check reports: HypoellipticityError if not
     for spec in (kspec, kappa2):
-        rep = hormander_check(spec, 1.0)
-        assert rep.is_spd and rep.min_eigenvalue > 0.0
+        _checked_C(spec, np.array([1.0]))
+        assert np.linalg.eigvalsh(spec.C(1.0))[0] > 0.0
 
 
 def test_kolmogorov_covariance_min_eigenvalue(kspec):
     # eigenvalues of [[1, 1/2], [1/2, 1/3]] are (4 +- sqrt(13)) / 6
-    rep = hormander_check(kspec, 1.0)
-    assert abs(rep.min_eigenvalue - (4.0 - np.sqrt(13.0)) / 6.0) < 1e-10
+    assert abs(np.linalg.eigvalsh(kspec.C(1.0))[0] - (4.0 - np.sqrt(13.0)) / 6.0) < 1e-10
 
 
 def test_scaled_B_endpoints(drifted):

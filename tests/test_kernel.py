@@ -15,7 +15,6 @@ from kolmo import (
     gamma,
     gamma_grad,
     heat_spec,
-    hormander_check,
     integrate_matrix,
     kdist_rows,
     kernel_jet_rows,
@@ -27,7 +26,13 @@ from kolmo import (
 )
 from kolmo import kernel, load_spec
 from kolmo.cli import run
-from kolmo.errors import DomainError, HypoellipticityError, KolmoError, SupportError
+from kolmo.errors import (
+    AccuracyError,
+    DomainError,
+    HypoellipticityError,
+    KolmoError,
+    SupportError,
+)
 from kolmo.group import embedded_A
 
 from test_cli import KOLMO
@@ -93,8 +98,8 @@ def test_kolmogorov_covariance_closed_form(kctx):
 
 
 def test_covariance_matches_quadrature(kctx, kinetic, drifted, kappa2):
-    # the one-exponential form against the defining integral, through both
-    # of its users: the kernel's covariance and the Hormander test
+    # the one-exponential form against the defining integral, through the
+    # kernel's covariance and the smallest eigenvalue that check reports
     for spec in (kctx.spec, kinetic, drifted, kappa2, heat_spec(2)):
         ctx = KernelContext(spec)
         At = embedded_A(spec)
@@ -102,12 +107,22 @@ def test_covariance_matches_quadrature(kctx, kinetic, drifted, kappa2):
             ref = integrate_matrix(lambda s: spec.E(s) @ At @ spec.E(s).T, t)
             assert np.abs(covariance(ctx, t).C - ref).max() < 1e-10
             ref_min = np.linalg.eigvalsh(ref)[0]
-            assert abs(hormander_check(spec, t).min_eigenvalue - ref_min) < 1e-10
+            assert abs(np.linalg.eigvalsh(spec.C(t))[0] - ref_min) < 1e-10
 
 
 def test_covariance_needs_positive_time(kctx):
     with pytest.raises(DomainError):
         covariance(kctx, 0.0)
+
+
+def test_gamma_past_the_largest_double_is_an_accuracy_error():
+    # C(1e-290) = 2e-290 I passes the positive-definiteness test, but
+    # Gamma = (8 pi 1e-290)^{-3/2} is past DBL_MAX: math.exp raised an
+    # OverflowError (exit 1 with a traceback on the command line)
+    Z, P = np.array([[0.0, 0.0, 0.0, 1e-290]]), np.zeros((1, 4))
+    for derivatives in (False, True):
+        with pytest.raises(AccuracyError, match="Gamma overflows at a time step 1e-290"):
+            kernel_jet_rows(heat_spec(3), Z, P, derivatives)
 
 
 def test_gamma_does_not_depend_on_call_history():
@@ -285,7 +300,8 @@ def test_annulus_sup_finite(kctx):
 def _checked_C_by_eigvalsh(spec, t):
     """The check before the certificate: eigvalsh on every row."""
     C = spec.C(t)
-    sign, logdet = np.linalg.slogdet(C)
+    with np.errstate(divide="ignore"):  # a zero pivot is sign 0
+        sign, logdet = np.linalg.slogdet(C)
     bad = (sign <= 0) | (np.linalg.eigvalsh(C)[:, 0] <= 1e-300)
     if bad.any():
         raise HypoellipticityError(f"C({t[bad][0]}) is numerically singular")

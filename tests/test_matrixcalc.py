@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kolmo import AccuracyError, integrate_matrix, mat_exp, spd_min_eigen, sqrt_spd
+from kolmo import AccuracyError, integrate_matrix, mat_exp, sqrt_spd
 from kolmo.matrixcalc import TENSOR_BUDGET, dot_rows, tensor_rule
 from kolmo.errors import (
     DefinitenessError,
@@ -104,13 +104,6 @@ def test_dot_rows_on_strided_blocks_rounds_as_one_dot_per_row():
             rows = dot_rows(x, y)
             y_rows = np.broadcast_to(y, x.shape)
             assert all(rows[k] == x[k].copy() @ y_rows[k].copy() for k in range(len(x)))
-
-
-def test_spd_min_eigen_verdicts():
-    rep = spd_min_eigen(np.diag([2.0, 5.0]))
-    assert rep.is_spd and abs(rep.min_eigenvalue - 2.0) < 1e-12
-    rep = spd_min_eigen(np.diag([0.0, 1.0]))
-    assert not rep.is_spd
 
 
 def test_integrate_matrix_polynomial_exact():

@@ -142,7 +142,6 @@ def test_empirical_modulus_is_monotone_table(kspec):
     table = empirical_modulus(lambda Z: Z[:, 0] ** 2, kspec, pair_samples=1000,
                               seed=1)
     assert np.all(np.diff(table.omega) >= 0.0)
-    assert table.provenance == "empirical"
 
 
 def test_modulus_from_pairs_hand_table():

@@ -67,15 +67,18 @@ def test_point_and_kernel_context_stay_in_their_one_point_calls():
 
 # module -> deleted one-point wrappers and test-only helpers; the kernel
 # jet, C(t), traj_increment_rows and verify._slice_integrals serve their
-# callers (convolve_solution lives in tests/convolution.py)
+# callers (convolve_solution lives in tests/convolution.py), and
+# kernel._checked_C is the one positive-definiteness verdict on C(t)
 DELETED = {
     "kernel": ("gamma_hess", "gamma_Y", "check_kernel_pde", "check_homogeneity"),
-    "group": ("origin",),
+    "group": ("origin", "hormander_check"),
+    "matrixcalc": ("spd_min_eigen", "SpdReport"),
     "taylor": ("traj_increment", "lie_derivative_fd", "validate_bundle"),
     "verify": ("cutoff_eta", "convolve_solution"),
 }
-# class -> deleted methods that nothing called
-DELETED_METHODS = {"OperatorSpec": ("to_json_dict",)}
+# class -> deleted methods that nothing called; check reads A's
+# eigenvalues from one eigvalsh
+DELETED_METHODS = {"OperatorSpec": ("to_json_dict", "lam", "Lam")}
 
 
 def test_deleted_wrappers_stay_deleted():
