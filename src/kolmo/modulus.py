@@ -211,10 +211,11 @@ def empirical_modulus(f, spec, radius=1.0, pair_samples=4000, seed=0):
     """Empirical modulus: sup |f(z) - f(zeta)| over pairs with kdist < r,
     on the grid DEFAULT_RADII.
 
-    ``f`` maps a (K, N+1) row block to its K values.  A lower bound on
-    the true sup-modulus, which makes any Schauder inequality verified
-    against it conservative.  The result is monotonized by a running
-    max before return.
+    ``f`` maps a (K, N+1) row block to its K values, row by row: it is
+    called once, on the 2K rows z_0, zeta_0, z_1, zeta_1, ... of the
+    pairs.  A lower bound on the true sup-modulus, which makes any
+    Schauder inequality verified against it conservative.  The result is
+    monotonized by a running max before return.
     """
     if radius <= 0.0:
         raise DomainError("domain radius must be positive")
@@ -222,9 +223,10 @@ def empirical_modulus(f, spec, radius=1.0, pair_samples=4000, seed=0):
         raise DomainError("need at least 1000 pair samples")
     rng = np.random.default_rng(seed)
     pairs = _scaled_pairs(spec, radius, pair_samples, rng, DEFAULT_RADII[0])
-    Z, W = pairs[:, 0], pairs[:, 1]
-    jumps = np.abs(f(Z) - f(W))
-    return modulus_from_pairs(kdist_rows(Z, W, spec), jumps, DEFAULT_RADII)
+    vals = f(pairs.reshape(-1, spec.N + 1)).reshape(-1, 2)
+    jumps = np.abs(vals[:, 0] - vals[:, 1])
+    return modulus_from_pairs(kdist_rows(pairs[:, 0], pairs[:, 1], spec), jumps,
+                              DEFAULT_RADII)
 
 
 def pair_omega(dists, jumps, radii):

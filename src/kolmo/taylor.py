@@ -63,14 +63,16 @@ class C2Bundle:
     variables and its Lie derivative along the drift.
 
     Fields are callables on a (K, N+1) row block: u -> (K,), grad_m ->
-    (K, m), hess_m -> (K, m, m), Yu -> (K,).  One point is a (1, N+1)
-    block.
+    (K, m), hess_m -> (K, m, m), Yu -> (K,), and hess_Yu -> the pair
+    (hess_m, Yu) from one evaluation of u.  One point is a (1, N+1)
+    block.  Every field is row-wise, so blocks may be stacked in one call.
     """
 
     u: object
     grad_m: object
     hess_m: object
     Yu: object
+    hess_Yu: object
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,9 @@ def gamma_traj(n, v, s, z, spec, segments=None):
     return cur, segments
 
 
-def richardson(once, h, message):
-    """(4 D(h/2) - D(h)) / 3 for a difference quotient D(step) on rows.
+def richardson(both, h, message):
+    """(4 D(h/2) - D(h)) / 3 for a difference quotient D(step) on rows,
+    from the pair both(h) = (D(h), D(h/2)) that one call can evaluate.
 
     One Richardson halving: AccuracyError(message) when the two steps
     differ by more than RICHARDSON_TOL * max(1, |extrapolation|) on any
@@ -174,7 +177,7 @@ def richardson(once, h, message):
     """
     if h <= 0.0:
         raise DomainError("step must be positive")
-    d1, d2 = once(h), once(h / 2.0)
+    d1, d2 = both(h)
     extrap = (4.0 * d2 - d1) / 3.0
     if (np.abs(d2 - d1) > RICHARDSON_TOL * np.maximum(1.0, np.abs(extrap))).any():
         raise AccuracyError(message)
@@ -189,6 +192,7 @@ def taylor2(bundle, z, Zeta, spec, form="group"):
     group form uses the first m components of the left-invariant
     increment z^{-1} o zeta.  Both use -Yu(z)(tau - t) for the drift
     term.  The forms coincide whenever the first block row of B is zero.
+    A u that is not finite at z is a DomainError, in either form.
     """
     m = spec.m
     z, Zeta = finite_rows(z), finite_rows(Zeta)
@@ -199,13 +203,12 @@ def taylor2(bundle, z, Zeta, spec, form="group"):
     else:
         raise DomainError(f"unknown Taylor form {form!r}")
     dtau = Zeta[:, -1] - z[0, -1]
-    g, H = bundle.grad_m(z)[0], bundle.hess_m(z)[0]
-    return (
-        bundle.u(z)[0]
-        + dot_rows(dx, g)
-        + 0.5 * dot_rows(vecmat_rows(dx, H), dx)
-        - bundle.Yu(z)[0] * dtau
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0 = bundle.u(z)[0]
+    if not np.isfinite(u0):
+        raise DomainError(f"u is not finite at the expansion point {z[0].tolist()}")
+    g, (H, Yu) = bundle.grad_m(z)[0], bundle.hess_Yu(z)
+    return u0 + dot_rows(dx, g) + 0.5 * dot_rows(vecmat_rows(dx, H[0]), dx) - Yu[0] * dtau
 
 
 def remainder_profile(bundle, z, direction, rhos, spec, form="group"):
@@ -454,7 +457,8 @@ def quadratic_bundle(spec, c0=0.0, a=None, H=None, bt=0.0):
         Du[:, :m] = grad_m(Z)
         return dot_rows(matvec_rows(spec.B, Z[:, :-1]), Du) - bt
 
-    return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu)
+    return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu,
+                    hess_Yu=lambda Z: (hess_m(Z), Yu(Z)))
 
 
 def coordinate_bundle(spec, index):
@@ -475,7 +479,8 @@ def coordinate_bundle(spec, index):
     def Yu(Z):
         return matvec_rows(spec.B, Z[:, :-1])[:, index]
 
-    return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu)
+    return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu,
+                    hess_Yu=lambda Z: (hess_m(Z), Yu(Z)))
 
 
 def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
@@ -502,14 +507,13 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
     def grad_m(Z):
         return grad_full(Z, u(Z))[:, :m]
 
-    def hess_m(Z):
+    def hess_Yu(Z):
+        uZ = u(Z)  # one evaluation for the Hessian, the time and the space derivatives
         d = -2.0 * (Z[:, :m] - c[:m]) / wx[:m] ** 2
         outer = d[:, :, None] * d[:, None, :]
-        return (outer - np.diag(2.0 / wx[:m] ** 2)) * u(Z)[:, None, None]
-
-    def Yu(Z):
-        uZ = u(Z)  # one evaluation for the time and the space derivatives
         dudt = -2.0 * (Z[:, -1] - center_t) / wt2 * uZ
-        return dot_rows(matvec_rows(spec.B, Z[:, :-1]), grad_full(Z, uZ)) - dudt
+        return ((outer - np.diag(2.0 / wx[:m] ** 2)) * uZ[:, None, None],
+                dot_rows(matvec_rows(spec.B, Z[:, :-1]), grad_full(Z, uZ)) - dudt)
 
-    return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu)
+    return C2Bundle(u=u, grad_m=grad_m, hess_m=lambda Z: hess_Yu(Z)[0],
+                    Yu=lambda Z: hess_Yu(Z)[1], hess_Yu=hess_Yu)

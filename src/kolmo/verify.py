@@ -138,7 +138,8 @@ def manufacture(family_id, spec, varcoeff_id=None, seed=0):
 
     def f(Z):
         A = spec.A if a_field is None else a_field(Z)
-        return np.sum(A * bundle.hess_m(Z), axis=(1, 2)) + bundle.Yu(Z)
+        H, Yu = bundle.hess_Yu(Z)
+        return np.sum(A * H, axis=(1, 2)) + Yu
 
     Z = sample_ball(spec, 1.0, 30, np.random.default_rng(seed))
     worst = float(np.abs(apply_L_fd(spec, bundle.u, Z, varcoeff=a_field)
@@ -153,30 +154,35 @@ def manufacture(family_id, spec, varcoeff_id=None, seed=0):
     )
 
 
-def _L_fd_once(spec, u, Z, h, varcoeff):
-    """One pass of the L stencil at step h: the centre, Z +- h e_i and,
-    for i < j, the four cross points, then the drift flows e^{hY} Z and
-    e^{-hY} Z, all evaluated by one call of u."""
-    m = spec.m
-    A = spec.A if varcoeff is None else varcoeff(Z)
-    e = h * np.eye(spec.N + 1)
-    stencil = [Z]
-    for i in range(m):
-        stencil += [Z + e[i], Z - e[i]]
-        for j in range(i + 1, m):
-            stencil += [Z + e[i] + e[j], Z + e[i] - e[j], Z - e[i] + e[j], Z - e[i] - e[j]]
-    stencil += [flow_Y_rows(h, Z, spec), flow_Y_rows(-h, Z, spec)]
+def _L_fd_steps(spec, u, Z, h, A):
+    """The L stencil at the steps h and h/2, evaluated by one call of u,
+    and the two difference quotients of sum a_ij d2_ij u + Y u.  Per step
+    the points are the centre, Z +- h e_i and, for i < j, the four cross
+    points, then the drift flows e^{hY} Z and e^{-hY} Z."""
+    m, steps = spec.m, (h, h / 2.0)
+    stencil = []
+    for step in steps:
+        e = step * np.eye(spec.N + 1)
+        stencil.append(Z)
+        for i in range(m):
+            stencil += [Z + e[i], Z - e[i]]
+            for j in range(i + 1, m):
+                stencil += [Z + e[i] + e[j], Z + e[i] - e[j], Z - e[i] + e[j], Z - e[i] - e[j]]
+        stencil += [flow_Y_rows(step, Z, spec), flow_Y_rows(-step, Z, spec)]
     vals = iter(u(np.concatenate(stencil)).reshape(-1, len(Z)))
-    u0 = next(vals)
-    acc = 0.0
-    for i in range(m):
-        plus, minus = next(vals), next(vals)
-        acc += A[..., i, i] * (plus - 2.0 * u0 + minus) / h**2
-        for j in range(i + 1, m):
-            pp, pm, mp, mm = (next(vals) for _ in range(4))
-            acc += 2.0 * A[..., i, j] * ((pp - pm - mp + mm) / (4.0 * h**2))
-    fwd, bwd = next(vals), next(vals)
-    return acc + (fwd - bwd) / (2.0 * h)
+    quotients = []
+    for step in steps:
+        u0 = next(vals)
+        acc = 0.0
+        for i in range(m):
+            plus, minus = next(vals), next(vals)
+            acc += A[..., i, i] * (plus - 2.0 * u0 + minus) / step**2
+            for j in range(i + 1, m):
+                pp, pm, mp, mm = (next(vals) for _ in range(4))
+                acc += 2.0 * A[..., i, j] * ((pp - pm - mp + mm) / (4.0 * step**2))
+        fwd, bwd = next(vals), next(vals)
+        quotients.append(acc + (fwd - bwd) / (2.0 * step))
+    return quotients
 
 
 def apply_L_fd(spec, u, Z, varcoeff=None):
@@ -186,11 +192,14 @@ def apply_L_fd(spec, u, Z, varcoeff=None):
     Second central differences in the first m coordinates plus a
     central flow difference along the drift, at the step FD_STEP with one
     mandatory Richardson halving; the halved and unhalved values must agree.
-    u gets the S stencil points of all K rows as one (S*K, N+1) block
-    in S-major order: its row s*K + k is stencil point s of row k.
+    One call of u takes the S stencil points of both steps for all K rows
+    as one (2S*K, N+1) block in point-major order: its row s*K + k is
+    point s of row k, the S points of step FD_STEP before those of
+    FD_STEP/2.  varcoeff is called once, on Z.
     """
     Z = finite_rows(Z)
-    return richardson(lambda step: _L_fd_once(spec, u, Z, step, varcoeff), FD_STEP,
+    A = spec.A if varcoeff is None else varcoeff(Z)
+    return richardson(lambda h: _L_fd_steps(spec, u, Z, h, A), FD_STEP,
                       "operator differencing did not converge under halving")
 
 
@@ -456,14 +465,6 @@ def verify_singular_bounds(spec, kind, R_list=(0.5, 0.25, 0.125), samples=6,
     )
 
 
-def _second_derivative_values(problem, Z):
-    """All tracked second-order quantities of u at the rows of Z, one row
-    each: d2_ij for i <= j, then Yu."""
-    H = problem.u.hess_m(Z)
-    i, j = np.triu_indices(H.shape[-1])
-    return np.column_stack([H[:, i, j], problem.u.Yu(Z)])
-
-
 def _check_ellipticity(problem, Z):
     if problem.varcoeff is None:
         return
@@ -488,8 +489,12 @@ def verify_schauder(problem, pair_samples=1000, seed=0, constant=False):
     two agree identically when omega_a vanishes.  ``constant=True``
     refuses a variable-coefficient problem.
 
-    The sups, the ellipticity sample, the interior pairs and their
-    distances are all taken on row blocks.
+    Every row block is drawn first, in the stream order: 800 rows for
+    sup|u|, 800 for sup|f|, the interior pairs and, with omega_a, 400
+    rows for the coefficient term eta.  Then one call of u, one of f (its
+    sup rows and the origin) and, after the ellipticity check, one of
+    hess_Yu on the eta rows, the origin and both ends of every pair: the
+    second-order values d2_ij u (i <= j) and Yu, one row each.
     """
     if constant and problem.varcoeff is not None:
         raise ApplicabilityError(
@@ -501,27 +506,30 @@ def verify_schauder(problem, pair_samples=1000, seed=0, constant=False):
     omega_f = empirical_modulus(problem.f, spec, radius=1.0,
                                 pair_samples=max(1000, pair_samples),
                                 seed=seed + 1)
-    sup_u = np.abs(problem.u.u(sample_ball(spec, 1.0, 800, rng))).max()
-    sup_f = np.abs(problem.f(sample_ball(spec, 1.0, 800, rng))).max()
+    u_rows, f_rows = (sample_ball(spec, 1.0, 800, rng) for _ in range(2))
     interior = sample_ball(spec, 0.25, pair_samples * 2, rng)
+    eta_rows = (np.empty((0, spec.N + 1)) if problem.omega_a is None
+                else sample_ball(spec, 1.0, 400, rng))
+    origin_row = np.zeros((1, spec.N + 1))
+    sup_u = np.abs(problem.u.u(u_rows)).max()
+    f_vals = problem.f(np.concatenate([f_rows, origin_row]))
+    sup_f = np.abs(f_vals[:-1]).max()
     _check_ellipticity(problem, interior[:200])
-
-    eta_sup = 0.0
-    if problem.omega_a is not None:
-        eta_sup = np.abs(_second_derivative_values(
-            problem, sample_ball(spec, 1.0, 400, rng))[:, :-1]).max()
+    Z, W = interior[0::2], interior[1::2]
+    H, Yu = problem.u.hess_Yu(np.concatenate([eta_rows, origin_row, Z, W]))
+    i, j = np.triu_indices(H.shape[-1])
+    eta, at_0, at_Z, at_W = np.split(np.column_stack([H[:, i, j], Yu]),
+                                     np.cumsum([len(eta_rows), 1, len(Z)]))
+    eta_sup = 0.0 if problem.omega_a is None else np.abs(eta[:, :-1]).max()
 
     # pointwise bound at the origin
-    origin_row = np.zeros((1, spec.N + 1))
-    lhs0 = np.abs(_second_derivative_values(problem, origin_row)).max()
+    lhs0 = np.abs(at_0).max()
     dini_f = dini_integral(omega_f).value
-    rhs0 = sup_u + abs(problem.f(origin_row)[0]) + dini_f
+    rhs0 = sup_u + abs(f_vals[-1]) + dini_f
     point_ratio = lhs0 / rhs0 if rhs0 > 0.0 else 0.0
 
-    Z, W = interior[0::2], interior[1::2]
     dists = kdist_rows(Z, W, spec)
-    lhs = np.abs(_second_derivative_values(problem, Z)
-                 - _second_derivative_values(problem, W)).max(axis=1)
+    lhs = np.abs(at_Z - at_W).max(axis=1)
     # a NaN distance is kept, so that the functional rejects it
     keep = ~((dists < omega_f.radii[0]) | (dists >= 1.0))
     d = dists[keep]

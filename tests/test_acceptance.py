@@ -278,6 +278,7 @@ def _scaled_problem(prob, c):
         grad_m=lambda z: c * np.asarray(u.grad_m(z)),
         hess_m=lambda z: c * np.asarray(u.hess_m(z)),
         Yu=lambda z: c * u.Yu(z),
+        hess_Yu=lambda z: tuple(c * np.asarray(v) for v in u.hess_Yu(z)),
     )
     return ManufacturedProblem(u=bundle, f=lambda z: c * prob.f(z),
                                spec=prob.spec, family_id=prob.family_id)

@@ -473,6 +473,11 @@ def test_the_contract_lines_hold_under_warnings_as_errors(tmp_path):
     # a certified C(1e-290) whose Gamma passes the largest double (this
     # exited 1 with an OverflowError traceback)
     lines += [(["kernel", "--spec", str(heat3), "--point", "0,0,0,1e-290"], 4)]
+    # a quadratic u that overflows at the expansion point, in either form:
+    # z^{-1} overflows (group), or u(z) is not finite (euclidean; this
+    # exited 4 with "overflow encountered in matmul")
+    lines += [(["taylor", "--spec", KOLMO, "--family", "quadratic", "--form", form,
+                "--point", "1e299,1e299,1e299"], 3) for form in ("group", "euclidean")]
     for argv, code in lines:
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "kolmo.cli", *argv],
                               env=env, capture_output=True, timeout=120)

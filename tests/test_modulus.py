@@ -16,7 +16,8 @@ from kolmo import (
     table_from_function,
 )
 from kolmo.errors import DomainError
-from kolmo.modulus import DEFAULT_RADII, _counterexample_logs, _scaled_pairs, modulus_from_pairs
+from kolmo.modulus import (DEFAULT_RADII, _counterexample_logs, _scaled_pairs, _tail_bound,
+                           modulus_from_pairs)
 
 from test_schauder_oracle import holder_closed_form
 
@@ -75,6 +76,16 @@ def test_dini_integral_power_modulus():
         assert rep.classification == "dini"
         assert rep.tail_bound < math.inf
         assert abs(rep.tail_bound - r0**a / a) < 1e-2 * rep.tail_bound
+
+
+def test_tail_bound_needs_an_exponent_above_the_floor():
+    # omega = r^p over the smallest decade: p above 1e-3 gives the finite
+    # model integral r0^p / p, p below it is read as divergent (inf)
+    r0 = DEFAULT_RADII[0]
+    for p in (1e-3 * (1.0 + 1e-6), 2e-3):
+        assert _tail_bound(power_table(p)) == pytest.approx(r0**p / p, rel=1e-9)
+    for p in (1e-3 * (1.0 - 1e-6), 1e-6):
+        assert _tail_bound(power_table(p)) == math.inf
 
 
 def test_dini_integral_on_a_table_shorter_than_a_decade():

@@ -79,6 +79,10 @@ COMMANDS = [
     "verify singular-g2 --spec specs/heat1d.json --seed 2",
     "kernel --spec specs/kolmogorov.json --point 0,0,1e-100",
     "kernel --spec specs/kinetic_drifted.json --point 0.5,-0.5,100",
+    "verify schauder-const --family constant --spec specs/heat1d.json --pairs 200",
+    "verify schauder-const --family gaussian-narrow --spec specs/kolmogorov.json --pairs 300 --seed 1",
+    "verify schauder-const --family gaussian2 --spec specs/kinetic_drifted.json --pairs 300 --seed 3",
+    "verify invariance --spec specs/kinetic.json --samples 12 --seed 2",
 ]
 
 

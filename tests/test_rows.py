@@ -101,7 +101,8 @@ def lie_derivative_fd(u, Z, spec, h=1e-5):
                                 flow_Y_rows(-step, Z, spec)])).reshape(2, len(Z))
         return (fwd - bwd) / (2.0 * step)
 
-    return richardson(central, h, "drift derivative did not converge under refinement")
+    return richardson(lambda step: (central(step), central(step / 2.0)), h,
+                      "drift derivative did not converge under refinement")
 
 
 def one_row_at_a_time(f, *blocks):
@@ -214,6 +215,9 @@ def test_bundle_rows_match_points(spec, seed):
             rows = fn(Z)
             assert rows.shape[0] == K
             assert np.array_equal(rows, [fn(Z[k:k + 1])[0] for k in range(K)]), field
+        # one evaluation of u gives exactly the values of the two fields
+        H, Yu = bundle.hess_Yu(Z)
+        assert np.array_equal(H, bundle.hess_m(Z)) and np.array_equal(Yu, bundle.Yu(Z))
 
 
 @PROPERTY

@@ -22,6 +22,7 @@ from kolmo import (
     verify_singular_bounds,
 )
 from kolmo.errors import (
+    AccuracyError,
     ApplicabilityError,
     DomainError,
     EllipticityError,
@@ -30,9 +31,11 @@ from kolmo.kernel import covariance
 from kolmo.matrixcalc import sqrt_spd, tensor_rule
 from kolmo.verify import (
     _FAMILIES,
+    FD_STEP,
     _hermite_grid,
     _singular_psi,
     _slice_integrals,
+    _stable,
 )
 
 from convolution import convolve_solution
@@ -84,8 +87,28 @@ def test_apply_L_fd_on_monomial(kspec):
     assert val.shape == (1,) and abs(val[0] - 2.0) < 1e-8
 
 
+def test_apply_L_fd_holds_its_step_halving_to_the_tolerance():
+    # u = c x^4 at the origin of the heat operator: the second difference
+    # is 2 c h^2 at step h and c h^2 / 2 at h/2, and the extrapolation is
+    # about 0, so the steps differ by 1.5 c h^2 against the tolerance 1e-3 * 1
+    heat, Z = heat_spec(1), np.zeros((1, 2))
+    at_tol = 1e-3 / (1.5 * FD_STEP**2)
+    quartic = lambda c: (lambda W: c * W[:, 0] ** 4)
+    assert abs(apply_L_fd(heat, quartic(at_tol * (1.0 - 1e-6)), Z)[0]) < 1e-9
+    with pytest.raises(AccuracyError, match="did not converge under halving"):
+        apply_L_fd(heat, quartic(at_tol * (1.0 + 1e-6)), Z)
+
+
+def test_stable_scaling_allows_a_factor_of_four():
+    # the a priori check's stability test: the largest group value over
+    # the radii is at most STABLE_FACTOR = 4 times the smallest
+    assert _stable({1.0: 1.0, 0.5: 4.0, 0.25: 2.0})
+    assert not _stable({1.0: 1.0, 0.5: math.nextafter(4.0, math.inf)})
+    assert _stable({1.0: 0.0, 0.5: 3.0}) and _stable({})
+
+
 def test_apply_L_fd_kills_kernel(kspec):
-    # the whole stencil of both steps in one kernel_jet_rows call each
+    # the stencils of both steps in one kernel_jet_rows call
     p = np.array([[0.1, -0.2, -1.0]])
     z = np.array([[0.3, 0.4, 0.2]])
     val = apply_L_fd(kspec, lambda W: kernel_jet_rows(kspec, W, p,
