@@ -63,15 +63,14 @@ class C2Bundle:
     variables and its Lie derivative along the drift.
 
     Fields are callables on a (K, N+1) row block: u -> (K,), grad_m ->
-    (K, m), hess_m -> (K, m, m), Yu -> (K,), and hess_Yu -> the pair
-    (hess_m, Yu) from one evaluation of u.  One point is a (1, N+1)
-    block.  Every field is row-wise, so blocks may be stacked in one call.
+    (K, m), and hess_Yu -> the pair of the Hessian in the first m
+    variables, (K, m, m), and Yu, (K,), from one evaluation of u.  One
+    point is a (1, N+1) block.  Every field is row-wise, so blocks may be
+    stacked in one call.
     """
 
     u: object
     grad_m: object
-    hess_m: object
-    Yu: object
     hess_Yu: object
 
 
@@ -167,17 +166,14 @@ def gamma_traj(n, v, s, z, spec, segments=None):
     return cur, segments
 
 
-def richardson(both, h, message):
-    """(4 D(h/2) - D(h)) / 3 for a difference quotient D(step) on rows,
-    from the pair both(h) = (D(h), D(h/2)) that one call can evaluate.
+def richardson(d1, d2, message):
+    """(4 D(h/2) - D(h)) / 3 from the difference quotients d1 = D(h) and
+    d2 = D(h/2) on rows.
 
     One Richardson halving: AccuracyError(message) when the two steps
     differ by more than RICHARDSON_TOL * max(1, |extrapolation|) on any
     row.
     """
-    if h <= 0.0:
-        raise DomainError("step must be positive")
-    d1, d2 = both(h)
     extrap = (4.0 * d2 - d1) / 3.0
     if (np.abs(d2 - d1) > RICHARDSON_TOL * np.maximum(1.0, np.abs(extrap))).any():
         raise AccuracyError(message)
@@ -449,16 +445,13 @@ def quadratic_bundle(spec, c0=0.0, a=None, H=None, bt=0.0):
     def grad_m(Z):
         return a + matvec_rows(H, Z[:, :m])
 
-    def hess_m(Z):
-        return np.repeat(H[None], len(Z), axis=0)
-
-    def Yu(Z):
+    def hess_Yu(Z):
         Du = np.zeros((len(Z), spec.N))
         Du[:, :m] = grad_m(Z)
-        return dot_rows(matvec_rows(spec.B, Z[:, :-1]), Du) - bt
+        return (np.repeat(H[None], len(Z), axis=0),
+                dot_rows(matvec_rows(spec.B, Z[:, :-1]), Du) - bt)
 
-    return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu,
-                    hess_Yu=lambda Z: (hess_m(Z), Yu(Z)))
+    return C2Bundle(u=u, grad_m=grad_m, hess_Yu=hess_Yu)
 
 
 def coordinate_bundle(spec, index):
@@ -473,14 +466,10 @@ def coordinate_bundle(spec, index):
     def grad_m(Z):
         return np.zeros((len(Z), m))
 
-    def hess_m(Z):
-        return np.zeros((len(Z), m, m))
+    def hess_Yu(Z):
+        return np.zeros((len(Z), m, m)), matvec_rows(spec.B, Z[:, :-1])[:, index]
 
-    def Yu(Z):
-        return matvec_rows(spec.B, Z[:, :-1])[:, index]
-
-    return C2Bundle(u=u, grad_m=grad_m, hess_m=hess_m, Yu=Yu,
-                    hess_Yu=lambda Z: (hess_m(Z), Yu(Z)))
+    return C2Bundle(u=u, grad_m=grad_m, hess_Yu=hess_Yu)
 
 
 def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
@@ -515,5 +504,4 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
         return ((outer - np.diag(2.0 / wx[:m] ** 2)) * uZ[:, None, None],
                 dot_rows(matvec_rows(spec.B, Z[:, :-1]), grad_full(Z, uZ)) - dudt)
 
-    return C2Bundle(u=u, grad_m=grad_m, hess_m=lambda Z: hess_Yu(Z)[0],
-                    Yu=lambda Z: hess_Yu(Z)[1], hess_Yu=hess_Yu)
+    return C2Bundle(u=u, grad_m=grad_m, hess_Yu=hess_Yu)

@@ -199,7 +199,7 @@ def apply_L_fd(spec, u, Z, varcoeff=None):
     """
     Z = finite_rows(Z)
     A = spec.A if varcoeff is None else varcoeff(Z)
-    return richardson(lambda h: _L_fd_steps(spec, u, Z, h, A), FD_STEP,
+    return richardson(*_L_fd_steps(spec, u, Z, FD_STEP, A),
                       "operator differencing did not converge under halving")
 
 

@@ -276,8 +276,6 @@ def _scaled_problem(prob, c):
     bundle = C2Bundle(
         u=lambda z: c * u.u(z),
         grad_m=lambda z: c * np.asarray(u.grad_m(z)),
-        hess_m=lambda z: c * np.asarray(u.hess_m(z)),
-        Yu=lambda z: c * u.Yu(z),
         hess_Yu=lambda z: tuple(c * np.asarray(v) for v in u.hess_Yu(z)),
     )
     return ManufacturedProblem(u=bundle, f=lambda z: c * prob.f(z),

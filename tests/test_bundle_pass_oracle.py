@@ -1,8 +1,9 @@
 """The one-pass Schauder route against the per-block route it replaced.
 
 The oracle routes below call the bundle once per row block, as kolmo
-did before C2Bundle.hess_Yu: hess_m and Yu each evaluate u, the check
-calls the bundle once per block, empirical_modulus calls f on the z and
+did before C2Bundle.hess_Yu: the Hessian and Yu each come from their
+own evaluation of u (here one hess_Yu call for each, taking one half),
+the check calls the bundle once per block, empirical_modulus calls f on the z and
 on the zeta rows apart, and the FD operator calls u once per Richardson
 step.  Every field and closure is row-wise, so stacking the blocks into
 one call must move no value: every EstimateReport field and every
@@ -95,7 +96,7 @@ def manufacture_oracle(family_id, spec, varcoeff_id=None, seed=0):
 
     def f(Z):
         A = spec.A if a_field is None else a_field(Z)
-        return np.sum(A * bundle.hess_m(Z), axis=(1, 2)) + bundle.Yu(Z)
+        return np.sum(A * bundle.hess_Yu(Z)[0], axis=(1, 2)) + bundle.hess_Yu(Z)[1]
 
     Z = sample_ball(spec, 1.0, 30, np.random.default_rng(seed))
     worst = float(np.abs(apply_L_fd_oracle(spec, bundle.u, Z, varcoeff=a_field)
@@ -121,9 +122,9 @@ def empirical_modulus_oracle(f, spec, radius=1.0, pair_samples=4000, seed=0):
 
 
 def second_derivative_values_oracle(problem, Z):
-    H = problem.u.hess_m(Z)
+    H = problem.u.hess_Yu(Z)[0]
     i, j = np.triu_indices(H.shape[-1])
-    return np.column_stack([H[:, i, j], problem.u.Yu(Z)])
+    return np.column_stack([H[:, i, j], problem.u.hess_Yu(Z)[1]])
 
 
 def verify_schauder_oracle(problem, pair_samples=1000, seed=0):
@@ -260,8 +261,7 @@ def raising_bundle(bundle):
     them in the bundle pass would surface as this error."""
     def refuse(Z):
         raise RuntimeError("second-order field called")
-    return C2Bundle(u=bundle.u, grad_m=bundle.grad_m, hess_m=refuse, Yu=refuse,
-                    hess_Yu=refuse)
+    return C2Bundle(u=bundle.u, grad_m=bundle.grad_m, hess_Yu=refuse)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "quadratic"])

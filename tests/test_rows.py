@@ -94,6 +94,8 @@ def points(Z):
 def lie_derivative_fd(u, Z, spec, h=1e-5):
     """Central flow-difference approximation of Yu at the rows of Z, with
     a Richardson check; u is called once per step, on both flows."""
+    if h <= 0.0:
+        raise DomainError("step must be positive")
     Z = finite_rows(Z)
 
     def central(step):
@@ -101,7 +103,7 @@ def lie_derivative_fd(u, Z, spec, h=1e-5):
                                 flow_Y_rows(-step, Z, spec)])).reshape(2, len(Z))
         return (fwd - bwd) / (2.0 * step)
 
-    return richardson(lambda step: (central(step), central(step / 2.0)), h,
+    return richardson(central(h), central(h / 2.0),
                       "drift derivative did not converge under refinement")
 
 
@@ -210,14 +212,12 @@ def test_bundle_rows_match_points(spec, seed):
     rng = np.random.default_rng(seed)
     Z = random_rows(spec, rng)
     for bundle in bundles(spec, rng):
-        for field in ("u", "grad_m", "hess_m", "Yu"):
-            fn = getattr(bundle, field)
+        for field, fn in (("u", bundle.u), ("grad_m", bundle.grad_m),
+                          ("hess_m", lambda Z: bundle.hess_Yu(Z)[0]),
+                          ("Yu", lambda Z: bundle.hess_Yu(Z)[1])):
             rows = fn(Z)
             assert rows.shape[0] == K
             assert np.array_equal(rows, [fn(Z[k:k + 1])[0] for k in range(K)]), field
-        # one evaluation of u gives exactly the values of the two fields
-        H, Yu = bundle.hess_Yu(Z)
-        assert np.array_equal(H, bundle.hess_m(Z)) and np.array_equal(Yu, bundle.Yu(Z))
 
 
 @PROPERTY
