@@ -20,7 +20,7 @@ everything else takes row blocks.
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from .matrixcalc import _symmetric, exp_rows, exp_table, matvec_rows
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
 # Most bytes of block exponentials exp(t M) that OperatorSpec.C holds at
-# once, 128 rows at N = 4; exp_rows's series terms of a chunk take d times
-# as much, d the number of powers of M it sums
+# once, 256 rows of the (N, 2N) strip at N = 4; exp_rows's series terms of
+# a chunk take d times as much, d the number of powers of M it sums
 COVARIANCE_BUDGET = 2**16
 
 
@@ -162,10 +162,12 @@ class OperatorSpec:
         """True when B has only the subdiagonal blocks (B = B_0)."""
         return bool(np.abs(self.B - scaled_B(self, 0.0)).max() <= ZERO_BLOCK_TOL)
 
-    def _exp(self, key, generator):
-        """The exp_table of a generator, made on first use."""
+    def _exp(self, key, generator, rows=None):
+        """The exp_table of a generator, made on first use (of a nilpotent one, ``rows`` rows)."""
         if key not in self._exps:
-            self._exps[key] = exp_table(generator())
+            table = exp_table(generator())
+            self._exps[key] = (replace(table, powers=table.powers[:, :rows].copy())
+                               if table.nilpotent else table)
         return self._exps[key]
 
     def E(self, tau):
@@ -176,10 +178,13 @@ class OperatorSpec:
     def C(self, t):
         """Covariance C(t) = int_0^t E(s) A~ E(s)^T ds, symmetrised (stacked for an array t).
 
-        One block matrix exponential: for M = [[-B, A~], [0, B^T]] the
-        top row of exp(t M) is [E(t), G(t)] with C(t) = G(t) E(t)^T.
-        A block of times goes in chunks of rows whose exp(t M) fit
-        COVARIANCE_BUDGET bytes, so neither the (K, 2N, 2N) stack nor its
+        One block matrix exponential (Van Loan, IEEE TAC 1978): for
+        M = [[-B, A~], [0, B^T]] the top block row of exp(t M) is
+        [E(t), G(t)] with C(t) = G(t) E(t)^T.  A nilpotent M (a principal
+        drift) needs no squaring, so its table keeps the top N rows of each
+        power and exp_rows sums only that (K, N, 2N) strip; otherwise the
+        (K, 2N, 2N) square.  A block of times goes in chunks of rows whose
+        exp(t M) fit COVARIANCE_BUDGET bytes, so neither the stack nor its
         series terms are held for all K times at once; each slice is
         bit-identical to its own K = 1 call.  DomainError if C(t)
         overflows, in exp(t M) or in the product.
@@ -193,7 +198,7 @@ class OperatorSpec:
             M[N:, N:] = self.B.T
             return M
 
-        table = self._exp("C", block)
+        table = self._exp("C", block, rows=N)
         u = np.asarray(t, dtype=float).reshape(-1)
         step = max(1, COVARIANCE_BUDGET // table.powers[0].nbytes)
         C = np.empty((len(u), N, N))

@@ -42,35 +42,41 @@ class KernelContext:
     spec: object
 
 
+def _gershgorin(C):
+    """The Gershgorin certificate of a (K, n, n) stack C: g per slice and the
+    mask of slices it clears.  With d = diag C and r_ij = |C_ij| / sqrt(d_i d_j),
+    lambda_min(C) >= g min d for g = 2 - max_i sum_j r_ij - 4 n eps, a slack
+    for the rounding of r and its row sums in any order.  eigvalsh's
+    eigenvalues lie within p(n) eps ||C||_2 of the exact ones (LAPACK Users'
+    Guide, 3rd ed., section 4.7) and ||C||_2 <= tr C once g > 0, so with
+    p(n) <= 2^10 n a slice with g min d > 2^10 n eps tr C + 2e-300 is cleared;
+    a zero d (C(t) underflowed to 0) makes g nan, not cleared.  d is laid out
+    (n, K) and r (n, n, K), contiguous, so each operation runs over the K rows."""
+    n, eps = C.shape[-1], np.finfo(float).eps
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = np.diagonal(C, axis1=1, axis2=2).T.copy()
+        s = np.sqrt(d)
+        r = np.abs(C).transpose(1, 2, 0).copy()
+        r /= s[:, None] * s[None, :]
+        g = 2.0 - np.add.reduce(r, axis=1).max(0) - 4 * n * eps
+        return g, (g > 0) & (g * d.min(0) > 2**10 * n * eps * d.sum(0) + 2e-300)
+
+
 def _checked_C(spec, t):
     """C(t) and log det C(t) for a (K,) array of times > 0, each slice
     bit-identical to its own K = 1 call.  DomainError if C(t) overflows
     (spec.C), HypoellipticityError if it is numerically singular: a
     determinant sign <= 0 or an eigvalsh minimum <= 1e-300.  This is
     the one positive-definiteness verdict on C(t), Hormander's condition:
-    the kernel acts on it and the check verb reports it.
-
-    eigvalsh runs only on the rows that a Gershgorin bound does not
-    clear.  With d = diag C and r_ij = |C_ij| / sqrt(d_i d_j) (r_ii = 1),
-    lambda_min(C) >= g min d for g = 2 - max_i sum_j r_ij; a slack of
-    4 n eps covers the rounding of r and of its row sums.  eigvalsh's
-    eigenvalues lie within p(n) eps ||C||_2 of the exact ones (LAPACK
-    Users' Guide, 3rd ed., section 4.7), and ||C||_2 <= tr C once g > 0,
-    so with p(n) <= 2^10 n it flags no row with g min d > 2^10 n eps tr C
-    + 2e-300.  A zero d (C(t) underflowed to 0) makes g nan: that row
-    falls back.
+    the kernel acts on it and the check verb reports it.  eigvalsh runs
+    only on the rows that _gershgorin does not clear.
     """
     C = spec.C(t)
-    n, eps = C.shape[-1], np.finfo(float).eps
     # a zero pivot in slogdet is log(0): sign 0, which the test below rejects
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sign, logdet = np.linalg.slogdet(C)
-        d = np.diagonal(C, axis1=1, axis2=2)
-        s = np.sqrt(d)
-        g = 2.0 - (np.abs(C) / (s[:, :, None] * s[:, None, :])).sum(-1).max(-1) - 4 * n * eps
-        cleared = (g > 0) & (g * d.min(-1) > 2**10 * n * eps * d.sum(-1) + 2e-300)
     bad = sign <= 0
-    rest = ~(cleared | bad)
+    rest = ~(_gershgorin(C)[1] | bad)
     if rest.any():
         bad[rest] = np.linalg.eigvalsh(C[rest])[:, 0] <= 1e-300
     if bad.any():

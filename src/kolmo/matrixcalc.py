@@ -55,9 +55,9 @@ SERIES_BUDGET = 2**22
 class ExpTable:
     """The powers of a generator M that exp_rows sums.
 
-    ``powers[k]`` is X^k / k! with X = M for a nilpotent M, whose series
-    ends at the last non-zero power; otherwise X = M / 2^shift with
-    2^shift > ||M||_1 = ``norm``, and k runs to TAYLOR_DEGREE.
+    ``powers[k]`` is X^k / k! (or its top rows) with X = M for a nilpotent
+    M, whose series ends at the last non-zero power; otherwise X = M /
+    2^shift with 2^shift > ||M||_1 = ``norm``, and k runs to TAYLOR_DEGREE.
     """
 
     powers: np.ndarray
@@ -143,11 +143,12 @@ def exp_rows(table, t):
     the relative accuracy of the small part near I; and adds I.
     X = M / 2^shift, s_k = max(0, floor(log2(|t_k| ||M||_1)) + 1)
     so that ||u_k X||_1 < 1, and u_k = t_k 2^(shift - s_k); for a
-    nilpotent M, X = M, u_k = t_k and nothing is squared.  Only t_k
-    decides its row's operations, so each row rounds exactly as its own
-    K = 1 call does, and a block of times whose series terms exceed
-    SERIES_BUDGET bytes is taken in chunks of rows.  AccuracyError on
-    overflow, also of |t_k| ||M||_1.
+    nilpotent M, X = M, u_k = t_k and nothing is squared, so a table of
+    the top r rows of each power gives the (K, r, n) strip, bit-for-bit
+    those rows of the square.  Only t_k decides its row's operations, so
+    each row rounds exactly as its own K = 1 call does, and a block of
+    times whose series terms exceed SERIES_BUDGET bytes is taken in
+    chunks of rows.  AccuracyError on overflow, also of |t_k| ||M||_1.
     """
     t = np.asarray(t, dtype=float)
     u = t.reshape(-1)

@@ -188,7 +188,8 @@ def taylor2(bundle, z, Zeta, spec, form="group"):
     group form uses the first m components of the left-invariant
     increment z^{-1} o zeta.  Both use -Yu(z)(tau - t) for the drift
     term.  The forms coincide whenever the first block row of B is zero.
-    A u that is not finite at z is a DomainError, in either form.
+    A u, Hessian or Yu that is not finite at z is a DomainError, in either
+    form; grad_m runs under the caller's floating-point error state.
     """
     m = spec.m
     z, Zeta = finite_rows(z), finite_rows(Zeta)
@@ -199,11 +200,11 @@ def taylor2(bundle, z, Zeta, spec, form="group"):
     else:
         raise DomainError(f"unknown Taylor form {form!r}")
     dtau = Zeta[:, -1] - z[0, -1]
+    g = bundle.grad_m(z)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        u0 = bundle.u(z)[0]
-    if not np.isfinite(u0):
-        raise DomainError(f"u is not finite at the expansion point {z[0].tolist()}")
-    g, (H, Yu) = bundle.grad_m(z)[0], bundle.hess_Yu(z)
+        u0, (H, Yu) = bundle.u(z)[0], bundle.hess_Yu(z)
+    if not all(np.isfinite(v).all() for v in (u0, H, Yu)):
+        raise DomainError(f"u or its second-order values are not finite at {z[0].tolist()}")
     return u0 + dot_rows(dx, g) + 0.5 * dot_rows(vecmat_rows(dx, H[0]), dx) - Yu[0] * dtau
 
 

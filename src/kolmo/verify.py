@@ -169,7 +169,7 @@ def _L_fd_steps(spec, u, Z, h, A):
             for j in range(i + 1, m):
                 stencil += [Z + e[i] + e[j], Z + e[i] - e[j], Z - e[i] + e[j], Z - e[i] - e[j]]
         stencil += [flow_Y_rows(step, Z, spec), flow_Y_rows(-step, Z, spec)]
-    vals = iter(u(np.concatenate(stencil)).reshape(-1, len(Z)))
+    vals = iter(u(np.concatenate(stencil)).reshape(len(stencil), len(Z)))
     quotients = []
     for step in steps:
         u0 = next(vals)

@@ -478,6 +478,11 @@ def test_the_contract_lines_hold_under_warnings_as_errors(tmp_path):
     # exited 4 with "overflow encountered in matmul")
     lines += [(["taylor", "--spec", KOLMO, "--family", "quadratic", "--form", form,
                 "--point", "1e299,1e299,1e299"], 3) for form in ("group", "euclidean")]
+    # a Gaussian u that underflows to 0 there while its Hessian is inf * 0:
+    # z^{-1} overflows (group), or the Hessian is not finite (euclidean; this
+    # exited 4 with "overflow encountered in multiply")
+    lines += [(["taylor", "--spec", KOLMO, "--family", "gaussian", "--form", form,
+                "--point", "1e299,1e299,1e299"], 3) for form in ("group", "euclidean")]
     for argv, code in lines:
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "kolmo.cli", *argv],
                               env=env, capture_output=True, timeout=120)

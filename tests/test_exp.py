@@ -168,22 +168,55 @@ def test_exp_rows_chunks_keep_every_bit(spec, seed, budget_rows):
                 assert np.array_equal(exp_rows(table, ts), want)
 
 
+def full_square_C(spec, ts):
+    """C(t) by the route before the strip: the full (K, 2N, 2N) block
+    exponential, G E^T, symmetrised."""
+    N = spec.N
+    Phi = exp_rows(exp_table(block_generator(spec)), ts)
+    C = Phi[:, :N, N:] @ np.swapaxes(Phi[:, :N, :N], -1, -2)
+    return (C + np.swapaxes(C, -1, -2)) / 2.0
+
+
 @PROPERTY
 @given(specs, st.integers(0, 2**32 - 1), st.integers(1, 2**14))
 def test_C_chunks_keep_every_bit(spec, seed, budget):
     # OperatorSpec.C forms its block exponentials in chunks of rows; one
     # row at a time, any small budget and the default give the bits of
-    # one chunk and of each time's own K = 1 call
+    # one chunk, of each time's own K = 1 call and of the full square's
+    # top block row (the strip of a nilpotent generator, the square of
+    # any other)
     ts = np.random.default_rng(seed).uniform(-8.0, 8.0, 3 * K)
     row_bytes, default = (2 * spec.N) ** 2 * 8, group.COVARIANCE_BUDGET
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(group, "COVARIANCE_BUDGET", len(ts) * row_bytes)
         whole = spec.C(ts)
+        assert np.array_equal(whole, full_square_C(spec, ts))
         assert all(np.array_equal(spec.C(ts[k:k + 1])[0], whole[k]) for k in range(len(ts)))
         assert np.array_equal(spec.C(ts[0]), whole[0])
         for size in (1, budget, default):
             mp.setattr(group, "COVARIANCE_BUDGET", size)
             assert np.array_equal(spec.C(ts), whole)
+
+
+def test_C_strips_match_the_full_square_on_every_block_structure():
+    # principal drifts (the strip) and non-principal ones (the square) on
+    # every block structure, and the Kolmogorov operators (m = 2 is the
+    # apriori workload's spec), down to the times where C(t) underflows,
+    # and one time at a time
+    ts = np.concatenate([np.random.default_rng(0).uniform(-8.0, 8.0, K),
+                         10.0 ** np.arange(-150.0, 3.0)])
+    specs = [admissible_spec(blocks, seed, principal) for blocks in BLOCKS
+             for principal in (True, False) for seed in (0, 1)]
+    specs += [kolmogorov_spec(1), kolmogorov_spec(2)]
+    strips = 0
+    for spec in specs:
+        want = full_square_C(spec, ts)
+        assert np.array_equal(spec.C(ts), want)
+        assert all(np.array_equal(spec.C(ts[k]), want[k]) for k in (0, K, len(ts) - 1))
+        table = spec._exps["C"]
+        assert table.powers.shape[1:] == (spec.N if table.nilpotent else 2 * spec.N, 2 * spec.N)
+        strips += table.nilpotent
+    assert strips == 2 * len(BLOCKS) + 2
 
 
 def test_a_six_level_kernel_call_keeps_its_series_in_budget():

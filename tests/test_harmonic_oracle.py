@@ -27,9 +27,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolmo import EstimateReport, kernel_jet_rows, kdist_rows, load_spec, sample_ball, verify
+from kolmo import (EstimateReport, heat_spec, kernel_jet_rows, kdist_rows, load_spec,
+                   sample_ball, verify)
 from kolmo.cli import run
-from kolmo.verify import _stable, harmonic_family, verify_apriori, verify_mean_value
+from kolmo.verify import (_harmonic_samples, _stable, harmonic_family, verify_apriori,
+                          verify_mean_value)
 
 from test_report_bytes import kinetic_m2_spec
 from test_rows import BLOCKS, admissible_spec
@@ -148,12 +150,28 @@ def test_a_dead_pole_leaves_the_other_mean_value_ratios_alone(kspec, monkeypatch
     assert dead.ratios == live.ratios[live.samples - dead.samples:]
 
 
+def test_mean_value_leaves_out_only_the_pairs_closer_than_R_over_100():
+    # on heat1d, seed 10, three live pairs lie between R/100 and R/10 from
+    # the origin: every live pair at kdist >= R/100 is a sample
+    spec, R, poles, samples, seed = heat_spec(1), 0.5, 4, 40, 10
+    P, S, Z = _harmonic_samples(spec, R, poles, samples, np.random.default_rng(seed))
+    sup = kernel_jet_rows(spec, S, np.repeat(P, 4 * samples, axis=0), derivatives=False
+                          ).reshape(poles, 4 * samples).max(axis=1)
+    d = kdist_rows(Z, np.zeros((1, spec.N + 1)), spec).reshape(poles, samples)[sup > 0.0]
+    assert ((R / 100.0 <= d) & (d < R / 10.0)).sum() == 3
+    report = verify_mean_value(spec, R=R, poles=poles, samples=samples, seed=seed)
+    assert report.samples == len(report.ratios) == (d >= R / 100.0).sum()
+
+
 def test_one_apriori_report_stays_under_a_megabyte(tmp_path):
     # per-pole kernel calls peaked at 0.29 MB and one call per R at 0.78 MB;
     # the one values call over all three radii (960 rows) held the
     # (960, d, 8, 8) series terms of C(t) at once, 2.25 MB, until
     # OperatorSpec.C formed its block exponentials in chunks of
-    # group.COVARIANCE_BUDGET bytes: 0.77 MB
+    # group.COVARIANCE_BUDGET bytes: 0.77 MB.  The nilpotent generator's
+    # terms are now (256, d, 4, 8) strips of its top block row, 256 rows a
+    # chunk in the same budget, and the certificate copies C(t) once into
+    # its (4, 4, 960) layout: 0.82 MB, against 0.80 MB with the full square
     spec = tmp_path / "kinetic_m2.json"
     spec.write_text(json.dumps(kinetic_m2_spec()))
     argv = ["verify", "apriori", "--spec", str(spec), "--poles", "4", "--samples", "20"]

@@ -339,6 +339,48 @@ def test_checked_C_verdicts_match_the_eigvalsh_check():
     assert eigenvalue_only > 0
 
 
+def _gershgorin_by_slices(C):
+    """The certificate before the (n, n, K) layout: g and the cleared mask
+    from reductions of the (K, n, n) stack along its axes of length n."""
+    n, eps = C.shape[-1], np.finfo(float).eps
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = np.diagonal(C, axis1=1, axis2=2)
+        s = np.sqrt(d)
+        g = 2.0 - (np.abs(C) / (s[:, :, None] * s[:, None, :])).sum(-1).max(-1) - 4 * n * eps
+        return g, (g > 0) & (g * d.min(-1) > 2**10 * n * eps * d.sum(-1) + 2e-300)
+
+
+def test_gershgorin_over_rows_matches_the_sliced_certificate():
+    # n < 8: every length-n sum ran in order before too, so g and the
+    # cleared mask are ==; from n = 8 on they summed pairwise, so g may
+    # move in its last bits (it does on (4, 4) and (2, 2, 2, 2)), and the
+    # mask and the verdict hold: on the chains with N = 8-12, which no
+    # row clears, and on the heat operators, whose every row clears.
+    # K = 0, K = 1 and stacked blocks, down to times where C(t) is singular
+    times = 10.0 ** np.arange(-150.0, 3.0)
+    specs = [admissible_spec(blocks, seed, principal) for blocks in BLOCKS
+             for principal in (True, False) for seed in (0, 1)]
+    specs += [kolmogorov_spec(2), load_spec(kinetic_m2_spec())]
+    for spec in specs:
+        assert spec.N < 8
+        for t in (times, times[:0], times[-1:], times[:1]):
+            C = spec.C(t)
+            want, got = _gershgorin_by_slices(C), kernel._gershgorin(C)
+            assert np.array_equal(got[0], want[0], equal_nan=True)
+            assert np.array_equal(got[1], want[1])
+    # the chains: N one-dimensional levels, A = [[1]], ones on the subdiagonal of B
+    wide = [make_spec(np.eye(1), np.diag(np.ones(N - 1), -1), (1,) * N) for N in range(8, 13)]
+    wide += [heat_spec(N) for N in range(8, 13)]
+    wide += [admissible_spec(blocks, 0, principal) for blocks in ((4, 4), (2, 2, 2, 2))
+             for principal in (True, False)]
+    for spec in wide:
+        for t in (np.array([1e-3, 1.0, 10.0]), np.array([1.0]), np.empty(0)):
+            C = spec.C(t)
+            assert np.array_equal(kernel._gershgorin(C)[1], _gershgorin_by_slices(C)[1])
+            assert (_outcome(kernel._checked_C, spec, t)
+                     == _outcome(_checked_C_by_eigvalsh, spec, t))
+
+
 def test_workload_reports_call_no_eigvalsh_in_checked_C(tmp_path, monkeypatch):
     # every covariance row of the apriori and singular benchmark reports
     # is cleared from its entries; the spy counts eigvalsh in _checked_C

@@ -83,6 +83,8 @@ COMMANDS = [
     "verify schauder-const --family gaussian-narrow --spec specs/kolmogorov.json --pairs 300 --seed 1",
     "verify schauder-const --family gaussian2 --spec specs/kinetic_drifted.json --pairs 300 --seed 3",
     "verify invariance --spec specs/kinetic.json --samples 12 --seed 2",
+    "verify apriori --spec specs/kinetic_drifted.json --poles 4 --samples 20 --seed 1",
+    "verify mean-value --spec specs/kinetic_drifted.json --poles 4 --samples 40",
 ]
 
 

@@ -224,6 +224,19 @@ def test_verify_plan_detects_tampering(kspec):
         verify_plan(plan, kspec)
 
 
+def test_verify_plan_is_ok_within_tol_of_the_target_and_not_beyond(kspec):
+    # a plan whose target lies delta past its last segment end, with
+    # achieved_error 0: ok holds to tol = 1e-9 and no further
+    plan = connect(np.ones(3), np.zeros(3), kspec)
+    end = plan.segments[-1].end
+    plan.achieved_error = 0.0
+    for delta, ok in ((1.01e-9, False), (0.99e-9, True)):
+        plan.target = end + np.array([delta, 0.0, 0.0])
+        check = verify_plan(plan, kspec, tol=1e-9)
+        assert check["endpoint_error"] == pytest.approx(delta, rel=1e-6)
+        assert check["ok"] is ok
+
+
 def test_bundle_derivatives_fd(kspec, drifted):
     rng = np.random.default_rng(4)
     for spec in (kspec, drifted):

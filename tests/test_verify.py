@@ -116,6 +116,19 @@ def test_apply_L_fd_kills_kernel(kspec):
     assert abs(val[0]) < 1e-6
 
 
+def test_apply_L_fd_on_an_empty_block(kspec, drifted):
+    # no rows give no values, as kernel_jet_rows gives on an empty block
+    # (the stencil's reshape raised a bare ValueError)
+    Z, p = np.empty((0, 3)), np.array([[0.1, -0.2, -1.0]])
+    kernel_u = lambda W: kernel_jet_rows(kspec, W, p, derivatives=False)
+    problem = manufacture("gaussian", drifted, "sin1")
+    assert kernel_u(Z).shape == (0,)
+    for spec, u, varcoeff in ((kspec, kernel_u, None), (drifted, lambda W: W[:, 0] ** 2, None),
+                              (drifted, problem.u.u, problem.varcoeff)):
+        val = apply_L_fd(spec, u, Z, varcoeff=varcoeff)
+        assert val.shape == (0,) and val.dtype == float
+
+
 def test_manufacture_families(kspec, drifted):
     for spec in (kspec, drifted):
         for fam in sorted(_FAMILIES):
