@@ -21,7 +21,7 @@ def main():
     print(f"manufactured family 'gaussian', operator-vs-FD defect "
           f"{prob.details['fd_validation_worst']:.2e}")
 
-    rep = verify_schauder(prob, pair_samples=800, constant=True)
+    rep = verify_schauder(prob, pair_samples=800)
     print(f"constant coefficients: fitted constant {rep.fitted_constant:.4f} "
           f"over {rep.samples} pairs "
           f"(point ratio {rep.scaling['point']:.4f})")

@@ -8,7 +8,6 @@ the interior estimate inequalities at desk scale.
 
 from .errors import (
     AccuracyError,
-    ApplicabilityError,
     DefinitenessError,
     DimensionError,
     DomainError,
@@ -57,7 +56,7 @@ from .kernel import (
     kernel_jet_rows,
     kernel_mass,
 )
-from .matrixcalc import integrate_matrix, mat_exp, sqrt_spd
+from .matrixcalc import mat_exp, sqrt_spd
 from .modulus import (
     DiniReport,
     ModulusTable,

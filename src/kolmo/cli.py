@@ -404,11 +404,9 @@ def _cmd_verify(args):
                                      R_list or (0.5, 0.25, 0.125),
                                      seed=args.seed)
     elif crit.startswith("schauder-"):
-        constant = crit == "schauder-const"
         problem = manufacture(args.family, spec, seed=args.seed,
-                              varcoeff_id=None if constant else args.varcoeff)
-        rep = verify_schauder(problem, pair_samples=args.pairs,
-                              seed=args.seed, constant=constant)
+                              varcoeff_id=None if crit == "schauder-const" else args.varcoeff)
+        rep = verify_schauder(problem, pair_samples=args.pairs, seed=args.seed)
     else:
         rep = verify_invariance(spec, samples=args.samples, seed=args.seed)
     report = rep.to_json_dict()

@@ -41,11 +41,6 @@ class SupportError(KolmoError, ValueError):
     """A kernel derivative was requested outside the support t > tau."""
 
 
-class ApplicabilityError(KolmoError, ValueError):
-    """An identity valid only for dilation-invariant drifts was requested
-    on a generic operator."""
-
-
 class SolveError(KolmoError, ValueError):
     """A restricted linear solve has no solution; signals an invalid spec."""
 

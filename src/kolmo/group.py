@@ -36,10 +36,6 @@ from .matrixcalc import _symmetric, exp_rows, exp_table, matvec_rows
 
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
-# Most bytes of block exponentials exp(t M) that OperatorSpec.C holds at
-# once, 256 rows of the (N, 2N) strip at N = 4; exp_rows's series terms of
-# a chunk take d times as much, d the number of powers of M it sums
-COVARIANCE_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -183,11 +179,10 @@ class OperatorSpec:
         [E(t), G(t)] with C(t) = G(t) E(t)^T.  A nilpotent M (a principal
         drift) needs no squaring, so its table keeps the top N rows of each
         power and exp_rows sums only that (K, N, 2N) strip; otherwise the
-        (K, 2N, 2N) square.  A block of times goes in chunks of rows whose
-        exp(t M) fit COVARIANCE_BUDGET bytes, so neither the stack nor its
-        series terms are held for all K times at once; each slice is
-        bit-identical to its own K = 1 call.  DomainError if C(t)
-        overflows, in exp(t M) or in the product.
+        (K, 2N, 2N) square.  exp_rows takes a long block of times in
+        chunks within its SERIES_BUDGET; each slice is bit-identical to
+        its own K = 1 call.  DomainError if C(t) overflows, in exp(t M)
+        or in the product.
         """
         N = self.N
 
@@ -198,21 +193,16 @@ class OperatorSpec:
             M[N:, N:] = self.B.T
             return M
 
-        table = self._exp("C", block, rows=N)
-        u = np.asarray(t, dtype=float).reshape(-1)
-        step = max(1, COVARIANCE_BUDGET // table.powers[0].nbytes)
-        C = np.empty((len(u), N, N))
         try:
+            Phi = exp_rows(self._exp("C", block, rows=N), t)
             with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(0, len(u), step):
-                    Phi = exp_rows(table, u[k:k + step])
-                    C[k:k + step] = Phi[:, :N, N:] @ np.swapaxes(Phi[:, :N, :N], -1, -2)
+                C = Phi[..., :N, N:] @ np.swapaxes(Phi[..., :N, :N], -1, -2)
                 C = (C + np.swapaxes(C, -1, -2)) / 2.0
         except AccuracyError:  # exp(t M) overflowed
             C = None
         if C is None or not np.isfinite(C).all():
             raise DomainError(f"C(t) is not finite for a time step up to {np.max(t)}")
-        return C.reshape(np.shape(t) + (N, N))
+        return C
 
 
 def make_spec(A, B, blocks):

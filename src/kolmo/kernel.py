@@ -175,6 +175,6 @@ def kernel_mass(spec, t):
         return math.fsum(vals * w)
 
     coarse, fine = run(32), run(64)
-    if abs(fine - coarse) > 1e-6 * max(1.0, abs(fine)):
+    if not abs(fine - coarse) <= 1e-6 * max(1.0, abs(fine)):
         raise AccuracyError("kernel mass quadrature did not converge")
     return fine

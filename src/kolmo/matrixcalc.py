@@ -8,13 +8,13 @@ when M is nilpotent, otherwise a degree-18 Taylor series with scaling
 and squaring.  mat_exp is scipy's expm on one matrix, the independent
 route; scipy.linalg is imported on its first call, so a process that
 never checks a truncated series does not load it.  Square roots go
-through a full symmetric eigendecomposition, and the quadrature is a
-fixed-order composite Gauss-Legendre rule with a panel-doubling
-self-check.  _symmetric, the symmetry test of sqrt_spd and of an
-operator's A, compares exactly first and calls np.allclose only when
-that fails: C(t) comes symmetrised, so a report's matrices pass at the
-cost of one comparison.  Whether C(t) is positive definite is decided
-in one place, kernel._checked_C.
+through a full symmetric eigendecomposition, and the quadrature rules
+are composite Gauss-Legendre and their tensor products.  _symmetric,
+the symmetry test of sqrt_spd and of an operator's A, compares exactly
+first and calls np.allclose only when that fails: C(t) comes
+symmetrised, so a report's matrices pass at the cost of one
+comparison.  Whether C(t) is positive definite is decided in one
+place, kernel._checked_C.
 """
 
 import functools
@@ -33,9 +33,6 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-12
-GAUSS_ORDER = 10
-PANELS = 8
-REFINE_TOL = 1e-10
 # Most points a tensor grid may have: kernel_mass's fine grid in two
 # dimensions has 128^2 = 16,384, and a grid held whole in memory at
 # 2^20 points of N = 4 floats takes 32 MB.
@@ -47,8 +44,9 @@ TAYLOR_DEGREE = 18
 # accepts; the entries of exp(X) with ||X||_1 < 1 are below e
 SERIES_CHECK_TOL = 1e-13
 # Most bytes of series terms exp_rows holds at once: a longer block of
-# times, whose (rows, d, n, n) products would exceed it, goes in chunks
-SERIES_BUDGET = 2**22
+# times, whose (rows, d, n, n) products would exceed it, goes in chunks;
+# on the m = 2, N = 4 strip [E(t) | G(t)] that is 256 rows
+SERIES_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -241,7 +239,7 @@ def gauss_legendre(n):
     return nodes, weights
 
 
-def gauss_panels(lo, hi, panels, order=GAUSS_ORDER):
+def gauss_panels(lo, hi, panels, order):
     """Composite Gauss-Legendre rule on [lo, hi]: points and weights of
     ``panels`` equal panels with ``order`` nodes each."""
     nodes, weights = gauss_legendre(order)
@@ -270,32 +268,3 @@ def tensor_rule(rules):
     for _, wts in rules:
         w = np.multiply.outer(w, wts)
     return pts, w.ravel()
-
-
-def _quad_matrix(M, t, panels):
-    pts, wts = gauss_panels(0.0, t, panels)
-    acc = None
-    for s, w in zip(pts, wts):
-        val = w * np.asarray(M(s), dtype=float)
-        acc = val if acc is None else acc + val
-    return acc
-
-
-def integrate_matrix(M, t):
-    """Entry-wise integral of the matrix-valued map M over [0, t].
-
-    Composite Gauss-Legendre of fixed order on PANELS panels; the
-    panel count is doubled once and the two results must agree to 1e-10
-    (relative to the larger entry scale), otherwise AccuracyError.
-    """
-    if t <= 0.0:
-        raise DomainError(f"integration endpoint must be positive, got {t}")
-    coarse = _quad_matrix(M, t, PANELS)
-    fine = _quad_matrix(M, t, 2 * PANELS)
-    scale = max(1.0, float(np.abs(fine).max()))
-    if np.abs(fine - coarse).max() > REFINE_TOL * scale:
-        raise AccuracyError(
-            "panel doubling changed the integral by more than 1e-10; "
-            "integrand may be non-smooth"
-        )
-    return fine

@@ -225,8 +225,8 @@ def empirical_modulus(f, spec, radius=1.0, pair_samples=4000, seed=0):
     pairs = _scaled_pairs(spec, radius, pair_samples, rng, DEFAULT_RADII[0])
     vals = f(pairs.reshape(-1, spec.N + 1)).reshape(-1, 2)
     jumps = np.abs(vals[:, 0] - vals[:, 1])
-    return modulus_from_pairs(kdist_rows(pairs[:, 0], pairs[:, 1], spec), jumps,
-                              DEFAULT_RADII)
+    dists = kdist_rows(pairs[:, 0], pairs[:, 1], spec)
+    return ModulusTable(DEFAULT_RADII, pair_omega(dists, jumps, DEFAULT_RADII))
 
 
 def pair_omega(dists, jumps, radii):
@@ -243,11 +243,6 @@ def pair_omega(dists, jumps, radii):
     running = np.concatenate(
         [[0.0], np.maximum.accumulate(np.asarray(jumps, dtype=float)[order])])
     return running[np.searchsorted(dists, radii)]
-
-
-def modulus_from_pairs(dists, jumps, radii):
-    """Modulus table from sampled pairs (see pair_omega)."""
-    return ModulusTable(radii=radii, omega=pair_omega(dists, jumps, radii))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .matrixcalc import (dot_rows,
 SEGMENT_TOL = 1e-12
 RICHARDSON_TOL = 1e-3  # largest step-halving change, relative to max(1, |value|)
 BISECTION_DEPTH = 4  # bisection steps whose midpoints one phi call evaluates
+MAX_ITERS = 50  # most correction rounds connect makes on a non-principal drift
 
 
 def endpoint_error(a, b):
@@ -170,12 +171,12 @@ def richardson(d1, d2, message):
     """(4 D(h/2) - D(h)) / 3 from the difference quotients d1 = D(h) and
     d2 = D(h/2) on rows.
 
-    One Richardson halving: AccuracyError(message) when the two steps
-    differ by more than RICHARDSON_TOL * max(1, |extrapolation|) on any
-    row.
+    One Richardson halving: AccuracyError(message) unless the two steps
+    differ by at most RICHARDSON_TOL * max(1, |extrapolation|) on every
+    row, so a NaN on any row fails.
     """
     extrap = (4.0 * d2 - d1) / 3.0
-    if (np.abs(d2 - d1) > RICHARDSON_TOL * np.maximum(1.0, np.abs(extrap))).any():
+    if not (np.abs(d2 - d1) <= RICHARDSON_TOL * np.maximum(1.0, np.abs(extrap))).all():
         raise AccuracyError(message)
     return extrap
 
@@ -324,7 +325,7 @@ def _solve_level_param(n, v, s_guess, need, spec):
     return 0.5 * (lo + hi)
 
 
-def connect(z, zeta, spec, tol=1e-9, max_iters=50):
+def connect(z, zeta, spec, tol=1e-9):
     """Plan a concatenation of X and Y flows steering the row z to the row
     zeta.
 
@@ -332,7 +333,8 @@ def connect(z, zeta, spec, tol=1e-9, max_iters=50):
     coordinates, then one trajectory gamma^(n) per level n = 1..kappa.
     Dilation-invariant drifts terminate exactly; otherwise a final X
     correction of the first-level residual is followed by a fixed-point
-    repetition until the endpoint error drops below ``tol``.  A floating
+    repetition until the endpoint error drops below ``tol``, in at most
+    MAX_ITERS rounds (NonConvergenceError past them).  A floating
     overflow while planning is an AccuracyError; a tolerance that is not
     finite and >= 0 is a DomainError.
     """
@@ -340,12 +342,12 @@ def connect(z, zeta, spec, tol=1e-9, max_iters=50):
         raise DomainError(f"tolerance must be finite and >= 0, got {tol}")
     try:
         with np.errstate(over="raise"):
-            return _connect(z, zeta, spec, tol, max_iters)
+            return _connect(z, zeta, spec, tol)
     except FloatingPointError as err:
         raise AccuracyError(f"overflow while planning: {err}") from None
 
 
-def _connect(z, zeta, spec, tol, max_iters):
+def _connect(z, zeta, spec, tol):
     blocks = spec.blocks
     plan = PathPlan(source=z, target=zeta)
     if np.array_equal(z, zeta):
@@ -361,7 +363,7 @@ def _connect(z, zeta, spec, tol, max_iters):
     err = endpoint_error(cur, zeta)
     iters = 0
     while err > tol:
-        if iters >= max_iters:
+        if iters >= MAX_ITERS:
             plan.achieved_error = err
             raise NonConvergenceError(
                 f"correction loop hit the cap with error {err:g}", plan=plan

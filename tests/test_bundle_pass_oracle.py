@@ -33,7 +33,7 @@ from kolmo import (
     verify_schauder,
 )
 from kolmo.group import finite_rows
-from kolmo.modulus import DEFAULT_RADII, _scaled_pairs, modulus_from_pairs
+from kolmo.modulus import DEFAULT_RADII, ModulusTable, _scaled_pairs, pair_omega
 from kolmo.modulus import schauder_functional_rows
 from kolmo.taylor import RICHARDSON_TOL, C2Bundle, flow_Y_rows
 from kolmo.verify import FD_STEP, _FAMILIES, _check_ellipticity, _coeff_field
@@ -118,7 +118,7 @@ def empirical_modulus_oracle(f, spec, radius=1.0, pair_samples=4000, seed=0):
     pairs = _scaled_pairs(spec, radius, pair_samples, rng, DEFAULT_RADII[0])
     Z, W = pairs[:, 0], pairs[:, 1]
     jumps = np.abs(f(Z) - f(W))
-    return modulus_from_pairs(kdist_rows(Z, W, spec), jumps, DEFAULT_RADII)
+    return ModulusTable(DEFAULT_RADII, pair_omega(kdist_rows(Z, W, spec), jumps, DEFAULT_RADII))
 
 
 def second_derivative_values_oracle(problem, Z):

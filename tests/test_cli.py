@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 from kolmo import cli, load_spec, matrixcalc
 from kolmo.cli import run
-from kolmo.modulus import DEFAULT_RADII, modulus_from_pairs
+from kolmo.modulus import DEFAULT_RADII, ModulusTable, pair_omega
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 KOLMO = str(SPEC_DIR / "kolmogorov.json")
@@ -233,7 +233,7 @@ def test_modulus_from_csv_matches_the_pair_loop(spec_path, tmp_path,
     spec = load_spec(spec_path)
     # chunking and pairing, exactly: the loop of K = 1 spec.E calls
     dists, jumps = _csv_pair_loop(data, spec, spec.E)
-    want = modulus_from_pairs(dists, jumps, DEFAULT_RADII).omega.tolist()
+    want = ModulusTable(DEFAULT_RADII, pair_omega(dists, jumps, DEFAULT_RADII)).omega.tolist()
     assert max(want) > 0.0
     assert cli._modulus_from_csv(csv, spec).omega.tolist() == want
     monkeypatch.setattr(cli, "CSV_PAIR_CHUNK", 7)  # one row of pairs per chunk
@@ -242,7 +242,8 @@ def test_modulus_from_csv_matches_the_pair_loop(spec_path, tmp_path,
     # gives distances within 1e-13 relative and the same modulus
     ref, _ = _csv_pair_loop(data, spec, lambda t: expm(-t * spec.B))
     assert np.allclose(dists, ref, rtol=1e-13, atol=0.0)
-    assert modulus_from_pairs(ref, jumps, DEFAULT_RADII).omega.tolist() == want
+    table = ModulusTable(DEFAULT_RADII, pair_omega(ref, jumps, DEFAULT_RADII))
+    assert table.omega.tolist() == want
 
 
 def test_pair_chunks_cover_every_pair_once():

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from quadrature import integrate_matrix
 from test_rows import BLOCKS, K, PROPERTY, admissible_spec
 
-from kolmo import AccuracyError, integrate_matrix, kernel_jet_rows, kolmogorov_spec
-from kolmo import group, matrixcalc
+from kolmo import AccuracyError, kernel_jet_rows, kolmogorov_spec
+from kolmo import matrixcalc
 from kolmo.group import embedded_A
 from kolmo.matrixcalc import TAYLOR_DEGREE, exp_rows, exp_table
 
@@ -178,23 +179,24 @@ def full_square_C(spec, ts):
 
 
 @PROPERTY
-@given(specs, st.integers(0, 2**32 - 1), st.integers(1, 2**14))
-def test_C_chunks_keep_every_bit(spec, seed, budget):
-    # OperatorSpec.C forms its block exponentials in chunks of rows; one
-    # row at a time, any small budget and the default give the bits of
-    # one chunk, of each time's own K = 1 call and of the full square's
-    # top block row (the strip of a nilpotent generator, the square of
-    # any other)
+@given(specs, st.integers(0, 2**32 - 1), st.integers(1, 3 * K))
+def test_C_chunks_keep_every_bit(spec, seed, budget_rows):
+    # OperatorSpec.C forms its block exponentials in exp_rows's chunks of
+    # rows; one row at a time, any chunk size and the default budget give
+    # the bits of one chunk, of each time's own K = 1 call and of the full
+    # square's top block row (the strip of a nilpotent generator, the
+    # square of any other)
     ts = np.random.default_rng(seed).uniform(-8.0, 8.0, 3 * K)
-    row_bytes, default = (2 * spec.N) ** 2 * 8, group.COVARIANCE_BUDGET
+    spec.C(ts[0])  # builds the exponential table
+    row_bytes, default = spec._exps["C"].powers.nbytes, matrixcalc.SERIES_BUDGET
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(group, "COVARIANCE_BUDGET", len(ts) * row_bytes)
+        mp.setattr(matrixcalc, "SERIES_BUDGET", len(ts) * row_bytes)
         whole = spec.C(ts)
         assert np.array_equal(whole, full_square_C(spec, ts))
         assert all(np.array_equal(spec.C(ts[k:k + 1])[0], whole[k]) for k in range(len(ts)))
         assert np.array_equal(spec.C(ts[0]), whole[0])
-        for size in (1, budget, default):
-            mp.setattr(group, "COVARIANCE_BUDGET", size)
+        for size in (1, budget_rows * row_bytes, default):
+            mp.setattr(matrixcalc, "SERIES_BUDGET", size)
             assert np.array_equal(spec.C(ts), whole)
 
 
@@ -222,7 +224,7 @@ def test_C_strips_match_the_full_square_on_every_block_structure():
 def test_a_six_level_kernel_call_keeps_its_series_in_budget():
     # 4,096 rows of C(t) on a six-level non-principal spec: all series
     # terms at once, (4096, 18, 12, 12) floats, peaked at 90.6 MB; in
-    # chunks within SERIES_BUDGET the call peaks at 9.8 MB
+    # chunks within SERIES_BUDGET the call peaks at 9.9 MB
     spec = admissible_spec((1,) * 6, 0, False)
     rng = np.random.default_rng(0)
     Z = rng.uniform(-1.0, 1.0, (4096, spec.N + 1))

@@ -167,11 +167,12 @@ def test_one_apriori_report_stays_under_a_megabyte(tmp_path):
     # per-pole kernel calls peaked at 0.29 MB and one call per R at 0.78 MB;
     # the one values call over all three radii (960 rows) held the
     # (960, d, 8, 8) series terms of C(t) at once, 2.25 MB, until
-    # OperatorSpec.C formed its block exponentials in chunks of
-    # group.COVARIANCE_BUDGET bytes: 0.77 MB.  The nilpotent generator's
-    # terms are now (256, d, 4, 8) strips of its top block row, 256 rows a
-    # chunk in the same budget, and the certificate copies C(t) once into
-    # its (4, 4, 960) layout: 0.82 MB, against 0.80 MB with the full square
+    # OperatorSpec.C formed its block exponentials in row chunks of a
+    # 64 KiB budget of its own: 0.77 MB.  The nilpotent generator's terms
+    # are now (256, d, 4, 8) strips of its top block row, 256 rows a chunk
+    # of exp_rows's SERIES_BUDGET, G E^T is formed for all 960 rows at
+    # once, and the certificate copies C(t) once into its (4, 4, 960)
+    # layout: 0.86 MB
     spec = tmp_path / "kinetic_m2.json"
     spec.write_text(json.dumps(kinetic_m2_spec()))
     argv = ["verify", "apriori", "--spec", str(spec), "--poles", "4", "--samples", "20"]

@@ -15,7 +15,6 @@ from kolmo import (
     gamma,
     gamma_grad,
     heat_spec,
-    integrate_matrix,
     kdist_rows,
     kernel_jet_rows,
     kernel_mass,
@@ -35,6 +34,7 @@ from kolmo.errors import (
 )
 from kolmo.group import embedded_A
 
+from quadrature import integrate_matrix
 from test_cli import KOLMO
 from test_report_bytes import kinetic_m2_spec
 from test_rows import BLOCKS, admissible_spec

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from kolmo import AccuracyError, integrate_matrix, mat_exp, sqrt_spd
+from quadrature import integrate_matrix
+
+from kolmo import AccuracyError, mat_exp, sqrt_spd
 from kolmo.matrixcalc import TENSOR_BUDGET, dot_rows, tensor_rule
 from kolmo.errors import (
     DefinitenessError,

@@ -17,7 +17,7 @@ from kolmo import (
 )
 from kolmo.errors import DomainError
 from kolmo.modulus import (DEFAULT_RADII, _counterexample_logs, _scaled_pairs, _tail_bound,
-                           modulus_from_pairs)
+                           pair_omega)
 
 from test_schauder_oracle import holder_closed_form
 
@@ -157,13 +157,15 @@ def test_empirical_modulus_is_monotone_table(kspec):
 
 def test_modulus_from_pairs_hand_table():
     # omega(r) is the largest jump over pairs strictly closer than r
-    table = modulus_from_pairs([0.5, 0.1, 0.3], [3.0, 1.0, 2.0],
-                               np.array([0.05, 0.1, 0.2, 0.4, 1.0]))
+    radii = np.array([0.05, 0.1, 0.2, 0.4, 1.0])
+    table = ModulusTable(radii, pair_omega([0.5, 0.1, 0.3], [3.0, 1.0, 2.0], radii))
     assert table.omega.tolist() == [0.0, 0.0, 1.0, 2.0, 3.0]
     # a larger jump at a smaller distance dominates the farther pairs
-    table = modulus_from_pairs([0.1, 0.3], [5.0, 2.0], np.array([0.2, 1.0]))
+    radii = np.array([0.2, 1.0])
+    table = ModulusTable(radii, pair_omega([0.1, 0.3], [5.0, 2.0], radii))
     assert table.omega.tolist() == [5.0, 5.0]
-    empty = modulus_from_pairs([], [], np.array([0.5, 1.0]))
+    radii = np.array([0.5, 1.0])
+    empty = ModulusTable(radii, pair_omega([], [], radii))
     assert empty.omega.tolist() == [0.0, 0.0]
 
 

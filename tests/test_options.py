@@ -1,18 +1,19 @@
 """Every option of the library is an option some caller uses.  A
 defaulted parameter of a function in src/kolmo, or a defaulted field of
 one of its dataclasses, must be passed a value other than its default by
-at least one call in src/, tests/, demos/ or perfbench/; otherwise it is
-a constant and belongs in the code as one.  The calls are read with
-``ast``.  Forwarding a parameter of the enclosing function by name sets
-the callee's parameter only when the forwarded parameter is itself set,
-and a parameter without a default is always set."""
+at least one call in src/ or perfbench/; otherwise it is a constant and
+belongs in the code as one.  Tests and demos are not callers: an option
+that only a test sets is a constant the test can monkeypatch.  The calls
+are read with ``ast``.  Forwarding a parameter of the enclosing function
+by name sets the callee's parameter only when the forwarded parameter is
+itself set, and a parameter without a default is always set."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kolmo"
-CALLERS = ("src", "tests", "demos", "perfbench")
+CALLERS = ("src", "perfbench")
 
 
 def _is_dataclass(node):

@@ -151,8 +151,9 @@ def test_singular_scalings_match_the_slice_route(blocks, spec_seed, principal,
     R_list = (0.5, 0.25)
     with pytest.MonkeyPatch.context() as mp:
         chunk_bound(mp, rows)
+        mp.setattr(verify, "SINGULAR_SAMPLES", 2)
         for kind in ("const", "g1", "g2"):
-            got = verify_singular_bounds(ctx.spec, kind, R_list, samples=2, seed=seed)
+            got = verify_singular_bounds(ctx.spec, kind, R_list, seed=seed)
             assert got.scaling == singular_scaling(ctx, kind, R_list, 2, seed), kind
 
 
@@ -198,7 +199,8 @@ def test_one_factorisation_per_block(blocks, spec_seed, principal, rows):
         mp.setattr(verify, "_checked_C", counting(calls, "C", verify._checked_C))
         mp.setattr(verify, "_slice_integrals",
                    counting(calls, "slices", verify._slice_integrals))
-        verify_singular_bounds(spec, "g1", (0.5, 0.25), samples=2, seed=0)
+        mp.setattr(verify, "SINGULAR_SAMPLES", 2)
+        verify_singular_bounds(spec, "g1", (0.5, 0.25), seed=0)
         assert calls == {"C": 2, "slices": 2}
         for nt, nx in ((9, 4), (16, 6)):
             calls["C"] = 0

@@ -18,6 +18,7 @@ from kolmo import (
     taylor2,
     verify_plan,
 )
+from kolmo import taylor
 from kolmo.errors import DomainError, KolmoError, NonConvergenceError, PlanIntegrityError
 from kolmo.group import OperatorSpec, compose_rows, dilate_rows, finite_rows, sample_ball
 from kolmo.taylor import PathSegment, traj_increment_rows
@@ -207,11 +208,12 @@ def test_connect_evaluates_the_bisection_in_stacked_subtrees(drifted, monkeypatc
     assert len(calls) <= 24
 
 
-def test_connect_trivial_and_nonconvergence(kspec, drifted):
+def test_connect_trivial_and_nonconvergence(kspec, drifted, monkeypatch):
     z = np.array([0.4, -0.2, 0.1])
     assert connect(z, z, kspec).segments == []
+    monkeypatch.setattr(taylor, "MAX_ITERS", 2)
     with pytest.raises(NonConvergenceError) as err:
-        connect(np.array([0.0, 2.0, 0.0]), np.zeros(3), drifted, tol=0.0, max_iters=2)
+        connect(np.array([0.0, 2.0, 0.0]), np.zeros(3), drifted, tol=0.0)
     assert err.value.plan is not None
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.polynomial.hermite import hermgauss
 from kolmo import (
     KernelContext,
     ManufacturedProblem,
+    ModulusTable,
     Point,
     apply_L_fd,
     harmonic_family,
@@ -21,14 +23,16 @@ from kolmo import (
     verify_schauder,
     verify_singular_bounds,
 )
+from kolmo import verify
 from kolmo.errors import (
     AccuracyError,
-    ApplicabilityError,
     DomainError,
     EllipticityError,
+    ManufactureError,
 )
 from kolmo.kernel import covariance
 from kolmo.matrixcalc import sqrt_spd, tensor_rule
+from kolmo.modulus import DEFAULT_RADII
 from kolmo.verify import (
     _FAMILIES,
     FD_STEP,
@@ -200,8 +204,9 @@ def test_verify_mean_value(kspec):
     assert rep.verdict and 0.0 < rep.fitted_constant < 10.0
 
 
-def test_verify_singular_bounds_const(kspec):
-    rep = verify_singular_bounds(kspec, "const", samples=3)
+def test_verify_singular_bounds_const(kspec, monkeypatch):
+    monkeypatch.setattr(verify, "SINGULAR_SAMPLES", 3)
+    rep = verify_singular_bounds(kspec, "const")
     assert rep.verdict
     assert rep.details["expected_dyadic_step"] == 1.0
     with pytest.raises(DomainError):
@@ -291,23 +296,21 @@ def test_hermite_grid_is_cached_and_read_only():
 
 def test_schauder_const_report(kspec):
     prob = manufacture("gaussian", kspec)
-    rep = verify_schauder(prob, pair_samples=400, constant=True)
+    rep = verify_schauder(prob, pair_samples=400)
     assert rep.verdict and math.isfinite(rep.fitted_constant)
     assert rep.samples > 100
     assert "ratio" in rep.to_json_dict()["ratios_csv"]
 
 
-def test_schauder_const_rejects_varcoeff(kspec):
-    prob = manufacture("gaussian", kspec, varcoeff_id="sin1")
-    with pytest.raises(ApplicabilityError):
-        verify_schauder(prob, constant=True)
-
-
 def test_schauder_var_matches_const_without_coefficients(kspec):
     prob = manufacture("gaussian2", kspec)
-    a = verify_schauder(prob, pair_samples=300, constant=True)
-    b = verify_schauder(prob, pair_samples=300)
-    assert b.name == "schauder-const"
+    a = verify_schauder(prob, pair_samples=300)
+    assert a.name == "schauder-const"
+    # the constant A as a coefficient field with a vanishing modulus
+    frozen = dataclasses.replace(prob, varcoeff=lambda Z: kspec.A,
+                                 omega_a=ModulusTable(DEFAULT_RADII, 0.0 * DEFAULT_RADII))
+    b = verify_schauder(frozen, pair_samples=300)
+    assert b.name == "schauder-var"
     assert abs(a.fitted_constant - b.fitted_constant) <= 1e-10
 
 
@@ -339,5 +342,42 @@ def test_invariance_principal(kspec):
 def test_invariance_generic_drift(drifted):
     rep = verify_invariance(drifted, samples=15)
     assert rep.verdict and not rep.details["dilation_checked"]
-    with pytest.raises(ApplicabilityError):
-        verify_invariance(drifted, samples=5, include_dilation=True)
+    assert rep.scaling["dilation"] == 0.0
+
+
+def test_invariance_tolerance_decides_the_verdict(kspec, monkeypatch):
+    # the left-invariance side shifted to just inside and just outside
+    # INVARIANCE_TOL, pinned at 1e-5; the real discrepancy on kspec is
+    # below 1e-6
+    real = verify.apply_L_fd
+    for delta, verdict in ((1e-5 - 1e-6, True), (1e-5 + 1e-6, False)):
+        calls = []
+
+        def shifted(spec, u, Z, varcoeff=None):
+            calls.append(u)
+            return real(spec, u, Z, varcoeff) + (delta if len(calls) == 1 else 0.0)
+
+        monkeypatch.setattr(verify, "apply_L_fd", shifted)
+        rep = verify_invariance(kspec, samples=15)
+        assert abs(rep.scaling["left"] - delta) < 1e-6
+        assert rep.verdict == verdict and rep.scaling["dilation"] < 1e-6
+
+
+def test_a_nan_fails_the_fd_and_manufacture_checks(kspec, monkeypatch):
+    # u is NaN at the stencil point Z + h e_1 alone: the unhalved
+    # quotient is NaN, which no tolerance test may pass
+    u = lambda W: np.where(W[:, 0] > 0.1 + 0.75 * FD_STEP, np.nan, W[:, 0] ** 2)
+    with pytest.raises(AccuracyError):
+        apply_L_fd(kspec, u, [[0.1, 0.2, 0.3]])
+    # finite u, and a right-hand side f = L u that is NaN on one row
+    bundle = _FAMILIES["gaussian"](kspec)
+
+    def hess_Yu(Z):
+        H, Yu = bundle.hess_Yu(Z)
+        Yu[0] = np.nan
+        return H, Yu
+
+    nan_f = dataclasses.replace(bundle, hess_Yu=hess_Yu)
+    monkeypatch.setitem(_FAMILIES, "nan-f", lambda spec: nan_f)
+    with pytest.raises(ManufactureError):
+        manufacture("nan-f", kspec)
