@@ -8,8 +8,6 @@ the interior estimate inequalities at desk scale.
 
 from .errors import (
     AccuracyError,
-    DefinitenessError,
-    DimensionError,
     DomainError,
     EllipticityError,
     HypoellipticityError,
@@ -17,10 +15,7 @@ from .errors import (
     ManufactureError,
     NonConvergenceError,
     PlanIntegrityError,
-    SolveError,
     StructureError,
-    SupportError,
-    SymmetryError,
     UsageError,
 )
 from .group import (
@@ -74,7 +69,6 @@ from .taylor import (
     PathPlan,
     PathSegment,
     connect,
-    coordinate_bundle,
     endpoint_error,
     flow_X,
     flow_Y,

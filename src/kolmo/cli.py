@@ -309,7 +309,6 @@ def _builtin_function(name, spec, alpha):
         if spec.N < 2:
             raise UsageError("counterexample-f needs a spec with N >= 2")
         return lambda Z: counterexample_f_rows(alpha, Z)
-    raise UsageError(f"unknown built-in function {name!r}")
 
 
 def _pair_chunks(n, size):
@@ -469,7 +468,7 @@ def run(argv):
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (AccuracyError, NonConvergenceError, FloatingPointError) as err:
+    except (AccuracyError, FloatingPointError) as err:
         print(f"accuracy failure: {err}", file=sys.stderr)
         return EXIT_ACCURACY
     except KolmoError as err:

@@ -1,24 +1,15 @@
-"""Exception hierarchy shared by all kolmo modules."""
+"""Exception hierarchy shared by all kolmo modules, one class per way of
+failing.  cli.run maps them to exit codes: UsageError to 3 (stderr prefix
+"usage error"), AccuracyError (NonConvergenceError among them) and numpy's
+FloatingPointError to 4, and every other KolmoError to 3."""
 
 
 class KolmoError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionError(KolmoError, ValueError):
-    """Matrix or vector shapes are incompatible with the operation."""
-
-
 class DomainError(KolmoError, ValueError):
-    """A scalar argument lies outside the admissible range."""
-
-
-class SymmetryError(KolmoError, ValueError):
-    """A matrix expected to be symmetric is not, beyond tolerance."""
-
-
-class DefinitenessError(KolmoError, ValueError):
-    """A matrix expected to be positive definite is not."""
+    """An argument lies outside the admissible range."""
 
 
 class StructureError(KolmoError, ValueError):
@@ -37,15 +28,7 @@ class AccuracyError(KolmoError, RuntimeError):
     """A numerical self-check (refinement or Richardson) did not converge."""
 
 
-class SupportError(KolmoError, ValueError):
-    """A kernel derivative was requested outside the support t > tau."""
-
-
-class SolveError(KolmoError, ValueError):
-    """A restricted linear solve has no solution; signals an invalid spec."""
-
-
-class NonConvergenceError(KolmoError, RuntimeError):
+class NonConvergenceError(AccuracyError):
     """The path-planning correction loop hit its iteration cap.
 
     Carries the best plan found so far in the ``plan`` attribute.

@@ -28,7 +28,6 @@ from .errors import (
     AccuracyError,
     DomainError,
     EllipticityError,
-    SolveError,
     StructureError,
     UsageError,
 )
@@ -38,6 +37,11 @@ ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
 
 
+def _whole(value):
+    """value is a number with no fractional part: not a bool, inf or nan."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and not value % 1
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Partition of the N spatial coordinates into dilation levels."""
@@ -45,10 +49,10 @@ class BlockStructure:
     sizes: tuple
 
     def __post_init__(self):
+        if not self.sizes or not all(_whole(s) and s >= 1 for s in self.sizes):
+            raise StructureError("block sizes must be positive integers")
         sizes = tuple(int(s) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise StructureError("block sizes must be positive integers")
         if any(a < b for a, b in zip(sizes, sizes[1:])):
             raise StructureError("block sizes must be non-increasing")
 
@@ -224,7 +228,7 @@ def load_spec(path_or_dict):
             raise UsageError(f"cannot read spec {path_or_dict}: {err}") from None
     try:
         A, B = (np.asarray(data[key], dtype=float) for key in ("A", "B"))
-        blocks = tuple(int(s) for s in data["blocks"])
+        blocks = tuple(data["blocks"])
     except KeyError as err:
         raise StructureError(f"spec has no {err} entry") from None
     except (TypeError, ValueError) as err:
@@ -232,7 +236,7 @@ def load_spec(path_or_dict):
     spec = make_spec(A, B, blocks)
     for key, size, what in (("N", spec.N, "blocks sum to"), ("m", spec.m, "first block is")):
         declared = data.get(key, size)
-        if isinstance(declared, bool) or not isinstance(declared, numbers.Real) or declared % 1:
+        if not _whole(declared):
             raise StructureError(f"declared {key}={declared!r} is not a whole number")
         if declared != size:
             raise StructureError(f"declared {key}={data[key]} but {what} {size}")
@@ -259,6 +263,8 @@ def validate_structure(spec):
         raise StructureError(f"B must be {N}x{N}, got {spec.B.shape}")
     if spec.A.shape != (m, m):
         raise StructureError(f"A must be {m}x{m}, got {spec.A.shape}")
+    if not (np.isfinite(spec.A).all() and np.isfinite(spec.B).all()):
+        raise StructureError("A and B must have finite entries")
     if not _symmetric(spec.A):
         raise EllipticityError("A is not symmetric")
     if np.linalg.eigvalsh(spec.A)[0] <= 0.0:
@@ -401,7 +407,7 @@ def level_map_solve(spec, n, target):
     M = Bn[blocks.level_slice(n), blocks.level_slice(0)]
     w0, *_ = np.linalg.lstsq(M, target_n, rcond=None)
     if np.linalg.norm(M @ w0 - target_n) > 1e-10 * max(1.0, np.linalg.norm(target_n)):
-        raise SolveError(
+        raise StructureError(
             f"level-{n} map could not reach the target; spec violates surjectivity"
         )
     w = np.zeros(spec.N)

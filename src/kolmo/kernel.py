@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, HypoellipticityError, SupportError
+from .errors import AccuracyError, DomainError, HypoellipticityError
 from .group import embedded_A, finite_rows
-from .matrixcalc import dot_rows, gauss_panels, matvec_rows, tensor_rule, vecmat_rows
+from .matrixcalc import ROW_CHUNK, dot_rows, gauss_panels, matvec_rows, tensor_rule, vecmat_rows
 
-ROW_CHUNK = 4096  # most rows factorised at once: each holds ~16 N^2 floats of work
 Covariance = namedtuple("Covariance", "C")
 # Gamma at K rows with its (K, N) gradient in z, its (K, N, N) spatial
 # Hessian (L uses the m x m corner) and Y Gamma = <B x, grad> - d_t Gamma
@@ -97,7 +96,7 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
 
     Returns a KernelJet; with ``derivatives=False`` only the (K,) values,
     zero on and below the pole time (the derivatives need t > tau on
-    every row: SupportError).  The exponent is a math.exp per row, since
+    every row: DomainError).  The exponent is a math.exp per row, since
     numpy's exp rounds differently on some inputs; AccuracyError if it
     overflows.
     """
@@ -109,7 +108,7 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
     dt = Z[:, -1] - P[:, -1]
     live = dt > 0.0
     if derivatives and not live.all():
-        raise SupportError(f"kernel derivative needs t - tau > 0, got {dt[~live][0]}")
+        raise DomainError(f"kernel derivative needs t - tau > 0, got {dt[~live][0]}")
     g = np.zeros(len(Z))
     X, Xi, dt = Z[live, :-1], (P[live] if len(P) > 1 else P)[:, :-1], dt[live]
     times, at = np.unique(dt, return_inverse=True)

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (
-    AccuracyError,
-    DefinitenessError,
-    DimensionError,
-    DomainError,
-    SymmetryError,
-)
+from .errors import AccuracyError, DomainError
 
 SYMMETRY_TOL = 1e-12
 # Most points a tensor grid may have: kernel_mass's fine grid in two
@@ -47,6 +41,7 @@ SERIES_CHECK_TOL = 1e-13
 # times, whose (rows, d, n, n) products would exceed it, goes in chunks;
 # on the m = 2, N = 4 strip [E(t) | G(t)] that is 256 rows
 SERIES_BUDGET = 2**18
+ROW_CHUNK = 4096  # most rows one stacked pass lays out: kernel jets, quadrature, split radii
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,7 @@ def _as_square(M, stack=False):
     """M as a float square matrix, or with ``stack`` also a (K, n, n) stack."""
     M = np.asarray(M, dtype=float)
     if M.ndim not in ((2, 3) if stack else (2,)) or M.shape[-2] != M.shape[-1]:
-        raise DimensionError(f"expected a square matrix, got shape {M.shape}")
+        raise DomainError(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise DomainError("matrix has non-finite entries")
     return M
@@ -184,10 +179,10 @@ def sqrt_spd(A):
     own call (a stacked eigh and matmul)."""
     A = _as_square(A, stack=True)
     if not _symmetric(A):
-        raise SymmetryError("matrix is not symmetric")
+        raise DomainError("matrix is not symmetric")
     w, V = np.linalg.eigh(A)
     if w.min() <= 0.0:
-        raise DefinitenessError(f"matrix is not positive definite (min eig {w.min():g})")
+        raise DomainError(f"matrix is not positive definite (min eig {w.min():g})")
     return np.matmul(V * np.sqrt(w)[..., None, :], np.swapaxes(V, -1, -2))
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .group import compose_rows, dilate_rows, heat_spec, kdist_rows
+from .matrixcalc import ROW_CHUNK
 
 DEFAULT_RADII = 2.0 ** np.linspace(-20.0, 0.0, 64)
 DEFAULT_RADII.flags.writeable = False  # every table on the default grid shares it
@@ -126,9 +127,6 @@ def dini_integral(table):
     )
 
 
-SPLIT_ROWS = 4096  # most split radii whose trapezoid terms are laid out at once
-
-
 def schauder_functional_rows(table, ds):
     """schauder_functional at every split radius of the 1-d array ``ds``.
 
@@ -144,9 +142,9 @@ def schauder_functional_rows(table, ds):
     is bit-identical to its K = 1 call.
     """
     ds = np.asarray(ds, dtype=float)
-    if len(ds) > SPLIT_ROWS:
-        return np.concatenate([schauder_functional_rows(table, ds[k:k + SPLIT_ROWS])
-                               for k in range(0, len(ds), SPLIT_ROWS)])
+    if len(ds) > ROW_CHUNK:
+        return np.concatenate([schauder_functional_rows(table, ds[k:k + ROW_CHUNK])
+                               for k in range(0, len(ds), ROW_CHUNK)])
     bad = ~((ds > 0.0) & (ds < 1.0))
     if bad.any():
         raise DomainError(f"split radius must lie in (0, 1), got {ds[bad][0].item()}")
@@ -249,7 +247,9 @@ def pair_omega(dists, jumps, radii):
 # The planar counterexample u = x y |log(x^2 + y^2)|^a.
 
 
-def _counterexample_logs(x, y):
+def _counterexample_logs(alpha, x, y):
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
     rho2 = x * x + y * y
     if rho2 == 0.0:
         raise DomainError("the counterexample is singular at the origin")
@@ -260,9 +260,7 @@ def _counterexample_logs(x, y):
 
 def counterexample_f(alpha, x, y):
     """The Laplacian of u: continuous at 0 but not Dini continuous there."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
-    rho2, L = _counterexample_logs(x, y)
+    rho2, L = _counterexample_logs(alpha, x, y)
     q = x * y / rho2
     return -8.0 * alpha * q * L ** (alpha - 1.0) + 4.0 * alpha * (
         alpha - 1.0
@@ -277,9 +275,7 @@ def counterexample_f_rows(alpha, Z):
 
 def counterexample_mixed(alpha, x, y):
     """The mixed derivative u_xy; grows like |log rho^2|^alpha at 0."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
-    rho2, L = _counterexample_logs(x, y)
+    rho2, L = _counterexample_logs(alpha, x, y)
     q = x * x * y * y / rho2**2
     return (
         L**alpha
@@ -297,14 +293,9 @@ def counterexample_certificate(alpha=0.5, seed=0, pair_samples=4000):
     per-decade increments of the partial Dini integrals, the |f| values
     down the diagonal, and the |u_xy| values which grow without bound.
     """
-    spec = heat_spec(2)
-
-    def fval(Z):
-        return counterexample_f_rows(alpha, Z)
-
     # radius 0.3: base point plus separation stay inside the unit disk
-    table = empirical_modulus(fval, spec, radius=0.3, pair_samples=pair_samples,
-                              seed=seed)
+    table = empirical_modulus(lambda Z: counterexample_f_rows(alpha, Z), heat_spec(2),
+                              radius=0.3, pair_samples=pair_samples, seed=seed)
     report = dini_integral(table)
     growth = report.decade_growth[-4:]
     deltas = [1e-2, 1e-4, 1e-6, 1e-8]

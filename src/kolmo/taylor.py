@@ -457,24 +457,6 @@ def quadratic_bundle(spec, c0=0.0, a=None, H=None, bt=0.0):
     return C2Bundle(u=u, grad_m=grad_m, hess_Yu=hess_Yu)
 
 
-def coordinate_bundle(spec, index):
-    """u = x_index for a higher-level coordinate (index >= m)."""
-    m = spec.m
-    if index < m:
-        return quadratic_bundle(spec, a=np.eye(spec.m)[index])
-
-    def u(Z):
-        return Z[:, index].copy()
-
-    def grad_m(Z):
-        return np.zeros((len(Z), m))
-
-    def hess_Yu(Z):
-        return np.zeros((len(Z), m, m)), matvec_rows(spec.B, Z[:, :-1])[:, index]
-
-    return C2Bundle(u=u, grad_m=grad_m, hess_Yu=hess_Yu)
-
-
 def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
                     amplitude=1.0):
     """Smooth Gaussian bump in (x, t) with hand-coded derivatives."""

@@ -21,7 +21,7 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import DomainError, EllipticityError, ManufactureError
 from .group import compose_rows, dilate_rows, finite_rows, kdist_rows, sample_ball
 from .kernel import _checked_C, kernel_jet_rows
-from .matrixcalc import (dot_rows, exp_nonpositive, gauss_legendre, sqrt_spd,
+from .matrixcalc import (ROW_CHUNK, dot_rows, exp_nonpositive, gauss_legendre, sqrt_spd,
                          tensor_rule)
 from .modulus import (
     dini_integral,
@@ -33,7 +33,6 @@ from .taylor import (C2Bundle, flow_Y_rows, gaussian_bundle, quadratic_bundle,
                      richardson)
 
 FD_STEP = 1e-4
-QUAD_ROWS = 4096  # most quadrature rows (slices x nodes x offsets) in one chunk
 STABLE_FACTOR = 4.0
 SINGULAR_SAMPLES = 6  # Q_{R/2} rows per radius of verify_singular_bounds
 INVARIANCE_TOL = 1e-5  # largest discrepancy verify_invariance accepts on either identity
@@ -243,7 +242,7 @@ def _slice_integrals(spec, psi, Z, tau, pairs, h, nodes_x):
     (..., S, N, G) grid, coordinate-major so that each coordinate is a
     run of G nodes, and the (S,) slice times to (..., S, G) values.
     C(dt), its root and E(-dt) are one stacked call each for all slices,
-    every slice bit-identical to its own K = 1 call; QUAD_ROWS chunks
+    every slice bit-identical to its own K = 1 call; ROW_CHUNK chunks
     only the grid: psi is called once per chunk of slices, on every
     stencil offset, and each slice is reduced by its own dot with the
     weights.
@@ -254,7 +253,7 @@ def _slice_integrals(spec, psi, Z, tau, pairs, h, nodes_x):
     S, M = sqrt_spd(2.0 * _checked_C(spec, dt)[0]), spec.E(-dt)
     Y, W = _hermite_grid(nodes_x, spec.N)
     offsets = 1 + sum(2 if i == j else 4 for i, j in pairs)
-    step = max(1, QUAD_ROWS // (offsets * len(W)))
+    step = max(1, ROW_CHUNK // (offsets * len(W)))
     out = np.empty((len(Z), 1 + len(pairs)))
     for k in range(0, len(Z), step):
         part = slice(k, k + step)

@@ -340,6 +340,10 @@ BAD_INPUTS = {
     "declared-m-list": ["check", "--spec", "{tmp}/m_list.json"],
     "declared-N-fraction": ["check", "--spec", "{tmp}/N_fraction.json"],
     "declared-N-digits": ["check", "--spec", "{tmp}/N_digits.json"],
+    "spec-B-nan": ["kernel", "--spec", "{tmp}/B_nan.json", "--point", "0.1,0.1,1"],
+    "spec-A-infinity": ["check", "--spec", "{tmp}/A_inf.json"],
+    "spec-block-overflow": ["check", "--spec", "{tmp}/block_overflow.json"],
+    "spec-block-fraction": ["check", "--spec", "{tmp}/block_fraction.json"],
 }
 
 
@@ -356,13 +360,19 @@ def test_bad_input_keeps_exit_code_contract(name, tmp_path):
                              ("N_digits", "N", "2")):
         (tmp_path / f"{stem}.json").write_text(
             json.dumps(dict(json.loads(Path(KOLMO).read_text()), **{key: value})))
+    # a non-finite A or B, and block sizes that are not whole numbers
+    for stem, a, b, size in (("B_nan", "1", "NaN", "1"), ("A_inf", "Infinity", "-1", "1"),
+                             ("block_overflow", "1", "-1", "1e400"),
+                             ("block_fraction", "1", "-1", "1.5")):
+        (tmp_path / f"{stem}.json").write_text(
+            f'{{"A": [[{a}]], "B": [[0, 0], [{b}, 0]], "blocks": [1, {size}]}}')
     argv = [a.replace("{tmp}", str(tmp_path)) for a in BAD_INPUTS[name]]
     env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"))
     proc = subprocess.run([sys.executable, "-m", "kolmo.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode in (0, 2, 3, 4)
     assert "Traceback" not in proc.stderr
-    if name.startswith("declared-"):  # a structure error, not a truncated size
+    if name.startswith(("declared-", "spec-")):  # a structure error, not a truncated size
         assert proc.returncode == 3 and proc.stderr.count("\n") == 1
 
 

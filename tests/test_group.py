@@ -13,8 +13,8 @@ from kolmo import (
     sample_ball,
     scaled_B,
 )
-from kolmo.errors import DomainError, EllipticityError, SolveError, StructureError
-from kolmo.group import level_map_solve, project_level
+from kolmo.errors import DomainError, EllipticityError, StructureError
+from kolmo.group import BlockStructure, OperatorSpec, level_map_solve, project_level
 from kolmo.kernel import _checked_C
 
 
@@ -206,6 +206,14 @@ def test_level_map_solve_reaches_target(kappa2):
 def test_level_map_solve_bad_level(kspec):
     with pytest.raises(DomainError):
         level_map_solve(kspec, 2, np.zeros(2))
+
+
+def test_level_map_solve_refuses_an_unreachable_target():
+    # built directly, so make_spec's rank test does not refuse the zero
+    # subdiagonal block first: B maps nothing into level 1
+    spec = OperatorSpec(A=np.eye(1), B=np.zeros((2, 2)), blocks=BlockStructure((1, 1)))
+    with pytest.raises(StructureError, match="violates surjectivity"):
+        level_map_solve(spec, 1, [0.0, 1.0])
 
 
 def test_sample_ball_stays_in_quasi_ball(kspec):

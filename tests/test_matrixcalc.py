@@ -5,12 +5,7 @@ from quadrature import integrate_matrix
 
 from kolmo import AccuracyError, mat_exp, sqrt_spd
 from kolmo.matrixcalc import TENSOR_BUDGET, dot_rows, tensor_rule
-from kolmo.errors import (
-    DefinitenessError,
-    DimensionError,
-    DomainError,
-    SymmetryError,
-)
+from kolmo.errors import DomainError
 
 
 def test_mat_exp_nilpotent_closed_form():
@@ -53,7 +48,7 @@ def test_mat_exp_overflow_raises():
 
 
 def test_mat_exp_rejects_bad_input():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         mat_exp(np.zeros((2, 3)))
     with pytest.raises(DomainError):
         mat_exp(np.array([[np.nan]]))
@@ -70,16 +65,16 @@ def test_sqrt_spd_squares_back():
 
 
 def test_sqrt_spd_rejects_nonsymmetric_and_indefinite():
-    with pytest.raises(SymmetryError):
+    with pytest.raises(DomainError, match="not symmetric"):
         sqrt_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(DefinitenessError):
+    with pytest.raises(DomainError, match="not positive definite"):
         sqrt_spd(np.diag([1.0, -1.0]))
     # one bad slice of a stack is refused as well
-    for bad, error in ((np.array([[1.0, 2.0], [0.0, 1.0]]), SymmetryError),
-                       (np.diag([1.0, -1.0]), DefinitenessError)):
-        with pytest.raises(error):
+    for bad, match in ((np.array([[1.0, 2.0], [0.0, 1.0]]), "not symmetric"),
+                       (np.diag([1.0, -1.0]), "not positive definite")):
+        with pytest.raises(DomainError, match=match):
             sqrt_spd(np.stack([np.eye(2), bad, np.eye(2)]))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         sqrt_spd(np.ones((2, 2, 2, 2)))
 
 

@@ -48,9 +48,7 @@ def holder_seminorm(f, spec, alpha, samples=4000):
 
 def counterexample_u(alpha, x, y):
     """u(x, y) = x y |log(x^2+y^2)|^alpha; bounded and continuous."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
-    rho2, L = _counterexample_logs(x, y)
+    rho2, L = _counterexample_logs(alpha, x, y)
     return x * y * L**alpha
 
 

@@ -21,7 +21,6 @@ from kolmo import (
     apply_L_fd,
     compose_rows,
     connect,
-    coordinate_bundle,
     dilate_rows,
     gamma,
     gamma_grad,
@@ -41,7 +40,7 @@ from kolmo.errors import NonConvergenceError
 from kolmo.group import finite_rows
 from kolmo.matrixcalc import exp_nonpositive, matvec_rows
 from kolmo.modulus import _scaled_pairs
-from kolmo.taylor import flow_Y_rows, richardson
+from kolmo.taylor import C2Bundle, flow_Y_rows, richardson
 from kolmo.verify import _coeff_field
 
 # Non-increasing block sizes with m in {1, 2} and N <= 6.
@@ -190,6 +189,24 @@ def test_scaled_pairs_rows_match_the_point_loop(spec, seed):
         raw2 = rng.uniform(-1.0, 1.0, size=(1, spec.N + 1))
         zeta = compose_rows(z, dilate_rows(sep[k] * radius, raw2, exps), spec)
         assert np.array_equal(pairs[k], np.vstack([z, zeta]))
+
+
+def coordinate_bundle(spec, index):
+    """u = x_index for a higher-level coordinate (index >= m)."""
+    m = spec.m
+    if index < m:
+        return quadratic_bundle(spec, a=np.eye(spec.m)[index])
+
+    def u(Z):
+        return Z[:, index].copy()
+
+    def grad_m(Z):
+        return np.zeros((len(Z), m))
+
+    def hess_Yu(Z):
+        return np.zeros((len(Z), m, m)), matvec_rows(spec.B, Z[:, :-1])[:, index]
+
+    return C2Bundle(u=u, grad_m=grad_m, hess_Yu=hess_Yu)
 
 
 def bundles(spec, rng):

@@ -21,7 +21,7 @@ from kolmo.modulus import DEFAULT_RADII
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60,
                     deadline=None)
-# None keeps SPLIT_ROWS; a small bound splits the radii into many calls
+# None keeps ROW_CHUNK; a small bound splits the radii into many calls
 SPLITS = st.one_of(st.none(), st.integers(1, 40))
 
 
@@ -110,7 +110,7 @@ def test_rows_match_the_per_d_route(seed, default_grid, count, split):
     want = [schauder_functional_oracle(table, d) for d in ds.tolist()]
     with pytest.MonkeyPatch.context() as mp:
         if split is not None:
-            mp.setattr(modulus, "SPLIT_ROWS", split)
+            mp.setattr(modulus, "ROW_CHUNK", split)
         assert schauder_functional_rows(table, ds).tolist() == want
     assert [schauder_functional(table, d) for d in ds[:5].tolist()] == want[:5]
 

@@ -30,7 +30,7 @@ from test_rows import admissible_spec
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=12,
                     deadline=None)
-# a chunk bound of None keeps QUAD_ROWS; a small one cuts every block
+# a chunk bound of None keeps ROW_CHUNK; a small one cuts every block
 # into chunks of one or a few slices
 CHUNKS = st.one_of(st.none(), st.integers(1, 3000))
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
@@ -136,9 +136,9 @@ def convolved(ctx, f, z, t_lo, nt, nx):
 
 
 def chunk_bound(mp, rows):
-    """QUAD_ROWS set to ``rows``, unless it is None."""
+    """ROW_CHUNK set to ``rows``, unless it is None."""
     if rows is not None:
-        mp.setattr(verify, "QUAD_ROWS", rows)
+        mp.setattr(verify, "ROW_CHUNK", rows)
 
 
 # N <= 2: the route has 12^N Gauss-Hermite nodes per slice
@@ -190,7 +190,7 @@ def counting(calls, name, fn):
        st.booleans(), CHUNKS)
 def test_one_factorisation_per_block(blocks, spec_seed, principal, rows):
     # C(dt), its root and E(-dt) are made once per _slice_integrals call (one per
-    # R) and once per convolve_solution pass; QUAD_ROWS chunks only the grid
+    # R) and once per convolve_solution pass; ROW_CHUNK chunks only the grid
     spec = admissible_spec(blocks, spec_seed, principal)
     calls = {"C": 0, "slices": 0}
     z = sample_ball(spec, 0.5, 1, np.random.default_rng(spec_seed))

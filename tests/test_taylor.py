@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 from kolmo import (
     Point,
     connect,
-    coordinate_bundle,
     endpoint_error,
     flow_X,
     flow_Y,
@@ -24,7 +23,7 @@ from kolmo.group import OperatorSpec, compose_rows, dilate_rows, finite_rows, sa
 from kolmo.taylor import PathSegment, traj_increment_rows
 from kolmo.verify import apply_L_fd
 
-from test_rows import PROPERTY, lie_derivative_fd, specs
+from test_rows import PROPERTY, coordinate_bundle, lie_derivative_fd, specs
 
 
 def validate_bundle(bundle, spec, Z):
