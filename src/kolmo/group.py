@@ -20,21 +20,18 @@ everything else takes row blocks.
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AccuracyError,
-    DomainError,
-    EllipticityError,
-    StructureError,
-    UsageError,
-)
-from .matrixcalc import _symmetric, exp_rows, exp_table, matvec_rows
+from .errors import AccuracyError, DomainError, EllipticityError, StructureError, UsageError
+from .matrixcalc import _gershgorin, _symmetric, exp_rows, exp_table, matvec_rows
 
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
+# C(1), its inverse, log det, det sign and bound g, and E(1) (OperatorSpec.homogeneous)
+UnitCovariance = namedtuple("UnitCovariance", "C1 inv logdet sign g E1")
 
 
 def _whole(value):
@@ -133,7 +130,7 @@ class OperatorSpec:
     A: np.ndarray
     B: np.ndarray
     blocks: BlockStructure
-    # made on first use: the validated exponents and the exp_tables of E and C
+    # made on first use: validated exponents, exp_tables of E and C, a UnitCovariance
     _exps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,12 +159,10 @@ class OperatorSpec:
         """True when B has only the subdiagonal blocks (B = B_0)."""
         return bool(np.abs(self.B - scaled_B(self, 0.0)).max() <= ZERO_BLOCK_TOL)
 
-    def _exp(self, key, generator, rows=None):
-        """The exp_table of a generator, made on first use (of a nilpotent one, ``rows`` rows)."""
+    def _exp(self, key, generator):
+        """The exp_table of a generator, made on first use."""
         if key not in self._exps:
-            table = exp_table(generator())
-            self._exps[key] = (replace(table, powers=table.powers[:, :rows].copy())
-                               if table.nilpotent else table)
+            self._exps[key] = exp_table(generator())
         return self._exps[key]
 
     def E(self, tau):
@@ -175,35 +170,78 @@ class OperatorSpec:
         the stack of their matrices, from the powers of -B made once."""
         return exp_rows(self._exp("E", lambda: -self.B), tau)
 
-    def C(self, t):
-        """Covariance C(t) = int_0^t E(s) A~ E(s)^T ds, symmetrised (stacked for an array t).
-
-        One block matrix exponential (Van Loan, IEEE TAC 1978): for
-        M = [[-B, A~], [0, B^T]] the top block row of exp(t M) is
-        [E(t), G(t)] with C(t) = G(t) E(t)^T.  A nilpotent M (a principal
-        drift) needs no squaring, so its table keeps the top N rows of each
-        power and exp_rows sums only that (K, N, 2N) strip; otherwise the
-        (K, 2N, 2N) square.  exp_rows takes a long block of times in
-        chunks within its SERIES_BUDGET; each slice is bit-identical to
-        its own K = 1 call.  DomainError if C(t) overflows, in exp(t M)
-        or in the product.
-        """
+    def _block(self, t):
+        """(C(t), E(t)) from the top block row [E(t), G(t)] of exp(t M),
+        M = [[-B, A~], [0, B^T]] (Van Loan, IEEE TAC 1978), with C = G E^T
+        symmetrised; None if exp(t M) or C(t) overflows."""
         N = self.N
 
         def block():
             M = np.zeros((2 * N, 2 * N))
-            M[:N, :N] = -self.B
-            M[:N, N:] = embedded_A(self)
-            M[N:, N:] = self.B.T
+            M[:N, :N], M[:N, N:], M[N:, N:] = -self.B, embedded_A(self), self.B.T
             return M
 
         try:
-            Phi = exp_rows(self._exp("C", block, rows=N), t)
-            with np.errstate(over="ignore", invalid="ignore"):
-                C = Phi[..., :N, N:] @ np.swapaxes(Phi[..., :N, :N], -1, -2)
-                C = (C + np.swapaxes(C, -1, -2)) / 2.0
-        except AccuracyError:  # exp(t M) overflowed
-            C = None
+            Phi = exp_rows(self._exp("C", block), t)
+        except AccuracyError:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = Phi[..., :N, N:] @ np.swapaxes(Phi[..., :N, :N], -1, -2)
+            C = (C + np.swapaxes(C, -1, -2)) / 2.0
+        return (C, Phi[..., :N, :N]) if np.isfinite(C).all() else None
+
+    def homogeneous(self):
+        """The UnitCovariance of B == B_0 (ZERO_BLOCK_TOL does not count),
+        made once from one block exponential at t = 1; else None.  L is then
+        dilation-invariant (Lanconelli & Polidoro 1994): with D =
+        diag(t^(alpha_i / 2)), C(t) = D C(1) D, E(t) = D E(1) D^-1 and
+        log det C(t) = log det C(1) + Q log t.  g is _gershgorin's bound for
+        C(1) less (2 kappa + 3) eps: C(t)'s entries carry at most 2 kappa + 1
+        roundings (C), so a correlation row sum below 2 moves by less than
+        (2 kappa + 2) eps, and one eps covers subnormal entries."""
+        if "unit" not in self._exps:
+            unit = None
+            level = np.repeat(np.arange(self.kappa + 1), self.blocks.sizes)
+            if not self.B[level[:, None] != level[None, :] + 1].any():
+                C1, E1 = self._block(1.0) or (None, None)
+                if C1 is None:
+                    raise DomainError("C(1) is not finite")
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    sign, logdet = np.linalg.slogdet(C1)
+                    inv = np.linalg.inv(C1) if sign > 0 else None
+                g = _gershgorin(C1[None])[0][0] - (2 * self.kappa + 3) * np.finfo(float).eps
+                unit = UnitCovariance(C1, inv, float(logdet), float(sign), float(g), E1)
+            self._exps["unit"] = unit
+        return self._exps["unit"]
+
+    def level_powers(self, t):
+        """t^n on each coordinate of level n (last axis), for a scalar or (K,)
+        array t, by repeated products: no np.power or libm pow, whose last
+        bit depends on the library."""
+        t = np.asarray(t, dtype=float)
+        table = np.ones(t.shape + (self.kappa + 1,))
+        with np.errstate(over="ignore", under="ignore"):
+            for n in range(1, self.kappa + 1):
+                np.multiply(table[..., n - 1], t, out=table[..., n])
+        return np.take(table, np.repeat(np.arange(self.kappa + 1), self.blocks.sizes), axis=-1)
+
+    def C(self, t):
+        """Covariance C(t) = int_0^t E(s) A~ E(s)^T ds (stacked for an array t).
+
+        A principal drift gives D C(1) D, entry (i, j) = ((p_i p_j) t) C(1)_ij
+        with p = level_powers(t): exactly symmetric, also for t < 0, and
+        t^(n_i + n_j + 1) overflows where the block route's series did.  Any
+        other drift reads it off one block exponential per time (_block).
+        Each slice is bit-identical to its own K = 1 call; DomainError if
+        C(t) overflows.
+        """
+        unit = self.homogeneous()
+        if unit is None:
+            C = (self._block(t) or (None,))[0]
+        else:
+            t, p = np.asarray(t, dtype=float), self.level_powers(t)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                C = ((p[..., :, None] * p[..., None, :]) * t[..., None, None]) * unit.C1
         if C is None or not np.isfinite(C).all():
             raise DomainError(f"C(t) is not finite for a time step up to {np.max(t)}")
         return C
@@ -276,19 +314,15 @@ def validate_structure(spec):
                 continue
             blk = spec.B[blocks.level_slice(i), blocks.level_slice(j)]
             if np.abs(blk).max() > ZERO_BLOCK_TOL:
-                raise StructureError(
-                    f"block ({i},{j}) below the subdiagonal must be zero, "
-                    f"max entry {np.abs(blk).max():g}"
-                )
+                raise StructureError(f"block ({i},{j}) below the subdiagonal must be zero, "
+                                     f"max entry {np.abs(blk).max():g}")
     for j in range(1, blocks.kappa + 1):
         blk = spec.B[blocks.level_slice(j), blocks.level_slice(j - 1)]
         sv = np.linalg.svd(blk, compute_uv=False)
         rank = int(np.sum(sv > RANK_TOL))
         if rank < blocks.sizes[j]:
             raise StructureError(
-                f"subdiagonal block at level {j} has rank {rank}, "
-                f"needs {blocks.sizes[j]}"
-            )
+                f"subdiagonal block at level {j} has rank {rank}, needs {blocks.sizes[j]}")
     return level_exponents(blocks)
 
 
@@ -408,8 +442,7 @@ def level_map_solve(spec, n, target):
     w0, *_ = np.linalg.lstsq(M, target_n, rcond=None)
     if np.linalg.norm(M @ w0 - target_n) > 1e-10 * max(1.0, np.linalg.norm(target_n)):
         raise StructureError(
-            f"level-{n} map could not reach the target; spec violates surjectivity"
-        )
+            f"level-{n} map could not reach the target; spec violates surjectivity")
     w = np.zeros(spec.N)
     w[blocks.level_slice(0)] = w0
     return w

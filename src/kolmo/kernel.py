@@ -7,12 +7,13 @@ Gamma(z, zeta) = Gamma(x - E(t-tau) xi, t - tau) with the Gaussian form
 
 and zero for t <= 0.  C(t) is the covariance integral of the flow.
 
-kernel_jet_rows evaluates Gamma and its derivatives in z on a row block,
-with E(dt) and C(dt) factorised once per distinct time step by stacked
-calls and nothing cached; each row rounds exactly as its own K = 1 call
-does.  C(dt) must be positive definite (Hormander's condition): a
-Gershgorin bound formed from its entries certifies that, and eigvalsh
-runs only on the rows the bound cannot clear (_checked_C).  gamma,
+kernel_jet_rows evaluates Gamma and its derivatives in z on a row block;
+each row rounds exactly as its own K = 1 call does.  A principal drift
+(B = B_0) needs only C(1), factorised once per spec, and the dilations
+(C(dt) = D C(1) D); any other drift has E(dt) and C(dt) factorised once
+per distinct time step.  C(dt) must be positive definite (Hormander's
+condition): a Gershgorin bound, of C(1) or of C(dt), certifies that, and
+eigvalsh runs only on the rows it cannot clear (_checked_C).  gamma,
 gamma_grad and gamma_hess_m are its K = 1 calls on Points, kept for the
 benchmark's closed-form check.  Every derivative formula is
 cross-checked against finite differences in the test suite.
@@ -26,7 +27,8 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, HypoellipticityError
 from .group import embedded_A, finite_rows
-from .matrixcalc import ROW_CHUNK, dot_rows, gauss_panels, matvec_rows, tensor_rule, vecmat_rows
+from .matrixcalc import (ROW_CHUNK, _clears, _gershgorin, dot_fixed, dot_rows, gauss_panels,
+                         matvec_fixed, matvec_rows, tensor_rule, vecmat_rows)
 
 Covariance = namedtuple("Covariance", "C")
 # Gamma at K rows with its (K, N) gradient in z, its (K, N, N) spatial
@@ -41,24 +43,32 @@ class KernelContext:
     spec: object
 
 
-def _gershgorin(C):
-    """The Gershgorin certificate of a (K, n, n) stack C: g per slice and the
-    mask of slices it clears.  With d = diag C and r_ij = |C_ij| / sqrt(d_i d_j),
-    lambda_min(C) >= g min d for g = 2 - max_i sum_j r_ij - 4 n eps, a slack
-    for the rounding of r and its row sums in any order.  eigvalsh's
-    eigenvalues lie within p(n) eps ||C||_2 of the exact ones (LAPACK Users'
-    Guide, 3rd ed., section 4.7) and ||C||_2 <= tr C once g > 0, so with
-    p(n) <= 2^10 n a slice with g min d > 2^10 n eps tr C + 2e-300 is cleared;
-    a zero d (C(t) underflowed to 0) makes g nan, not cleared.  d is laid out
-    (n, K) and r (n, n, K), contiguous, so each operation runs over the K rows."""
-    n, eps = C.shape[-1], np.finfo(float).eps
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d = np.diagonal(C, axis1=1, axis2=2).T.copy()
-        s = np.sqrt(d)
-        r = np.abs(C).transpose(1, 2, 0).copy()
-        r /= s[:, None] * s[None, :]
-        g = 2.0 - np.add.reduce(r, axis=1).max(0) - 4 * n * eps
-        return g, (g > 0) & (g * d.min(0) > 2**10 * n * eps * d.sum(0) + 2e-300)
+def _verdict(t, sign, cleared, rows_C):
+    """HypoellipticityError unless each row has a determinant sign > 0 and
+    is cleared, or its C(t) (rows_C of the mask) an eigvalsh minimum > 1e-300."""
+    bad = sign <= 0
+    rest = ~(cleared | bad)
+    if rest.any():
+        bad[rest] = np.linalg.eigvalsh(rows_C(rest))[:, 0] <= 1e-300
+    if bad.any():
+        raise HypoellipticityError(f"C({t[bad][0]}) is numerically singular")
+
+
+def _checked_unit(spec, t):
+    """_checked_C's verdict on a principal drift's C(t) = D C(1) D from the
+    sign of det C(1), its certificate g (OperatorSpec.homogeneous) and
+    diag C(t) as spec.C forms it; only uncleared rows form C(t).  Returns
+    D's (K, N) diagonal sqrt(t) t^n and log det C(1) + Q log t (math.log)."""
+    unit, p = spec.homogeneous(), spec.level_powers(t)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        dd = (p * p) * t[:, None]
+        diag = dd * np.diagonal(unit.C1)
+    if not np.isfinite(diag).all():
+        raise DomainError(f"C(t) is not finite for a time step up to {np.max(t)}")
+    cleared = _clears(unit.g, diag.T) & (dd.min(1, initial=np.inf) >= np.finfo(float).tiny)
+    _verdict(t, np.full(len(t), unit.sign), cleared, lambda rows: spec.C(t[rows]))
+    logt = np.fromiter(map(math.log, t.tolist()), float, len(t))
+    return np.sqrt(t)[:, None] * p, unit.logdet + spec.exponents().Q * logt
 
 
 def _checked_C(spec, t):
@@ -68,18 +78,16 @@ def _checked_C(spec, t):
     determinant sign <= 0 or an eigvalsh minimum <= 1e-300.  This is
     the one positive-definiteness verdict on C(t), Hormander's condition:
     the kernel acts on it and the check verb reports it.  eigvalsh runs
-    only on the rows that _gershgorin does not clear.
+    only on the rows that the Gershgorin certificate does not clear, that
+    of C(1) on a principal drift (_checked_unit), else that of C(t).
     """
+    if spec.homogeneous() is not None:
+        return spec.C(t), _checked_unit(spec, t)[1]
     C = spec.C(t)
     # a zero pivot in slogdet is log(0): sign 0, which the test below rejects
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sign, logdet = np.linalg.slogdet(C)
-    bad = sign <= 0
-    rest = ~(_gershgorin(C)[1] | bad)
-    if rest.any():
-        bad[rest] = np.linalg.eigvalsh(C[rest])[:, 0] <= 1e-300
-    if bad.any():
-        raise HypoellipticityError(f"C({t[bad][0]}) is numerically singular")
+    _verdict(t, sign, _gershgorin(C)[1], lambda rows: C[rows])
     return C, logdet
 
 
@@ -99,6 +107,14 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
     every row: DomainError).  The exponent is a math.exp per row, since
     numpy's exp rounds differently on some inputs; AccuracyError if it
     overflows.
+
+    A principal drift forms no per-row C, inverse or determinant: with
+    D = D(sqrt dt), u = D^-1 x - E(1) D^-1 xi, v1 = C(1)^-1 u, <u, v1> is
+    <C^-1 w, w>, C^-1 w = D^-1 v1 and C^-1 = C(1)^-1 / (d_i d_j); from
+    C'_ij = (alpha_i + alpha_j) C_ij / (2 dt), tr(C^-1 C') = Q / dt and
+    <C^-1 w, C' C^-1 w> = sum_i alpha_i v1_i u_i / dt.  Its sums run in a
+    fixed order (matvec_fixed).  Any other drift factorises E(dt) and C(dt)
+    once per distinct time step.
     """
     Z, P = finite_rows(Z), finite_rows(P)
     if len(Z) > ROW_CHUNK:
@@ -111,30 +127,48 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
         raise DomainError(f"kernel derivative needs t - tau > 0, got {dt[~live][0]}")
     g = np.zeros(len(Z))
     X, Xi, dt = Z[live, :-1], (P[live] if len(P) > 1 else P)[:, :-1], dt[live]
-    times, at = np.unique(dt, return_inverse=True)
-    C, logdet = _checked_C(spec, times)
-    E, Cinv, logdet = spec.E(times)[at], np.linalg.inv(C)[at], logdet[at]
-    EXi = matvec_rows(E, Xi)
-    W = X - EXi
-    quad = dot_rows(vecmat_rows(W, Cinv), W)
+    unit = spec.homogeneous()
+    dot, matvec = (dot_rows, matvec_rows) if unit is None else (dot_fixed, matvec_fixed)
+    if unit is None:
+        times, at = np.unique(dt, return_inverse=True)
+        C, logdet = _checked_C(spec, times)
+        E, Cinv, logdet = spec.E(times)[at], np.linalg.inv(C)[at], logdet[at]
+        EXi = matvec_rows(E, Xi)
+        W = X - EXi
+        quad = dot_rows(vecmat_rows(W, Cinv), W)
+    else:
+        d, logdet = _checked_unit(spec, dt)
+        Eta = matvec_fixed(unit.E1, Xi / d)  # E(dt) xi = D Eta
+        U = X / d - Eta
+        V1 = matvec_fixed(unit.inv, U)
+        quad = dot_fixed(U, V1)
     log_pref = -0.5 * spec.N * math.log(4.0 * math.pi) - 0.5 * logdet
     arg = log_pref - 0.25 * quad - dt * np.trace(spec.B)
     try:
-        g[live] = [math.exp(v) for v in arg.tolist()]
+        g[live] = list(map(math.exp, arg.tolist()))
     except OverflowError:  # a certified C(dt) so small that Gamma passes DBL_MAX
         raise AccuracyError(f"Gamma overflows at a time step {dt[np.argmax(arg)]}") from None
     if not derivatives:
         return g
 
-    CW = matvec_rows(Cinv, W)
+    if unit is None:
+        CW = matvec_rows(Cinv, W)
+    else:
+        CW, Cinv = V1 / d, unit.inv / d[:, :, None] / d[:, None, :]
     grad = -0.5 * CW * g[:, None]
     hess = (0.25 * (CW[:, :, None] * CW[:, None, :]) - 0.5 * Cinv) * g[:, None, None]
-    # d_t Gamma from C'(dt) = E A~ E^T and w' = B E xi; a 2-d trace per row
-    Cprime = np.matmul(np.matmul(E, embedded_A(spec)), np.swapaxes(E, -1, -2))
-    tr = np.trace(np.matmul(Cinv, Cprime), axis1=-2, axis2=-1)
-    dlog_dt = (-0.5 * tr - 0.5 * dot_rows(CW, matvec_rows(spec.B, EXi))
-               + 0.25 * dot_rows(vecmat_rows(CW, Cprime), CW) - float(np.trace(spec.B)))
-    Y = dot_rows(matvec_rows(spec.B, X), grad) - dlog_dt * g
+    # d_t log Gamma from C'(dt) and w' = B E(dt) xi
+    if unit is None:  # C'(dt) = E A~ E^T; a 2-d trace per row
+        Cprime = np.matmul(np.matmul(E, embedded_A(spec)), np.swapaxes(E, -1, -2))
+        tr = np.trace(np.matmul(Cinv, Cprime), axis1=-2, axis2=-1)
+        flow = dot_rows(CW, matvec_rows(spec.B, EXi))
+        spread = dot_rows(vecmat_rows(CW, Cprime), CW)
+    else:  # D^-1 B D = B / dt for B = B_0
+        exps = spec.exponents()
+        tr, flow = exps.Q / dt, dot_fixed(V1, matvec_fixed(spec.B, Eta)) / dt
+        spread = dot_fixed(np.asarray(exps.alpha, dtype=float) * V1, U) / dt
+    dlog_dt = -0.5 * tr - 0.5 * flow + 0.25 * spread - float(np.trace(spec.B))
+    Y = dot(matvec(spec.B, X), grad) - dlog_dt * g
     return KernelJet(gamma=g, grad=grad, hess=hess, Y=Y)
 
 

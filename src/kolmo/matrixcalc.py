@@ -38,8 +38,7 @@ TAYLOR_DEGREE = 18
 # accepts; the entries of exp(X) with ||X||_1 < 1 are below e
 SERIES_CHECK_TOL = 1e-13
 # Most bytes of series terms exp_rows holds at once: a longer block of
-# times, whose (rows, d, n, n) products would exceed it, goes in chunks;
-# on the m = 2, N = 4 strip [E(t) | G(t)] that is 256 rows
+# times, whose (rows, d, n, n) products would exceed it, goes in chunks
 SERIES_BUDGET = 2**18
 ROW_CHUNK = 4096  # most rows one stacked pass lays out: kernel jets, quadrature, split radii
 
@@ -48,9 +47,11 @@ ROW_CHUNK = 4096  # most rows one stacked pass lays out: kernel jets, quadrature
 class ExpTable:
     """The powers of a generator M that exp_rows sums.
 
-    ``powers[k]`` is X^k / k! (or its top rows) with X = M for a nilpotent
-    M, whose series ends at the last non-zero power; otherwise X = M /
-    2^shift with 2^shift > ||M||_1 = ``norm``, and k runs to TAYLOR_DEGREE.
+    ``powers[k]`` is X^k / k! with X = M for a nilpotent M, whose series
+    ends at the last non-zero power; otherwise X = M / 2^shift with
+    2^shift > ||M||_1 = ``norm``, and k runs to TAYLOR_DEGREE.  A spec
+    keeps the tables of -B and of the block generator of C(t), which a
+    principal drift sums at t = 1 only.
     """
 
     powers: np.ndarray
@@ -92,15 +93,19 @@ def mat_exp(M):
 def exp_table(M):
     """The powers of M for exp_rows, made once per generator.
 
-    M is nilpotent when one of M^1 .. M^n is exactly zero.  A truncated
-    series is checked once against mat_exp, at the time 2^-shift where
-    ||t M||_1 lies in [1/2, 1) and no squaring hides its truncation
-    (AccuracyError beyond SERIES_CHECK_TOL).
+    M is nilpotent when one of M^1 .. M^n is exactly zero; DomainError
+    if a power overflows on the way.  A truncated series is checked once
+    against mat_exp, at the time 2^-shift where ||t M||_1 lies in
+    [1/2, 1) and no squaring hides its truncation (AccuracyError beyond
+    SERIES_CHECK_TOL).
     """
     M = _as_square(M)
     powers = [np.eye(len(M)), M]
-    while powers[-1].any() and len(powers) <= len(M):
-        powers.append(powers[-1] @ M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while powers[-1].any() and len(powers) <= len(M):
+            powers.append(powers[-1] @ M)
+    if not np.isfinite(powers[-1]).all():  # inf, or nan from inf * 0, stays in later powers
+        raise DomainError("a power of the matrix exponential's generator is not finite")
     if not powers[-1].any():
         return ExpTable(_series_terms(powers[:-1]), nilpotent=True)
     norm = float(np.abs(M).sum(axis=0).max())
@@ -136,12 +141,11 @@ def exp_rows(table, t):
     the relative accuracy of the small part near I; and adds I.
     X = M / 2^shift, s_k = max(0, floor(log2(|t_k| ||M||_1)) + 1)
     so that ||u_k X||_1 < 1, and u_k = t_k 2^(shift - s_k); for a
-    nilpotent M, X = M, u_k = t_k and nothing is squared, so a table of
-    the top r rows of each power gives the (K, r, n) strip, bit-for-bit
-    those rows of the square.  Only t_k decides its row's operations, so
-    each row rounds exactly as its own K = 1 call does, and a block of
-    times whose series terms exceed SERIES_BUDGET bytes is taken in
-    chunks of rows.  AccuracyError on overflow, also of |t_k| ||M||_1.
+    nilpotent M, X = M, u_k = t_k and nothing is squared.  Only t_k
+    decides its row's operations, so each row rounds exactly as its own
+    K = 1 call does, and a block of times whose series terms exceed
+    SERIES_BUDGET bytes is taken in chunks of rows.  AccuracyError on
+    overflow, also of |t_k| ||M||_1.
     """
     t = np.asarray(t, dtype=float)
     u = t.reshape(-1)
@@ -186,6 +190,33 @@ def sqrt_spd(A):
     return np.matmul(V * np.sqrt(w)[..., None, :], np.swapaxes(V, -1, -2))
 
 
+def _gershgorin(C):
+    """The Gershgorin certificate of a (K, n, n) stack C: g per slice and the
+    mask of slices it clears.  With d = diag C and r_ij = |C_ij| / sqrt(d_i d_j),
+    lambda_min(C) >= g min d for g = 2 - max_i sum_j r_ij - 4 n eps, a slack
+    for the rounding of r and its row sums in any order.  eigvalsh's
+    eigenvalues lie within p(n) eps ||C||_2 of the exact ones (LAPACK Users'
+    Guide, 3rd ed., section 4.7) and ||C||_2 <= tr C once g > 0, so with
+    p(n) <= 2^10 n a slice with g min d > 2^10 n eps tr C + 2e-300 is cleared;
+    a zero d (C(t) underflowed to 0) makes g nan, not cleared.  d is laid out
+    (n, K) and r (n, n, K), contiguous, so each operation runs over the K rows."""
+    n, eps = C.shape[-1], np.finfo(float).eps
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = np.diagonal(C, axis1=1, axis2=2).T.copy()
+        s = np.sqrt(d)
+        r = np.abs(C).transpose(1, 2, 0).copy()
+        r /= s[:, None] * s[None, :]
+        g = 2.0 - np.add.reduce(r, axis=1).max(0) - 4 * n * eps
+    return g, _clears(g, d)
+
+
+def _clears(g, d):
+    """Slices that g clears, d their (n, K) diagonals: g min d > 2^10 n eps tr C + 2e-300."""
+    n, eps = len(d), np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (g > 0) & (g * d.min(0) > 2**10 * n * eps * d.sum(0) + 2e-300)
+
+
 def matvec_rows(M, X):
     """Row-wise M @ x for a (K, n) block X and an (n, n) matrix or a
     (K, n, n) stack M.  numpy makes one BLAS gemv per row, the call that
@@ -206,6 +237,25 @@ def dot_rows(X, Y):
     differently."""
     X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
     return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
+
+
+def _sum_fixed(P):
+    """The sum over the last axis of P, j = 0 .. n-1 in order by element-wise
+    adds: IEEE operations only, so no row depends on a BLAS kernel."""
+    acc = P[..., 0].copy()
+    for j in range(1, P.shape[-1]):
+        acc += P[..., j]
+    return acc
+
+
+def matvec_fixed(M, X):
+    """Row-wise M @ x for an (n, n) matrix M and a (K, n) block X, by _sum_fixed."""
+    return _sum_fixed(X[..., None, :] * M)
+
+
+def dot_fixed(X, Y):
+    """Row-wise x @ y of two (K, n) blocks, by _sum_fixed."""
+    return _sum_fixed(X * Y)
 
 
 def exp_nonpositive(x):
@@ -253,10 +303,8 @@ def tensor_rule(rules):
     built (DomainError)."""
     size = math.prod(len(pts) for pts, _ in rules)
     if size > TENSOR_BUDGET:
-        raise DomainError(
-            f"tensor grid of {size} points exceeds the budget of "
-            f"{TENSOR_BUDGET}; use fewer nodes per axis"
-        )
+        raise DomainError(f"tensor grid of {size} points exceeds the budget of "
+                          f"{TENSOR_BUDGET}; use fewer nodes per axis")
     grids = np.meshgrid(*(pts for pts, _ in rules), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     w = np.ones(())

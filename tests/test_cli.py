@@ -344,6 +344,11 @@ BAD_INPUTS = {
     "spec-A-infinity": ["check", "--spec", "{tmp}/A_inf.json"],
     "spec-block-overflow": ["check", "--spec", "{tmp}/block_overflow.json"],
     "spec-block-fraction": ["check", "--spec", "{tmp}/block_fraction.json"],
+    # a power of C(t)'s block generator overflows (B A~ B^T ~ 1e400): this
+    # exited 4 with "overflow encountered in matmul"
+    "spec-power-overflow": ["check", "--spec", "{tmp}/power_overflow.json"],
+    "spec-power-overflow-kernel": ["kernel", "--spec", "{tmp}/power_overflow.json",
+                                   "--point", "0.1,0.1,1"],
 }
 
 
@@ -363,7 +368,8 @@ def test_bad_input_keeps_exit_code_contract(name, tmp_path):
     # a non-finite A or B, and block sizes that are not whole numbers
     for stem, a, b, size in (("B_nan", "1", "NaN", "1"), ("A_inf", "Infinity", "-1", "1"),
                              ("block_overflow", "1", "-1", "1e400"),
-                             ("block_fraction", "1", "-1", "1.5")):
+                             ("block_fraction", "1", "-1", "1.5"),
+                             ("power_overflow", "1", "-1e200", "1")):
         (tmp_path / f"{stem}.json").write_text(
             f'{{"A": [[{a}]], "B": [[0, 0], [{b}, 0]], "blocks": [1, {size}]}}')
     argv = [a.replace("{tmp}", str(tmp_path)) for a in BAD_INPUTS[name]]
@@ -484,6 +490,10 @@ def test_the_contract_lines_hold_under_warnings_as_errors(tmp_path):
     # a certified C(1e-290) whose Gamma passes the largest double (this
     # exited 1 with an OverflowError traceback)
     lines += [(["kernel", "--spec", str(heat3), "--point", "0,0,0,1e-290"], 4)]
+    # an empty CSV: numpy's "Empty input file" UserWarning came first, a
+    # traceback under -W error
+    (tmp_path / "empty.csv").write_text("")
+    lines += [(["modulus", "--spec", KOLMO, "--input-csv", str(tmp_path / "empty.csv")], 3)]
     # a quadratic u that overflows at the expansion point, in either form:
     # z^{-1} overflows (group), or u(z) is not finite (euclidean; this
     # exited 4 with "overflow encountered in matmul")

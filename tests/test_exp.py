@@ -30,6 +30,11 @@ EPS = np.finfo(float).eps
 # (against 50-digit mpmath) on the worst of them; ours by 8e-11
 EXPM_RTOL = 1e-10
 C_RTOL = 1e-9
+# a principal drift's D C(1) D against the block route's C(t), as
+# |C_ij - C_ij'| / sqrt(C_ii C_jj) on entries above tiny / eps: at most
+# 11.4 eps over 10 seeds of the 14 principal BLOCKS at 303 times, 200 in
+# [-8, 8] and 10^k for k = -150 .. 2
+C_TOL = 32 * EPS
 
 specs = st.builds(admissible_spec, st.sampled_from(BLOCKS),
                   st.integers(0, 2**32 - 1), st.booleans())
@@ -112,8 +117,8 @@ def test_E_semigroup(spec, seed):
 @PROPERTY
 @given(specs, st.floats(0.1, 2.0))
 def test_C_three_ways(spec, t):
-    # the block exponential against Gauss-Legendre quadrature of
-    # E(s) A~ E(s)^T with E from scipy
+    # OperatorSpec.C against Gauss-Legendre quadrature of E(s) A~ E(s)^T
+    # with E from scipy
     At = embedded_A(spec)
     ref = integrate_matrix(lambda s: expm(-s * spec.B) @ At @ expm(-s * spec.B).T, t)
     assert np.abs(spec.C(t) - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -170,12 +175,21 @@ def test_exp_rows_chunks_keep_every_bit(spec, seed, budget_rows):
 
 
 def full_square_C(spec, ts):
-    """C(t) by the route before the strip: the full (K, 2N, 2N) block
-    exponential, G E^T, symmetrised."""
+    """C(t) by the block route: the full (K, 2N, 2N) block exponential,
+    G E^T, symmetrised."""
     N = spec.N
     Phi = exp_rows(exp_table(block_generator(spec)), ts)
     C = Phi[:, :N, N:] @ np.swapaxes(Phi[:, :N, :N], -1, -2)
     return (C + np.swapaxes(C, -1, -2)) / 2.0
+
+
+def assert_C_close(got, want):
+    """A principal drift's C(t) against the block route's, on the entries
+    whose scale is well above the subnormal range."""
+    scale = np.sqrt(np.abs(np.diagonal(want, axis1=-2, axis2=-1)))
+    scale = scale[..., :, None] * scale[..., None, :]
+    normal = scale > np.finfo(float).tiny / EPS
+    assert (np.abs(got - want)[normal] <= C_TOL * scale[normal]).all()
 
 
 @PROPERTY
@@ -183,16 +197,20 @@ def full_square_C(spec, ts):
 def test_C_chunks_keep_every_bit(spec, seed, budget_rows):
     # OperatorSpec.C forms its block exponentials in exp_rows's chunks of
     # rows; one row at a time, any chunk size and the default budget give
-    # the bits of one chunk, of each time's own K = 1 call and of the full
-    # square's top block row (the strip of a nilpotent generator, the
-    # square of any other)
+    # the bits of one chunk, of each time's own K = 1 call and, on a
+    # non-principal drift, of the full square's top block row.  A
+    # principal drift's D C(1) D, which sums no series per time, meets
+    # the square within C_TOL
     ts = np.random.default_rng(seed).uniform(-8.0, 8.0, 3 * K)
     spec.C(ts[0])  # builds the exponential table
     row_bytes, default = spec._exps["C"].powers.nbytes, matrixcalc.SERIES_BUDGET
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrixcalc, "SERIES_BUDGET", len(ts) * row_bytes)
         whole = spec.C(ts)
-        assert np.array_equal(whole, full_square_C(spec, ts))
+        if spec.homogeneous() is None:
+            assert np.array_equal(whole, full_square_C(spec, ts))
+        else:
+            assert_C_close(whole, full_square_C(spec, ts))
         assert all(np.array_equal(spec.C(ts[k:k + 1])[0], whole[k]) for k in range(len(ts)))
         assert np.array_equal(spec.C(ts[0]), whole[0])
         for size in (1, budget_rows * row_bytes, default):
@@ -200,25 +218,27 @@ def test_C_chunks_keep_every_bit(spec, seed, budget_rows):
             assert np.array_equal(spec.C(ts), whole)
 
 
-def test_C_strips_match_the_full_square_on_every_block_structure():
-    # principal drifts (the strip) and non-principal ones (the square) on
-    # every block structure, and the Kolmogorov operators (m = 2 is the
-    # apriori workload's spec), down to the times where C(t) underflows,
-    # and one time at a time
+def test_C_matches_the_full_square_on_every_block_structure():
+    # non-principal drifts (the square, ==) and principal ones (D C(1) D,
+    # within C_TOL) on every block structure, and the Kolmogorov operators
+    # (m = 2 is the apriori workload's spec), down to the times where C(t)
+    # underflows, and one time at a time
     ts = np.concatenate([np.random.default_rng(0).uniform(-8.0, 8.0, K),
                          10.0 ** np.arange(-150.0, 3.0)])
     specs = [admissible_spec(blocks, seed, principal) for blocks in BLOCKS
              for principal in (True, False) for seed in (0, 1)]
     specs += [kolmogorov_spec(1), kolmogorov_spec(2)]
-    strips = 0
+    homogeneous = 0
     for spec in specs:
-        want = full_square_C(spec, ts)
-        assert np.array_equal(spec.C(ts), want)
-        assert all(np.array_equal(spec.C(ts[k]), want[k]) for k in (0, K, len(ts) - 1))
-        table = spec._exps["C"]
-        assert table.powers.shape[1:] == (spec.N if table.nilpotent else 2 * spec.N, 2 * spec.N)
-        strips += table.nilpotent
-    assert strips == 2 * len(BLOCKS) + 2
+        want, got = full_square_C(spec, ts), spec.C(ts)
+        if spec.homogeneous() is None:
+            assert np.array_equal(got, want)
+        else:
+            assert_C_close(got, want)
+            homogeneous += 1
+        assert all(np.array_equal(spec.C(ts[k]), got[k]) for k in (0, K, len(ts) - 1))
+        assert spec._exps["C"].powers.shape[1:] == (2 * spec.N, 2 * spec.N)
+    assert homogeneous == 2 * len(BLOCKS) + 2
 
 
 def test_a_six_level_kernel_call_keeps_its_series_in_budget():

@@ -36,6 +36,7 @@ from kolmo.group import embedded_A
 from quadrature import integrate_matrix
 from test_cli import KOLMO
 from test_report_bytes import kinetic_m2_spec
+from test_homogeneous import assert_jets_close
 from test_rows import BLOCKS, admissible_spec
 
 ORIGIN = Point([0.0, 0.0], 0.0)
@@ -173,8 +174,10 @@ def _scalar_jet(spec, z, zeta):
 
 
 def test_kernel_jet_rows_round_as_the_scalar_route(kspec, drifted, kappa2, heat):
-    # the row block keeps the per-Point arithmetic bit for bit (math.exp,
-    # gemv for C^{-1} w and for w C^{-1}, 2-d traces), so reports do not move
+    # on a non-principal drift the row block keeps the per-Point arithmetic
+    # bit for bit (math.exp, gemv for C^{-1} w and for w C^{-1}, 2-d
+    # traces), so reports do not move; a principal drift takes the
+    # homogeneous route, within test_homogeneous's tolerances of it
     m2 = make_spec(np.eye(2), np.block([[np.zeros((2, 2)), np.zeros((2, 2))],
                                         [-np.eye(2), np.zeros((2, 2))]]), (2, 2))
     rng = np.random.default_rng(9)
@@ -182,11 +185,13 @@ def test_kernel_jet_rows_round_as_the_scalar_route(kspec, drifted, kappa2, heat)
         Z = np.column_stack([rng.uniform(-1, 1, (60, spec.N)), rng.uniform(0.1, 1.5, 60)])
         P = np.column_stack([rng.uniform(-1, 1, (60, spec.N)), rng.uniform(-1, 0.0, 60)])
         jet = kernel_jet_rows(spec, Z, P)
-        for k, (z, zeta) in enumerate(zip(Z, P)):
-            z, zeta = Point(z[:-1], z[-1]), Point(zeta[:-1], zeta[-1])
-            want = _scalar_jet(spec, z, zeta)
-            for got, value in zip(jet, want):
-                assert np.array_equal(got[k], value)
+        want = [_scalar_jet(spec, Point(z[:-1], z[-1]), Point(zeta[:-1], zeta[-1]))
+                for z, zeta in zip(Z, P)]
+        want = [np.array(field) for field in zip(*want)]
+        if spec.homogeneous() is None:
+            assert all(np.array_equal(got, value) for got, value in zip(jet, want))
+        else:
+            assert_jets_close(spec, Z, P, jet, want)
 
 
 def test_gamma_origin_value(kctx):
@@ -308,14 +313,16 @@ def _checked_C_by_eigvalsh(spec, t):
 
 
 def _outcome(check, spec, t):
-    """The error type and message, or the bytes of C and log det C, of
-    one check under the command line's floating-point policy."""
+    """The error type and message, or the bytes of C and, on a
+    non-principal drift, of log det C, of one check under the command
+    line's floating-point policy.  A principal drift's log det C(t) is
+    log det C(1) + Q log t (test_homogeneous holds it to slogdet's)."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             C, logdet = check(spec, t)
     except KolmoError as err:
         return type(err), str(err)
-    return C.tobytes(), logdet.tobytes()
+    return C.tobytes(), spec.homogeneous() is None and logdet.tobytes()
 
 
 def test_checked_C_verdicts_match_the_eigvalsh_check():
@@ -382,12 +389,13 @@ def test_gershgorin_over_rows_matches_the_sliced_certificate():
 
 def test_workload_reports_call_no_eigvalsh_in_checked_C(tmp_path, monkeypatch):
     # every covariance row of the apriori and singular benchmark reports
-    # is cleared from its entries; the spy counts eigvalsh in _checked_C
+    # is cleared from its entries; the spy counts eigvalsh in _checked_C's
+    # verdict
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
     def spy(a, *args, **kwargs):
-        if sys._getframe(1).f_code is kernel._checked_C.__code__:
+        if sys._getframe(1).f_code is kernel._verdict.__code__:
             calls.append(len(a))
         return eigvalsh(a, *args, **kwargs)
 
