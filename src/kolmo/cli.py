@@ -20,16 +20,42 @@ import warnings
 
 import numpy as np
 
-from .errors import (AccuracyError, DomainError, HypoellipticityError, KolmoError,
-                     NonConvergenceError, UsageError)
-from .group import (compose_rows, finite_rows, inverse_rows, knorm_rows, load_spec)
+from .errors import (
+    AccuracyError,
+    DomainError,
+    HypoellipticityError,
+    KolmoError,
+    NonConvergenceError,
+    UsageError,
+)
+from .group import (
+    compose_rows,
+    finite_rows,
+    inverse_rows,
+    knorm_rows,
+    load_spec,
+)
 from .kernel import _checked_C, kernel_jet_rows, kernel_mass
-from .modulus import (DEFAULT_RADII, ModulusTable, counterexample_certificate,
-                      counterexample_f_rows, dini_integral, empirical_modulus, pair_omega,
-                      schauder_functional)
+from .modulus import (
+    DEFAULT_RADII,
+    ModulusTable,
+    counterexample_certificate,
+    counterexample_f_rows,
+    dini_integral,
+    empirical_modulus,
+    pair_omega,
+    schauder_functional,
+)
 from .taylor import connect, remainder_profile, verify_plan
-from .verify import (_FAMILIES, manufacture, verify_apriori, verify_invariance, verify_mean_value,
-                     verify_schauder, verify_singular_bounds)
+from .verify import (
+    _FAMILIES,
+    manufacture,
+    verify_apriori,
+    verify_invariance,
+    verify_mean_value,
+    verify_schauder,
+    verify_singular_bounds,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -312,7 +338,9 @@ def _modulus_from_csv(path, spec):
     if not rows.size:
         raise UsageError(f"CSV {path} has no rows")
     if rows.shape[1] != spec.N + 2:
-        raise UsageError(f"CSV rows need {spec.N + 2} columns (x1..xN, t, f)")
+        raise UsageError(
+            f"CSV rows need {spec.N + 2} columns (x1..xN, t, f)"
+        )
     Z = finite_rows(rows[:, :-1])
     vals = rows[:, -1]
     inv, E = inverse_rows(Z, spec), spec.E(Z[:, -1])
@@ -362,18 +390,23 @@ def _cmd_modulus(args):
 
 def _cmd_verify(args):
     spec = load_spec(args.spec)
-    R_list = (tuple(_parse_floats(args.R_list, "--R-list"))
-              if args.R_list is not None else None)
+    R_list = (
+        tuple(_parse_floats(args.R_list, "--R-list"))
+        if args.R_list is not None else None
+    )
     crit = args.criterion
     if crit == "apriori":
-        rep = verify_apriori(spec, R_list or (1.0, 0.5, 0.25), poles=args.poles,
-                             samples=args.samples, seed=args.seed)
+        rep = verify_apriori(spec, R_list or (1.0, 0.5, 0.25),
+                             poles=args.poles, samples=args.samples,
+                             seed=args.seed)
     elif crit == "mean-value":
-        rep = verify_mean_value(spec, R=(R_list or (0.5,))[0], poles=args.poles,
-                                samples=args.samples, seed=args.seed)
+        rep = verify_mean_value(spec, R=(R_list or (0.5,))[0],
+                                poles=args.poles, samples=args.samples,
+                                seed=args.seed)
     elif crit.startswith("singular-"):
         rep = verify_singular_bounds(spec, crit.split("-", 1)[1],
-                                     R_list or (0.5, 0.25, 0.125), seed=args.seed)
+                                     R_list or (0.5, 0.25, 0.125),
+                                     seed=args.seed)
     elif crit.startswith("schauder-"):
         problem = manufacture(args.family, spec, seed=args.seed,
                               varcoeff_id=None if crit == "schauder-const" else args.varcoeff)
@@ -389,9 +422,13 @@ def _cmd_verify(args):
 def _cmd_demo_counterexample(args):
     cert = counterexample_certificate(alpha=args.alpha, seed=args.seed,
                                       pair_samples=args.pairs)
-    ok = (cert["min_growth"] >= 0.2
-          and all(a > b for a, b in zip(cert["f_diagonal"], cert["f_diagonal"][1:]))
-          and all(a < b for a, b in zip(cert["mixed_diagonal"], cert["mixed_diagonal"][1:])))
+    ok = (
+        cert["min_growth"] >= 0.2
+        and all(a > b for a, b in zip(cert["f_diagonal"],
+                                      cert["f_diagonal"][1:]))
+        and all(a < b for a, b in zip(cert["mixed_diagonal"],
+                                      cert["mixed_diagonal"][1:]))
+    )
     cert["certified_non_dini"] = ok
     print(
         "per-decade Dini growth "

@@ -17,6 +17,7 @@ taylor.flow_Y, which only the benchmark's closed-form checks call;
 everything else takes row blocks.
 """
 
+import functools
 import json
 import math
 import numbers
@@ -25,13 +26,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, EllipticityError, StructureError, UsageError
-from .matrixcalc import _gershgorin, _symmetric, exp_rows, exp_table, matvec_rows
+from .errors import (
+    AccuracyError,
+    DomainError,
+    EllipticityError,
+    StructureError,
+    UsageError,
+)
+from .matrixcalc import _symmetric, exp_rows, exp_table, matvec_rows
 
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
-# C(1), its inverse, log det, det sign and bound g, and E(1) (OperatorSpec.homogeneous)
-UnitCovariance = namedtuple("UnitCovariance", "C1 inv logdet sign g E1")
+# C(1) and E(1) of a principal drift (OperatorSpec.homogeneous)
+UnitCovariance = namedtuple("UnitCovariance", "C1 E1")
 
 
 def _whole(value):
@@ -56,6 +63,11 @@ class BlockStructure:
     @property
     def kappa(self):
         return len(self.sizes) - 1
+
+    @functools.cached_property
+    def level(self):
+        """level[i]: the dilation level of coordinate i."""
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
     @property
     def N(self):
@@ -130,7 +142,8 @@ class OperatorSpec:
     A: np.ndarray
     B: np.ndarray
     blocks: BlockStructure
-    # made on first use: validated exponents, exp_tables of E and C, a UnitCovariance
+    # made on first use: validated exponents, exp_tables of E and C, a
+    # UnitCovariance and the kernel's factors of C(1) (kernel._unit_factor)
     _exps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -156,8 +169,8 @@ class OperatorSpec:
         return self._exps["exps"]
 
     def is_dilation_invariant(self):
-        """True when B has only the subdiagonal blocks (B = B_0)."""
-        return bool(np.abs(self.B - scaled_B(self, 0.0)).max() <= ZERO_BLOCK_TOL)
+        """True when B has only the subdiagonal blocks, exactly (B = B_0)."""
+        return not self.B[_scale_powers(self.blocks) != 0].any()
 
     def _exp(self, key, generator):
         """The exp_table of a generator, made on first use."""
@@ -172,17 +185,11 @@ class OperatorSpec:
 
     def _block(self, t):
         """(C(t), E(t)) from the top block row [E(t), G(t)] of exp(t M),
-        M = [[-B, A~], [0, B^T]] (Van Loan, IEEE TAC 1978), with C = G E^T
-        symmetrised; None if exp(t M) or C(t) overflows."""
+        M = block_generator(self), with C = G E^T symmetrised; None if
+        exp(t M) or C(t) overflows."""
         N = self.N
-
-        def block():
-            M = np.zeros((2 * N, 2 * N))
-            M[:N, :N], M[:N, N:], M[N:, N:] = -self.B, embedded_A(self), self.B.T
-            return M
-
         try:
-            Phi = exp_rows(self._exp("C", block), t)
+            Phi = exp_rows(self._exp("C", lambda: block_generator(self)), t)
         except AccuracyError:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -191,26 +198,18 @@ class OperatorSpec:
         return (C, Phi[..., :N, :N]) if np.isfinite(C).all() else None
 
     def homogeneous(self):
-        """The UnitCovariance of B == B_0 (ZERO_BLOCK_TOL does not count),
-        made once from one block exponential at t = 1; else None.  L is then
-        dilation-invariant (Lanconelli & Polidoro 1994): with D =
-        diag(t^(alpha_i / 2)), C(t) = D C(1) D, E(t) = D E(1) D^-1 and
-        log det C(t) = log det C(1) + Q log t.  g is _gershgorin's bound for
-        C(1) less (2 kappa + 3) eps: C(t)'s entries carry at most 2 kappa + 1
-        roundings (C), so a correlation row sum below 2 moves by less than
-        (2 kappa + 2) eps, and one eps covers subnormal entries."""
+        """The UnitCovariance (C(1), E(1)) of a principal drift
+        (is_dilation_invariant), made once from one block exponential at
+        t = 1; else None.  L is then dilation-invariant (Lanconelli &
+        Polidoro 1994): with D = diag(t^(alpha_i / 2)), C(t) = D C(1) D,
+        E(t) = D E(1) D^-1 and log det C(t) = log det C(1) + Q log t."""
         if "unit" not in self._exps:
             unit = None
-            level = np.repeat(np.arange(self.kappa + 1), self.blocks.sizes)
-            if not self.B[level[:, None] != level[None, :] + 1].any():
-                C1, E1 = self._block(1.0) or (None, None)
-                if C1 is None:
+            if self.is_dilation_invariant():
+                block = self._block(1.0)
+                if block is None:
                     raise DomainError("C(1) is not finite")
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    sign, logdet = np.linalg.slogdet(C1)
-                    inv = np.linalg.inv(C1) if sign > 0 else None
-                g = _gershgorin(C1[None])[0][0] - (2 * self.kappa + 3) * np.finfo(float).eps
-                unit = UnitCovariance(C1, inv, float(logdet), float(sign), float(g), E1)
+                unit = UnitCovariance(*block)
             self._exps["unit"] = unit
         return self._exps["unit"]
 
@@ -223,7 +222,7 @@ class OperatorSpec:
         with np.errstate(over="ignore", under="ignore"):
             for n in range(1, self.kappa + 1):
                 np.multiply(table[..., n - 1], t, out=table[..., n])
-        return np.take(table, np.repeat(np.arange(self.kappa + 1), self.blocks.sizes), axis=-1)
+        return np.take(table, self.blocks.level, axis=-1)
 
     def C(self, t):
         """Covariance C(t) = int_0^t E(s) A~ E(s)^T ds (stacked for an array t).
@@ -314,15 +313,19 @@ def validate_structure(spec):
                 continue
             blk = spec.B[blocks.level_slice(i), blocks.level_slice(j)]
             if np.abs(blk).max() > ZERO_BLOCK_TOL:
-                raise StructureError(f"block ({i},{j}) below the subdiagonal must be zero, "
-                                     f"max entry {np.abs(blk).max():g}")
+                raise StructureError(
+                    f"block ({i},{j}) below the subdiagonal must be zero, "
+                    f"max entry {np.abs(blk).max():g}"
+                )
     for j in range(1, blocks.kappa + 1):
         blk = spec.B[blocks.level_slice(j), blocks.level_slice(j - 1)]
         sv = np.linalg.svd(blk, compute_uv=False)
         rank = int(np.sum(sv > RANK_TOL))
         if rank < blocks.sizes[j]:
             raise StructureError(
-                f"subdiagonal block at level {j} has rank {rank}, needs {blocks.sizes[j]}")
+                f"subdiagonal block at level {j} has rank {rank}, "
+                f"needs {blocks.sizes[j]}"
+            )
     return level_exponents(blocks)
 
 
@@ -331,6 +334,15 @@ def embedded_A(spec):
     At = np.zeros((spec.N, spec.N))
     At[: spec.m, : spec.m] = spec.A
     return At
+
+
+def block_generator(spec):
+    """M = [[-B, A~], [0, B^T]]: the top block row of exp(t M) is [E(t), G(t)]
+    with C(t) = G(t) E(t)^T (Van Loan, IEEE TAC 1978)."""
+    N = spec.N
+    M = np.zeros((2 * N, 2 * N))
+    M[:N, :N], M[:N, N:], M[N:, N:] = -spec.B, embedded_A(spec), spec.B.T
+    return M
 
 
 def compose_rows(Z, W, spec, E=None):
@@ -390,6 +402,13 @@ def kdist_rows(Z, W, spec):
                       spec.exponents())
 
 
+def _scale_powers(blocks):
+    """2 (j - i + 1) on each entry of block (i, j): the power of r that
+    scaled_B puts there, 0 on the subdiagonal (B_0) and negative below it."""
+    level = blocks.level
+    return 2 * (level[None, :] - level[:, None] + 1)
+
+
 def scaled_B(spec, r):
     """Blockwise-scaled drift B_r; B_1 = B and B_0 is the principal part.
 
@@ -399,15 +418,9 @@ def scaled_B(spec, r):
     """
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"scale parameter must lie in [0, 1], got {r}")
-    blocks = spec.blocks
-    Br = np.zeros_like(spec.B)
-    for i in range(blocks.kappa + 1):
-        for j in range(max(0, i - 1), blocks.kappa + 1):
-            power = 2 * (j - i + 1)
-            factor = 1.0 if power == 0 else r**power
-            rows, cols = blocks.level_slice(i), blocks.level_slice(j)
-            Br[rows, cols] = factor * spec.B[rows, cols]
-    return Br
+    power = _scale_powers(spec.blocks)
+    factor = np.array([1.0] + [r**k for k in range(1, 2 * spec.kappa + 3)])
+    return np.where(power < 0, 0.0, factor[np.maximum(power, 0)] * spec.B)
 
 
 def project_level(x, n, blocks):
@@ -442,7 +455,8 @@ def level_map_solve(spec, n, target):
     w0, *_ = np.linalg.lstsq(M, target_n, rcond=None)
     if np.linalg.norm(M @ w0 - target_n) > 1e-10 * max(1.0, np.linalg.norm(target_n)):
         raise StructureError(
-            f"level-{n} map could not reach the target; spec violates surjectivity")
+            f"level-{n} map could not reach the target; spec violates surjectivity"
+        )
     w = np.zeros(spec.N)
     w[blocks.level_slice(0)] = w0
     return w

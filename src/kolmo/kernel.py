@@ -12,8 +12,9 @@ each row rounds exactly as its own K = 1 call does.  A principal drift
 (B = B_0) needs only C(1), factorised once per spec, and the dilations
 (C(dt) = D C(1) D); any other drift has E(dt) and C(dt) factorised once
 per distinct time step.  C(dt) must be positive definite (Hormander's
-condition): a Gershgorin bound, of C(1) or of C(dt), certifies that, and
-eigvalsh runs only on the rows it cannot clear (_checked_C).  gamma,
+condition): a Gershgorin bound, of C(dt) (_checked_C) or for the kernel
+of a principal drift of C(1) (_checked_unit), certifies that, and
+eigvalsh runs only on the rows it cannot clear.  gamma,
 gamma_grad and gamma_hess_m are its K = 1 calls on Points, kept for the
 benchmark's closed-form check.  Every derivative formula is
 cross-checked against finite differences in the test suite.
@@ -27,13 +28,16 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, HypoellipticityError
 from .group import embedded_A, finite_rows
-from .matrixcalc import (ROW_CHUNK, _clears, _gershgorin, dot_fixed, dot_rows, gauss_panels,
-                         matvec_fixed, matvec_rows, tensor_rule, vecmat_rows)
+from .matrixcalc import (ROW_CHUNK, dot_fixed, dot_rows, gauss_panels, matvec_fixed, matvec_rows,
+                         tensor_rule, vecmat_rows)
 
 Covariance = namedtuple("Covariance", "C")
 # Gamma at K rows with its (K, N) gradient in z, its (K, N, N) spatial
 # Hessian (L uses the m x m corner) and Y Gamma = <B x, grad> - d_t Gamma
 KernelJet = namedtuple("KernelJet", "gamma grad hess Y")
+# C(1)^-1, log det C(1), the sign of det C(1) and its Gershgorin bound g,
+# less a slack (_unit_factor)
+UnitFactor = namedtuple("UnitFactor", "inv logdet sign g")
 
 
 @dataclass
@@ -41,6 +45,33 @@ class KernelContext:
     """The operator spec of the K = 1 kernel calls."""
 
     spec: object
+
+
+def _gershgorin(C):
+    """The Gershgorin certificate of a (K, n, n) stack C: g per slice and the
+    mask of slices it clears.  With d = diag C and r_ij = |C_ij| / sqrt(d_i d_j),
+    lambda_min(C) >= g min d for g = 2 - max_i sum_j r_ij - 4 n eps, a slack
+    for the rounding of r and its row sums in any order.  eigvalsh's
+    eigenvalues lie within p(n) eps ||C||_2 of the exact ones (LAPACK Users'
+    Guide, 3rd ed., section 4.7) and ||C||_2 <= tr C once g > 0, so with
+    p(n) <= 2^10 n a slice with g min d > 2^10 n eps tr C + 2e-300 is cleared
+    (_clears); a zero d (C(t) underflowed to 0) makes g nan, not cleared.  d is
+    laid out (n, K) and r (n, n, K), contiguous, so each operation runs over
+    the K rows."""
+    n, eps = C.shape[-1], np.finfo(float).eps
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = np.diagonal(C, axis1=1, axis2=2).T.copy()
+        s = np.sqrt(d)
+        r = np.abs(C).transpose(1, 2, 0).copy()
+        r /= s[:, None] * s[None, :]
+        g = 2.0 - np.add.reduce(r, axis=1).max(0) - 4 * n * eps
+        return g, _clears(g, d)
+
+
+def _clears(g, d):
+    """Slices that g clears, d their (n, K) diagonals: g min d > 2^10 n eps tr C
+    + 2e-300 (under the caller's errstate, as the sum may overflow)."""
+    return (g > 0) & (g * d.min(0) > 2**10 * len(d) * np.finfo(float).eps * d.sum(0) + 2e-300)
 
 
 def _verdict(t, sign, cleared, rows_C):
@@ -54,41 +85,56 @@ def _verdict(t, sign, cleared, rows_C):
         raise HypoellipticityError(f"C({t[bad][0]}) is numerically singular")
 
 
-def _checked_unit(spec, t):
-    """_checked_C's verdict on a principal drift's C(t) = D C(1) D from the
-    sign of det C(1), its certificate g (OperatorSpec.homogeneous) and
-    diag C(t) as spec.C forms it; only uncleared rows form C(t).  Returns
-    D's (K, N) diagonal sqrt(t) t^n and log det C(1) + Q log t (math.log)."""
-    unit, p = spec.homogeneous(), spec.level_powers(t)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        dd = (p * p) * t[:, None]
-        diag = dd * np.diagonal(unit.C1)
-    if not np.isfinite(diag).all():
-        raise DomainError(f"C(t) is not finite for a time step up to {np.max(t)}")
-    cleared = _clears(unit.g, diag.T) & (dd.min(1, initial=np.inf) >= np.finfo(float).tiny)
-    _verdict(t, np.full(len(t), unit.sign), cleared, lambda rows: spec.C(t[rows]))
-    logt = np.fromiter(map(math.log, t.tolist()), float, len(t))
-    return np.sqrt(t)[:, None] * p, unit.logdet + spec.exponents().Q * logt
-
-
 def _checked_C(spec, t):
     """C(t) and log det C(t) for a (K,) array of times > 0, each slice
     bit-identical to its own K = 1 call.  DomainError if C(t) overflows
     (spec.C), HypoellipticityError if it is numerically singular: a
     determinant sign <= 0 or an eigvalsh minimum <= 1e-300.  This is
-    the one positive-definiteness verdict on C(t), Hormander's condition:
-    the kernel acts on it and the check verb reports it.  eigvalsh runs
-    only on the rows that the Gershgorin certificate does not clear, that
-    of C(1) on a principal drift (_checked_unit), else that of C(t).
+    the positive-definiteness verdict on C(t), Hormander's condition:
+    the check verb reports it and the kernel acts on it, the kernel of a
+    principal drift as _checked_unit reads the same rule from C(1).
+    eigvalsh runs only on the rows that _gershgorin does not clear.
     """
-    if spec.homogeneous() is not None:
-        return spec.C(t), _checked_unit(spec, t)[1]
     C = spec.C(t)
     # a zero pivot in slogdet is log(0): sign 0, which the test below rejects
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sign, logdet = np.linalg.slogdet(C)
     _verdict(t, sign, _gershgorin(C)[1], lambda rows: C[rows])
     return C, logdet
+
+
+def _unit_factor(spec):
+    """The UnitFactor of a principal drift's C(1) (spec.homogeneous), made on
+    the spec's first kernel call.  g is _gershgorin's bound for C(1) less
+    (2 kappa + 3) eps: C(t)'s entries carry at most 2 kappa + 1 roundings
+    (spec.C), so a correlation row sum below 2 moves by less than
+    (2 kappa + 2) eps, and one eps covers subnormal entries."""
+    if "factor" not in spec._exps:
+        C1 = spec.homogeneous().C1
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sign, logdet = np.linalg.slogdet(C1)
+            inv = np.linalg.inv(C1) if sign > 0 else None
+        g = _gershgorin(C1[None])[0][0] - (2 * spec.kappa + 3) * np.finfo(float).eps
+        spec._exps["factor"] = UnitFactor(inv, logdet, sign, g)
+    return spec._exps["factor"]
+
+
+def _checked_unit(spec, t, p, factor):
+    """_checked_C's verdict on a principal drift's C(t) = D C(1) D, read
+    from the sign of det C(1), its bound g (factor) and diag C(t) as
+    spec.C forms it from p = spec.level_powers(t); eigvalsh forms C(t)
+    only on the rows g cannot clear.  Returns log det C(t) =
+    log det C(1) + Q log t (math.log)."""
+    pt = p.T  # (N, K), so each operation runs over the K rows
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        dd = (pt * pt) * t
+        diag = dd * np.diagonal(spec.homogeneous().C1)[:, None]
+        cleared = _clears(factor.g, diag) & (dd.min(0) >= np.finfo(float).tiny)
+    if not np.isfinite(diag).all():
+        raise DomainError(f"C(t) is not finite for a time step up to {np.max(t)}")
+    _verdict(t, np.full(len(t), factor.sign), cleared, lambda rows: spec.C(t[rows]))
+    logt = np.fromiter(map(math.log, t.tolist()), float, len(t))
+    return factor.logdet + spec.exponents().Q * logt
 
 
 def covariance(ctx, t):
@@ -137,15 +183,17 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
         W = X - EXi
         quad = dot_rows(vecmat_rows(W, Cinv), W)
     else:
-        d, logdet = _checked_unit(spec, dt)
+        p, factor = spec.level_powers(dt), _unit_factor(spec)
+        logdet = _checked_unit(spec, dt, p, factor)
+        d = np.sqrt(dt)[:, None] * p
         Eta = matvec_fixed(unit.E1, Xi / d)  # E(dt) xi = D Eta
         U = X / d - Eta
-        V1 = matvec_fixed(unit.inv, U)
+        V1 = matvec_fixed(factor.inv, U)
         quad = dot_fixed(U, V1)
     log_pref = -0.5 * spec.N * math.log(4.0 * math.pi) - 0.5 * logdet
     arg = log_pref - 0.25 * quad - dt * np.trace(spec.B)
     try:
-        g[live] = list(map(math.exp, arg.tolist()))
+        g[live] = [math.exp(v) for v in arg.tolist()]
     except OverflowError:  # a certified C(dt) so small that Gamma passes DBL_MAX
         raise AccuracyError(f"Gamma overflows at a time step {dt[np.argmax(arg)]}") from None
     if not derivatives:
@@ -154,7 +202,7 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
     if unit is None:
         CW = matvec_rows(Cinv, W)
     else:
-        CW, Cinv = V1 / d, unit.inv / d[:, :, None] / d[:, None, :]
+        CW, Cinv = V1 / d, factor.inv / d[:, :, None] / d[:, None, :]
     grad = -0.5 * CW * g[:, None]
     hess = (0.25 * (CW[:, :, None] * CW[:, None, :]) - 0.5 * Cinv) * g[:, None, None]
     # d_t log Gamma from C'(dt) and w' = B E(dt) xi

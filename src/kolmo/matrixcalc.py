@@ -190,33 +190,6 @@ def sqrt_spd(A):
     return np.matmul(V * np.sqrt(w)[..., None, :], np.swapaxes(V, -1, -2))
 
 
-def _gershgorin(C):
-    """The Gershgorin certificate of a (K, n, n) stack C: g per slice and the
-    mask of slices it clears.  With d = diag C and r_ij = |C_ij| / sqrt(d_i d_j),
-    lambda_min(C) >= g min d for g = 2 - max_i sum_j r_ij - 4 n eps, a slack
-    for the rounding of r and its row sums in any order.  eigvalsh's
-    eigenvalues lie within p(n) eps ||C||_2 of the exact ones (LAPACK Users'
-    Guide, 3rd ed., section 4.7) and ||C||_2 <= tr C once g > 0, so with
-    p(n) <= 2^10 n a slice with g min d > 2^10 n eps tr C + 2e-300 is cleared;
-    a zero d (C(t) underflowed to 0) makes g nan, not cleared.  d is laid out
-    (n, K) and r (n, n, K), contiguous, so each operation runs over the K rows."""
-    n, eps = C.shape[-1], np.finfo(float).eps
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d = np.diagonal(C, axis1=1, axis2=2).T.copy()
-        s = np.sqrt(d)
-        r = np.abs(C).transpose(1, 2, 0).copy()
-        r /= s[:, None] * s[None, :]
-        g = 2.0 - np.add.reduce(r, axis=1).max(0) - 4 * n * eps
-    return g, _clears(g, d)
-
-
-def _clears(g, d):
-    """Slices that g clears, d their (n, K) diagonals: g min d > 2^10 n eps tr C + 2e-300."""
-    n, eps = len(d), np.finfo(float).eps
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (g > 0) & (g * d.min(0) > 2**10 * n * eps * d.sum(0) + 2e-300)
-
-
 def matvec_rows(M, X):
     """Row-wise M @ x for a (K, n) block X and an (n, n) matrix or a
     (K, n, n) stack M.  numpy makes one BLAS gemv per row, the call that
@@ -303,8 +276,10 @@ def tensor_rule(rules):
     built (DomainError)."""
     size = math.prod(len(pts) for pts, _ in rules)
     if size > TENSOR_BUDGET:
-        raise DomainError(f"tensor grid of {size} points exceeds the budget of "
-                          f"{TENSOR_BUDGET}; use fewer nodes per axis")
+        raise DomainError(
+            f"tensor grid of {size} points exceeds the budget of "
+            f"{TENSOR_BUDGET}; use fewer nodes per axis"
+        )
     grids = np.meshgrid(*(pts for pts, _ in rules), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     w = np.ones(())

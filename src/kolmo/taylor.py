@@ -21,9 +21,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AccuracyError, DomainError, NonConvergenceError, PlanIntegrityError)
-from .group import (Point, compose_rows, dilate_rows, finite_rows, inverse_rows, kdist_rows,
-                    level_map_solve, project_level)
+from .errors import (
+    AccuracyError,
+    DomainError,
+    NonConvergenceError,
+    PlanIntegrityError,
+)
+from .group import (
+    Point,
+    compose_rows,
+    dilate_rows,
+    finite_rows,
+    inverse_rows,
+    kdist_rows,
+    level_map_solve,
+    project_level,
+)
 from .matrixcalc import (dot_rows,
                          mat_exp,  # unused here; the benchmark's tracer test reads kolmo.taylor.mat_exp
                          matvec_rows, vecmat_rows)

@@ -23,8 +23,12 @@ from .group import compose_rows, dilate_rows, finite_rows, kdist_rows, sample_ba
 from .kernel import _checked_C, kernel_jet_rows
 from .matrixcalc import (ROW_CHUNK, dot_rows, exp_nonpositive, gauss_legendre, sqrt_spd,
                          tensor_rule)
-from .modulus import (dini_integral, empirical_modulus, schauder_functional_rows,
-                      table_from_function)
+from .modulus import (
+    dini_integral,
+    empirical_modulus,
+    schauder_functional_rows,
+    table_from_function,
+)
 from .taylor import (C2Bundle, flow_Y_rows, gaussian_bundle, quadratic_bundle,
                      richardson)
 

@@ -19,7 +19,7 @@ from test_rows import BLOCKS, K, PROPERTY, admissible_spec
 
 from kolmo import AccuracyError, kernel_jet_rows, kolmogorov_spec
 from kolmo import matrixcalc
-from kolmo.group import embedded_A
+from kolmo.group import block_generator, embedded_A
 from kolmo.matrixcalc import TAYLOR_DEGREE, exp_rows, exp_table
 
 EPS = np.finfo(float).eps
@@ -40,15 +40,6 @@ specs = st.builds(admissible_spec, st.sampled_from(BLOCKS),
                   st.integers(0, 2**32 - 1), st.booleans())
 principal_specs = st.builds(admissible_spec, st.sampled_from(BLOCKS),
                             st.integers(0, 2**32 - 1), st.just(True))
-
-
-def block_generator(spec):
-    N = spec.N
-    M = np.zeros((2 * N, 2 * N))
-    M[:N, :N] = -spec.B
-    M[:N, N:] = embedded_A(spec)
-    M[N:, N:] = spec.B.T
-    return M
 
 
 @PROPERTY

@@ -25,8 +25,8 @@ from test_rows import BLOCKS, PROPERTY, admissible_spec
 from kolmo import (DomainError, HypoellipticityError, KolmoError, group, kernel_jet_rows,
                    load_spec, make_spec, matrixcalc)
 from kolmo.group import embedded_A
-from kolmo.kernel import _checked_C
-from kolmo.matrixcalc import _gershgorin, dot_rows, matvec_rows, vecmat_rows
+from kolmo.kernel import _checked_C, _checked_unit, _gershgorin, _unit_factor
+from kolmo.matrixcalc import dot_rows, matvec_rows, vecmat_rows
 
 EPS = np.finfo(float).eps
 # per field, the largest difference between the routes in units of
@@ -168,12 +168,12 @@ def test_checked_C_keeps_the_block_route_verdict():
 
 
 @pytest.mark.parametrize("blocks", BLOCKS)
-def test_checked_C_log_det_is_the_scaled_log_det_of_C1(blocks):
-    # log det C(t) = log det C(1) + Q log t, against slogdet of the block
-    # route's C(t) within 64 (kappa N + |log det|) eps
+def test_kernel_log_det_is_the_scaled_log_det_of_C1(blocks):
+    # the kernel's log det C(t) = log det C(1) + Q log t, against slogdet
+    # of the block route's C(t) within 64 (kappa N + |log det|) eps
     spec = admissible_spec(blocks, 0, True)
     times = np.array([1e-4, 1e-2, 0.5, 1.0, 3.0])
-    logdet = _checked_C(spec, times)[1]
+    logdet = _checked_unit(spec, times, spec.level_powers(times), _unit_factor(spec))
     want = np.linalg.slogdet(full_square_C(spec, times))[1]
     tol = 64 * EPS * (correlation_condition(spec) * spec.N + np.abs(want))
     assert (np.abs(logdet - want) <= tol).all()

@@ -313,16 +313,14 @@ def _checked_C_by_eigvalsh(spec, t):
 
 
 def _outcome(check, spec, t):
-    """The error type and message, or the bytes of C and, on a
-    non-principal drift, of log det C, of one check under the command
-    line's floating-point policy.  A principal drift's log det C(t) is
-    log det C(1) + Q log t (test_homogeneous holds it to slogdet's)."""
+    """The error type and message, or the bytes of C and log det C, of
+    one check under the command line's floating-point policy."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             C, logdet = check(spec, t)
     except KolmoError as err:
         return type(err), str(err)
-    return C.tobytes(), spec.homogeneous() is None and logdet.tobytes()
+    return C.tobytes(), logdet.tobytes()
 
 
 def test_checked_C_verdicts_match_the_eigvalsh_check():

@@ -1,7 +1,7 @@
 """Layer timings: the median wall time of fixed-seed calls of each kolmo
 layer and of each command-line verb, written to ``BENCH_<label>.json``.
 
-    python tools/layers.py --label baseline [--repeats 7] [--smoke] [--tier1] [--out DIR]
+    python tools/layers.py --label baseline [--smoke] [--tier1] [--out DIR]
 
 The layers are L0 (matrix exponentials, ``OperatorSpec.C`` and
 ``_checked_C``), L1 (the group operations on row blocks), L2 (the
@@ -13,7 +13,7 @@ verbs run in-process through ``kolmo.cli.run``, each from its argv to
 its printed report, with their fixed costs (``load_spec``, the argument
 parser and the report encoder ``_emit``) as rows of their own.
 
-Every row is one warm-up call, then ``--repeats`` samples; a sample
+Every row is one warm-up call, then REPEATS samples; a sample
 times as many calls as fill about 2 ms and records the time per call.
 The samples go round all rows once per repeat, so that a burst of load
 on a shared host spoils one sample of many rows, which the median drops.
@@ -53,19 +53,10 @@ import scipy  # noqa: E402
 from kolmo import cli, group, kernel, matrixcalc, modulus, taylor, verify  # noqa: E402
 
 SAMPLE_S = 2e-3  # least time one sample spans
+REPEATS = 7  # samples per row (one with --smoke)
 M2 = {"N": 4, "m": 2, "A": [[1.0, 0.0], [0.0, 1.0]],
       "B": [[0.0] * 4, [0.0] * 4, [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]],
       "blocks": [2, 2]}
-
-
-def _block_generator(spec):
-    """[[-B, A~], [0, B^T]], whose exponential holds C(t) (Van Loan)."""
-    N = spec.N
-    M = np.zeros((2 * N, 2 * N))
-    M[:N, :N] = -spec.B
-    M[:N, N:] = group.embedded_A(spec)
-    M[N:, N:] = spec.B.T
-    return M
 
 
 def _rows_in_time(spec, K, rng):
@@ -84,7 +75,7 @@ def layer_rows(spec, small):
     ts = rng.uniform(0.01, 1.0, K)
     Z, P = _rows_in_time(spec, 4 * K, rng)
     W = rng.uniform(-1.0, 1.0, (4 * K, spec.N + 1))
-    tables = matrixcalc.exp_table(-spec.B), matrixcalc.exp_table(_block_generator(spec))
+    tables = matrixcalc.exp_table(-spec.B), matrixcalc.exp_table(group.block_generator(spec))
     src, dst = rng.uniform(-1.0, 1.0, (2, spec.N + 1))
     plan = taylor.connect(src, dst, spec)
     exps = spec.exponents()
@@ -247,12 +238,11 @@ def environment():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True)
-    ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--smoke", action="store_true", help="one repeat at small sizes")
     ap.add_argument("--tier1", action="store_true", help="also time the test suite once")
     ap.add_argument("--out", default=str(ROOT), help="directory of BENCH_<label>.json")
     args = ap.parse_args(argv)
-    repeats = 1 if args.smoke else args.repeats
+    repeats = 1 if args.smoke else REPEATS
     result = {"label": args.label, **environment(), "repeats": repeats,
               "smoke": args.smoke, "rows": {}, "tier1_s": None}
     with tempfile.TemporaryDirectory() as tmp:
