@@ -61,11 +61,13 @@ def _checked_C(spec, t, C=None):
     DomainError if C(t) overflows, HypoellipticityError if it is
     numerically singular: Hormander's condition, which check reports and
     the kernel acts on.  A principal drift reads it from C(1)
-    (_checked_unit); any other drift from each row's determinant sign > 0
-    and, on the rows _clears rejects, its eigvalsh minimum > 1e-300."""
+    (_checked_unit), with log det None (its kernel forms it from C(1));
+    any other drift from each row's determinant sign > 0 and, on the
+    rows _clears rejects, its eigvalsh minimum > 1e-300."""
     C = spec.C(t) if C is None else C
     if spec.homogeneous() is not None:
-        return C, _checked_unit(spec, t, np.diagonal(C, axis1=1, axis2=2).T.copy())
+        _checked_unit(spec, t, np.diagonal(C, axis1=1, axis2=2).T.copy())
+        return C, None
     # a zero pivot in slogdet is log(0): sign 0, which the test below rejects
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sign, logdet = np.linalg.slogdet(C)
@@ -78,15 +80,12 @@ def _checked_unit(spec, t, diag):
     """The verdict on a principal drift's C(t) = D C(1) D from its record
     (spec.homogeneous) and diag, the finite (N, K) diagonal of C(t) as
     spec.C forms it, contiguous: the sign of det C(1), then _clears(g, diag),
-    then eigvalsh of spec.C on the rows it rejects.  Returns log det C(t) =
-    log det C(1) + Q log t (math.log)."""
+    then eigvalsh of spec.C on the rows it rejects."""
     unit = spec.homogeneous()
     with np.errstate(over="ignore", invalid="ignore"):
         cleared = _clears(unit.g, diag)
     if unit.sign <= 0 or not cleared.all():
         _verdict(t, np.full(len(t), unit.sign), cleared, lambda rows: spec.C(t[rows]))
-    logt = np.fromiter(map(math.log, t.tolist()), float, len(t))
-    return unit.logdet + spec.exponents().Q * logt
 
 
 def covariance(ctx, t):
@@ -142,7 +141,9 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
             diag = ((p * p) * dt[:, None] * np.diagonal(unit.C1)).T.copy()
         if not np.isfinite(diag).all():
             raise DomainError(f"C(t) is not finite for a time step up to {np.max(dt)}")
-        logdet = _checked_unit(spec, dt, diag)
+        _checked_unit(spec, dt, diag)
+        logt = np.fromiter(map(math.log, dt.tolist()), float, len(dt))
+        logdet = unit.logdet + spec.exponents().Q * logt  # log det C(1) + Q log dt
         d = np.sqrt(dt)[:, None] * p
         Eta = matvec_fixed(unit.E1, Xi / d)  # E(dt) xi = D Eta
         U = X / d - Eta

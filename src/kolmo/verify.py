@@ -230,54 +230,38 @@ def _hermite_grid(nodes_x, N):
     return Y, W
 
 
-def _slice_integrals(spec, psi, Z, tau, pairs, h, nodes_x):
+def _slice_integrals(spec, psi, Z, tau, nodes_x):
     """Gauss-Hermite slices of int Gamma(z, .) psi, one per row z = (x, t)
-    of Z and time in tau, with dt = t - tau: the (S, 1 + len(pairs))
-    values of int N(w; 0, 2C(dt)) psi(M(x - w)) dw with M = exp(dt B),
-    then of its d2_ij by differences of step h for the (i, j) of pairs.
+    of Z and time in tau, with dt = t - tau: the (S, P) integrals
+    int N(w; 0, 2C(dt)) phi(M(x - w)) dw, M = exp(dt B), of the P arrays
+    phi that psi returns.
 
     The substitution w = x - E(dt) xi turns the kernel into this plain
-    Gaussian weight, and the derivative lands on psi, so the integrand
-    is bounded by sup|d2 psi| with no kernel singularity.  psi maps an
-    (..., S, N, G) grid, coordinate-major so that each coordinate is a
-    run of G nodes, and the (S,) slice times to (..., S, G) values.
-    C(dt), its root and E(-dt) are one stacked call each for all slices,
-    every slice bit-identical to its own K = 1 call; ROW_CHUNK chunks
-    only the grid: psi is called once per chunk of slices, on every
-    stencil offset, and each slice is reduced by its own dot with the
-    weights.
+    Gaussian weight, and an x-derivative lands on psi (d2_ij is d_i^T H d_j
+    with d_i = M e_i), so the integrand has no kernel singularity.  psi
+    maps an (S, N, G) grid, coordinate-major so that each coordinate is a
+    run of G nodes, the (S,) slice times and the (S, N, N) matrices M to a
+    sequence of (S, G) arrays.  C(dt), its root and E(-dt) are one stacked
+    call each for all slices, every slice bit-identical to its own K = 1
+    call; ROW_CHUNK chunks only the grid: psi is called once per chunk of
+    slices, and each array of each slice is reduced by its own dot with
+    the weights.
     """
     dt = Z[:, -1] - tau
     if not (dt > 0.0).all():
         raise DomainError(f"covariance needs t > 0, got {dt[~(dt > 0.0)][0]}")
     S, M = sqrt_spd(2.0 * _checked_C(spec, dt)[0]), spec.E(-dt)
     Y, W = _hermite_grid(nodes_x, spec.N)
-    offsets = 1 + sum(2 if i == j else 4 for i, j in pairs)
-    step = max(1, ROW_CHUNK // (offsets * len(W)))
-    out = np.empty((len(Z), 1 + len(pairs)))
+    step = max(1, ROW_CHUNK // len(W))
+    parts = []
     for k in range(0, len(Z), step):
         part = slice(k, k + step)
         w = math.sqrt(2.0) * np.matmul(S[part], Y.T)
-        pts = np.matmul(M[part], Z[part, :-1, None] - w)
-        d = np.moveaxis(M[part], -1, 0)  # d[i] = M e_i, one row per slice
-        stencil = [np.zeros_like(d[0])]
-        for i, j in pairs:
-            a, b = h * d[i], h * d[j]
-            stencil += [a, -a] if i == j else [a + b, a - b, -a + b, -a - b]
-        X = pts + np.stack(stencil)[:, :, :, None]
+        X = np.matmul(M[part], Z[part, :-1, None] - w)
         if not np.isfinite(X).all():
             raise DomainError("quadrature grid has non-finite coordinates")
-        vals = iter(psi(X, tau[part]))
-        centre = next(vals)
-        out[part, 0] = dot_rows(centre, W)
-        for p, (i, j) in enumerate(pairs, 1):
-            if i == j:
-                dd = (next(vals) - 2.0 * centre + next(vals)) / h**2
-            else:
-                pp, pm, mp, mm = (next(vals) for _ in range(4))
-                dd = (pp - pm - mp + mm) / (4.0 * h**2)
-            out[part, p] = dot_rows(dd, W)
-    return out / math.pi ** (spec.N / 2.0)
+        parts.append(np.column_stack([dot_rows(v, W) for v in psi(X, tau[part], M[part])]))
+    return np.concatenate(parts) / math.pi ** (spec.N / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +353,10 @@ def verify_mean_value(spec, R=0.5, poles=20, samples=120, seed=0):
                           scaling={R: fitted}, ratios=ratios, verdict=math.isfinite(fitted))
 
 
-def _d2_convolved(spec, psi, Z, pairs, t_lo, h):
+def _d2_convolved(spec, psi, Z, t_lo):
     """d2_ij of int Gamma(z, .) psi over times in [t_lo, t) at every row
-    z = (x, t) of Z, for the (i, j) of pairs: the (K, len(pairs)) values,
-    by differences of step h on 12 x 12^N nodes.
+    z = (x, t) of Z: the (K, P - 1) integrals of the arrays that the jet
+    psi returns after its value (see _slice_integrals), on 12 x 12^N nodes.
 
     Outer integral in sigma = sqrt(t - tau), which removes the
     square-root endpoint behaviour of the time slices; the slices of
@@ -385,7 +369,7 @@ def _d2_convolved(spec, psi, Z, pairs, t_lo, h):
     nodes, wts = gauss_legendre(12)
     sigma = 0.5 * smax * (nodes[:, None] + 1.0)  # slice q of row k at [q, k]
     d2 = _slice_integrals(spec, psi, np.tile(Z, (12, 1)), (t - sigma * sigma).ravel(),
-                          pairs, h, 12)[:, 1:].reshape(12, len(Z), -1)
+                          12)[:, 1:].reshape(12, len(Z), -1)
     terms = (wts[:, None] * 0.5 * smax * 2.0 * sigma)[..., None] * d2
     # the terms in node order: np.sum pairs them, which rounds differently
     return functools.reduce(np.add, terms, 0.0)
@@ -394,30 +378,46 @@ def _d2_convolved(spec, psi, Z, pairs, t_lo, h):
 _G_KINDS = ("const", "g1", "g2")
 
 
-def _singular_psi(kind, R, exps):
-    """psi = (scale-R bump) * g, where g is 1, x_1 or x_1^2 for kind const,
-    g1 or g2, on an (..., S, N, G) grid whose S slices sit at the times t
-    (one per slice, or one for all).
+def _singular_psi(kind, R, exps, m):
+    """The jet of psi = (scale-R bump) * g, g = 1, x_1 or x_1^2 for kind
+    const, g1 or g2, at the slice times t and matrices M of an (S, N, G)
+    grid (see _slice_integrals): psi, then d_i^T H d_j (d_i = M e_i) for
+    i <= j < m in row order.
 
-    The Gaussian bump exp(-sum (x_i/R^alpha_i)^2 - (t/R^2)^2) plays the
-    cutoff role inside the quadrature: it concentrates on the quasi-ball
-    of radius ~R and is smooth with all derivative scales set by R, so
-    tensor quadrature converges, unlike the kinked max-norm cutoff.
-    Squares are np.square, the IEEE product x*x, added in coordinate
-    order to the time term of the slice, and the exponent -q <= 0 goes
-    through matrixcalc.exp_nonpositive, which is libm exp as math.exp
-    is: numpy's own float64 exp takes a CPU-dependent path.
+    The Gaussian bump exp(-q), q = (t/R^2)^2 + sum (x_k/s_k)^2 with
+    s_k = R^alpha_k, is the cutoff: smooth, with every derivative scale
+    set by R, so tensor quadrature converges, unlike the kinked max-norm
+    cutoff.  Squares are np.square (the IEEE x*x), added in coordinate
+    order to the time term, and exp(-q) is matrixcalc.exp_nonpositive
+    (libm exp, as math.exp): one exp per node.  H is e^-q (((g (a_i a_j -
+    c_ij) - a_i dg_j) - a_j dg_i) + hg_ij) with a_i = d_i . grad q =
+    sum_k (2 d_ik / s_k) (x_k / s_k), c_ij = sum_k (2 d_ik / s_k) d_jk / s_k
+    (sums in coordinate order), dg_i = d_i . grad g and
+    hg_ij = d_i^T (Hess g) d_j; zero terms are left out.
     """
     scales = [R**a for a in exps.alpha]
 
-    def psi(X, t):
+    def psi(X, t, M):
+        U = [X[..., k, :] / s for k, s in enumerate(scales)]
         q = np.square(t / R**2)[..., None]
-        for i, s in enumerate(scales):
-            q = q + np.square(X[..., i, :] / s)
-        bump = exp_nonpositive(-q)
-        if kind == "const":
-            return bump
-        return bump * (X[..., 0, :] if kind == "g1" else np.square(X[..., 0, :]))
+        for u in U:
+            q = q + np.square(u)
+        bump, x0 = exp_nonpositive(-q), X[..., 0, :]
+        g = None if kind == "const" else x0 if kind == "g1" else np.square(x0)
+        gp = 1.0 if kind != "g2" else 2.0 * x0  # g'(x_1), so that dg_n = d_n0 g'
+        out = [bump if g is None else bump * g]
+        coef = [[2.0 * M[:, k, i] / s for k, s in enumerate(scales)] for i in range(m)]
+        a = [functools.reduce(np.add, [c[:, None] * u for c, u in zip(ci, U)]) for ci in coef]
+        for i, j in ((i, j) for i in range(m) for j in range(i, m)):
+            cij = functools.reduce(np.add, [c * M[:, k, j] / s for k, (c, s)
+                                            in enumerate(zip(coef[i], scales))])
+            h = a[i] * a[j] - cij[:, None]
+            if g is not None:
+                h = g * h - a[i] * (M[:, 0, j, None] * gp) - a[j] * (M[:, 0, i, None] * gp)
+            if kind == "g2":
+                h = h + 2.0 * M[:, 0, i, None] * M[:, 0, j, None]
+            out.append(bump * h)
+        return out
 
     return psi
 
@@ -428,20 +428,20 @@ def verify_singular_bounds(spec, kind, R_list=(0.5, 0.25, 0.125), seed=0):
     kind selects g = 1, <v, x> (linear in a first-level coordinate), or
     <v, x>^2; the sup of |d2 w| over SINGULAR_SAMPLES rows of Q_{R/2}
     must scale accordingly across a dyadic R sweep.  The slices of each R
-    are one chunked block, differenced at the step 2e-3 R.
+    are one chunked block, and d2 w is the quadrature of the closed-form
+    Hessian of the bump (_singular_psi's jet).
     """
     if kind not in _G_KINDS:
         raise DomainError(f"kind must be one of {_G_KINDS}, got {kind!r}")
     exps = spec.exponents()
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(spec.m) for j in range(i, spec.m)]
     scaling = {}
     for R in R_list:
         Z = sample_ball(spec, R / 2.0, SINGULAR_SAMPLES, rng)
         early = Z[:, -1] <= -(R * R) * 0.9
         Z[early, -1] = np.abs(Z[early, -1])
-        d2 = _d2_convolved(spec, _singular_psi(kind, R, exps), Z, pairs,
-                           t_lo=-(R * R) * 1.0001, h=2e-3 * R)
+        d2 = _d2_convolved(spec, _singular_psi(kind, R, exps, spec.m), Z,
+                           t_lo=-(R * R) * 1.0001)
         scaling[R] = max([0.0] + np.abs(d2).ravel().tolist())
     vals = [scaling[R] for R in R_list]
     steps = [vals[i] / vals[i + 1] if vals[i + 1] > 0 else math.inf

@@ -1,6 +1,7 @@
 """The kernel convolution u = -int Gamma f, the tests' representation
 formula: the Gauss-Hermite slices of verify._slice_integrals, with f
-read on the rows of the slice grid.  No command-line path uses it."""
+read on the rows of the slice grid as the one array of its integrand
+(no derivative is asked for).  No command-line path uses it."""
 
 import functools
 
@@ -27,16 +28,16 @@ def convolve_solution(spec, f, z, t_lo, nodes_t=16, nodes_x=24, check=True):
     if t <= t_lo:
         raise DomainError("evaluation time must exceed the support onset")
 
-    def psi(X, tau):  # f on the rows (xi, tau) of an (..., S, N, G) grid
+    def psi(X, tau, M):  # [f] on the rows (xi, tau) of an (S, N, G) grid
         X = np.swapaxes(X, -1, -2)  # node-major: one (xi) row per node
         rows = np.concatenate([X, np.broadcast_to(tau[:, None, None], X.shape[:-1] + (1,))], -1)
-        return f(finite_rows(rows.reshape(-1, N + 1))).reshape(X.shape[:-1])
+        return [f(finite_rows(rows.reshape(-1, N + 1))).reshape(X.shape[:-1])]
 
     def run(nt, nx):
         nodes, wts = gauss_legendre(nt)
         half = (t - t_lo) / 2.0
         tau = (t + t_lo) / 2.0 + half * nodes
-        inner = _slice_integrals(spec, psi, np.broadcast_to(z, (nt, N + 1)), tau, (), None, nx)
+        inner = _slice_integrals(spec, psi, np.broadcast_to(z, (nt, N + 1)), tau, nx)
         # the terms in node order: np.sum pairs them, which rounds differently
         return -functools.reduce(np.add, wts * half * inner[:, 0], 0.0)
 

@@ -11,7 +11,7 @@ that of the block route, except where the block route's own eigvalsh
 minimum lies within LAPACK's error bound, and it is the kernel's: both
 read it from the spec's record of C(1).  A principal kernel call forms
 no per-row exponential, inverse or determinant, and a principal
-_checked_C call no determinant.
+_checked_C call no determinant: the kernel alone forms log det C(t).
 """
 
 import math
@@ -172,11 +172,15 @@ def test_checked_C_keeps_the_block_route_verdict():
 
 @pytest.mark.parametrize("blocks", BLOCKS)
 def test_kernel_log_det_is_the_scaled_log_det_of_C1(blocks):
-    # the kernel's log det C(t) = log det C(1) + Q log t, against slogdet
-    # of the block route's C(t) within 64 (kappa N + |log det|) eps
+    # the kernel's log det C(t) = log det C(1) + Q log t, read off Gamma
+    # at x = xi = 0 (tr B = 0), where Gamma = (4 pi)^(-N/2) det C(t)^(-1/2),
+    # against slogdet of the block route's C(t) within 64 (kappa N + |log
+    # det|) eps
     spec = admissible_spec(blocks, 0, True)
     times = np.array([1e-4, 1e-2, 0.5, 1.0, 3.0])
-    logdet = _checked_C(spec, times)[1]
+    Z = np.column_stack([np.zeros((len(times), spec.N)), times])
+    gamma = kernel_jet_rows(spec, Z, np.zeros((1, spec.N + 1)), derivatives=False)
+    logdet = -2.0 * np.log(gamma) - spec.N * math.log(4.0 * math.pi)
     want = np.linalg.slogdet(full_square_C(spec, times))[1]
     tol = 64 * EPS * (correlation_condition(spec) * spec.N + np.abs(want))
     assert (np.abs(logdet - want) <= tol).all()

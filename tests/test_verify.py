@@ -43,6 +43,7 @@ from kolmo.verify import (
 )
 
 from convolution import convolve_solution
+from test_singular_oracle import node_jet
 
 
 # Test-only helpers: the cutoff and finite-difference sups of its
@@ -213,42 +214,25 @@ def test_verify_singular_bounds_const(kspec, monkeypatch):
         verify_singular_bounds(kspec, "g3")
 
 
-def _psi_at_point(kind, R, exps):
-    """The scalar psi: the scale-R bump times g at one Point."""
-    def psi(zeta):
-        v = zeta.t / R**2
-        q = v * v
-        for xi, a in zip(zeta.x, exps.alpha):
-            v = xi / R**a
-            q += v * v
-        x0 = float(zeta.x[0])
-        return math.exp(-q) * {"const": 1.0, "g1": x0, "g2": x0 * x0}[kind]
-    return psi
+def _jet_at_point(kind, R, exps, di=None, dj=None):
+    """The scalar jet at one Point: test_singular_oracle.node_jet, the
+    bump times g and, given di and dj, d_i^T H d_j in Python floats."""
+    jet = node_jet(kind, R, exps, di, dj)
+    return lambda zeta: jet(zeta.x.tolist(), zeta.t)
 
 
-def _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, nodes_x):
+def _d2_slice_by_points(ctx, kind, R, z, tau, i, j, nodes_x):
     """One slice of _slice_integrals the per-Point way: the Hermite grid rebuilt for the
-    slice, then one Point and one scalar bump * g per node and offset.  Returns
-    the centre integral and d2_ij."""
+    slice, then one Point and one scalar jet per node.  Returns the centre
+    integral and d2_ij."""
     spec = ctx.spec
     dt = z.t - tau
     S = sqrt_spd(2.0 * covariance(ctx, dt).C)
     Y, W = tensor_rule([hermgauss(nodes_x)] * spec.N)
     M = spec.E(-dt)
     pts = (z.x[None, :] - (math.sqrt(2.0) * (Y @ S.T))) @ M.T
-    psi = _psi_at_point(kind, R, spec.exponents())
-
-    def vals(offset):
-        return np.array([psi(Point(p + offset, tau)) for p in pts])
-
-    di, dj = h * M[:, i], h * M[:, j]
-    centre = vals(np.zeros(spec.N))
-    if i == j:
-        dd = (vals(di) - 2.0 * centre + vals(-di)) / h**2
-    else:
-        dd = (
-            vals(di + dj) - vals(di - dj) - vals(-di + dj) + vals(-di - dj)
-        ) / (4.0 * h**2)
+    jet = _jet_at_point(kind, R, spec.exponents(), M[:, i].tolist(), M[:, j].tolist())
+    centre, dd = map(np.ascontiguousarray, np.array([jet(Point(p, tau)) for p in pts]).T)
     norm = math.pi ** (spec.N / 2.0)
     return float(centre @ W) / norm, float(dd @ W) / norm
 
@@ -258,30 +242,36 @@ def test_d2_slice_matches_per_point_route(which, kspec, drifted):
     spec = {"kolmogorov": kspec, "drifted": drifted, "heat2": heat_spec(2)}[which]
     ctx = KernelContext(spec)
     exps = spec.exponents()
-    R, h = 0.5, 1e-3
+    R = 0.5
     z = Point(0.1 * np.arange(1, spec.N + 1), 0.1)
     X = np.random.default_rng(0).uniform(-R, R, (3000, spec.N))
+    pairs = [(i, j) for i in range(spec.m) for j in range(i, spec.m)]
     for kind in ("const", "g1", "g2"):
-        psi = _singular_psi(kind, R, exps)
-        one = _psi_at_point(kind, R, exps)
-        assert np.array_equal(psi(X.T, -0.1), [one(Point(x, -0.1)) for x in X])
+        one = _jet_at_point(kind, R, exps)
+        values = _singular_psi(kind, R, exps, 0)(X.T, -0.1, None)
+        assert len(values) == 1
+        assert np.array_equal(values[0], [one(Point(x, -0.1)) for x in X])
         # both slices and every (i, j) in one call
         taus = [z.t - 0.2, z.t - 1e-3]
-        pairs = [(i, j) for i in range(spec.m) for j in range(i, spec.m)]
-        got = _slice_integrals(spec, psi, np.repeat(z.row(), 2, axis=0), np.array(taus),
-                               pairs, h, 12)
+        got = _slice_integrals(spec, _singular_psi(kind, R, exps, spec.m),
+                               np.repeat(z.row(), 2, axis=0), np.array(taus), 12)
+        assert got.shape == (2, 1 + len(pairs))
         for s, tau in enumerate(taus):
             for p, (i, j) in enumerate(pairs, 1):
-                centre, d2 = _d2_slice_by_points(ctx, kind, R, z, tau, i, j, h, 12)
+                centre, d2 = _d2_slice_by_points(ctx, kind, R, z, tau, i, j, 12)
                 assert got[s, 0] == centre, (kind, tau)
                 assert got[s, p] == d2, (kind, tau, i, j)
 
 
 def test_d2_slice_rejects_non_finite_grid(kspec):
-    psi = _singular_psi("g1", 0.5, kspec.exponents())
-    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="grid"):
-        _slice_integrals(kspec, psi, np.array([[0.1, 0.2, 0.1]]), np.array([0.0]),
-                         [(0, 0)], math.inf, 12)
+    # finite inputs whose grid M (x - w) overflows: M = E(-1) subtracts
+    # the first coordinate from the second
+    psi = _singular_psi("g1", 0.5, kspec.exponents(), 1)
+    z = np.array([[1.5e308, -1.5e308, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(kspec.E(-1.0) @ z[0, :-1]).any()
+        with pytest.raises(DomainError, match="grid"):
+            _slice_integrals(kspec, psi, z, np.array([0.0]), 12)
 
 
 def test_hermite_grid_is_cached_and_read_only():
