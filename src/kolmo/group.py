@@ -33,7 +33,8 @@ from .errors import (
     StructureError,
     UsageError,
 )
-from .matrixcalc import _gershgorin, _symmetric, exp_rows, exp_table, matvec_rows
+from .matrixcalc import (_gershgorin, _symmetric, exp_rows, exp_table, matvec_rows,
+                         reduce_columns)
 
 ZERO_BLOCK_TOL = 1e-14
 RANK_TOL = 1e-10
@@ -406,7 +407,7 @@ def knorm_rows(Z, exps):
     inputs and would move the reports.
     """
     powers = [1.0 / a for a in exps.alpha] + [0.5]
-    return np.float_power(np.abs(finite_rows(Z)), powers).max(axis=1)
+    return reduce_columns(np.maximum, np.float_power(np.abs(finite_rows(Z)), powers))
 
 
 def kdist_rows(Z, W, spec):

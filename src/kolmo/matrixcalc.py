@@ -238,6 +238,22 @@ def dot_rows(X, Y):
     return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
 
 
+def reduce_columns(ufunc, P):
+    """ufunc.reduce(P, axis=-1) of a (K, n) block, for np.add or np.maximum,
+    bit for bit.  numpy sums fewer than 8 terms left to right from +0.0 and
+    a max is exact in any order, so below 8 columns this is a sweep of
+    column ops, without numpy's reduction set-up, which costs about 20
+    column ops on a few thousand rows; from 8 on numpy sums pairwise and
+    the reduction is kept.  tests/test_matrixcalc.py pins both orders."""
+    n = P.shape[-1]
+    if not 0 < n < 8:
+        return ufunc.reduce(P, axis=-1)
+    out = ufunc(P[..., 0], 0.0 if ufunc is np.add else -np.inf)
+    for j in range(1, n):
+        ufunc(out, P[..., j], out=out)
+    return out
+
+
 def _sum_fixed(P):
     """The sum over the last axis of P, j = 0 .. n-1 in order by element-wise
     adds: IEEE operations only, so no row depends on a BLAS kernel."""

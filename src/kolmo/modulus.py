@@ -115,9 +115,15 @@ def _classify(growths, total):
     return "inconclusive"
 
 
+def dini_value(table):
+    """int_{r_min}^1 omega(r)/r dr, the value of dini_integral: the
+    trapezoidal rule in log r."""
+    return float(np.trapezoid(table.omega, np.log(table.radii)))
+
+
 def dini_integral(table):
     """int_{r_min}^1 omega(r)/r dr with tail bound and classification."""
-    value = float(np.trapezoid(table.omega, np.log(table.radii)))  # omega/r dr in log r
+    value = dini_value(table)
     growths = _decade_growth(table)
     return DiniReport(
         value=value,
@@ -128,55 +134,71 @@ def dini_integral(table):
 
 
 def schauder_functional_rows(table, ds):
-    """schauder_functional at every split radius of the 1-d array ``ds``.
+    """schauder_functional at every split radius of the 1-d array ``ds``:
+    the (K,) values of one table, or the (T, K) values of a sequence of T
+    tables on one grid of radii.
 
     The near part of d is the trapezoid over the grid radii <= d, then d;
     the far part over d, then the grid radii >= d.  With the radii sorted,
     every near row is laid out as [interior terms, end term] and every far
-    row as [end term, interior terms] in one (K, len(r)) array per part:
-    the interior terms diff(log r) (y[1:] + y[:-1]) / 2 are formed once,
-    and each d writes its end term into its own column.  The rows with the
-    same term count n are one add.reduce over their n contiguous columns.
-    numpy sums each row of a C-order block pairwise, as it sums one d's
-    1-d array, and omega(d) is interpolated at math.log(d), so every value
-    is bit-identical to its K = 1 call.
+    row as [end term, interior terms] in a (K * T, len(r)) array, row
+    k * T + t for the k-th d and table t, which the near part fills and
+    sums, then the far part: the interior terms diff(log r) (y[1:] +
+    y[:-1]) / 2 are formed once per table, and each row writes its end
+    term into its own column.  The sort, math.log(d), the term counts and
+    the end-term columns are the grid's, shared by all tables, and the
+    rows with the same term count n are contiguous, one add.reduce over
+    their n contiguous columns for all tables.  numpy sums each row of a
+    C-order block pairwise, as it sums one d's 1-d array, and omega(d) is
+    interpolated at math.log(d), so every value is bit-identical to its
+    T = 1, K = 1 call.
     """
+    single = isinstance(table, ModulusTable)
+    tables = (table,) if single else tuple(table)
     ds = np.asarray(ds, dtype=float)
     if len(ds) > ROW_CHUNK:
-        return np.concatenate([schauder_functional_rows(table, ds[k:k + ROW_CHUNK])
-                               for k in range(0, len(ds), ROW_CHUNK)])
+        return np.concatenate([schauder_functional_rows(table if single else tables,
+                                                        ds[k:k + ROW_CHUNK])
+                               for k in range(0, len(ds), ROW_CHUNK)], axis=-1)
     bad = ~((ds > 0.0) & (ds < 1.0))
     if bad.any():
         raise DomainError(f"split radius must lie in (0, 1), got {ds[bad][0].item()}")
-    r, w = table.radii, table.omega
-    L = len(r)
+    r = tables[0].radii
+    if any(not np.array_equal(t.radii, r) for t in tables[1:]):
+        raise DomainError("tables must share one grid of radii")
+    w = np.array([t.omega for t in tables])
+    (T, L), K = w.shape, len(ds)
     order = np.argsort(ds, kind="stable")
     d = ds[order]
-    w_d = np.interp([math.log(x) for x in d.tolist()], np.log(r), w)
     log_r, log_d = np.log(r), np.log(d)
+    at_d = [math.log(x) for x in d.tolist()]
+    w_d = np.array([np.interp(at_d, log_r, omega) for omega in w]).T
     # term counts, monotone in the sorted d; 0 where the part is empty
     near_n = np.where(d > r[0], np.searchsorted(r, d, "right"), 0)
     far_n = np.where(d < r[-1], L - np.searchsorted(r, d, "left"), 0)
-    sums = np.zeros((2, len(d)))
-    for out, n, inv_power in ((sums[0], near_n, 1), (sums[1], far_n, 2)):
+    sums = np.zeros((2, K, T))
+    # one term array for both parts: each part writes every column its rows read
+    terms = np.empty((K, T, L))
+    rows = terms.reshape(K * T, L)
+    for out, n, inv_power in ((sums[0].reshape(K * T), near_n, 1),
+                              (sums[1].reshape(K * T), far_n, 2)):
         near = inv_power == 1
         y = w * r ** (1.0 - inv_power)
-        y_d = w_d * d ** (1.0 - inv_power)
-        terms = np.empty((len(d), L))
+        y_d = w_d * (d ** (1.0 - inv_power))[:, None]
         interior = slice(0, L - 1) if near else slice(1, L)
-        terms[:, interior] = np.diff(log_r) * (y[1:] + y[:-1]) / 2.0
+        terms[:, :, interior] = np.diff(log_r) * (y[:, 1:] + y[:, :-1]) / 2.0
         live = np.flatnonzero(n)
         k = n[live] - 1 if near else L - n[live]  # the grid radius next to d
         dx = log_d[live] - log_r[k] if near else log_r[k] - log_d[live]
-        terms[live, k] = dx * (y_d[live] + y[k]) / 2.0  # its own column
-        starts = np.flatnonzero(np.diff(n, prepend=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [len(d)]):
-            if n[lo]:
-                cols = slice(0, n[lo]) if near else slice(L - n[lo], L)
-                np.add.reduce(terms[lo:hi, cols], axis=1, out=out[lo:hi])
-    result = np.empty(len(d))
-    result[order] = sums[0] + d * sums[1]
-    return result
+        terms[live, :, k] = dx[:, None] * (y_d[live] + y[:, k].T) / 2.0  # its own column
+        counts, starts = n.tolist(), np.flatnonzero(np.diff(n, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [K]):
+            if counts[lo]:
+                cols = slice(0, counts[lo]) if near else slice(L - counts[lo], L)
+                np.add.reduce(rows[lo * T:hi * T, cols], axis=1, out=out[lo * T:hi * T])
+    result = np.empty((T, K))
+    result[:, order] = (sums[0] + d[:, None] * sums[1]).T
+    return result[0] if single else result
 
 
 def schauder_functional(table, d):
@@ -221,9 +243,15 @@ def empirical_modulus(f, spec, radius=1.0, pair_samples=4000, seed=0):
         raise DomainError("need at least 1000 pair samples")
     rng = np.random.default_rng(seed)
     pairs = _scaled_pairs(spec, radius, pair_samples, rng, DEFAULT_RADII[0])
-    vals = f(pairs.reshape(-1, spec.N + 1)).reshape(-1, 2)
+    return _pair_table(f(pairs.reshape(-1, spec.N + 1)),
+                       kdist_rows(pairs[:, 0], pairs[:, 1], spec))
+
+
+def _pair_table(vals, dists):
+    """The ModulusTable on DEFAULT_RADII of the pairs (z_k, zeta_k) whose f
+    values are vals[2k] and vals[2k + 1] and whose distance is dists[k]."""
+    vals = vals.reshape(-1, 2)
     jumps = np.abs(vals[:, 0] - vals[:, 1])
-    dists = kdist_rows(pairs[:, 0], pairs[:, 1], spec)
     return ModulusTable(DEFAULT_RADII, pair_omega(dists, jumps, DEFAULT_RADII))
 
 

@@ -39,7 +39,7 @@ from .group import (
 )
 from .matrixcalc import (dot_rows,
                          mat_exp,  # unused here; the benchmark's tracer test reads kolmo.taylor.mat_exp
-                         matvec_rows, vecmat_rows)
+                         matvec_rows, reduce_columns, vecmat_rows)
 
 SEGMENT_TOL = 1e-12
 RICHARDSON_TOL = 1e-3  # largest step-halving change, relative to max(1, |value|)
@@ -121,10 +121,11 @@ def flow_X(v, s, z):
     return end
 
 
-def flow_Y_rows(s, Z, spec):
-    """The drift flow e^{sY} of every row of Z: (exp(sB) x, t - s)."""
+def flow_Y_rows(s, Z, spec, E=None):
+    """The drift flow e^{sY} of every row of Z: (exp(sB) x, t - s).  ``E``
+    is E(-s) = exp(sB), when the caller has it already."""
     out = np.empty(Z.shape)
-    out[:, :-1] = matvec_rows(spec.E(-s), Z[:, :-1])
+    out[:, :-1] = matvec_rows(spec.E(-s) if E is None else E, Z[:, :-1])
     out[:, -1] = Z[:, -1] - s
     return finite_rows(out)
 
@@ -471,7 +472,7 @@ def gaussian_bundle(spec, center_x=None, center_t=0.0, width_x=1.0, width_t=1.0,
         # A square that overflows leaves q = inf and u = 0, the bump's limit.
         with np.errstate(over="ignore"):
             qt = np.float_power((Z[:, -1] - center_t) / width_t, 2.0)
-            q = np.sum(((Z[:, :-1] - c) / wx) ** 2, axis=1) + qt
+            q = reduce_columns(np.add, ((Z[:, :-1] - c) / wx) ** 2) + qt
         return amplitude * np.exp(-q)
 
     def grad_full(Z, uZ):

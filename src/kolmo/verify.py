@@ -21,14 +21,10 @@ from numpy.polynomial.hermite import hermgauss
 from .errors import DomainError, EllipticityError, ManufactureError
 from .group import compose_rows, dilate_rows, finite_rows, kdist_rows, sample_ball
 from .kernel import _checked_C, kernel_jet_rows
-from .matrixcalc import (ROW_CHUNK, dot_rows, exp_nonpositive, gauss_legendre, sqrt_spd,
-                         tensor_rule)
-from .modulus import (
-    dini_integral,
-    empirical_modulus,
-    schauder_functional_rows,
-    table_from_function,
-)
+from .matrixcalc import (ROW_CHUNK, dot_rows, exp_nonpositive, gauss_legendre, reduce_columns,
+                         sqrt_spd, tensor_rule)
+from .modulus import (DEFAULT_RADII, ModulusTable, _pair_table, _scaled_pairs, dini_value,
+                      schauder_functional_rows)
 from .taylor import (C2Bundle, flow_Y_rows, gaussian_bundle, quadratic_bundle,
                      richardson)
 
@@ -50,7 +46,7 @@ class ManufacturedProblem:
     f: object  # rows -> (K,) values
     spec: object
     varcoeff: object = None  # rows -> (K, m, m) SPD stack (or one matrix)
-    omega_a: object = None  # ModulusTable for the coefficient modulus
+    omega_a: object = None  # ModulusTable of the coefficient modulus, on DEFAULT_RADII
     family_id: str = ""
     details: dict = field(default_factory=dict)
 
@@ -99,7 +95,7 @@ def _coeff_field(varcoeff_id, spec):
         out[:, 0, 0] += amp * np.sin(Z[:, 0])
         return out
 
-    return a, table_from_function(lambda r: amp * min(2.0, r))
+    return a, ModulusTable(DEFAULT_RADII, amp * np.minimum(2.0, DEFAULT_RADII))
 
 
 _FAMILIES = {
@@ -154,8 +150,10 @@ def _L_fd_steps(spec, u, Z, h, A):
     """The L stencil at the steps h and h/2, evaluated by one call of u,
     and the two difference quotients of sum a_ij d2_ij u + Y u.  Per step
     the points are the centre, Z +- h e_i and, for i < j, the four cross
-    points, then the drift flows e^{hY} Z and e^{-hY} Z."""
+    points, then the drift flows e^{hY} Z and e^{-hY} Z, whose four
+    matrices E(-+step) are one stacked spec.E call."""
     m, steps = spec.m, (h, h / 2.0)
+    E = iter(spec.E(np.array([s for step in steps for s in (-step, step)])))
     stencil = []
     for step in steps:
         e = step * np.eye(spec.N + 1)
@@ -164,7 +162,7 @@ def _L_fd_steps(spec, u, Z, h, A):
             stencil += [Z + e[i], Z - e[i]]
             for j in range(i + 1, m):
                 stencil += [Z + e[i] + e[j], Z + e[i] - e[j], Z - e[i] + e[j], Z - e[i] - e[j]]
-        stencil += [flow_Y_rows(step, Z, spec), flow_Y_rows(-step, Z, spec)]
+        stencil += [flow_Y_rows(step, Z, spec, next(E)), flow_Y_rows(-step, Z, spec, next(E))]
     vals = iter(u(np.concatenate(stencil)).reshape(len(stencil), len(Z)))
     quotients = []
     for step in steps:
@@ -483,29 +481,34 @@ def verify_schauder(problem, pair_samples=1000, seed=0):
     check is the constant-coefficient test ("schauder-const"), so the
     two agree identically when omega_a vanishes.
 
-    Every row block is drawn first, in the stream order: 800 rows for
-    sup|u|, 800 for sup|f|, the interior pairs and, with omega_a, 400
-    rows for the coefficient term eta.  Then one call of u, one of f (its
-    sup rows and the origin) and, after the ellipticity check, one of
-    hess_Yu on the eta rows, the origin and both ends of every pair: the
-    second-order values d2_ij u (i <= j) and Yu, one row each.
+    Every row block is drawn first: the modulus pairs of f from the
+    seed + 1 stream, as empirical_modulus draws them, then from the seed's
+    stream 800 rows for sup|u|, 800 for sup|f|, the interior pairs and,
+    with omega_a, 400 rows for the coefficient term eta.  One pass then
+    evaluates each block once: f (modulus pairs, sup rows, origin),
+    kdist_rows (modulus and interior pairs), u, and after the ellipticity
+    check hess_Yu (eta rows, origin, both ends of each interior pair: d2_ij u
+    for i <= j and Yu, one row each); one schauder_functional_rows call
+    takes omega_f and omega_a, which must share its grid DEFAULT_RADII.
     """
     name = "schauder-var" if problem.varcoeff is not None else "schauder-const"
-    spec = problem.spec
+    spec, width = problem.spec, problem.spec.N + 1
+    pairs = _scaled_pairs(spec, 1.0, max(1000, pair_samples), np.random.default_rng(seed + 1),
+                          DEFAULT_RADII[0])
     rng = np.random.default_rng(seed)
-    omega_f = empirical_modulus(problem.f, spec, radius=1.0,
-                                pair_samples=max(1000, pair_samples),
-                                seed=seed + 1)
     u_rows, f_rows = (sample_ball(spec, 1.0, 800, rng) for _ in range(2))
     interior = sample_ball(spec, 0.25, pair_samples * 2, rng)
-    eta_rows = (np.empty((0, spec.N + 1)) if problem.omega_a is None
+    eta_rows = (np.empty((0, width)) if problem.omega_a is None
                 else sample_ball(spec, 1.0, 400, rng))
-    origin_row = np.zeros((1, spec.N + 1))
-    sup_u = np.abs(problem.u.u(u_rows)).max()
-    f_vals = problem.f(np.concatenate([f_rows, origin_row]))
-    sup_f = np.abs(f_vals[:-1]).max()
-    _check_ellipticity(problem, interior[:200])
+    origin_row = np.zeros((1, width))
     Z, W = interior[0::2], interior[1::2]
+    count = len(pairs)
+    f_vals = problem.f(np.concatenate([pairs.reshape(-1, width), f_rows, origin_row]))
+    dists = kdist_rows(np.concatenate([pairs[:, 0], Z]), np.concatenate([pairs[:, 1], W]), spec)
+    omega_f = _pair_table(f_vals[:2 * count], dists[:count])
+    sup_u = np.abs(problem.u.u(u_rows)).max()
+    sup_f = np.abs(f_vals[2 * count:-1]).max()
+    _check_ellipticity(problem, interior[:200])
     H, Yu = problem.u.hess_Yu(np.concatenate([eta_rows, origin_row, Z, W]))
     i, j = np.triu_indices(H.shape[-1])
     eta, at_0, at_Z, at_W = np.split(np.column_stack([H[:, i, j], Yu]),
@@ -514,18 +517,20 @@ def verify_schauder(problem, pair_samples=1000, seed=0):
 
     # pointwise bound at the origin
     lhs0 = np.abs(at_0).max()
-    dini_f = dini_integral(omega_f).value
+    dini_f = dini_value(omega_f)
     rhs0 = sup_u + abs(f_vals[-1]) + dini_f
     point_ratio = lhs0 / rhs0 if rhs0 > 0.0 else 0.0
 
-    dists = kdist_rows(Z, W, spec)
-    lhs = np.abs(at_Z - at_W).max(axis=1)
+    dists = dists[count:]
+    lhs = reduce_columns(np.maximum, np.abs(at_Z - at_W))
     # a NaN distance is kept, so that the functional rejects it
     keep = ~((dists < omega_f.radii[0]) | (dists >= 1.0))
     d = dists[keep]
-    rhs = d * sup_u + d * sup_f + schauder_functional_rows(omega_f, d)
+    tables = [omega_f] if problem.omega_a is None else [omega_f, problem.omega_a]
+    functionals = schauder_functional_rows(tables, d)
+    rhs = d * sup_u + d * sup_f + functionals[0]
     if problem.omega_a is not None:
-        rhs = rhs + schauder_functional_rows(problem.omega_a, d) * eta_sup
+        rhs = rhs + functionals[1] * eta_sup
     live = rhs > 0.0
     ratios = (lhs[keep][live] / rhs[live]).tolist()
     fitted = max(ratios + [point_ratio]) if (ratios or point_ratio) else 0.0

@@ -9,6 +9,13 @@ step.  Every field and closure is row-wise, so stacking the blocks into
 one call must move no value: every EstimateReport field and every
 apply_L_fd value is == the oracle's, and a report that raises in the
 oracle raises the same type with the same message.
+
+The second oracle, verify_schauder_two_pass_oracle, is the check as it
+stood before its one evaluation pass: empirical_modulus calls f and
+kdist_rows on its pairs apart from the report's blocks, kdist_rows runs
+again on the interior pairs, each coefficient table has its own
+schauder_functional_rows call and the Dini value comes from the full
+dini_integral.  The one pass must equal it in the same way.
 """
 
 import math
@@ -30,13 +37,14 @@ from kolmo import (
     kdist_rows,
     manufacture,
     sample_ball,
+    table_from_function,
     verify_schauder,
 )
 from kolmo.group import finite_rows
 from kolmo.modulus import DEFAULT_RADII, ModulusTable, _scaled_pairs, pair_omega
 from kolmo.modulus import schauder_functional_rows
 from kolmo.taylor import RICHARDSON_TOL, C2Bundle, flow_Y_rows
-from kolmo.verify import FD_STEP, _FAMILIES, _check_ellipticity, _coeff_field
+from kolmo.verify import FD_STEP, _FAMILIES, EstimateReport, _check_ellipticity, _coeff_field
 
 from test_rows import BLOCKS, admissible_spec, random_rows
 
@@ -169,6 +177,66 @@ def verify_schauder_oracle(problem, pair_samples=1000, seed=0):
     }
 
 
+def verify_schauder_two_pass_oracle(problem, pair_samples=1000, seed=0):
+    """The route before the one pass: empirical_modulus, two kdist_rows
+    calls, one functional call per table and the full dini_integral."""
+    name = "schauder-var" if problem.varcoeff is not None else "schauder-const"
+    spec = problem.spec
+    rng = np.random.default_rng(seed)
+    omega_f = empirical_modulus(problem.f, spec, radius=1.0,
+                                pair_samples=max(1000, pair_samples),
+                                seed=seed + 1)
+    u_rows, f_rows = (sample_ball(spec, 1.0, 800, rng) for _ in range(2))
+    interior = sample_ball(spec, 0.25, pair_samples * 2, rng)
+    eta_rows = (np.empty((0, spec.N + 1)) if problem.omega_a is None
+                else sample_ball(spec, 1.0, 400, rng))
+    origin_row = np.zeros((1, spec.N + 1))
+    sup_u = np.abs(problem.u.u(u_rows)).max()
+    f_vals = problem.f(np.concatenate([f_rows, origin_row]))
+    sup_f = np.abs(f_vals[:-1]).max()
+    _check_ellipticity(problem, interior[:200])
+    Z, W = interior[0::2], interior[1::2]
+    H, Yu = problem.u.hess_Yu(np.concatenate([eta_rows, origin_row, Z, W]))
+    i, j = np.triu_indices(H.shape[-1])
+    eta, at_0, at_Z, at_W = np.split(np.column_stack([H[:, i, j], Yu]),
+                                     np.cumsum([len(eta_rows), 1, len(Z)]))
+    eta_sup = 0.0 if problem.omega_a is None else np.abs(eta[:, :-1]).max()
+
+    # pointwise bound at the origin
+    lhs0 = np.abs(at_0).max()
+    dini_f = dini_integral(omega_f).value
+    rhs0 = sup_u + abs(f_vals[-1]) + dini_f
+    point_ratio = lhs0 / rhs0 if rhs0 > 0.0 else 0.0
+
+    dists = kdist_rows(Z, W, spec)
+    lhs = np.abs(at_Z - at_W).max(axis=1)
+    # a NaN distance is kept, so that the functional rejects it
+    keep = ~((dists < omega_f.radii[0]) | (dists >= 1.0))
+    d = dists[keep]
+    rhs = d * sup_u + d * sup_f + schauder_functional_rows(omega_f, d)
+    if problem.omega_a is not None:
+        rhs = rhs + schauder_functional_rows(problem.omega_a, d) * eta_sup
+    live = rhs > 0.0
+    ratios = (lhs[keep][live] / rhs[live]).tolist()
+    fitted = max(ratios + [point_ratio]) if (ratios or point_ratio) else 0.0
+    return EstimateReport(
+        name=name,
+        seed=seed,
+        samples=len(ratios),
+        fitted_constant=fitted,
+        scaling={"point": point_ratio, "pairs": max(ratios) if ratios else 0.0},
+        ratios=ratios,
+        verdict=math.isfinite(fitted),
+        details={
+            "sup_u": sup_u,
+            "sup_f": sup_f,
+            "dini_f": dini_f,
+            "eta_sup": eta_sup,
+            "family": problem.family_id,
+        },
+    )
+
+
 # ---------------------------------------------------------------------------
 # One pass == per block.
 
@@ -189,20 +257,25 @@ def report_fields(report):
         "verdict", "details")}
 
 
+def oracle_outcomes(problem, oracle_problem, pairs, seed):
+    """The per-block route's outcome and that of the two-pass route."""
+    return (outcome(lambda: verify_schauder_oracle(oracle_problem, pairs, seed)),
+            outcome(lambda: report_fields(verify_schauder_two_pass_oracle(problem, pairs, seed))))
+
+
 def assert_same_report(problem, oracle_problem, pairs, seed):
-    want = outcome(lambda: verify_schauder_oracle(oracle_problem, pairs, seed))
     got = outcome(lambda: report_fields(verify_schauder(problem, pairs, seed)))
-    assert got[0] == want[0], (got, want)
-    if got[0] == "raised":
-        assert got == want
-        return
-    got, want = got[1], want[1]
-    for key in want:
-        assert got[key] == want[key], key
-        assert type(got[key]) is type(want[key]), key
-    for part in ("scaling", "details"):
-        for key in want[part]:
-            assert type(got[part][key]) is type(want[part][key]), (part, key)
+    for want in oracle_outcomes(problem, oracle_problem, pairs, seed):
+        assert got[0] == want[0], (got, want)
+        if got[0] == "raised":
+            assert got == want
+            continue
+        for key in want[1]:
+            assert got[1][key] == want[1][key], key
+            assert type(got[1][key]) is type(want[1][key]), key
+        for part in ("scaling", "details"):
+            for key in want[1][part]:
+                assert type(got[1][part][key]) is type(want[1][part][key]), (part, key)
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -218,6 +291,13 @@ def test_the_report_equals_the_per_block_route(spec, family, varcoeff, seed, pai
     problem, oracle_problem = made[1], oracle[1]
     assert problem.details == oracle_problem.details
     assert_same_report(problem, oracle_problem, pairs, seed)
+
+
+def test_coefficient_tables_equal_the_scalar_route(kspec):
+    # the table of each family, once tabulated by one scalar call per radius
+    for varcoeff, amp in (("sin1", 0.25), ("sin1x2", 0.5)):
+        want = table_from_function(lambda r: amp * min(2.0, r))
+        assert _coeff_field(varcoeff, kspec)[1].omega.tolist() == want.omega.tolist()
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -276,6 +356,7 @@ def test_lost_ellipticity_comes_before_the_bundle_pass(kspec, family):
     )
     want = outcome(lambda: verify_schauder_oracle(bad, 300))
     assert want[0] == "raised" and want[1] is EllipticityError
+    assert oracle_outcomes(bad, bad, 300, 0) == (want, want)
     assert outcome(lambda: verify_schauder(bad, 300)) == want
 
 
@@ -286,4 +367,5 @@ def test_an_unusable_problem_raises_as_the_per_block_route(kspec):
                               spec=kspec, family_id="gaussian")
     want = outcome(lambda: verify_schauder_oracle(bad, 300))
     assert want[0] == "raised" and want[1] is FloatingPointError
+    assert oracle_outcomes(bad, bad, 300, 0) == (want, want)
     assert outcome(lambda: verify_schauder(bad, 300)) == want

@@ -4,7 +4,7 @@ import pytest
 from quadrature import integrate_matrix
 
 from kolmo import AccuracyError, mat_exp, sqrt_spd
-from kolmo.matrixcalc import TENSOR_BUDGET, dot_rows, tensor_rule
+from kolmo.matrixcalc import TENSOR_BUDGET, dot_rows, reduce_columns, tensor_rule
 from kolmo.errors import DomainError
 
 
@@ -101,6 +101,51 @@ def test_dot_rows_on_strided_blocks_rounds_as_one_dot_per_row():
             rows = dot_rows(x, y)
             y_rows = np.broadcast_to(y, x.shape)
             assert all(rows[k] == x[k].copy() @ y_rows[k].copy() for k in range(len(x)))
+
+
+def mixed_block(rng, n):
+    """A (600, n) block of both signs across 60 binades, with signed
+    zeros, and NaN in some rows."""
+    P = rng.choice([-1.0, 1.0], (600, n)) * np.exp(rng.uniform(-20.0, 20.0, (600, n)))
+    P[rng.random((600, n)) < 0.05] = 0.0
+    P[rng.random((600, n)) < 0.05] = -0.0
+    P[rng.choice(600, 12, replace=False), rng.integers(n)] = np.nan
+    return P
+
+
+def sweep(ufunc, P, start):
+    """The column sweep ufunc(... ufunc(ufunc(start, P0), P1) ..., P_n-1)."""
+    out = np.full(len(P), start)
+    for j in range(P.shape[1]):
+        out = ufunc(out, P[:, j])
+    return out
+
+
+def test_short_reductions_run_left_to_right():
+    # reduce_columns replaces numpy's reductions over fewer than 8 columns
+    # with column sweeps; it relies on numpy summing them left to right
+    # from +0.0 and on a max being exact in any order.  A numpy that
+    # reorders them fails here, not in the report bytes.
+    rng = np.random.default_rng(8)
+    for n in range(1, 8):
+        P = mixed_block(rng, n)
+        for ufunc, start in ((np.add, 0.0), (np.maximum, -np.inf)):
+            want = sweep(ufunc, P, start)
+            for got in (ufunc.reduce(P, axis=-1), reduce_columns(ufunc, P)):
+                assert np.array_equal(got, want, equal_nan=True), (ufunc, n)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (ufunc, n)
+        assert np.array_equal(P.max(axis=-1), sweep(np.maximum, P, -np.inf), equal_nan=True)
+
+
+def test_long_sums_run_pairwise():
+    # from 8 columns on numpy sums pairwise, which a sweep does not
+    # reproduce: reduce_columns keeps the reduction there
+    rng = np.random.default_rng(9)
+    for n in (8, 9):
+        P = mixed_block(rng, n)
+        got = reduce_columns(np.add, P)
+        assert np.array_equal(got, np.add.reduce(P, axis=-1), equal_nan=True)
+        assert not np.array_equal(got, sweep(np.add, P, 0.0), equal_nan=True), n
 
 
 def test_integrate_matrix_polynomial_exact():

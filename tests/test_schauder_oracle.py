@@ -80,9 +80,14 @@ def random_table(rng, default_grid):
             r[-1] = 1.0
         if len(r) < 2:
             r = np.array([r[0] / 2.0, r[0]])
-    steps = rng.exponential(size=len(r)) * (rng.random(len(r)) < 0.7)
-    steps[:rng.integers(len(r))] = 0.0  # omega = 0 below the nearest pair
-    return ModulusTable(r, np.cumsum(steps) * 10.0 ** rng.uniform(-8.0, 8.0))
+    return ModulusTable(r, random_omega(rng, len(r)))
+
+
+def random_omega(rng, size):
+    """Nondecreasing omega values with plateaus and a zero stretch."""
+    steps = rng.exponential(size=size) * (rng.random(size) < 0.7)
+    steps[:rng.integers(size)] = 0.0  # omega = 0 below the nearest pair
+    return np.cumsum(steps) * 10.0 ** rng.uniform(-8.0, 8.0)
 
 
 def split_radii(rng, r, count):
@@ -113,6 +118,32 @@ def test_rows_match_the_per_d_route(seed, default_grid, count, split):
             mp.setattr(modulus, "ROW_CHUNK", split)
         assert schauder_functional_rows(table, ds).tolist() == want
     assert [schauder_functional(table, d) for d in ds[:5].tolist()] == want[:5]
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 4), st.integers(1, 40), SPLITS)
+def test_tables_on_one_grid_match_the_per_d_route(seed, default_grid, count, radii, split):
+    # several tables share the sort, the term counts and the end-term
+    # columns of one call; each row is still its table's per-d values
+    rng = np.random.default_rng(seed)
+    first = random_table(rng, default_grid)
+    tables = [first] + [ModulusTable(first.radii, random_omega(rng, len(first.radii)))
+                        for _ in range(count - 1)]
+    ds = split_radii(rng, first.radii, radii)
+    with pytest.MonkeyPatch.context() as mp:
+        if split is not None:
+            mp.setattr(modulus, "ROW_CHUNK", split)
+        got = schauder_functional_rows(tables, ds)
+    assert got.shape == (count, len(ds))
+    for table, row in zip(tables, got):
+        assert row.tolist() == [schauder_functional_oracle(table, d) for d in ds.tolist()]
+
+
+def test_tables_must_share_one_grid():
+    table = ModulusTable(DEFAULT_RADII, DEFAULT_RADII**0.5)
+    other = ModulusTable(DEFAULT_RADII[1:], DEFAULT_RADII[1:]**0.5)
+    with pytest.raises(DomainError, match="one grid"):
+        schauder_functional_rows([table, other], np.array([0.25]))
 
 
 def test_rows_interpolate_at_math_log():

@@ -112,6 +112,9 @@ def layer_rows(spec, small):
          lambda: verify.verify_mean_value(spec, poles=poles, samples=samples)),
         ("L5", "verify_schauder sin1", pairs,
          lambda: verify.verify_schauder(problem, pair_samples=pairs)),
+        # the schauder benchmark workload's size, --pairs 300
+        ("L5", "verify_schauder sin1 at 300 pairs", 300,
+         lambda: verify.verify_schauder(problem, pair_samples=300)),
         ("L5", "verify_invariance", samples,
          lambda: verify.verify_invariance(spec, samples=samples)),
     ]
