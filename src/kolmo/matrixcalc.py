@@ -137,8 +137,9 @@ def exp_rows(table, t):
     Row k sums F = exp(u_k X) - I = sum over j >= 1 of u_k^j X^j / j!
     element-wise, lowest power first, with u_k^j one running product;
     squares it s_k times as exp(2Y) - I = F F + 2F, one matmul per
-    slice (a row with s_k <= j keeps its F at squaring j), which keeps
-    the relative accuracy of the small part near I; and adds I.
+    slice (a row with s_k <= j keeps its F at squaring j, by a select
+    made only once some row stops), which keeps the relative accuracy
+    of the small part near I; and adds I.
     X = M / 2^shift, s_k = max(0, floor(log2(|t_k| ||M||_1)) + 1)
     so that ||u_k X||_1 < 1, and u_k = t_k 2^(shift - s_k); for a
     nilpotent M, X = M, u_k = t_k and nothing is squared.  Only t_k
@@ -162,8 +163,11 @@ def exp_rows(table, t):
         c = u[:, None].repeat(len(P) - 1, axis=1)
         np.multiply.accumulate(c, axis=1, out=c)
         F = np.add.reduce(c[:, :, None, None] * P[1:], axis=1)
-        for j in range(s.max(initial=0)):
-            F = np.where((s > j)[:, None, None], np.matmul(F, F) + 2.0 * F, F)
+        top = s.max(initial=0)
+        every = s.min() if top else 0  # the squarings that every row takes, unselected
+        for j in range(top):
+            G = np.matmul(F, F) + 2.0 * F
+            F = G if j < every else np.where((s > j)[:, None, None], G, F)
         F += P[0]
     if not np.isfinite(F).all():
         raise AccuracyError("overflow in matrix exponential")
@@ -315,13 +319,15 @@ def tensor_rule(rules):
     """Tensor product of 1-d rules [(points, weights), ...]: the (n, d)
     points in C order and their weights, multiplied left to right.
     A grid of more than TENSOR_BUDGET points is refused before it is
-    built (DomainError)."""
-    size = math.prod(len(pts) for pts, _ in rules)
+    built (DomainError).  Every caller lays one axis per coordinate of x,
+    so the refusal names the dimension N = d that the spec sets."""
+    counts = [len(pts) for pts, _ in rules]
+    size = math.prod(counts)
     if size > TENSOR_BUDGET:
-        raise DomainError(
-            f"tensor grid of {size} points exceeds the budget of "
-            f"{TENSOR_BUDGET}; use fewer nodes per axis"
-        )
+        shape = (f"{counts[0]}^{len(counts)}" if len(set(counts)) == 1
+                 else " x ".join(map(str, counts)))
+        raise DomainError(f"{shape} = {size} points for N = {len(counts)} exceeds "
+                          f"the budget of {TENSOR_BUDGET}")
     grids = np.meshgrid(*(pts for pts, _ in rules), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     w = np.ones(())

@@ -17,6 +17,7 @@ and records each point as one (N+1,) row (x_1, .., x_N, t).
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import (
     AccuracyError,
     DomainError,
+    KolmoError,
     NonConvergenceError,
     PlanIntegrityError,
 )
@@ -145,27 +147,41 @@ def _append_X(segments, v, s, z):
     return end
 
 
-def _append_Y(segments, s, z, spec):
-    end = flow_Y_rows(s, z[None], spec)[0]
+def _append_Y(segments, s, z, spec, E=None):
+    end = flow_Y_rows(s, z[None], spec, E)[0]
     segments.append(_segment("Y", np.zeros(z.size - 1), s, z, end))
     return end
 
 
 def gamma_traj(n, v, s, z, spec, segments=None):
     """Recursive trajectory gamma^(n)_{v,s} from the row z; returns
-    (endpoint, trace)."""
+    (endpoint, trace).
+
+    Every Y arc flows by s^2 or -s^2, as (-s)(-s) = s s exactly, so the
+    arcs' matrices E(-s^2) and E(s^2) come from one stacked call.  If that
+    call raises, each arc makes its own, and an error is raised at the arc
+    that raises it alone.
+    """
     if n < 0:
         raise DomainError("trajectory level must be >= 0")
     if segments is None:
         segments = []
+    try:
+        E = spec.E([-(s * s), s * s]) if n else (None, None)
+    except (KolmoError, FloatingPointError):  # each arc makes its own call
+        E = (None, None)
+    return _gamma_traj(n, v, s, z, spec, segments, E), segments
+
+
+def _gamma_traj(n, v, s, z, spec, segments, E):
+    """gamma_traj's recursion, with ``E`` the pair (E(-s^2), E(s^2)) or
+    (None, None); returns the endpoint."""
     if n == 0:
-        end = _append_X(segments, v, s, z)
-        return end, segments
-    cur, _ = gamma_traj(n - 1, v, s, z, spec, segments)
-    cur = _append_Y(segments, s * s, cur, spec)
-    cur, _ = gamma_traj(n - 1, v, -s, cur, spec, segments)
-    cur = _append_Y(segments, -s * s, cur, spec)
-    return cur, segments
+        return _append_X(segments, v, s, z)
+    cur = _gamma_traj(n - 1, v, s, z, spec, segments, E)
+    cur = _append_Y(segments, s * s, cur, spec, E[0])
+    cur = _gamma_traj(n - 1, v, -s, cur, spec, segments, E)
+    return _append_Y(segments, -s * s, cur, spec, E[1])
 
 
 def richardson(d1, d2, message):
@@ -274,10 +290,13 @@ def _solve_level_param(n, v, s_guess, need, spec):
 
     ``need`` is the required level-n increment vector; the scalar
     equation matches its component along need/|need|, to a width of 1e-12.
-    It evaluates stacked subtrees: one phi call on the midpoints of the
-    next BISECTION_DEPTH steps, walked by the one-step rules, bit for bit.
-    A subtree whose call overflows is walked one K = 1 call at a time,
-    so an error is raised at the midpoint where one step at a time would.
+    The bracket scans the bounds hi0 1.5^k from phi(0) = -target (the
+    increment at s = 0 is zero), the first BISECTION_DEPTH of them from one
+    phi call.  Then it evaluates stacked subtrees: one phi call on the
+    midpoints of the next BISECTION_DEPTH steps, walked by the one-step
+    rules, bit for bit.  A stacked call that overflows is walked one K = 1
+    call at a time, so an error is raised at the bound or midpoint where
+    one step at a time would.
     """
     blocks = spec.blocks
     nhat = need / np.linalg.norm(need)
@@ -288,15 +307,21 @@ def _solve_level_param(n, v, s_guess, need, spec):
         return (dot_rows(inc, nhat) - target).tolist()
 
     def bracket(hi0):
-        lo, flo = 0.0, phi([0.0])[0]
+        his = [hi0]
+        while len(his) < BISECTION_DEPTH:
+            his.append(his[-1] * 1.5)
+        try:
+            fhis = phi(his)
+        except (AccuracyError, FloatingPointError):  # some bound overflows
+            fhis = []
         hi = hi0
-        for _ in range(60):
+        for k in range(60):
             try:
-                fhi = phi([hi])[0]
+                fhi = fhis[k] if k < len(fhis) else phi([hi])[0]
             except (AccuracyError, FloatingPointError):  # the step overflows
                 return None
-            if flo * fhi <= 0.0:
-                return lo, hi, flo
+            if -target * fhi <= 0.0:
+                return 0.0, hi, -target
             hi *= 1.5
         return None
 
@@ -399,9 +424,16 @@ def verify_plan(plan, spec, tol=1e-9):
     """Re-execute every segment and check chaining and the endpoint.
 
     Returns a dict with the endpoint error and the path length: the
-    per-segment quasi-distance increments, one kdist_rows call for all
-    segments, summed in segment order.
+    per-segment quasi-distance increments, summed in segment order.  The
+    Y arcs' matrices come from one stacked E call, and the endpoint's and
+    the segments' quasi-distances from one kdist_rows call.  A stacked
+    call that raises is made again one call at a time, so that an error
+    is raised where the segment-by-segment check raises it.
     """
+    try:
+        E = iter(spec.E([-seg.s for seg in plan.segments if seg.kind == "Y"]))
+    except (KolmoError, FloatingPointError):  # each arc makes its own call
+        E = itertools.repeat(None)
     cur = plan.source
     for k, seg in enumerate(plan.segments):
         if not np.array_equal(cur, seg.start) and kdist_rows(
@@ -410,7 +442,7 @@ def verify_plan(plan, spec, tol=1e-9):
         if seg.kind == "X":
             end = flow_X(seg.v, seg.s, seg.start)
         elif seg.kind == "Y":
-            end = flow_Y_rows(seg.s, seg.start[None], spec)[0]
+            end = flow_Y_rows(seg.s, seg.start[None], spec, next(E))[0]
         else:
             raise PlanIntegrityError(f"segment {k} has unknown kind {seg.kind!r}")
         x, t = end[:-1], end[-1]
@@ -421,11 +453,16 @@ def verify_plan(plan, spec, tol=1e-9):
     ends, starts = (np.reshape([getattr(seg, key) for seg in plan.segments],
                                (-1, cur.size)) for key in ("end", "start"))
     err = endpoint_error(cur, plan.target)
+    try:
+        d = kdist_rows(np.vstack([cur, ends]), np.vstack([plan.target, starts]), spec)
+    except (KolmoError, FloatingPointError):  # the endpoint's call, then the segments'
+        d = np.concatenate([kdist_rows(cur[None], plan.target[None], spec),
+                            kdist_rows(ends, starts, spec)])
     return {
         "segments": len(plan.segments),
         "endpoint_error": err,
-        "kdist_error": kdist_rows(cur[None], plan.target[None], spec)[0],
-        "length": functools.reduce(np.add, kdist_rows(ends, starts, spec), 0.0),
+        "kdist_error": d[0],
+        "length": functools.reduce(np.add, d[1:], 0.0),
         "ok": err <= max(tol, plan.achieved_error * 1.01 + 1e-15),
     }
 

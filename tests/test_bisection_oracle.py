@@ -4,8 +4,9 @@ stacked-subtree solver must give the same root bits, or raise the same
 exception type with the same message, over generated non-principal
 specs, every level, random needs and starting guesses, under the
 overflow-raising error state that connect sets.  Also here: a root whose
-ulp exceeds the 1e-12 width, so that the 200-step cap ends the walk, and
-batches that overflow at one midpoint, on the walk or off it.
+ulp exceeds the 1e-12 width, so that the 200-step cap ends the walk,
+batches that overflow at one midpoint, on the walk or off it, and a
+stacked bracket call that overflows past the bound that brackets.
 """
 
 import numpy as np
@@ -108,8 +109,10 @@ def test_the_cap_counts_steps_not_batches(drifted, monkeypatch):
     assert len(calls) == 4 + 200  # phi at 0, 1e4, 1.5e4 and 2.25e4, then one per step
     del calls[:]
     assert outcome(_solve_level_param, *args) == want
+    # one stacked call on the first BISECTION_DEPTH bounds (phi(0) = -target
+    # needs none), then the subtrees
     batch = 2**taylor.BISECTION_DEPTH - 1
-    assert calls == [1] * 4 + [batch] * (200 // taylor.BISECTION_DEPTH)
+    assert calls == [taylor.BISECTION_DEPTH] + [batch] * (200 // taylor.BISECTION_DEPTH)
 
 
 @pytest.mark.parametrize("error", [AccuracyError("overflow in matrix exponential"),
@@ -131,8 +134,7 @@ def test_an_overflowing_batch_is_walked_one_midpoint_at_a_time(drifted, monkeypa
     monkeypatch.setattr(taylor, "traj_increment_rows", poisoned)
     bad = None
     root = outcome(_solve_level_param, *args)
-    first_subtree = next(s for s in calls if len(s) > 1)
-    assert len(first_subtree) == 15
+    first_subtree = next(s for s in calls if len(s) == 2**taylor.BISECTION_DEPTH - 1)
     raised = 0
     for bad in first_subtree:
         got = outcome(_solve_level_param, *args)
@@ -141,3 +143,25 @@ def test_an_overflowing_batch_is_walked_one_midpoint_at_a_time(drifted, monkeypa
         if got != root:
             assert got == (type(error), str(error))
     assert raised == taylor.BISECTION_DEPTH  # the walk visits one midpoint per level
+
+
+@pytest.mark.parametrize("error", [AccuracyError("overflow in matrix exponential"),
+                                   FloatingPointError("overflow encountered in matmul")])
+def test_an_overflowing_bracket_call_is_scanned_one_bound_at_a_time(drifted, monkeypatch, error):
+    # s (1 - e^{-s^2}) = -2 from the guess -3: the stacked call on the bounds
+    # -3, -4.5, -6.75 and -10.125 overflows at its third, but the first
+    # brackets the root, which keeps its bits
+    args = (1, np.array([1.0, 0.0]), -3.0, np.array([0.0, -2.0]), drifted)
+    root = outcome(_solve_level_param, *args)
+    calls = []
+    rows = taylor.traj_increment_rows
+
+    def poisoned(n, v, s, spec):
+        calls.append(list(s))
+        if -6.75 in s:
+            raise error
+        return rows(n, v, s, spec)
+
+    monkeypatch.setattr(taylor, "traj_increment_rows", poisoned)
+    assert outcome(_solve_level_param, *args) == root == outcome(sequential_solve, *args)
+    assert calls[:2] == [[-3.0, -4.5, -6.75, -10.125], [-3.0]]

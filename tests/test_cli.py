@@ -57,6 +57,14 @@ def test_kernel_mass_refuses_an_oversized_grid(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_singular_refuses_an_oversized_grid_by_its_dimension(tmp_path, capsys):
+    # the slices' Gauss-Hermite grid has 12^N points; no option sets the
+    # nodes, so the refusal names the N that the spec sets
+    assert run(["verify", "singular-g1", "--spec", _chain_spec(tmp_path, 6)]) == 3
+    assert capsys.readouterr().err == (
+        "error: 12^6 = 2985984 points for N = 6 exceeds the budget of 1048576\n")
+
+
 def test_connect_verb(capsys):
     code = run(["connect", "--spec", KINETIC, "--from", "1,1,1", "--to", "0,0,0"])
     assert code == 0

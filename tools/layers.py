@@ -3,15 +3,16 @@ layer and of each command-line verb, written to ``BENCH_<label>.json``.
 
     python tools/layers.py --label baseline [--smoke] [--tier1] [--out DIR]
 
-The layers are L0 (matrix exponentials, ``OperatorSpec.C`` and
-``_checked_C``), L1 (the group operations on row blocks), L2 (the
-kernel), L3 (the planner), L4 (moduli) and L5 (the verifiers and the
-mass quadrature).  Each runs on the Kolmogorov operator (``kolmogorov``),
-the m = 2, N = 4 kinetic operator of the ``apriori`` benchmark workload
-(``kinetic_m2``) and the drifted operator (``kinetic_drifted``).  The
-verbs run in-process through ``kolmo.cli.run``, each from its argv to
-its printed report, with their fixed costs (``load_spec``, the argument
-parser and the report encoder ``_emit``) as rows of their own.
+The layers are L0 (matrix exponentials and their tables,
+``OperatorSpec.C`` and ``_checked_C``), L1 (the group operations on row
+blocks), L2 (the kernel), L3 (the planner), L4 (moduli) and L5 (the
+verifiers and the mass quadrature).  Each runs on the Kolmogorov
+operator (``kolmogorov``), the m = 2, N = 4 kinetic operator of the
+``apriori`` benchmark workload (``kinetic_m2``) and the drifted operator
+(``kinetic_drifted``).  The verbs run in-process through
+``kolmo.cli.run``, each from its argv to its printed report, with their
+fixed costs (``load_spec``, the argument parser and the report encoder
+``_emit``) as rows of their own.
 
 Every row is one warm-up call, then REPEATS samples; a sample
 times as many calls as fill about 2 ms and records the time per call.
@@ -86,6 +87,10 @@ def layer_rows(spec, small):
     R_list = (0.5,) if small else (0.5, 0.25)
     problem = verify.manufacture("gaussian", spec, varcoeff_id="sin1")
     rows = [
+        # the tables that a fresh spec makes on its first E(t) and C(t),
+        # with the scipy check of a truncated series
+        ("L0", "exp_table E", 1, lambda: matrixcalc.exp_table(-spec.B)),
+        ("L0", "exp_table C", 1, lambda: matrixcalc.exp_table(group.block_generator(spec))),
         ("L0", "exp_rows E", K, lambda: matrixcalc.exp_rows(tables[0], ts)),
         ("L0", "exp_rows C", K, lambda: matrixcalc.exp_rows(tables[1], ts)),
         ("L0", "OperatorSpec.C", K, lambda: spec.C(ts)),
