@@ -63,7 +63,7 @@ EXIT_USAGE = 3
 EXIT_ACCURACY = 4
 MAX_COUNT = 10**7  # largest --pairs, --poles or --samples
 CSV_PAIR_CHUNK = 2**16  # most pairs that modulus --input-csv measures at once
-POINT_OPTIONS = ("--from", "--to", "--point", "--pole")
+LIST_OPTIONS = ("--from", "--to", "--point", "--pole", "--R-list")
 NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 
@@ -100,11 +100,12 @@ def _int_from(lo, hi=math.inf):
 
 
 def _fuse_point_values(argv):
-    """Write '--from -1,1,1' as '--from=-1,1,1' for the point options:
-    argparse takes a separate value that starts with '-' for an option."""
+    """Write '--from -1,1,1' as '--from=-1,1,1' for the options that take
+    number lists: argparse takes a separate value that starts with '-' for
+    an option."""
     out = list(argv)
     for k in range(len(out) - 2, -1, -1):
-        if out[k] in POINT_OPTIONS and NEGATIVE_VALUE.match(out[k + 1]):
+        if out[k] in LIST_OPTIONS and NEGATIVE_VALUE.match(out[k + 1]):
             out[k:k + 2] = [f"{out[k]}={out[k + 1]}"]
     return out
 
@@ -392,10 +393,9 @@ def _cmd_modulus(args):
 
 def _cmd_verify(args):
     spec = load_spec(args.spec)
-    R_list = (
-        tuple(_parse_floats(args.R_list, "--R-list"))
-        if args.R_list is not None else None
-    )
+    R_list = None if args.R_list is None else tuple(_parse_floats(args.R_list, "--R-list"))
+    if R_list and not all(0.0 < R < math.inf for R in R_list):
+        raise UsageError(f"--R-list needs finite radii > 0, got {args.R_list}")
     crit = args.criterion
     if crit == "apriori":
         rep = verify_apriori(spec, R_list or (1.0, 0.5, 0.25),

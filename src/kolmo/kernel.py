@@ -8,16 +8,17 @@ Gamma(z, zeta) = Gamma(x - E(t-tau) xi, t - tau) with the Gaussian form
 and zero for t <= 0.  C(t) is the covariance integral of the flow.
 
 kernel_jet_rows evaluates Gamma and its derivatives in z on a row block;
-each row rounds exactly as its own K = 1 call does.  A principal drift
-(B = B_0) needs only its record of C(1) (spec.homogeneous) and the
-dilations (C(dt) = D C(1) D); any other drift has E(dt) and C(dt)
-factorised once per distinct time step.  C(dt) must be positive definite
-(Hormander's condition): _checked_C's verdict, which a principal drift
-reads from its record (_checked_unit, also for the kernel), and where a
-Gershgorin bound cannot clear a row, eigvalsh decides.  gamma,
-gamma_grad and gamma_hess_m are its K = 1 calls on Points, kept for the
-benchmark's closed-form check.  Every derivative formula is
-cross-checked against finite differences in the test suite.
+each row rounds exactly as its own K = 1 call does, and every
+matrix-vector and dot product is one of matrixcalc's fixed-order row
+sums.  A principal drift (B = B_0) needs only its record of C(1)
+(spec.homogeneous) and the dilations (C(dt) = D C(1) D); any other drift
+has E(dt) and C(dt) factorised once per distinct time step.  C(dt) must
+be positive definite (Hormander's condition): _checked_C's verdict, which
+a principal drift reads from its record (_checked_unit, also for the
+kernel), and where a Gershgorin bound cannot clear a row, eigvalsh
+decides.  gamma, gamma_grad and gamma_hess_m are its K = 1 calls on
+Points, kept for the benchmark's closed-form check.  Every derivative
+formula is cross-checked against finite differences in the test suite.
 """
 
 import math
@@ -28,8 +29,8 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, HypoellipticityError
 from .group import embedded_A, finite_rows
-from .matrixcalc import (ROW_CHUNK, _clears, _gershgorin, dot_fixed, dot_rows, gauss_panels,
-                         matvec_fixed, matvec_rows, tensor_rule, vecmat_rows)
+from .matrixcalc import (ROW_CHUNK, _clears, _gershgorin, dot_rows, gauss_panels, matvec_rows,
+                         tensor_rule, vecmat_rows)
 
 Covariance = namedtuple("Covariance", "C")
 # Gamma at K rows with its (K, N) gradient in z, its (K, N, N) spatial
@@ -110,9 +111,8 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
     u = D^-1 x - E(1) D^-1 xi, v1 = C(1)^-1 u, <u, v1> is
     <C^-1 w, w>, C^-1 w = D^-1 v1 and C^-1 = C(1)^-1 / (d_i d_j); from
     C'_ij = (alpha_i + alpha_j) C_ij / (2 dt), tr(C^-1 C') = Q / dt and
-    <C^-1 w, C' C^-1 w> = sum_i alpha_i v1_i u_i / dt.  Its sums run in a
-    fixed order (matvec_fixed).  Any other drift factorises E(dt) and C(dt)
-    once per distinct time step.
+    <C^-1 w, C' C^-1 w> = sum_i alpha_i v1_i u_i / dt.  Any other drift
+    factorises E(dt) and C(dt) once per distinct time step.
     """
     Z, P = finite_rows(Z), finite_rows(P)
     if len(Z) > ROW_CHUNK:
@@ -126,7 +126,6 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
     g = np.zeros(len(Z))
     X, Xi, dt = Z[live, :-1], (P[live] if len(P) > 1 else P)[:, :-1], dt[live]
     unit = spec.homogeneous()
-    dot, matvec = (dot_rows, matvec_rows) if unit is None else (dot_fixed, matvec_fixed)
     if unit is None:
         times, at = np.unique(dt, return_inverse=True)
         C, logdet = _checked_C(spec, times)
@@ -145,10 +144,10 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
         logt = np.fromiter(map(math.log, dt.tolist()), float, len(dt))
         logdet = unit.logdet + spec.exponents().Q * logt  # log det C(1) + Q log dt
         d = np.sqrt(dt)[:, None] * p
-        Eta = matvec_fixed(unit.E1, Xi / d)  # E(dt) xi = D Eta
+        Eta = matvec_rows(unit.E1, Xi / d)  # E(dt) xi = D Eta
         U = X / d - Eta
-        V1 = matvec_fixed(unit.inv, U)
-        quad = dot_fixed(U, V1)
+        V1 = matvec_rows(unit.inv, U)
+        quad = dot_rows(U, V1)
     log_pref = -0.5 * spec.N * math.log(4.0 * math.pi) - 0.5 * logdet
     arg = log_pref - 0.25 * quad - dt * np.trace(spec.B)
     try:
@@ -172,10 +171,10 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
         spread = dot_rows(vecmat_rows(CW, Cprime), CW)
     else:  # D^-1 B D = B / dt for B = B_0
         exps = spec.exponents()
-        tr, flow = exps.Q / dt, dot_fixed(V1, matvec_fixed(spec.B, Eta)) / dt
-        spread = dot_fixed(np.asarray(exps.alpha, dtype=float) * V1, U) / dt
+        tr, flow = exps.Q / dt, dot_rows(V1, matvec_rows(spec.B, Eta)) / dt
+        spread = dot_rows(np.asarray(exps.alpha, dtype=float) * V1, U) / dt
     dlog_dt = -0.5 * tr - 0.5 * flow + 0.25 * spread - float(np.trace(spec.B))
-    Y = dot(matvec(spec.B, X), grad) - dlog_dt * g
+    Y = dot_rows(matvec_rows(spec.B, X), grad) - dlog_dt * g
     return KernelJet(gamma=g, grad=grad, hess=hess, Y=Y)
 
 

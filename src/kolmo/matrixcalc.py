@@ -13,8 +13,10 @@ are composite Gauss-Legendre and their tensor products.  _symmetric,
 the symmetry test of sqrt_spd and of an operator's A, compares exactly
 first and calls np.allclose only when that fails: C(t) comes
 symmetrised, so a report's matrices pass at the cost of one
-comparison.  _gershgorin and _clears certify a stack positive definite
-from its entries; kernel._checked_C decides it for C(t).
+comparison.  The row products (matvec_rows, vecmat_rows, dot_rows) sum
+by reduce_columns, in an order that no BLAS kernel decides.  _gershgorin
+and _clears certify a stack positive definite from its entries;
+kernel._checked_C decides it for C(t).
 """
 
 import functools
@@ -220,61 +222,39 @@ def _clears(g, d):
     return (g > 0) & (g * d.min(0) > 2**10 * len(d) * np.finfo(float).eps * d.sum(0) + 2e-300)
 
 
-def matvec_rows(M, X):
-    """Row-wise M @ x for a (K, n) block X and an (n, n) matrix or a
-    (K, n, n) stack M.  numpy makes one BLAS gemv per row, the call that
-    a single M @ x makes, so each row is bit-identical to it."""
-    return np.matmul(M, X[..., None])[..., 0]
-
-
-def vecmat_rows(X, M):
-    """Row-wise x @ M for a (K, n) block X and a (K, n, n) stack M: one gemv per row."""
-    return np.matmul(X[..., None, :], M)[..., 0, :]
-
-
-def dot_rows(X, Y):
-    """Row-wise x @ y of two (K, n) blocks (or one (n,) vector), one BLAS
-    dot per row as in a single x @ y of fresh vectors.  The operands are
-    made C-contiguous first: on a strided block, such as the real part of
-    exp_nonpositive, numpy's matmul takes another loop, which rounds
-    differently."""
-    X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
-    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
-
-
 def reduce_columns(ufunc, P):
-    """ufunc.reduce(P, axis=-1) of a (K, n) block, for np.add or np.maximum,
-    bit for bit.  numpy sums fewer than 8 terms left to right from +0.0 and
-    a max is exact in any order, so below 8 columns this is a sweep of
-    column ops, without numpy's reduction set-up, which costs about 20
-    column ops on a few thousand rows; from 8 on numpy sums pairwise and
-    the reduction is kept.  tests/test_matrixcalc.py pins both orders."""
+    """ufunc.reduce(P, axis=-1) of a (..., n) block for np.add or np.maximum.
+    Below 8 columns it sweeps column ops from a copy of column 0, without
+    numpy's reduction set-up (about 20 column ops on a few thousand rows);
+    numpy's own sum starts from +0.0, which differs only on an all -0.0
+    row, and a max is exact in any order.  From 8 on numpy's pairwise sum
+    is kept.  tests/test_matrixcalc.py pins both orders."""
     n = P.shape[-1]
     if not 0 < n < 8:
         return ufunc.reduce(P, axis=-1)
-    out = ufunc(P[..., 0], 0.0 if ufunc is np.add else -np.inf)
+    out = P[..., 0].copy()
     for j in range(1, n):
         ufunc(out, P[..., j], out=out)
     return out
 
 
-def _sum_fixed(P):
-    """The sum over the last axis of P, j = 0 .. n-1 in order by element-wise
-    adds: IEEE operations only, so no row depends on a BLAS kernel."""
-    acc = P[..., 0].copy()
-    for j in range(1, P.shape[-1]):
-        acc += P[..., j]
-    return acc
+def matvec_rows(M, X):
+    """Row-wise M @ x for a (K, n) block X and an (n, n) matrix or a (K, n, n)
+    stack M, summed by reduce_columns: IEEE operations in a fixed order, so
+    no row depends on a BLAS kernel or on the rows stacked with it."""
+    return reduce_columns(np.add, X[..., None, :] * M)
 
 
-def matvec_fixed(M, X):
-    """Row-wise M @ x for an (n, n) matrix M and a (K, n) block X, by _sum_fixed."""
-    return _sum_fixed(X[..., None, :] * M)
+def vecmat_rows(X, M):
+    """Row-wise x @ M for a (K, n) block X and an (n, n) matrix or a
+    (K, n, n) stack M: matvec_rows of M^T."""
+    return matvec_rows(np.swapaxes(M, -1, -2), X)
 
 
-def dot_fixed(X, Y):
-    """Row-wise x @ y of two (K, n) blocks, by _sum_fixed."""
-    return _sum_fixed(X * Y)
+def dot_rows(X, Y):
+    """Row-wise x @ y of two (K, n) blocks, or of a block and one (n,)
+    vector, by reduce_columns."""
+    return reduce_columns(np.add, X * Y)
 
 
 def exp_nonpositive(x):

@@ -479,8 +479,7 @@ def quadratic_bundle(spec, c0=0.0, a=None, H=None, bt=0.0):
 
     def u(Z):
         xm = Z[:, :m]
-        xH = np.matmul(xm[:, None, :], H)[:, 0]  # one gemv per row, as x @ H
-        return c0 + dot_rows(a, xm) + 0.5 * dot_rows(xH, xm) + bt * Z[:, -1]
+        return c0 + dot_rows(a, xm) + 0.5 * dot_rows(vecmat_rows(xm, H), xm) + bt * Z[:, -1]
 
     def grad_m(Z):
         return a + matvec_rows(H, Z[:, :m])

@@ -242,8 +242,8 @@ def _slice_integrals(spec, psi, Z, tau, nodes_x):
     sequence of (S, G) arrays.  C(dt), its root and E(-dt) are one stacked
     call each for all slices, every slice bit-identical to its own K = 1
     call; ROW_CHUNK chunks only the grid: psi is called once per chunk of
-    slices, and each array of each slice is reduced by its own dot with
-    the weights.
+    slices, and each array of each slice is summed against the weights
+    by dot_rows (numpy's pairwise sum over the nodes).
     """
     dt = Z[:, -1] - tau
     if not (dt > 0.0).all():

@@ -106,6 +106,16 @@ def test_option_outside_its_domain_is_a_usage_error(argv, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["apriori", "mean-value", "singular-g1"])
+@pytest.mark.parametrize("radii", ["nan", "inf", "0.5,-inf", "0", "-0.5,0.25", "-0"])
+def test_a_radius_outside_its_domain_names_the_option(verb, radii, capsys):
+    # these said "point has non-finite coordinates", "dilation parameter
+    # must be positive" or, for a leading minus, "expected one argument"
+    assert run(["verify", verb, "--spec", KOLMO, "--R-list", radii]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"usage error: --R-list needs finite radii > 0, got {radii}\n"
+
+
 def _cli(argv, threads="1"):
     env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"),
                OPENBLAS_NUM_THREADS=threads)

@@ -37,6 +37,7 @@ from quadrature import integrate_matrix
 from test_cli import KOLMO
 from test_report_bytes import kinetic_m2_spec
 from test_homogeneous import assert_jets_close, correlation_condition
+from test_matrixcalc import left_dot, left_matvec
 from test_rows import BLOCKS, admissible_spec
 
 ORIGIN = Point([0.0, 0.0], 0.0)
@@ -155,28 +156,29 @@ def test_kernel_jet_rows_in_chunks(drifted, monkeypatch):
 
 def _scalar_jet(spec, z, zeta):
     """Gamma, gradient, Hessian and Y Gamma of one pair the per-Point way,
-    with 2-d numpy products, a 2-d factorisation of C and math.exp."""
+    with products summed in Python floats, 2-d numpy matrix products, a
+    2-d factorisation of C and math.exp."""
     dt = z.t - zeta.t
     E = spec.E(dt)
     C = spec.C(dt)
     Cinv, logdet = np.linalg.inv(C), np.linalg.slogdet(C)[1]
-    w = z.x - E @ zeta.x
+    w = z.x - left_matvec(E, zeta.x)
     log_pref = -0.5 * spec.N * math.log(4.0 * math.pi) - 0.5 * logdet
-    g = math.exp(log_pref - 0.25 * float(w @ Cinv @ w) - dt * np.trace(spec.B))
-    cw = Cinv @ w
+    g = math.exp(log_pref - 0.25 * left_dot(left_matvec(Cinv.T, w), w) - dt * np.trace(spec.B))
+    cw = left_matvec(Cinv, w)
     Cprime = E @ embedded_A(spec) @ E.T
     dlog_dt = (-0.5 * float(np.trace(Cinv @ Cprime))
-               - 0.5 * float(cw @ (spec.B @ (E @ zeta.x)))
-               + 0.25 * float(cw @ Cprime @ cw) - float(np.trace(spec.B)))
+               - 0.5 * left_dot(cw, left_matvec(spec.B, left_matvec(E, zeta.x)))
+               + 0.25 * left_dot(left_matvec(Cprime.T, cw), cw) - float(np.trace(spec.B)))
     grad = -0.5 * cw * g
     hess = (0.25 * np.outer(cw, cw) - 0.5 * Cinv) * g
-    return g, grad, hess, float(spec.B @ z.x @ grad) - dlog_dt * g
+    return g, grad, hess, left_dot(left_matvec(spec.B, z.x), grad) - dlog_dt * g
 
 
 def test_kernel_jet_rows_round_as_the_scalar_route(kspec, drifted, kappa2, heat):
     # on a non-principal drift the row block keeps the per-Point arithmetic
-    # bit for bit (math.exp, gemv for C^{-1} w and for w C^{-1}, 2-d
-    # traces), so reports do not move; a principal drift takes the
+    # bit for bit (math.exp, products summed left to right, 2-d matrix
+    # products and traces), so reports do not move; a principal drift takes the
     # homogeneous route, within test_homogeneous's tolerances of it
     m2 = make_spec(np.eye(2), np.block([[np.zeros((2, 2)), np.zeros((2, 2))],
                                         [-np.eye(2), np.zeros((2, 2))]]), (2, 2))

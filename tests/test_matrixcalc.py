@@ -1,11 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrature import integrate_matrix
 
 from kolmo import AccuracyError, mat_exp, sqrt_spd
-from kolmo.matrixcalc import TENSOR_BUDGET, dot_rows, reduce_columns, tensor_rule
+from kolmo.matrixcalc import (TENSOR_BUDGET, dot_rows, matvec_rows, reduce_columns, tensor_rule,
+                              vecmat_rows)
 from kolmo.errors import DomainError
+
+
+def left_sum(terms):
+    """Python floats added left to right from the first term: the order of
+    matrixcalc's row sums below 8 terms."""
+    acc = terms[0]
+    for term in terms[1:]:
+        acc += term
+    return acc
+
+
+def left_matvec(M, x):
+    """M @ x of one matrix and one vector, each entry a left_sum."""
+    return np.array([left_sum([float(a) * float(b) for a, b in zip(row, x)]) for row in M])
+
+
+def left_dot(x, y):
+    return left_sum([float(a) * float(b) for a, b in zip(x, y)])
 
 
 def test_mat_exp_nilpotent_closed_form():
@@ -91,8 +112,9 @@ def test_sqrt_spd_stack_rounds_as_its_slices():
 
 def test_dot_rows_on_strided_blocks_rounds_as_one_dot_per_row():
     # a strided block (the real part of a complex array, a column slice)
-    # takes another matmul loop than a contiguous one; each row must still
-    # be one x @ y of fresh vectors, whatever the caller passed
+    # must round as fresh vectors do: each row is the fixed-order dot of
+    # its own copies, left to right below 8 terms and numpy's pairwise
+    # sum from 8 on, whatever the caller passed
     rng = np.random.default_rng(7)
     for n in (3, 17, 64, 301):
         X = (rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n))).real
@@ -100,7 +122,41 @@ def test_dot_rows_on_strided_blocks_rounds_as_one_dot_per_row():
         for x, y in ((X, Y), (X, Y[0]), (Y, X)):
             rows = dot_rows(x, y)
             y_rows = np.broadcast_to(y, x.shape)
-            assert all(rows[k] == x[k].copy() @ y_rows[k].copy() for k in range(len(x)))
+            want = [left_dot(x[k], y_rows[k]) if n < 8 else np.add.reduce(x[k].copy() * y_rows[k])
+                    for k in range(len(x))]
+            assert np.array_equal(rows, want), n
+
+
+def strided(rng, shape):
+    """Entries over ten binades of both signs, as the real part of a
+    complex array: a view that is not C-contiguous."""
+    Z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (Z * np.exp(rng.uniform(-5.0, 5.0, shape))).real
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 17, 144]), st.integers(0, 2**32 - 1))
+def test_row_products_round_per_row_and_agree_with_blas(n, seed):
+    # matvec_rows, vecmat_rows and dot_rows: each row equals its own K = 1
+    # call and the call on contiguous copies; BLAS, the second route, sums
+    # in another order, within n eps times the sum of the terms' moduli
+    rng = np.random.default_rng(seed)
+    K, eps = 5, np.finfo(float).eps
+    X, Y, A = strided(rng, (K, n)), strided(rng, (K, n)), strided(rng, (K, n, n))
+    M, y = strided(rng, (n, n)), strided(rng, (n,))  # shared by every row
+    calls = [(matvec_rows, M, X, M @ X[..., None], np.abs(M) @ np.abs(X)[..., None]),
+             (matvec_rows, A, X, A @ X[..., None], np.abs(A) @ np.abs(X)[..., None]),
+             (vecmat_rows, X, M, X[:, None] @ M, np.abs(X)[:, None] @ np.abs(M)),
+             (vecmat_rows, X, A, X[:, None] @ A, np.abs(X)[:, None] @ np.abs(A)),
+             (dot_rows, X, Y, X[:, None] @ Y[..., None], np.abs(X)[:, None] @ np.abs(Y)[..., None]),
+             (dot_rows, X, y, X @ y, np.abs(X) @ np.abs(y))]
+    for f, a, b, blas, scale in calls:
+        got = f(a, b)
+        assert np.array_equal(got, f(a.copy(), b.copy())), (f.__name__, n)
+        for k in range(K):
+            one = f(*(v if v is M or v is y else v[k:k + 1] for v in (a, b)))
+            assert np.array_equal(got[k], one[0]), (f.__name__, n, k)
+        assert (np.abs(got - blas.reshape(got.shape)) <= n * eps * scale.reshape(got.shape)).all()
 
 
 def mixed_block(rng, n):
@@ -113,25 +169,27 @@ def mixed_block(rng, n):
     return P
 
 
-def sweep(ufunc, P, start):
-    """The column sweep ufunc(... ufunc(ufunc(start, P0), P1) ..., P_n-1)."""
-    out = np.full(len(P), start)
-    for j in range(P.shape[1]):
+def sweep(ufunc, P, start=None):
+    """The column sweep ufunc(... ufunc(ufunc(start, P0), P1) ..., P_n-1),
+    or without a start ufunc(... ufunc(P0, P1) ..., P_n-1)."""
+    out = P[:, 0].copy() if start is None else ufunc(start, P[:, 0])
+    for j in range(1, P.shape[1]):
         out = ufunc(out, P[:, j])
     return out
 
 
 def test_short_reductions_run_left_to_right():
     # reduce_columns replaces numpy's reductions over fewer than 8 columns
-    # with column sweeps; it relies on numpy summing them left to right
-    # from +0.0 and on a max being exact in any order.  A numpy that
-    # reorders them fails here, not in the report bytes.
+    # with column sweeps from column 0; numpy sums them left to right from
+    # +0.0, which differs only on an all -0.0 row, and a max is exact in
+    # any order.  A numpy that reorders them fails here, not in the
+    # report bytes.
     rng = np.random.default_rng(8)
     for n in range(1, 8):
         P = mixed_block(rng, n)
         for ufunc, start in ((np.add, 0.0), (np.maximum, -np.inf)):
-            want = sweep(ufunc, P, start)
-            for got in (ufunc.reduce(P, axis=-1), reduce_columns(ufunc, P)):
+            for got, want in ((ufunc.reduce(P, axis=-1), sweep(ufunc, P, start)),
+                              (reduce_columns(ufunc, P), sweep(ufunc, P))):
                 assert np.array_equal(got, want, equal_nan=True), (ufunc, n)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (ufunc, n)
         assert np.array_equal(P.max(axis=-1), sweep(np.maximum, P, -np.inf), equal_nan=True)

@@ -143,7 +143,7 @@ def test_an_arc_that_overflows_is_raised_before_the_E_that_overflows():
     with pytest.raises(AccuracyError):
         spec.E([-400.0, 400.0])
     assert traj_outcome(gamma_traj, *args) == traj_outcome(oracle_gamma_traj, *args) == (
-        FloatingPointError, "overflow encountered in matmul")
+        FloatingPointError, "overflow encountered in multiply")
 
 
 def _trajectory_plan(spec, rng):

@@ -5,11 +5,15 @@ directory holding a copy of ``specs/`` (so the spec paths in the reports
 do not depend on the checkout), and compares the sha256 of each stdout
 and each exit code with ``report_bytes.json``.  The floats of a report
 depend on the numpy and scipy builds and the machine, so the test skips
-where those differ from the recorded ones.
+where those differ from the recorded ones.  The same lines run once more
+in a child process with OpenBLAS on its Haswell kernels: no report bit
+may depend on the BLAS kernel that the CPU selects.
 
 Record the fingerprint afresh, only when report bytes move on purpose:
 
     PYTHONPATH=src python tests/test_report_bytes.py
+
+``--print`` writes the fingerprints to stdout instead of the record.
 """
 
 import contextlib
@@ -19,6 +23,7 @@ import json
 import os
 import platform
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -119,12 +124,18 @@ def fingerprint(line):
             "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
-def test_reports_keep_their_bytes(tmp_path, monkeypatch):
+def recorded():
+    """The record, with the pytest skip where it was made under another build."""
     record = json.loads(RECORD.read_text())
     if record["environment"] != environment():
         pytest.skip(f"fingerprint recorded under {record['environment']}, "
                     f"running under {environment()}")
     assert [r["argv"] for r in record["reports"]] == COMMANDS
+    return record
+
+
+def test_reports_keep_their_bytes(tmp_path, monkeypatch):
+    record = recorded()
     prepare(tmp_path)
     monkeypatch.chdir(tmp_path)
     moved = [r["argv"] for r in record["reports"]
@@ -133,19 +144,44 @@ def test_reports_keep_their_bytes(tmp_path, monkeypatch):
     assert not moved, "report bytes moved:\n" + "\n".join(moved)
 
 
-def main():
+def test_reports_keep_their_bytes_on_another_blas_kernel():
+    # OpenBLAS picks its kernels by CPU at load time; Haswell's run on any
+    # CPU with AVX2 and FMA3, so one child process forced onto them must
+    # print every recorded byte
+    record = recorded()
+    features = np._core._multiarray_umath.__cpu_features__
+    if not (features.get("AVX2") and features.get("FMA3")):
+        pytest.skip("the Haswell kernels need AVX2 and FMA3")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, __file__, "--print"], env=env, check=True,
+                           capture_output=True, text=True)
+    reports = json.loads(child.stdout)
+    moved = [r["argv"] for r, got in zip(record["reports"], reports) if got != r]
+    assert not moved, "report bytes moved under Haswell:\n" + "\n".join(moved)
+
+
+def fingerprints():
+    """The fingerprint of every command line, each run from a fresh copy of the specs."""
     with tempfile.TemporaryDirectory() as workdir:
         prepare(workdir)
         here = os.getcwd()
         os.chdir(workdir)
         try:
-            reports = [{"argv": line, **fingerprint(line)} for line in COMMANDS]
+            return [{"argv": line, **fingerprint(line)} for line in COMMANDS]
         finally:
             os.chdir(here)
+
+
+def main(args):
+    reports = fingerprints()
+    if args == ["--print"]:
+        print(json.dumps(reports))
+        return
     RECORD.write_text(json.dumps({"environment": environment(), "reports": reports},
                                  indent=2) + "\n")
     print(f"recorded {len(reports)} reports in {RECORD}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -92,7 +92,7 @@ def d2_slice(ctx, kind, R, z, tau, i, j, nodes_x):
     pts, W, M = hermite_slice(ctx, z, tau, nodes_x)
     jet = node_jet(kind, R, spec.exponents(), M[:, i].tolist(), M[:, j].tolist())
     dd = np.array([jet(x, tau)[1] for x in pts.tolist()])
-    return float(dd @ W) / math.pi ** (spec.N / 2.0)
+    return float(np.add.reduce(dd * W)) / math.pi ** (spec.N / 2.0)  # as dot_rows sums
 
 
 def d2_convolved(ctx, kind, R, z, i, j, t_lo, nodes_t=12, nodes_x=12):
@@ -136,7 +136,7 @@ def convolved(ctx, f, z, t_lo, nt, nx):
         tau = mid + half * s
         pts, W, _ = hermite_slice(ctx, z, tau, nx)
         vals = f(np.column_stack([pts, np.full(len(pts), tau)]))
-        total += w * half * (float(vals @ W) / math.pi ** (ctx.spec.N / 2.0))
+        total += w * half * (float(np.add.reduce(vals * W)) / math.pi ** (ctx.spec.N / 2.0))
     return -total
 
 

@@ -23,6 +23,7 @@ from kolmo.group import OperatorSpec, compose_rows, dilate_rows, finite_rows, sa
 from kolmo.taylor import PathSegment, traj_increment_rows
 from kolmo.verify import apply_L_fd
 
+from test_matrixcalc import left_matvec
 from test_rows import PROPERTY, coordinate_bundle, lie_derivative_fd, specs
 
 
@@ -85,12 +86,13 @@ def test_traj_increment_matches_execution(kinetic, drifted, kappa2):
 
 
 def recursive_traj_increment(n, v, s, spec):
-    """traj_increment_rows at one s in its doubly recursive form, 2^(n+1) - 1 calls."""
+    """traj_increment_rows at one s in its doubly recursive form, 2^(n+1) - 1
+    calls, with its products summed left to right."""
     v = np.asarray(v, dtype=float)
     if n == 0:
         return s * v
     d = recursive_traj_increment(n - 1, v, s, spec)
-    return d + spec.E(s * s) @ recursive_traj_increment(n - 1, v, -s, spec)
+    return d + left_matvec(spec.E(s * s), recursive_traj_increment(n - 1, v, -s, spec))
 
 
 def _outcome(f):

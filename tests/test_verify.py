@@ -232,9 +232,9 @@ def _d2_slice_by_points(ctx, kind, R, z, tau, i, j, nodes_x):
     M = spec.E(-dt)
     pts = (z.x[None, :] - (math.sqrt(2.0) * (Y @ S.T))) @ M.T
     jet = _jet_at_point(kind, R, spec.exponents(), M[:, i].tolist(), M[:, j].tolist())
-    centre, dd = map(np.ascontiguousarray, np.array([jet(Point(p, tau)) for p in pts]).T)
-    norm = math.pi ** (spec.N / 2.0)
-    return float(centre @ W) / norm, float(dd @ W) / norm
+    centre, dd = np.array([jet(Point(p, tau)) for p in pts]).T
+    norm = math.pi ** (spec.N / 2.0)  # the node sums as dot_rows adds them
+    return float(np.add.reduce(centre * W)) / norm, float(np.add.reduce(dd * W)) / norm
 
 
 @pytest.mark.parametrize("which", ["kolmogorov", "drifted", "heat2"])

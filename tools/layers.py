@@ -4,9 +4,9 @@ layer and of each command-line verb, written to ``BENCH_<label>.json``.
     python tools/layers.py --label baseline [--smoke] [--tier1] [--out DIR]
 
 The layers are L0 (matrix exponentials and their tables,
-``OperatorSpec.C`` and ``_checked_C``), L1 (the group operations on row
-blocks), L2 (the kernel), L3 (the planner), L4 (moduli) and L5 (the
-verifiers and the mass quadrature).  Each runs on the Kolmogorov
+``OperatorSpec.C``, ``_checked_C`` and the row products), L1 (the group
+operations on row blocks), L2 (the kernel), L3 (the planner), L4
+(moduli) and L5 (the verifiers and the mass quadrature).  Each runs on the Kolmogorov
 operator (``kolmogorov``), the m = 2, N = 4 kinetic operator of the
 ``apriori`` benchmark workload (``kinetic_m2``) and the drifted operator
 (``kinetic_drifted``).  The verbs run in-process through
@@ -86,6 +86,8 @@ def layer_rows(spec, small):
     poles, samples = (1, 2) if small else (4, 20)
     R_list = (0.5,) if small else (0.5, 0.25)
     problem = verify.manufacture("gaussian", spec, varcoeff_id="sin1")
+    E, stack = spec.E(0.5), spec.E(rng.uniform(0.01, 1.0, 4 * K))
+    nodes, weights = rng.uniform(-1.0, 1.0, (28, 144)), rng.uniform(0.0, 1.0, 144)
     rows = [
         # the tables that a fresh spec makes on its first E(t) and C(t),
         # with the scipy check of a truncated series
@@ -95,6 +97,12 @@ def layer_rows(spec, small):
         ("L0", "exp_rows C", K, lambda: matrixcalc.exp_rows(tables[1], ts)),
         ("L0", "OperatorSpec.C", K, lambda: spec.C(ts)),
         ("L0", "_checked_C", K, lambda: kernel._checked_C(spec, ts)),
+        # the row products: a planner subtree of 15 rows against one E, a
+        # block against its stack of E, and singular-g1's node sums at N = 2
+        ("L0", "matvec_rows shared matrix", 15, lambda: matrixcalc.matvec_rows(E, W[:15, :-1])),
+        ("L0", "matvec_rows stack", 4 * K, lambda: matrixcalc.matvec_rows(stack, W[:, :-1])),
+        ("L0", "dot_rows", 4 * K, lambda: matrixcalc.dot_rows(Z[:, :-1], W[:, :-1])),
+        ("L0", "dot_rows 28 x 144", 28, lambda: matrixcalc.dot_rows(nodes, weights)),
         ("L1", "compose_rows", 4 * K, lambda: group.compose_rows(Z, W, spec)),
         ("L1", "inverse_rows", 4 * K, lambda: group.inverse_rows(W, spec)),
         ("L1", "kdist_rows", 4 * K, lambda: group.kdist_rows(Z, W, spec)),
