@@ -396,6 +396,13 @@ def _cmd_verify(args):
     R_list = None if args.R_list is None else tuple(_parse_floats(args.R_list, "--R-list"))
     if R_list and not all(0.0 < R < math.inf for R in R_list):
         raise UsageError(f"--R-list needs finite radii > 0, got {args.R_list}")
+    power = max(max(spec.exponents().alpha), 2)  # delta_R scales x_i by R^alpha_i, t by R^2
+    for R in R_list or ():
+        try:
+            R**power  # a float to an int power raises past the largest double
+        except OverflowError:
+            raise UsageError(f"--R-list radius {R!r} overflows the dilation: "
+                             f"R^{power} is not finite") from None
     crit = args.criterion
     if crit == "apriori":
         rep = verify_apriori(spec, R_list or (1.0, 0.5, 0.25),

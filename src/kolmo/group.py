@@ -15,6 +15,11 @@ blocks, and each row rounds exactly as its own K = 1 call does.  Point
 is the one-point form of kernel.gamma, gamma_grad, gamma_hess_m and
 taylor.flow_Y, which only the benchmark's closed-form checks call;
 everything else takes row blocks.
+
+A spec holds read-only copies of A and B.  Its validated exponents and,
+for a principal drift, its Homogeneous record are made once per process
+for each content (A, B, blocks) (_content_state); the tables of E and of
+a non-principal C stay with each spec object.
 """
 
 import functools
@@ -137,6 +142,16 @@ def finite_rows(Z):
     return Z
 
 
+@functools.lru_cache(maxsize=16)
+def _content_state(key):
+    """What every OperatorSpec of one content key = (A.shape, A bytes,
+    B.shape, B bytes, block sizes) shares: its validated exponents under
+    "exps" and, under "unit", its Homogeneous record (or None) with the
+    block generator's table.  Each is stored once made, so an exception
+    stores nothing and is raised again on the next load."""
+    return {}
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """The pair (A, B) with its block structure; one Kolmogorov operator."""
@@ -144,13 +159,18 @@ class OperatorSpec:
     A: np.ndarray
     B: np.ndarray
     blocks: BlockStructure
-    # made on first use: validated exponents, the exp_tables of E and C and,
-    # for a principal drift, the Homogeneous record of C(1)
+    # made on first use: the exp_tables of E and C and the Homogeneous record
+    # of C(1), this spec's own or, for a principal drift, its content's
     _exps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _shared: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
+        A, B = (np.array(M, dtype=float) for M in (self.A, self.B))
+        A.flags.writeable = B.flags.writeable = False  # the key below stays their content
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        key = (A.shape, A.tobytes(), B.shape, B.tobytes(), self.blocks.sizes)
+        object.__setattr__(self, "_shared", _content_state(key))
 
     @property
     def N(self):
@@ -165,10 +185,11 @@ class OperatorSpec:
         return self.blocks.kappa
 
     def exponents(self):
-        """Validated dilation exponents; validates the spec on first use."""
-        if "exps" not in self._exps:
-            self._exps["exps"] = validate_structure(self)
-        return self._exps["exps"]
+        """Validated dilation exponents; validates the spec's content on
+        first use in the process."""
+        if "exps" not in self._shared:
+            self._shared["exps"] = validate_structure(self)
+        return self._shared["exps"]
 
     def is_dilation_invariant(self):
         """True when B has only the subdiagonal blocks, exactly (B = B_0)."""
@@ -201,7 +222,10 @@ class OperatorSpec:
 
     def homogeneous(self):
         """The Homogeneous record of a principal drift (is_dilation_invariant),
-        made once per spec from one block exponential at t = 1; else None.
+        made once per process for each content from one block exponential
+        at t = 1, whose table the spec keeps as its "C"; else None.  Its
+        arrays and the table's powers are read-only: every spec of the
+        content shares them.
         L is then dilation-invariant (Lanconelli & Polidoro 1994): with
         D = diag(t^(alpha_i / 2)), C(t) = D C(1) D, E(t) = D E(1) D^-1 and
         log det C(t) = log det C(1) + Q log t.  C(1)^-1 is None unless
@@ -213,18 +237,25 @@ class OperatorSpec:
         C(1)_ii < 1e-300 for C(1)_ii <= 2^25, which _clears rejects; past
         that g is -inf and clears no row."""
         if "unit" not in self._exps:
-            unit = None
-            if self.is_dilation_invariant():
-                C1, E1 = self._block(1.0) or (None, None)
-                if C1 is None:
-                    raise DomainError("C(1) is not finite")
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    sign, logdet = np.linalg.slogdet(C1)
-                    inv = np.linalg.inv(C1) if sign > 0 else None
-                g = _gershgorin(C1[None])[0][0] - (2 * self.kappa + 3) * np.finfo(float).eps
-                g = g if np.diagonal(C1).max() <= 2.0**25 else -np.inf
-                unit = Homogeneous(C1, E1, inv, logdet, sign, g)
-            self._exps["unit"] = unit
+            if "unit" not in self._shared:
+                unit = table = None
+                if self.is_dilation_invariant():
+                    C1, E1 = self._block(1.0) or (None, None)
+                    if C1 is None:
+                        raise DomainError("C(1) is not finite")
+                    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                        sign, logdet = np.linalg.slogdet(C1)
+                        inv = np.linalg.inv(C1) if sign > 0 else None
+                    g = _gershgorin(C1[None])[0][0] - (2 * self.kappa + 3) * np.finfo(float).eps
+                    g = g if np.diagonal(C1).max() <= 2.0**25 else -np.inf
+                    unit, table = Homogeneous(C1, E1, inv, logdet, sign, g), self._exps["C"]
+                    for array in (C1, E1, inv, table.powers):
+                        if array is not None:
+                            array.flags.writeable = False
+                self._shared["unit"] = unit, table
+            self._exps["unit"], table = self._shared["unit"]
+            if table is not None:
+                self._exps["C"] = table
         return self._exps["unit"]
 
     def level_powers(self, t):

@@ -470,13 +470,15 @@ OVERFLOWING_RADII = {
 
 @pytest.mark.parametrize("name", sorted(OVERFLOWING_RADII))
 def test_a_radius_whose_dilation_overflows_is_one_error_line(name, capsys):
-    # the dilated sample points overflow: finite_rows rejects them (exit 3),
-    # and the numpy warnings that came first are gone
+    # R^3 (alpha = (1, 3) on kolmogorov) is not finite: the radius is refused
+    # by name before any point is dilated (exit 3), with no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(OVERFLOWING_RADII[name]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: point has non-finite coordinates\n"
+    radius = float(OVERFLOWING_RADII[name][-1].split(",")[-1])
+    assert out == "" and err == (f"usage error: --R-list radius {radius!r} overflows the "
+                                 "dilation: R^3 is not finite\n")
 
 
 @pytest.mark.parametrize("family", ["constant", "quadratic", "gaussian"])

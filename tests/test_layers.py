@@ -28,7 +28,8 @@ def test_layer_timings_smoke_run_writes_every_key(tmp_path):
                             ("L1", "compose_rows"), ("L2", "kernel_jet_rows jets"),
                             ("L3", "connect"), ("L4", "empirical_modulus"),
                             ("L5", "verify_apriori"), ("cli", "run verify apriori"),
-                            ("cli", "load_spec"), ("cli", "parse_args")):
+                            ("cli", "load_spec"), ("cli", "load_spec cold"),
+                            ("cli", "parse_args")):
             assert f"{layer} {name} [{spec}]" in rows
     assert {key.split()[0] for key in rows} == {"L0", "L1", "L2", "L3", "L4", "L5", "cli"}
     for row in rows.values():

@@ -12,7 +12,10 @@ operator (``kolmogorov``), the m = 2, N = 4 kinetic operator of the
 (``kinetic_drifted``).  The verbs run in-process through
 ``kolmo.cli.run``, each from its argv to its printed report, with their
 fixed costs (``load_spec``, the argument parser and the report encoder
-``_emit``) as rows of their own.
+``_emit``) as rows of their own.  ``load_spec`` of a content seen before
+reuses its validation; ``load_spec cold`` clears that per-content state
+first and also makes the spec's exponents and record of C(1), as a
+one-shot command line does.
 
 Every row is one warm-up call, then REPEATS samples; a sample
 times as many calls as fill about 2 ms and records the time per call.
@@ -176,10 +179,20 @@ def verb_rows(path, small, demo):
               "seed": args.seed, "exit_code": code, "results": body}
     rows += [
         ("cli", "load_spec", 1, lambda: group.load_spec(path)),
+        ("cli", "load_spec cold", 1, lambda: _cold_setup(path)),
         ("cli", "parse_args", 1, lambda: cli._build_parser().parse_args(argvs["verify apriori"])),
         ("cli", "_emit apriori report", 1, _quiet_call(lambda: cli._emit(report, None))),
     ]
     return rows
+
+
+def _cold_setup(path):
+    """load_spec, exponents() and homogeneous() on a spec whose content
+    state is not yet made: the set-up a one-shot command line pays."""
+    group._content_state.cache_clear()
+    spec = group.load_spec(path)
+    spec.exponents()
+    spec.homogeneous()
 
 
 @contextlib.contextmanager
