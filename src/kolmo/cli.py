@@ -392,6 +392,9 @@ def _cmd_modulus(args):
 
 
 def _cmd_verify(args):
+    crit = args.criterion
+    if (crit == "schauder-var") != (args.varcoeff is not None):
+        raise UsageError("--varcoeff is needed by schauder-var and taken by no other criterion")
     spec = load_spec(args.spec)
     R_list = None if args.R_list is None else tuple(_parse_floats(args.R_list, "--R-list"))
     if R_list and not all(0.0 < R < math.inf for R in R_list):
@@ -403,7 +406,20 @@ def _cmd_verify(args):
         except OverflowError:
             raise UsageError(f"--R-list radius {R!r} overflows the dilation: "
                              f"R^{power} is not finite") from None
-    crit = args.criterion
+    # the largest time step over R^2: points of Q_R above poles down to -3R^2,
+    # or of Q_{R/2} above slices down to -1.0001R^2; no other criterion reads R.
+    # C(t) grows with t, so the smallest and the largest radius decide
+    step = 4.0 if crit in ("apriori", "mean-value") else 1.25 if "singular" in crit else None
+    if R_list and step:
+        R = min(R_list)
+        if R * R == 0.0:
+            raise UsageError(f"--R-list radius {R!r} has R^2 = 0: its time steps underflow")
+        R = max(R_list)
+        try:
+            spec.C(np.array([step * R * R]))
+        except DomainError:
+            raise UsageError(f"--R-list radius {R!r} leaves the floats: C(t) is not finite at "
+                             f"the largest time step {step:g} R^2 = {step * R * R:g}") from None
     if crit == "apriori":
         rep = verify_apriori(spec, R_list or (1.0, 0.5, 0.25),
                              poles=args.poles, samples=args.samples,
@@ -417,8 +433,7 @@ def _cmd_verify(args):
                                      R_list or (0.5, 0.25, 0.125),
                                      seed=args.seed)
     elif crit.startswith("schauder-"):
-        problem = manufacture(args.family, spec, seed=args.seed,
-                              varcoeff_id=None if crit == "schauder-const" else args.varcoeff)
+        problem = manufacture(args.family, spec, seed=args.seed, varcoeff_id=args.varcoeff)
         rep = verify_schauder(problem, pair_samples=args.pairs, seed=args.seed)
     else:
         rep = verify_invariance(spec, samples=args.samples, seed=args.seed)

@@ -16,10 +16,13 @@ is the one-point form of kernel.gamma, gamma_grad, gamma_hess_m and
 taylor.flow_Y, which only the benchmark's closed-form checks call;
 everything else takes row blocks.
 
-A spec holds read-only copies of A and B.  Its validated exponents and,
-for a principal drift, its Homogeneous record are made once per process
-for each content (A, B, blocks) (_content_state); the tables of E and of
-a non-principal C stay with each spec object.
+A spec holds read-only copies of A and B.  Its validated exponents, the
+exp_table of C's block generator and its Homogeneous record (None unless
+the drift is principal) are made once per process for each content (A, B,
+blocks) and shared by every spec of it (_content_state).  Only the table
+of E stays with each spec object: on a non-nilpotent drift its series
+check is the mat_exp call that perfbench's tracer test counts in every
+connect report.
 """
 
 import functools
@@ -80,17 +83,10 @@ class BlockStructure:
     def N(self):
         return sum(self.sizes)
 
-    def offsets(self):
-        """Start index of each level within an N-vector."""
-        out = [0]
-        for s in self.sizes[:-1]:
-            out.append(out[-1] + s)
-        return out
-
     def level_slice(self, n):
         if not 0 <= n <= self.kappa:
             raise DomainError(f"level {n} out of range 0..{self.kappa}")
-        start = self.offsets()[n]
+        start = sum(self.sizes[:n])
         return slice(start, start + self.sizes[n])
 
 
@@ -146,9 +142,9 @@ def finite_rows(Z):
 def _content_state(key):
     """What every OperatorSpec of one content key = (A.shape, A bytes,
     B.shape, B bytes, block sizes) shares: its validated exponents under
-    "exps" and, under "unit", its Homogeneous record (or None) with the
-    block generator's table.  Each is stored once made, so an exception
-    stores nothing and is raised again on the next load."""
+    "exps", the block generator's exp_table under "C" and its Homogeneous
+    record (or None) under "unit".  Each is stored once made, so an
+    exception stores nothing and is raised again on the next load."""
     return {}
 
 
@@ -159,8 +155,7 @@ class OperatorSpec:
     A: np.ndarray
     B: np.ndarray
     blocks: BlockStructure
-    # made on first use: the exp_tables of E and C and the Homogeneous record
-    # of C(1), this spec's own or, for a principal drift, its content's
+    # E's exp_table, made on first use and this spec's own; _content_state
     _exps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _shared: dict = field(default=None, init=False, repr=False, compare=False)
 
@@ -195,24 +190,22 @@ class OperatorSpec:
         """True when B has only the subdiagonal blocks, exactly (B = B_0)."""
         return not self.B[_scale_powers(self.blocks) != 0].any()
 
-    def _exp(self, key, generator):
-        """The exp_table of a generator, made on first use."""
-        if key not in self._exps:
-            self._exps[key] = exp_table(generator())
-        return self._exps[key]
-
     def E(self, tau):
         """Translation matrix E(tau) = exp(-tau B); an array of times gives
         the stack of their matrices, from the powers of -B made once."""
-        return exp_rows(self._exp("E", lambda: -self.B), tau)
+        if "E" not in self._exps:
+            self._exps["E"] = exp_table(-self.B)
+        return exp_rows(self._exps["E"], tau)
 
     def _block(self, t):
         """(C(t), E(t)) from the top block row [E(t), G(t)] of exp(t M),
         M = block_generator(self), with C = G E^T symmetrised; None if
         exp(t M) or C(t) overflows."""
         N = self.N
+        if "C" not in self._shared:
+            self._shared["C"] = exp_table(block_generator(self))
         try:
-            Phi = exp_rows(self._exp("C", lambda: block_generator(self)), t)
+            Phi = exp_rows(self._shared["C"], t)
         except AccuracyError:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -223,8 +216,7 @@ class OperatorSpec:
     def homogeneous(self):
         """The Homogeneous record of a principal drift (is_dilation_invariant),
         made once per process for each content from one block exponential
-        at t = 1, whose table the spec keeps as its "C"; else None.  Its
-        arrays and the table's powers are read-only: every spec of the
+        at t = 1; else None.  Its arrays are read-only: every spec of the
         content shares them.
         L is then dilation-invariant (Lanconelli & Polidoro 1994): with
         D = diag(t^(alpha_i / 2)), C(t) = D C(1) D, E(t) = D E(1) D^-1 and
@@ -236,27 +228,23 @@ class OperatorSpec:
         diag C(t) is normal.  Where one is not, its entry is below 2^-1022
         C(1)_ii < 1e-300 for C(1)_ii <= 2^25, which _clears rejects; past
         that g is -inf and clears no row."""
-        if "unit" not in self._exps:
-            if "unit" not in self._shared:
-                unit = table = None
-                if self.is_dilation_invariant():
-                    C1, E1 = self._block(1.0) or (None, None)
-                    if C1 is None:
-                        raise DomainError("C(1) is not finite")
-                    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                        sign, logdet = np.linalg.slogdet(C1)
-                        inv = np.linalg.inv(C1) if sign > 0 else None
-                    g = _gershgorin(C1[None])[0][0] - (2 * self.kappa + 3) * np.finfo(float).eps
-                    g = g if np.diagonal(C1).max() <= 2.0**25 else -np.inf
-                    unit, table = Homogeneous(C1, E1, inv, logdet, sign, g), self._exps["C"]
-                    for array in (C1, E1, inv, table.powers):
-                        if array is not None:
-                            array.flags.writeable = False
-                self._shared["unit"] = unit, table
-            self._exps["unit"], table = self._shared["unit"]
-            if table is not None:
-                self._exps["C"] = table
-        return self._exps["unit"]
+        if "unit" not in self._shared:
+            unit = None
+            if self.is_dilation_invariant():
+                C1, E1 = self._block(1.0) or (None, None)
+                if C1 is None:
+                    raise DomainError("C(1) is not finite")
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    sign, logdet = np.linalg.slogdet(C1)
+                    inv = np.linalg.inv(C1) if sign > 0 else None
+                g = _gershgorin(C1[None])[0][0] - (2 * self.kappa + 3) * np.finfo(float).eps
+                g = g if np.diagonal(C1).max() <= 2.0**25 else -np.inf
+                unit = Homogeneous(C1, E1, inv, logdet, sign, g)
+                for array in (C1, E1, inv):
+                    if array is not None:
+                        array.flags.writeable = False
+            self._shared["unit"] = unit
+        return self._shared["unit"]
 
     def level_powers(self, t):
         """t^n on each coordinate of level n (last axis), for a scalar or (K,)
@@ -326,11 +314,9 @@ def load_spec(path_or_dict):
 
 
 def level_exponents(blocks):
-    alpha = []
-    for n, size in enumerate(blocks.sizes):
-        alpha.extend([2 * n + 1] * size)
-    Q = sum((2 * n + 1) * size for n, size in enumerate(blocks.sizes))
-    return Exponents(alpha=tuple(alpha), Q=Q)
+    """alpha_i = 2n+1 on level n, and Q = sum of alpha_i."""
+    alpha = (2 * blocks.level + 1).tolist()
+    return Exponents(alpha=tuple(alpha), Q=sum(alpha))
 
 
 def validate_structure(spec):

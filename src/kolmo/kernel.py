@@ -13,9 +13,10 @@ matrix-vector and dot product is one of matrixcalc's fixed-order row
 sums.  A principal drift (B = B_0) needs only its record of C(1)
 (spec.homogeneous) and the dilations (C(dt) = D C(1) D); any other drift
 has E(dt) and C(dt) factorised once per distinct time step.  C(dt) must
-be positive definite (Hormander's condition): _checked_C's verdict, which
-a principal drift reads from its record (_checked_unit, also for the
-kernel), and where a Gershgorin bound cannot clear a row, eigvalsh
+be positive definite (Hormander's condition): _checked_C's verdict, whose
+determinant sign and Gershgorin bound a principal drift reads from its
+record and the diagonal of C(dt), also in the kernel, and any other
+drift from its rows; where that bound cannot clear a row, eigvalsh
 decides.  gamma, gamma_grad and gamma_hess_m are its K = 1 calls on
 Points, kept for the benchmark's closed-form check.  Every derivative
 formula is cross-checked against finite differences in the test suite.
@@ -45,48 +46,39 @@ class KernelContext:
     spec: object
 
 
-def _verdict(t, sign, cleared, rows_C):
-    """HypoellipticityError unless each row has a determinant sign > 0 and
-    is cleared, or its C(t) (rows_C of the mask) an eigvalsh minimum > 1e-300."""
-    bad = sign <= 0
-    rest = ~(cleared | bad)
-    if rest.any():
-        bad[rest] = np.linalg.eigvalsh(rows_C(rest))[:, 0] <= 1e-300
-    if bad.any():
-        raise HypoellipticityError(f"C({t[bad][0]}) is numerically singular")
-
-
-def _checked_C(spec, t, C=None):
+def _checked_C(spec, t, C=None, diag=None):
     """C(t) (given C, the caller's spec.C(t)) and log det C(t) for a (K,)
     array of times > 0, each slice bit-identical to its own K = 1 call.
     DomainError if C(t) overflows, HypoellipticityError if it is
     numerically singular: Hormander's condition, which check reports and
-    the kernel acts on.  A principal drift reads it from C(1)
-    (_checked_unit), with log det None (its kernel forms it from C(1));
-    any other drift from each row's determinant sign > 0 and, on the
-    rows _clears rejects, its eigvalsh minimum > 1e-300."""
-    C = spec.C(t) if C is None else C
-    if spec.homogeneous() is not None:
-        _checked_unit(spec, t, np.diagonal(C, axis1=1, axis2=2).T.copy())
-        return C, None
+    the kernel acts on: a row needs a determinant sign > 0 and
+    _clears(g, diag), or else an eigvalsh minimum of its C(t) > 1e-300.
+    A principal drift reads the sign and g from its record of C(1), diag
+    (the finite contiguous (N, K) diagonal of C(t) as spec.C forms it)
+    from the caller or C, and gives log det None (its kernel forms it);
+    any other drift reads all three from the rows of C(t)."""
+    unit = spec.homogeneous()
+    if unit is None or diag is None:
+        C = spec.C(t) if C is None else C
     # a zero pivot in slogdet is log(0): sign 0, which the test below rejects
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sign, logdet = np.linalg.slogdet(C)
-        cleared = _clears(*_gershgorin(C))
-    _verdict(t, sign, cleared, lambda rows: C[rows])
+        if unit is None:
+            sign, logdet = np.linalg.slogdet(C)
+            g, diag = _gershgorin(C)
+        else:
+            sign, logdet, g = unit.sign, None, unit.g
+            diag = np.diagonal(C, axis1=1, axis2=2).T.copy() if diag is None else diag
+        cleared = _clears(g, diag)
+    if (sign > 0).all() and cleared.all():  # the usual case, with no mask to form
+        return C, logdet
+    bad = (sign <= 0) & np.ones(len(t), dtype=bool)  # a row each, also for the record's sign
+    rest = ~(cleared | bad)
+    if rest.any():
+        rows = spec.C(t[rest]) if C is None else C[rest]
+        bad[rest] = np.linalg.eigvalsh(rows)[:, 0] <= 1e-300
+    if bad.any():
+        raise HypoellipticityError(f"C({t[bad][0]}) is numerically singular")
     return C, logdet
-
-
-def _checked_unit(spec, t, diag):
-    """The verdict on a principal drift's C(t) = D C(1) D from its record
-    (spec.homogeneous) and diag, the finite (N, K) diagonal of C(t) as
-    spec.C forms it, contiguous: the sign of det C(1), then _clears(g, diag),
-    then eigvalsh of spec.C on the rows it rejects."""
-    unit = spec.homogeneous()
-    with np.errstate(over="ignore", invalid="ignore"):
-        cleared = _clears(unit.g, diag)
-    if unit.sign <= 0 or not cleared.all():
-        _verdict(t, np.full(len(t), unit.sign), cleared, lambda rows: spec.C(t[rows]))
 
 
 def covariance(ctx, t):
@@ -140,7 +132,7 @@ def kernel_jet_rows(spec, Z, P, derivatives=True):
             diag = ((p * p) * dt[:, None] * np.diagonal(unit.C1)).T.copy()
         if not np.isfinite(diag).all():
             raise DomainError(f"C(t) is not finite for a time step up to {np.max(dt)}")
-        _checked_unit(spec, dt, diag)
+        _checked_C(spec, dt, diag=diag)
         logt = np.fromiter(map(math.log, dt.tolist()), float, len(dt))
         logdet = unit.logdet + spec.exponents().Q * logt  # log det C(1) + Q log dt
         d = np.sqrt(dt)[:, None] * p

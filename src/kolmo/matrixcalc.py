@@ -47,19 +47,20 @@ ROW_CHUNK = 4096  # most rows one stacked pass lays out: kernel jets, quadrature
 
 @dataclass(frozen=True)
 class ExpTable:
-    """The powers of a generator M that exp_rows sums.
+    """The powers of a generator M that exp_rows sums, read-only.
 
-    ``powers[k]`` is X^k / k! with X = M for a nilpotent M, whose series
-    ends at the last non-zero power; otherwise X = M / 2^shift with
-    2^shift > ||M||_1 = ``norm``, and k runs to TAYLOR_DEGREE.  A spec
-    keeps the table of -B, for E(t), and that of the block generator of
-    C(t), which a principal drift sums at t = 1 only, for C(1) and E(1).
+    ``powers[k]`` is X^k / k! with X = M / 2^shift, 2^shift > ||M||_1 =
+    ``norm``, to k = TAYLOR_DEGREE; a nilpotent M has norm = shift = 0
+    and ends at its last non-zero power.  Every spec of one content shares
+    its C table (group._content_state); each keeps its own E table, of -B.
     """
 
     powers: np.ndarray
-    nilpotent: bool
     norm: float = 0.0
     shift: int = 0
+
+    def __post_init__(self):
+        self.powers.flags.writeable = False
 
 
 def _as_square(M, stack=False):
@@ -109,14 +110,14 @@ def exp_table(M):
     if not np.isfinite(powers[-1]).all():  # inf, or nan from inf * 0, stays in later powers
         raise DomainError("a power of the matrix exponential's generator is not finite")
     if not powers[-1].any():
-        return ExpTable(_series_terms(powers[:-1]), nilpotent=True)
+        return ExpTable(_series_terms(powers[:-1]))
     norm = float(np.abs(M).sum(axis=0).max())
     shift = int(np.frexp(norm)[1])
     scaled = np.ldexp(M, -shift)
     powers = [np.eye(len(M)), scaled]
     while len(powers) <= TAYLOR_DEGREE:
         powers.append(powers[-1] @ scaled)
-    table = ExpTable(_series_terms(powers), nilpotent=False, norm=norm, shift=shift)
+    table = ExpTable(_series_terms(powers), norm=norm, shift=shift)
     gap = np.abs(exp_rows(table, 2.0**-shift) - mat_exp(scaled)).max()
     if not gap <= SERIES_CHECK_TOL:
         raise AccuracyError(f"matrix exponential series is off by {gap:g}")
@@ -144,7 +145,8 @@ def exp_rows(table, t):
     of the small part near I; and adds I.
     X = M / 2^shift, s_k = max(0, floor(log2(|t_k| ||M||_1)) + 1)
     so that ||u_k X||_1 < 1, and u_k = t_k 2^(shift - s_k); for a
-    nilpotent M, X = M, u_k = t_k and nothing is squared.  Only t_k
+    nilpotent M, norm = shift = 0 gives s_k = 0 and u_k = t_k, also for
+    +-0, +-inf and nan (frexp's exponent is 0 there).  Only t_k
     decides its row's operations, so each row rounds exactly as its own
     K = 1 call does, and a block of times whose series terms exceed
     SERIES_BUDGET bytes is taken in chunks of rows.  AccuracyError on
@@ -157,11 +159,10 @@ def exp_rows(table, t):
     if len(u) > step:
         return np.concatenate([exp_rows(table, u[k:k + step]) for k in range(0, len(u), step)]
                               ).reshape(t.shape + P[0].shape)
-    s = np.zeros(len(u), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not table.nilpotent:  # an infinite |t_k| ||M||_1 leaves u_k infinite
-            s = np.maximum(np.frexp(u * table.norm)[1], 0)
-            u = np.ldexp(u, table.shift - s)
+        # an infinite |t_k| ||M||_1 leaves u_k infinite
+        s = np.maximum(np.frexp(u * table.norm)[1], 0)
+        u = np.ldexp(u, table.shift - s)
         c = u[:, None].repeat(len(P) - 1, axis=1)
         np.multiply.accumulate(c, axis=1, out=c)
         F = np.add.reduce(c[:, :, None, None] * P[1:], axis=1)

@@ -317,6 +317,18 @@ def test_verify_verb(capsys):
     assert rep["results"]["verdict"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "schauder-var", "--spec", KOLMO, "--pairs", "200"],
+    ["verify", "schauder-const", "--varcoeff", "sin1", "--spec", KOLMO],
+])
+def test_varcoeff_goes_with_schauder_var_only(argv, capsys):
+    # schauder-var without a coefficient ran the constant test under the
+    # name schauder-const, and schauder-const dropped one without a word
+    assert run(argv) == 3
+    assert capsys.readouterr() == (
+        "", "usage error: --varcoeff is needed by schauder-var and taken by no other criterion\n")
+
+
 def test_verify_invariance_verb():
     assert run(["verify", "invariance", "--spec", KOLMO, "--samples", "10"]) == 0
 
@@ -466,19 +478,45 @@ OVERFLOWING_RADII = {
     "apriori": ["verify", "apriori", "--spec", KOLMO, "--R-list", "1e200"],
     "mean-value": ["verify", "mean-value", "--spec", KOLMO, "--R-list", "1e200"],
 }
+# radii whose dilation is finite but whose time steps leave the floats: C(t)
+# is not finite at the criterion's largest step, 4 R^2 (apriori, mean-value)
+# or 1.25 R^2 (singular-*), or R^2 is 0; each ended with a line that named
+# no option ("C(t) is not finite for a time step up to 3.9e+200", "... up to
+# 3534" on kinetic_drifted, "kernel derivative needs t - tau > 0, got 0.0")
+STEPS_PAST_THE_FLOATS = {
+    "apriori-1e100": (["verify", "apriori", "--spec", KOLMO, "--R-list", "1e100"],
+                      "radius 1e+100 leaves the floats: C(t) is not finite at the "
+                      "largest time step 4 R^2 = 4e+200"),
+    "apriori-drifted-30": (["verify", "apriori", "--spec", DRIFTED, "--R-list", "30"],
+                           "radius 30.0 leaves the floats: C(t) is not finite at the "
+                           "largest time step 4 R^2 = 3600"),
+    "apriori-1e-200": (["verify", "apriori", "--spec", KOLMO, "--R-list", "1e-200"],
+                       "radius 1e-200 has R^2 = 0: its time steps underflow"),
+    "mean-value-1e102": (["verify", "mean-value", "--spec", KOLMO, "--R-list", "1e102"],
+                         "radius 1e+102 leaves the floats: C(t) is not finite at the "
+                         "largest time step 4 R^2 = 4e+204"),
+    "singular-g1-1e100": (["verify", "singular-g1", "--spec", KOLMO, "--R-list", "0.5,1e100"],
+                          "radius 1e+100 leaves the floats: C(t) is not finite at the "
+                          "largest time step 1.25 R^2 = 1.25e+200"),
+}
 
 
-@pytest.mark.parametrize("name", sorted(OVERFLOWING_RADII))
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_RADII) + sorted(STEPS_PAST_THE_FLOATS))
 def test_a_radius_whose_dilation_overflows_is_one_error_line(name, capsys):
     # R^3 (alpha = (1, 3) on kolmogorov) is not finite: the radius is refused
-    # by name before any point is dilated (exit 3), with no numpy warning
+    # by name before any point is dilated (exit 3), with no numpy warning;
+    # so is a radius whose time steps leave the floats
+    if name in OVERFLOWING_RADII:
+        argv = OVERFLOWING_RADII[name]
+        radius = float(argv[-1].split(",")[-1])
+        line = f"radius {radius!r} overflows the dilation: R^3 is not finite"
+    else:
+        argv, line = STEPS_PAST_THE_FLOATS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run(OVERFLOWING_RADII[name]) == 3
+        assert run(argv) == 3
     out, err = capsys.readouterr()
-    radius = float(OVERFLOWING_RADII[name][-1].split(",")[-1])
-    assert out == "" and err == (f"usage error: --R-list radius {radius!r} overflows the "
-                                 "dilation: R^3 is not finite\n")
+    assert out == "" and err == f"usage error: --R-list {line}\n"
 
 
 @pytest.mark.parametrize("family", ["constant", "quadratic", "gaussian"])
@@ -509,6 +547,7 @@ def test_the_contract_lines_hold_under_warnings_as_errors(tmp_path):
     lines = [NON_FINITE_REPORTS["kernel-kolmogorov-1e308"],
              NON_FINITE_REPORTS["taylor-kolmogorov-1e308"]]
     lines += [(OVERFLOWING_RADII[name], 3) for name in sorted(OVERFLOWING_RADII)]
+    lines += [(STEPS_PAST_THE_FLOATS[name][0], 3) for name in sorted(STEPS_PAST_THE_FLOATS)]
     # a singular C(t): by the eigenvalue alone (sign > 0, min eig ~ 8e-302)
     # and the zero matrix of an underflowed flow
     lines += [(["kernel", "--spec", KOLMO, "--point", "0,0,1e-100"], 3),

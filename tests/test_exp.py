@@ -86,7 +86,7 @@ def test_principal_E_is_the_finite_series(spec, seed):
         # the table's powers, the running products of t and the sum round
         # a few times per term: a bound relative to the absolute terms
         assert (np.abs(spec.E(t) - want) <= 4 * spec.N * EPS * size).all()
-    assert spec._exps["E"].nilpotent
+    assert spec._exps["E"].norm == 0 and spec._exps["E"].shift == 0
 
 
 def test_kolmogorov_E_is_exact():
@@ -122,13 +122,79 @@ def test_C_three_ways(spec, t):
         assert np.abs(spec.C(r * r * t) - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def nilpotent(table):
+    """exp_table's mark of a nilpotent generator: no scaling."""
+    return table.norm == 0 and table.shift == 0
+
+
 def test_exp_table_finds_nilpotent_generators():
     spec = kolmogorov_spec(2)
-    assert exp_table(-spec.B).nilpotent and len(exp_table(-spec.B).powers) == 2
-    assert exp_table(block_generator(spec)).nilpotent
+    assert nilpotent(exp_table(-spec.B)) and len(exp_table(-spec.B).powers) == 2
+    assert nilpotent(exp_table(block_generator(spec)))
     assert exp_table(np.zeros((3, 3))).powers.shape == (1, 3, 3)
     drifted = exp_table(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    assert not drifted.nilpotent and len(drifted.powers) == TAYLOR_DEGREE + 1
+    assert not nilpotent(drifted) and len(drifted.powers) == TAYLOR_DEGREE + 1
+
+
+def nilpotent_exp_rows(table, t):
+    """exp_rows as it was before its nilpotent branch was folded into the
+    scaled one, kept verbatim as the oracle: a nilpotent table took
+    u_k = t_k and s_k = 0 without frexp or ldexp."""
+    t = np.asarray(t, dtype=float)
+    u = t.reshape(-1)
+    P = table.powers
+    step = max(1, matrixcalc.SERIES_BUDGET // P.nbytes)  # P.nbytes > one row's series terms
+    if len(u) > step:
+        return np.concatenate([nilpotent_exp_rows(table, u[k:k + step])
+                               for k in range(0, len(u), step)]).reshape(t.shape + P[0].shape)
+    s = np.zeros(len(u), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not nilpotent(table):  # an infinite |t_k| ||M||_1 leaves u_k infinite
+            s = np.maximum(np.frexp(u * table.norm)[1], 0)
+            u = np.ldexp(u, table.shift - s)
+        c = u[:, None].repeat(len(P) - 1, axis=1)
+        np.multiply.accumulate(c, axis=1, out=c)
+        F = np.add.reduce(c[:, :, None, None] * P[1:], axis=1)
+        top = s.max(initial=0)
+        every = s.min() if top else 0  # the squarings that every row takes, unselected
+        for j in range(top):
+            G = np.matmul(F, F) + 2.0 * F
+            F = G if j < every else np.where((s > j)[:, None, None], G, F)
+        F += P[0]
+    if not np.isfinite(F).all():
+        raise AccuracyError("overflow in matrix exponential")
+    return F.reshape(t.shape + P[0].shape)
+
+
+def exp_bits(route, table, t):
+    """The bytes of route(table, t), or the AccuracyError it raises."""
+    try:
+        return route(table, t).tobytes()
+    except AccuracyError as err:
+        return str(err)
+
+
+def test_nilpotent_tables_sum_as_their_removed_branch():
+    # every nilpotent table: -B and the block generator of each principal
+    # admissible spec, the Kolmogorov operators and B = 0, at the edge
+    # times one at a time (+-inf and nan raise where a power is non-zero)
+    # and in one block, and at random times one by one, in one block and
+    # with the edge times mixed in
+    tables = [exp_table(np.zeros((n, n))) for n in (1, 2, 3)]
+    for spec in [admissible_spec(blocks, seed, True) for blocks in BLOCKS for seed in (0, 1)
+                 ] + [kolmogorov_spec(1), kolmogorov_spec(2)]:
+        tables += [exp_table(-spec.B), exp_table(block_generator(spec))]
+    assert all(nilpotent(table) for table in tables)
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(0)
+    raised = 0
+    for table in tables:
+        times = np.concatenate([rng.uniform(-8.0, 8.0, K), 10.0 ** rng.uniform(-300, 300, K)])
+        for t in list(edges) + list(times[:5]) + [edges, times, np.concatenate([times, edges])]:
+            want = exp_bits(nilpotent_exp_rows, table, t)
+            assert exp_bits(exp_rows, table, t) == want, (table.powers.shape, t)
+            raised += isinstance(want, str)
+    assert raised > 0
 
 
 def test_exp_rows_shapes_and_overflow(drifted):
@@ -194,7 +260,7 @@ def test_C_chunks_keep_every_bit(spec, seed, budget_rows):
     # the square within C_TOL
     ts = np.random.default_rng(seed).uniform(-8.0, 8.0, 3 * K)
     spec.C(ts[0])  # builds the exponential table
-    row_bytes, default = spec._exps["C"].powers.nbytes, matrixcalc.SERIES_BUDGET
+    row_bytes, default = spec._shared["C"].powers.nbytes, matrixcalc.SERIES_BUDGET
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrixcalc, "SERIES_BUDGET", len(ts) * row_bytes)
         whole = spec.C(ts)
@@ -228,7 +294,7 @@ def test_C_matches_the_full_square_on_every_block_structure():
             assert_C_close(got, want)
             homogeneous += 1
         assert all(np.array_equal(spec.C(ts[k]), got[k]) for k in (0, K, len(ts) - 1))
-        assert spec._exps["C"].powers.shape[1:] == (2 * spec.N, 2 * spec.N)
+        assert spec._shared["C"].powers.shape[1:] == (2 * spec.N, 2 * spec.N)
     assert homogeneous == 2 * len(BLOCKS) + 2
 
 

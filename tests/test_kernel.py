@@ -432,13 +432,12 @@ def test_gershgorin_over_rows_matches_the_sliced_certificate():
 
 def test_workload_reports_call_no_eigvalsh_in_checked_C(tmp_path, monkeypatch):
     # every covariance row of the apriori and singular benchmark reports
-    # is cleared from its entries; the spy counts eigvalsh in _checked_C's
-    # verdict
+    # is cleared from its entries; the spy counts eigvalsh in _checked_C
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
     def spy(a, *args, **kwargs):
-        if sys._getframe(1).f_code is kernel._verdict.__code__:
+        if sys._getframe(1).f_code is kernel._checked_C.__code__:
             calls.append(len(a))
         return eigvalsh(a, *args, **kwargs)
 

@@ -15,12 +15,15 @@ def test_layer_timings_smoke_run_writes_every_key(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert set(bench) == {"label", "machine", "versions", "src_lines", "repeats", "smoke",
-                          "rows", "tier1_s"}
+    assert set(bench) == {"label", "machine", "versions", "src_lines", "src_lines_by_module",
+                          "repeats", "smoke", "rows", "tier1_s"}
     assert set(bench["machine"]) >= {"platform", "machine", "cpus", "openblas_core", "simd"}
     assert set(bench["versions"]) == {"python", "numpy", "scipy"}
     assert bench["src_lines"] == sum(len(p.read_text().splitlines())
                                      for p in (ROOT / "src" / "kolmo").glob("*.py"))
+    modules = sorted(p.name for p in (ROOT / "src" / "kolmo").glob("*.py"))
+    assert sorted(bench["src_lines_by_module"]) == modules and "group.py" in modules
+    assert sum(bench["src_lines_by_module"].values()) == bench["src_lines"]
     assert bench["repeats"] == 1 and bench["smoke"] and bench["tier1_s"] is None
     rows = bench["rows"]
     for spec in ("kolmogorov", "kinetic_m2", "kinetic_drifted"):

@@ -24,8 +24,9 @@ on a shared host spoils one sample of many rows, which the median drops.
 The file holds the median, minimum and maximum per row in
 microseconds, the machine, the Python, numpy and scipy versions, the
 OpenBLAS core type, numpy's SIMD targets and the line count of
-``src/kolmo``.  ``--smoke`` takes one repeat at small sizes, to check
-that the script runs; ``--tier1`` also times the test suite once.
+``src/kolmo``, in all and per module.  ``--smoke`` takes one repeat at
+small sizes, to check that the script runs; ``--tier1`` also times the
+test suite once.
 OpenBLAS runs on one thread, set before numpy loads.
 """
 
@@ -253,14 +254,16 @@ def _simd():
 
 
 def environment():
-    src = sorted((ROOT / "src" / "kolmo").glob("*.py"))
+    lines = {p.name: len(p.read_text().splitlines())
+             for p in sorted((ROOT / "src" / "kolmo").glob("*.py"))}
     return {
         "machine": {"platform": platform.platform(), "machine": platform.machine(),
                     "processor": platform.processor(), "cpus": os.cpu_count(),
                     "openblas_core": _openblas_core(), "simd": _simd()},
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        "src_lines": sum(len(p.read_text().splitlines()) for p in src),
+        "src_lines": sum(lines.values()),
+        "src_lines_by_module": lines,
     }
 
 
